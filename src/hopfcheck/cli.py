@@ -7,10 +7,10 @@ is byte-identical across runs.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 from .cohomology import bialgebra_cohomology, gs_dimension_report
@@ -51,7 +51,7 @@ from .hopf import (
     seeded_pair,
     verify_hopf_axioms,
 )
-from .rewrite import RewriteSystem, system_cache_key
+from .rewrite import RewriteSystem, content_hash, relations_digest, system_cache_key
 
 CHECK_ORDER = [
     "invariants", "hopf", "nakayama", "cogroupoid", "galois",
@@ -66,7 +66,15 @@ _TOP_KEYS = {"instance", "degree_bound", "probe", "checks", "cache_dir",
 
 
 class GBCache:
-    """Content-addressed store of completed rewrite systems."""
+    """Content-addressed store of completed rewrite systems.
+
+    An entry records the key it was stored under and a digest of the
+    relations it was completed from; ``load`` checks both against the
+    request, so an entry copied under another key, or answering other
+    relations, raises ``CacheCorrupt`` instead of being trusted.
+    """
+
+    FORMAT_VERSION = 2
 
     def __init__(self, directory):
         self.directory = directory
@@ -75,34 +83,78 @@ class GBCache:
     def _path(self, key):
         return os.path.join(self.directory, f"gb-{key}.json")
 
-    def load(self, key):
+    def load(self, key, relations):
         path = self._path(key)
         if not os.path.exists(path):
             return None
-        with open(path) as fh:
-            blob = json.load(fh)
-        if blob.get("version") != RewriteSystem.FORMAT_VERSION:
+        try:
+            with open(path) as fh:
+                blob = json.load(fh)
+        except ValueError as e:
+            raise CacheCorrupt(f"{path}: unreadable ({e})") from e
+        if not isinstance(blob, dict):
+            raise CacheCorrupt(f"{path}: not a cache entry")
+        if blob.get("version") != self.FORMAT_VERSION:
             raise VersionMismatch(f"cache format {blob.get('version')}")
-        payload = json.dumps(blob["payload"], sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        if digest != blob.get("hash"):
+        if blob.get("key") != key:
+            raise CacheCorrupt(f"{path}: stored under key {blob.get('key')}")
+        if blob.get("relations") != relations_digest(relations):
+            raise CacheCorrupt(f"{path}: completed from other relations")
+        payload = blob.get("payload")
+        if content_hash(payload) != blob.get("hash"):
             raise CacheCorrupt(path)
-        return RewriteSystem.from_dict(blob["payload"])
+        try:
+            return RewriteSystem.from_dict(payload)
+        except (KeyError, TypeError, ValueError) as e:
+            raise CacheCorrupt(f"{path}: bad payload ({e})") from e
 
-    def store(self, key, rs):
+    def store(self, key, rs, relations):
+        """Write the entry to a temp file beside it, then rename it into place."""
         payload = rs.to_dict()
         blob = {
-            "version": RewriteSystem.FORMAT_VERSION,
+            "version": self.FORMAT_VERSION,
             "key": key,
-            "hash": hashlib.sha256(
-                json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-            ).hexdigest(),
+            "relations": relations_digest(relations),
+            "hash": content_hash(payload),
             "payload": payload,
         }
         path = self._path(key)
-        with open(path, "w") as fh:
-            json.dump(blob, fh, sort_keys=True, indent=1)
+        fd, tmp = tempfile.mkstemp(prefix=".gb-", suffix=".tmp", dir=self.directory)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(blob, fh, sort_keys=True, indent=1)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return path
+
+
+class RunMemo:
+    """Completed systems of one run, keyed by ``system_cache_key``.
+
+    Has the ``load``/``store`` interface of ``GBCache`` and sits in front of
+    an optional one, so a run completes (or reads from disk) each distinct
+    presentation once.  Builds with the same key share one ``RewriteSystem``
+    object, so a memo must not outlive its run.
+    """
+
+    def __init__(self, backing=None):
+        self.backing = backing
+        self.systems = {}
+
+    def load(self, key, relations):
+        rs = self.systems.get(key)
+        if rs is None and self.backing is not None:
+            rs = self.backing.load(key, relations)
+            if rs is not None:
+                self.systems[key] = rs
+        return rs
+
+    def store(self, key, rs, relations):
+        self.systems[key] = rs
+        if self.backing is not None:
+            self.backing.store(key, rs, relations)
 
 
 def cache_roundtrip(rs, directory, probes=None, seed=7):
@@ -112,10 +164,10 @@ def cache_roundtrip(rs, directory, probes=None, seed=7):
     from .foundation import NCPoly
 
     cache = GBCache(directory)
-    key = system_cache_key([r.poly() for r in rs.rules], rs.order,
-                           rs.certified_degree)
-    cache.store(key, rs)
-    rs2 = cache.load(key)
+    relations = [r.poly() for r in rs.rules]
+    key = system_cache_key(relations, rs.order, rs.certified_degree)
+    cache.store(key, rs, relations)
+    rs2 = cache.load(key, relations)
     rng = random.Random(seed)
     ngens = len(rs.order.weights)
     if probes is None:
@@ -275,7 +327,8 @@ def _run_checks(cfg, cache):
             return "pass", witnesses, extras
         if name == "cogroupoid":
             rep = cogroupoid_suite(
-                [(mats["A"], mats["B"]), (mats["C"], mats["D"])], bound)
+                [(mats["A"], mats["B"]), (mats["C"], mats["D"])], bound,
+                cache=cache)
             extras["checks"] = rep["checks"]
             if not rep["ok"]:
                 return "fail", _fails_to_witnesses(rep["failures"]), extras
@@ -401,7 +454,7 @@ def run_config(cfg_or_path):
         cfg = cfg_or_path
     cfg = validate_config(cfg)
     cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
-    cache = GBCache(cache_dir) if cache_dir else None
+    cache = RunMemo(GBCache(cache_dir) if cache_dir else None)
     checks, timings = _run_checks(cfg, cache)
     statuses = [c["status"] for c in checks]
     code = exit_code_of(statuses)

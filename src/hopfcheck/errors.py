@@ -33,6 +33,10 @@ class UnitCollapse(HopfcheckError):
     """1 reduces to 0: the ideal is the whole algebra."""
 
 
+class NoRelations(HopfcheckError):
+    """Completion was given no nonzero relation."""
+
+
 class ExceedsCertifiedDegree(HopfcheckError):
     """Input weight exceeds the certified degree of the rewrite system."""
 

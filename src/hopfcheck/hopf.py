@@ -1099,13 +1099,14 @@ def cocomposition(src, left, right):
     return DeltaMap(src, (left, right), images, name="Δ")
 
 
-def cogroupoid_suite(objects, degree_bound):
+def cogroupoid_suite(objects, degree_bound, cache=None):
     """All cogroupoid diagrams on generators for the given (A,B) objects.
 
     objects: list of (A, B) matrix pairs.  Builds C(X,Y) for every ordered
-    pair and checks cocomposition coassociativity, counits, the antipode
-    squares, that each S_{X,Y} is a homomorphism into the opposite algebra,
-    and the Δ∘S identity.
+    pair (completing through ``cache``, as ``build_gabcd`` does) and checks
+    cocomposition coassociativity, counits, the antipode squares, that each
+    S_{X,Y} is a homomorphism into the opposite algebra, and the Δ∘S
+    identity.
     """
     objs = list(range(len(objects)))
     algs = {}
@@ -1114,7 +1115,7 @@ def cogroupoid_suite(objects, degree_bound):
             Ax, Bx = objects[x]
             Ay, By = objects[y]
             algs[(x, y)] = build_gabcd(Ax, Bx, Ay, By, degree_bound,
-                                       name=f"C({x},{y})")
+                                       name=f"C({x},{y})", cache=cache)
     failures = []
     checks = 0
     for (x, y), alg in algs.items():

@@ -6,9 +6,11 @@ increases weight, so the resulting system certifies normal forms and ideal
 membership for all inputs within that weight.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
-from .errors import ExceedsCertifiedDegree, UnitCollapse
+from .errors import ExceedsCertifiedDegree, NoRelations, UnitCollapse
 from .foundation import MonomialOrder, NCPoly, frac, frac_str
 
 ONE = Fraction(1)
@@ -153,6 +155,11 @@ def _overlaps(r1, r2):
                 yield ("incl", i)
 
 
+def _ambiguity_word(r1, r2, kind, pos):
+    """The word on which the two leads of an overlap descriptor meet."""
+    return r1.lead + r2.lead[pos:] if kind == "olap" else r1.lead
+
+
 def _spoly(r1, r2, kind, pos):
     """Difference of the two one-step reductions of the ambiguity word."""
     L1, L2 = r1.lead, r2.lead
@@ -160,13 +167,16 @@ def _spoly(r1, r2, kind, pos):
         k = pos
         left = r1.tail * NCPoly.term(L2[k:])
         right = NCPoly.term(L1[: len(L1) - k]) * r2.tail
-        word = L1 + L2[k:]
     else:
         i = pos
         left = r1.tail
         right = NCPoly.term(L1[:i]) * r2.tail * NCPoly.term(L1[i + len(L2) :])
-        word = L1
-    return left - right, word
+    return left - right
+
+
+def _has_subword(word, sub):
+    n = len(sub)
+    return any(word[i : i + n] == sub for i in range(len(word) - n + 1))
 
 
 class RewriteSystem:
@@ -248,11 +258,11 @@ class RewriteSystem:
         for r1 in self.rules:
             for r2 in self.rules:
                 for kind, pos in _overlaps(r1, r2):
-                    s, word = _spoly(r1, r2, kind, pos)
+                    word = _ambiguity_word(r1, r2, kind, pos)
                     if self.order.weight(word) > self.certified_degree:
                         continue
                     checked += 1
-                    nf = self.reduce(s)
+                    nf = self.reduce(_spoly(r1, r2, kind, pos))
                     if not nf.is_zero():
                         failures.append((word, nf))
         return {"overlaps_checked": checked, "failures": failures}
@@ -312,6 +322,35 @@ def _interreduce(rules, order):
     return rules
 
 
+def _absorb(rules, pending, order):
+    """Append rules made from pending polynomials, smallest lead first.
+
+    Every pending polynomial must be normal for ``rules``.  Each new rule is
+    made from the pending polynomial with the least leading word; the rest
+    are then normal for every rule but the new one, so only those with a
+    word containing its lead are re-reduced (and re-keyed).  The others
+    keep their polynomial and key, and the stable sort sees the same list
+    as a full re-reduction would give.
+    """
+    items = [(order.key(p.max_word(order)), p) for p in pending]
+    while items:
+        items.sort(key=lambda t: t[0])
+        rule = rule_from_poly(items[0][1], order)
+        rules.append(rule)
+        reducer = None
+        rest = []
+        for k, p in items[1:]:
+            if any(_has_subword(w, rule.lead) for w in p.d):
+                if reducer is None:
+                    reducer = _Reducer(rules, order)
+                p = reducer.reduce(p)
+                if p.is_zero():
+                    continue
+                k = order.key(p.max_word(order))
+            rest.append((k, p))
+        items = rest
+
+
 def complete_truncated(relations, order, degree_bound, progress=None):
     """Truncated two-sided completion of the given relation polynomials.
 
@@ -324,7 +363,8 @@ def complete_truncated(relations, order, degree_bound, progress=None):
     not raised.
     """
     relations = [p for p in relations if not p.is_zero()]
-    assert relations, "no nonzero relations"
+    if not relations:
+        raise NoRelations("completion needs at least one nonzero relation")
     maxw = max(p.weight(order) for p in relations)
     if degree_bound < maxw:
         raise ExceedsCertifiedDegree(
@@ -335,16 +375,7 @@ def complete_truncated(relations, order, degree_bound, progress=None):
     seen = set()
     rounds = 0
     while True:
-        while pending:
-            reducer = _Reducer(rules, order)
-            reduced = [reducer.reduce(p) for p in pending]
-            reduced = [p for p in reduced if not p.is_zero()]
-            pending = []
-            if not reduced:
-                break
-            reduced.sort(key=lambda p: order.key(p.max_word(order)))
-            rules.append(rule_from_poly(reduced[0], order))
-            pending = reduced[1:]
+        _absorb(rules, pending, order)
         rules = _interreduce(rules, order)
         rounds += 1
         if progress:
@@ -359,10 +390,9 @@ def complete_truncated(relations, order, degree_bound, progress=None):
                     if key in seen:
                         continue
                     seen.add(key)
-                    s, word = _spoly(r1, r2, kind, pos)
-                    if order.weight(word) > degree_bound:
+                    if order.weight(_ambiguity_word(r1, r2, kind, pos)) > degree_bound:
                         continue
-                    nf = reducer.reduce(s)
+                    nf = reducer.reduce(_spoly(r1, r2, kind, pos))
                     if not nf.is_zero():
                         new.append(nf)
         if not new:
@@ -373,33 +403,44 @@ def complete_truncated(relations, order, degree_bound, progress=None):
     return RewriteSystem(order, rules, degree_bound, collapsed)
 
 
-def system_cache_key(relations, order, degree_bound):
-    """Content hash of (relations, order, bound), for persistent caches."""
-    import hashlib
-    import json
-
-    payload = {
-        "order": order.to_dict(),
-        "bound": degree_bound,
-        "relations": [
-            sorted(
-                ([list(w), frac_str(c)] for w, c in p.d.items()),
-                key=lambda t: (len(t[0]), t[0], t[1]),
-            )
-            for p in relations
-        ],
-    }
+def content_hash(payload):
+    """sha256 of the canonical JSON of payload."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _relations_payload(relations):
+    return [
+        sorted(
+            ([list(w), frac_str(c)] for w, c in p.d.items()),
+            key=lambda t: (len(t[0]), t[0], t[1]),
+        )
+        for p in relations
+    ]
+
+
+def system_cache_key(relations, order, degree_bound):
+    """Content hash of (relations, order, bound), for persistent caches."""
+    return content_hash({
+        "order": order.to_dict(),
+        "bound": degree_bound,
+        "relations": _relations_payload(relations),
+    })
+
+
+def relations_digest(relations):
+    """Content hash of the relations alone; a cache entry stores it to be
+    checked against the request on load."""
+    return content_hash(_relations_payload(relations))
+
+
 def complete_with_cache(relations, order, degree_bound, cache=None):
-    """complete_truncated with an optional persistent cache (see cli.GBCache)."""
+    """complete_truncated behind an optional cache (see cli.GBCache, cli.RunMemo)."""
     if cache is None:
         return complete_truncated(relations, order, degree_bound)
     key = system_cache_key(relations, order, degree_bound)
-    rs = cache.load(key)
+    rs = cache.load(key, relations)
     if rs is None:
         rs = complete_truncated(relations, order, degree_bound)
-        cache.store(key, rs)
+        cache.store(key, rs, relations)
     return rs

@@ -1,8 +1,11 @@
 import json
 import os
+import shutil
 
 import pytest
 
+import hopfcheck.cli as cli
+import hopfcheck.rewrite as rewrite
 from hopfcheck.cli import (
     GBCache,
     cache_roundtrip,
@@ -13,7 +16,10 @@ from hopfcheck.cli import (
     validate_config,
 )
 from hopfcheck.errors import CacheCorrupt, ConfigInvalid, VersionMismatch
+from hopfcheck.hopf import build_glq
 from hopfcheck.rewrite import system_cache_key
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def small_config(**over):
@@ -124,30 +130,30 @@ def test_cache_roundtrip(tmp_path, slq6):
 
 def test_cache_tamper_detected(tmp_path, slq6):
     cache = GBCache(str(tmp_path))
-    key = system_cache_key([r.poly() for r in slq6.rs.rules], slq6.rs.order,
-                           slq6.rs.certified_degree)
-    path = cache.store(key, slq6.rs)
+    relations = [r.poly() for r in slq6.rs.rules]
+    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
+    path = cache.store(key, slq6.rs, relations)
     with open(path) as fh:
         blob = json.load(fh)
     blob["payload"]["rules"][0]["tail"][0]["coeff"] = "9/1"
     with open(path, "w") as fh:
         json.dump(blob, fh)
     with pytest.raises(CacheCorrupt):
-        cache.load(key)
+        cache.load(key, relations)
 
 
 def test_cache_version_mismatch(tmp_path, slq6):
     cache = GBCache(str(tmp_path))
-    key = system_cache_key([r.poly() for r in slq6.rs.rules], slq6.rs.order,
-                           slq6.rs.certified_degree)
-    path = cache.store(key, slq6.rs)
+    relations = [r.poly() for r in slq6.rs.rules]
+    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
+    path = cache.store(key, slq6.rs, relations)
     with open(path) as fh:
         blob = json.load(fh)
     blob["version"] = 0
     with open(path, "w") as fh:
         json.dump(blob, fh)
     with pytest.raises(VersionMismatch):
-        cache.load(key)
+        cache.load(key, relations)
 
 
 def test_cached_run_matches_fresh(tmp_path):
@@ -194,3 +200,87 @@ def test_cli_entry_point(tmp_path):
         del os.environ["HOPFCHECK_CACHE"]
     assert code == 0
     assert os.listdir(tmp_path / "cache")
+
+
+def test_cache_entry_under_other_key_rejected(tmp_path):
+    """A valid GL_q(2) q=2 entry copied under the q=3 key is not trusted."""
+    cache = GBCache(str(tmp_path))
+    q2 = build_glq(2, 4, cache=cache)
+    (entry,) = os.listdir(tmp_path)
+    q3_key = system_cache_key(build_glq(3, 4).relations, q2.order, 4)
+    shutil.copy(tmp_path / entry, tmp_path / f"gb-{q3_key}.json")
+    with pytest.raises(CacheCorrupt):
+        build_glq(3, 4, cache=cache)
+
+
+def test_cache_entry_for_other_relations_rejected(tmp_path, slq6):
+    cache = GBCache(str(tmp_path))
+    relations = [r.poly() for r in slq6.rs.rules]
+    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
+    cache.store(key, slq6.rs, relations)
+    assert cache.load(key, relations) is not None
+    with pytest.raises(CacheCorrupt):
+        cache.load(key, relations[1:])
+
+
+def test_half_written_cache_entry_is_corrupt(tmp_path, slq6):
+    cache = GBCache(str(tmp_path))
+    relations = [r.poly() for r in slq6.rs.rules]
+    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
+    path = cache.store(key, slq6.rs, relations)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    with pytest.raises(CacheCorrupt):
+        cache.load(key, relations)
+
+
+def test_cache_store_is_atomic(tmp_path, slq6, monkeypatch):
+    """A store that dies mid-write leaves the previous entry whole and no temp file."""
+    cache = GBCache(str(tmp_path))
+    relations = [r.poly() for r in slq6.rs.rules]
+    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
+    path = cache.store(key, slq6.rs, relations)
+    with open(path) as fh:
+        before = fh.read()
+
+    def dies_mid_write(obj, fh, **kw):
+        fh.write(json.dumps(obj)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", dies_mid_write)
+    with pytest.raises(OSError):
+        cache.store(key, slq6.rs, relations)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == [os.path.basename(path)]
+    with open(path) as fh:
+        assert fh.read() == before
+    assert cache.load(key, relations).to_dict() == slq6.rs.to_dict()
+
+
+def test_run_completes_each_presentation_once(monkeypatch):
+    """glq2 at degree 6: G(A,B) is also C(0,0) of the cogroupoid, and C(0,1),
+    C(1,0) are the Galois objects, so 6 of the 9 builds are distinct."""
+    with open(os.path.join(CONFIGS, "glq2.json")) as fh:
+        cfg = json.load(fh)
+    cfg["degree_bound"] = 6
+    cfg["probe"]["N"] = 3
+    completed = []
+    real = rewrite.complete_truncated
+
+    def counting(*args, **kwargs):
+        rs = real(*args, **kwargs)
+        completed.append(rs)
+        return rs
+
+    monkeypatch.setattr(rewrite, "complete_truncated", counting)
+    _, code = run_config(cfg)
+    assert code == 0
+    first = list(completed)
+    completed.clear()
+    _, code = run_config(cfg)
+    assert code == 0
+    assert len(first) == len(completed) == 6
+    # a memo lives for one run: the second run shares no system with the first
+    assert not {id(rs) for rs in first} & {id(rs) for rs in completed}

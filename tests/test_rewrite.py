@@ -1,13 +1,24 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from hopfcheck.errors import ExceedsCertifiedDegree, UnitCollapse
+from hopfcheck.errors import ExceedsCertifiedDegree, NoRelations, UnitCollapse
 from hopfcheck.foundation import MonomialOrder, NCPoly
 from hopfcheck.hopf import build_gab, build_gabcd, build_glq, build_slq, a_q_matrix
-from hopfcheck.rewrite import RewriteSystem, complete_truncated
+from hopfcheck.rewrite import (
+    RewriteSystem,
+    _interreduce,
+    _overlaps,
+    _Reducer,
+    _spoly,
+    complete_truncated,
+    rule_from_poly,
+)
 
 
 def _rule_dict(rs, names):
@@ -154,3 +165,126 @@ def test_serialization_roundtrip_and_determinism(slq6):
     blob1 = json.dumps(d, sort_keys=True)
     blob2 = json.dumps(build_slq(2, 6).rs.to_dict(), sort_keys=True)
     assert blob1 == blob2
+
+
+def test_all_zero_relations_raise():
+    order = MonomialOrder([1, 1])
+    with pytest.raises(NoRelations):
+        complete_truncated([NCPoly.zero(), NCPoly.gen(0) - NCPoly.gen(0)], order, 3)
+
+
+# sha256 of the canonical JSON of RewriteSystem.to_dict(), as the completion
+# loop that absorbed one rule per fresh reducer produced them
+RULE_SET_PINS = {
+    "glq2-d6": "0ef7e1948809e001da5a9e8264b7caf2200e2be1bb201ebbf55f9b7483738257",
+    "glq2-d7": "2af529259796aef2bd5ac5bdf6178dbdbaa665f9a7fadc34ea66a2d86147b762",
+    "glq2-d8": "29fc21c389114565c6bf99100eb7a956cde4e3d497125f3ab95f1c952f7f8c5c",
+    "glq2-d9": "25d99701afe3651974533aeec9be73265695304b8b8366304cd88cd7bdab2eb6",
+    "glq2-d10": "d7b54f0d68373c0696805fa7f05a1d2c2e3b4d2aa7325704aaaad45f12065fd7",
+    "slq-d6": "15cc35c3d34633477e31d71b1cd4aa83774f321352fe3716ca3dcaf248caeac3",
+    "slql-d8": "27b327f740a9c0d4eadeb8bc99639c19b7ba608d373519981c759bce564a0874",
+    "galois-d8": "008c3f0a9670d9fc3269bc88515e83bf5fe8ba59b899e8a8ee8211d31c0d863b",
+    "galois-op-d8": "de25745f13d09ec3c45b4d51e67a5fe7797ca502b43b0bd8952a71606b317fd2",
+    "n3-d6": "62ad64c5ea73241c835d0c4af5c883b90cad6ee82098374c9b4e6395e176400f",
+}
+
+
+def _rule_set_sha(rs):
+    blob = json.dumps(rs.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_rule_sets_pinned(glq8, glq9, slq6, slql8, n3, conj_pair):
+    A, B, C, D = conj_pair
+    systems = {
+        "glq2-d6": build_glq(2, 6).rs,
+        "glq2-d7": build_glq(2, 7).rs,
+        "glq2-d8": glq8.rs,
+        "glq2-d9": glq9.rs,
+        "glq2-d10": build_glq(2, 10).rs,
+        "slq-d6": slq6.rs,
+        "slql-d8": slql8.rs,
+        "galois-d8": build_gabcd(A, B, C, D, 8).rs,
+        "galois-op-d8": build_gabcd(C, D, A, B, 8).rs,
+        "n3-d6": n3.rs,
+    }
+    assert {name: _rule_set_sha(rs) for name, rs in systems.items()} == RULE_SET_PINS
+
+
+def test_confluence_overlap_count_pinned(glq8):
+    assert glq8.rs.verify_confluence()["overlaps_checked"] == 151
+
+
+def _reference_complete(relations, order, degree_bound):
+    """The completion loop that re-reduces every pending polynomial against a
+    fresh reducer after each absorbed rule, and builds every S-polynomial
+    before testing the weight of its ambiguity word."""
+    rules = []
+    pending = [p for p in relations if not p.is_zero()]
+    seen = set()
+    while True:
+        while pending:
+            reducer = _Reducer(rules, order)
+            reduced = [reducer.reduce(p) for p in pending]
+            reduced = [p for p in reduced if not p.is_zero()]
+            pending = []
+            if not reduced:
+                break
+            reduced.sort(key=lambda p: order.key(p.max_word(order)))
+            rules.append(rule_from_poly(reduced[0], order))
+            pending = reduced[1:]
+        rules = _interreduce(rules, order)
+        reducer = _Reducer(rules, order)
+        new = []
+        for r1 in rules:
+            for r2 in rules:
+                for kind, pos in _overlaps(r1, r2):
+                    key = (r1.signature(), r2.signature(), kind, pos)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    s = _spoly(r1, r2, kind, pos)
+                    word = r1.lead + r2.lead[pos:] if kind == "olap" else r1.lead
+                    if order.weight(word) > degree_bound:
+                        continue
+                    nf = reducer.reduce(s)
+                    if not nf.is_zero():
+                        new.append(nf)
+        if not new:
+            break
+        pending = new
+    collapsed = any(not r.lead for r in rules)
+    return RewriteSystem(order, rules, degree_bound, collapsed)
+
+
+@st.composite
+def _presentations(draw):
+    """2-3 generators, optionally a heavy weight-2 last letter, 1-3 relations
+    of weight <= 5 with small integer coefficients, a bound of at most 5."""
+    ngens = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        order = MonomialOrder([1] * (ngens - 1) + [2], heavy={ngens - 1})
+    else:
+        order = MonomialOrder([1] * ngens)
+    word = st.lists(st.integers(0, ngens - 1), min_size=2, max_size=3).map(
+        tuple).filter(lambda w: order.weight(w) <= 5)
+    term = st.tuples(word, st.integers(-3, 3).filter(bool))
+    poly = st.lists(term, min_size=2, max_size=4).map(
+        lambda ts: sum((NCPoly.term(w, c) for w, c in ts), NCPoly.zero()))
+    relations = draw(st.lists(poly, min_size=2, max_size=3))
+    if draw(st.booleans()):
+        relations[0] = relations[0] + NCPoly.one()
+    assume(any(not p.is_zero() for p in relations))
+    maxw = max(p.weight(order) for p in relations if not p.is_zero())
+    bound = draw(st.integers(max(maxw, 1), 5))
+    return relations, order, bound
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_presentations())
+def test_completion_matches_reference_loop(presentation):
+    relations, order, bound = presentation
+    got = complete_truncated(relations, order, bound)
+    want = _reference_complete(relations, order, bound)
+    assert got.to_dict() == want.to_dict()
