@@ -28,7 +28,6 @@ from .hopf import (
     build_gab,
     build_gabcd,
     build_glq,
-    build_presented,
     build_slq,
     build_slq_laurent,
     cogroupoid_suite,
@@ -43,7 +42,6 @@ from .hopf import (
 from .ydmod import (
     Comodule,
     ComoduleMap,
-    FreeYD,
     HomSpace,
     boxtimes_coact,
     build_comodule,

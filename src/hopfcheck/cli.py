@@ -12,6 +12,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import cached_property
 
 from .cohomology import bialgebra_cohomology, gs_dimension_report
 from .complexes import (
@@ -29,7 +30,6 @@ from .errors import (
     CacheCorrupt,
     ConfigInvalid,
     ExceedsCertifiedDegree,
-    HopfcheckError,
     NeedsFieldExtension,
     UnexpectedHomDimension,
     UnitCollapse,
@@ -52,12 +52,6 @@ from .hopf import (
     verify_hopf_axioms,
 )
 from .rewrite import RewriteSystem, content_hash, relations_digest, system_cache_key
-
-CHECK_ORDER = [
-    "invariants", "hopf", "nakayama", "cogroupoid", "galois",
-    "resolution", "gamma", "dual", "twist",
-    "slq", "cone", "glq_iso", "probe", "cohomology",
-]
 
 _INSTANCE_KEYS = {"kind", "A", "B", "C", "D", "q", "n", "conjugator"}
 _PROBE_KEYS = {"N", "slack", "laurent_window"}
@@ -262,174 +256,189 @@ def _fails_to_witnesses(failures):
     return [str(f) for f in failures[:5]]
 
 
+class _Run:
+    """The instance of one run, and the objects its checks share, each built once."""
+
+    def __init__(self, cfg, cache):
+        self.mats = _instance_matrices(cfg)
+        self.bound = cfg["degree_bound"]
+        probe = cfg.get("probe", {})
+        self.N = probe.get("N", 6)
+        self.slack = probe.get("slack", 2)
+        self.window = probe.get("laurent_window", 2)
+        self.cache = cache
+        self.generic = None  # set by the invariants check
+
+    @cached_property
+    def alg(self):
+        return build_gab(self.mats["A"], self.mats["B"], self.bound, cache=self.cache)
+
+    @cached_property
+    def resolution(self):
+        return build_yd_resolution(self.alg)
+
+    @cached_property
+    def dual(self):
+        return dualize_resolution(self.resolution)
+
+    @cached_property
+    def slql(self):
+        return build_slq_laurent(self.mats["q"], self.bound, cache=self.cache)
+
+
+def _verdict(rep, extras):
+    """(status, witnesses, details) of a check from its report."""
+    if not rep["ok"]:
+        return "fail", _fails_to_witnesses(rep["failures"]), extras
+    return "pass", [], extras
+
+
+def _first_failing(reps):
+    return next((r for r in reps if not r["ok"]), reps[0])
+
+
+def _check_invariants(run):
+    A, B, q = run.mats["A"], run.mats["B"], run.mats["q"]
+    inv = matrix_invariants(A, B)
+    extras = {"lambda": frac_str(inv["lambda"]), "trace": frac_str(inv["trace"])}
+    if q is not None and inv["lambda"] == 1:
+        try:
+            gen = genericity_check(A, B, q)
+        except NeedsFieldExtension as e:
+            extras["generic"] = None
+            return "pass", [f"irrational roots: {e}"], extras
+        extras["generic"] = gen["generic"]
+        extras["roots"] = [frac_str(r) for r in gen["roots"]]
+        run.generic = gen["generic"]
+        if not gen["generic"]:
+            return "fail", [f"non-generic roots {extras['roots']}"], extras
+    return "pass", [], extras
+
+
+def _check_hopf(run):
+    reps = [verify_hopf_axioms(run.alg), antipode_squared_sovereign(run.alg),
+            commutation_check(run.alg)]
+    return _verdict(_first_failing(reps), {})
+
+
+def _check_nakayama(run):
+    alg = run.alg
+    nk = nakayama_G(alg)
+    return _verdict(nk["report"], {
+        "mu": {alg.names[g]: nk["mu"].images[g].pretty() for g in range(alg.ngens())},
+        "xi": [frac_str(v) for v in nk["xi"].values],
+        "inner_power": nk["inner_power"],
+    })
+
+
+def _check_cogroupoid(run):
+    m = run.mats
+    rep = cogroupoid_suite([(m["A"], m["B"]), (m["C"], m["D"])], run.bound,
+                           cache=run.cache)
+    return _verdict(rep, {"checks": rep["checks"]})
+
+
+def _check_galois(run):
+    m = run.mats
+    gal = build_gabcd(m["A"], m["B"], m["C"], m["D"], run.bound, cache=run.cache)
+    gal_op = build_gabcd(m["C"], m["D"], m["A"], m["B"], run.bound, cache=run.cache)
+    try:
+        extras = {"nonzero_up_to": gal.rs.nonzero_witness()["nonzero_up_to"]}
+    except UnitCollapse:
+        return "fail", ["algebra collapsed (UnitCollapse)"], {}
+    ng = nakayama_galois(gal, gal_op)
+    extras["warnings"] = ng["report"]["warnings"]
+    return _verdict(ng["report"], extras)
+
+
+def _check_gamma(run):
+    rep = gamma_identity_suite(run.alg)
+    return _verdict(rep, {"identities": rep["identities"]})
+
+
+def _check_twist(run):
+    tw = build_twist_chainmap(run.alg, run.dual, build_left_resolution(run.alg))
+    return _verdict(tw["report"], {})
+
+
+def _check_slq(run):
+    slq = build_slq(run.mats["q"], run.bound, cache=run.cache)
+    return _verdict(_first_failing([verify_hopf_axioms(slq),
+                                    build_slq_resolution(slq).is_complex()]), {})
+
+
+def _check_cone(run):
+    lc = laurent_cone(run.slql)
+    rep = lc["cone"].is_complex()
+    if not lc["report"]["ok"] or not rep["ok"]:
+        return "fail", _fails_to_witnesses(rep["failures"]), {}
+    pr = probe_exactness(lc["cone"], N=min(run.N, 5), slack=run.slack, window=run.window)
+    if not pr["ok"]:
+        return "fail", ["cone probe lift failure"], {"probe": pr["positions"]}
+    return "pass", [], {"probe": pr["positions"]}
+
+
+def _check_probe(run):
+    pr = probe_exactness(run.resolution, N=run.N, slack=run.slack, window=run.window)
+    extras = {"positions": pr["positions"], "lift_window": pr["lift_window"]}
+    if not pr["ok"]:
+        return "fail", ["lift failure; see positions"], extras
+    return "pass", [], extras
+
+
+def _check_cohomology(run):
+    if run.generic is False:
+        return "uncertified", ["skipped: genericity failed"], {}
+    coh = bialgebra_cohomology(run.alg, run.resolution)
+    gs = gs_dimension_report(run.alg, coh)
+    extras = {"H_b": coh["dims"], "ranks": coh["ranks"],
+              "gs": {"upper": gs["upper"], "lower": gs["lower"], "verdict": gs["verdict"]}}
+    want = [1, 1, 0, 1, 1]
+    if coh["dims"] != want:
+        return "fail", [f"H_b dims {coh['dims']} != {want}"], extras
+    return "pass", [], extras
+
+
+# Every check, in the order a run executes them: name -> function of the run
+# returning (status, witnesses, details).
+CHECKS = {
+    "invariants": _check_invariants,
+    "hopf": _check_hopf,
+    "nakayama": _check_nakayama,
+    "cogroupoid": _check_cogroupoid,
+    "galois": _check_galois,
+    "resolution": lambda run: _verdict(run.resolution.is_complex(), {}),
+    "gamma": _check_gamma,
+    "dual": lambda run: _verdict(run.dual.is_complex(), {}),
+    "twist": _check_twist,
+    "slq": _check_slq,
+    "cone": _check_cone,
+    "glq_iso": lambda run: _verdict(glq_slq_laurent_iso(run.alg, run.slql)["report"], {}),
+    "probe": _check_probe,
+    "cohomology": _check_cohomology,
+}
+CHECK_ORDER = list(CHECKS)
+
+
 def _run_checks(cfg, cache):
-    mats = _instance_matrices(cfg)
-    bound = cfg["degree_bound"]
-    probe_cfg = cfg.get("probe", {})
-    N = probe_cfg.get("N", 6)
-    slack = probe_cfg.get("slack", 2)
-    window = probe_cfg.get("laurent_window", 2)
-    ctx = {}
+    run = _Run(cfg, cache)
     results = []
-    requested = [c for c in CHECK_ORDER if c in cfg["checks"]]
-
-    def get_alg():
-        if "alg" not in ctx:
-            ctx["alg"] = build_gab(mats["A"], mats["B"], bound, cache=cache)
-        return ctx["alg"]
-
-    def get_resolution():
-        if "resolution" not in ctx:
-            ctx["resolution"] = build_yd_resolution(get_alg())
-        return ctx["resolution"]
-
-    def get_slql():
-        if "slql" not in ctx:
-            ctx["slql"] = build_slq_laurent(mats["q"], bound, cache=cache)
-        return ctx["slql"]
-
-    def run(name):
-        extras = {}
-        witnesses = []
-        if name == "invariants":
-            inv = matrix_invariants(mats["A"], mats["B"])
-            extras["lambda"] = frac_str(inv["lambda"])
-            extras["trace"] = frac_str(inv["trace"])
-            if mats["q"] is not None and inv["lambda"] == 1:
-                try:
-                    gen = genericity_check(mats["A"], mats["B"], mats["q"])
-                    extras["generic"] = gen["generic"]
-                    extras["roots"] = [frac_str(r) for r in gen["roots"]]
-                    ctx["generic"] = gen["generic"]
-                    if not gen["generic"]:
-                        witnesses.append(f"non-generic roots {extras['roots']}")
-                        return "fail", witnesses, extras
-                except NeedsFieldExtension as e:
-                    extras["generic"] = None
-                    witnesses.append(f"irrational roots: {e}")
-            return "pass", witnesses, extras
-        if name == "hopf":
-            alg = get_alg()
-            reps = [verify_hopf_axioms(alg), antipode_squared_sovereign(alg),
-                    commutation_check(alg)]
-            bad = [r for r in reps if not r["ok"]]
-            if bad:
-                return "fail", _fails_to_witnesses(bad[0]["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "nakayama":
-            nk = nakayama_G(get_alg())
-            extras["mu"] = {get_alg().names[g]: nk["mu"].images[g].pretty()
-                            for g in range(get_alg().ngens())}
-            extras["xi"] = [frac_str(v) for v in nk["xi"].values]
-            extras["inner_power"] = nk["inner_power"]
-            if not nk["report"]["ok"]:
-                return "fail", _fails_to_witnesses(nk["report"]["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "cogroupoid":
-            rep = cogroupoid_suite(
-                [(mats["A"], mats["B"]), (mats["C"], mats["D"])], bound,
-                cache=cache)
-            extras["checks"] = rep["checks"]
-            if not rep["ok"]:
-                return "fail", _fails_to_witnesses(rep["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "galois":
-            gal = build_gabcd(mats["A"], mats["B"], mats["C"], mats["D"],
-                              bound, cache=cache)
-            gal_op = build_gabcd(mats["C"], mats["D"], mats["A"], mats["B"],
-                                 bound, cache=cache)
-            try:
-                extras["nonzero_up_to"] = gal.rs.nonzero_witness()["nonzero_up_to"]
-            except UnitCollapse:
-                return "fail", ["algebra collapsed (UnitCollapse)"], extras
-            ng = nakayama_galois(gal, gal_op)
-            extras["warnings"] = ng["report"]["warnings"]
-            if not ng["report"]["ok"]:
-                return "fail", _fails_to_witnesses(ng["report"]["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "resolution":
-            rep = get_resolution().is_complex()
-            if not rep["ok"]:
-                return "fail", _fails_to_witnesses(rep["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "gamma":
-            rep = gamma_identity_suite(get_alg())
-            extras["identities"] = rep["identities"]
-            if not rep["ok"]:
-                return "fail", _fails_to_witnesses(rep["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "dual":
-            ctx["dual"] = dualize_resolution(get_alg())
-            rep = ctx["dual"].is_complex()
-            if not rep["ok"]:
-                return "fail", _fails_to_witnesses(rep["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "twist":
-            dual = ctx.get("dual") or dualize_resolution(get_alg())
-            tw = build_twist_chainmap(get_alg(), dual,
-                                      build_left_resolution(get_alg()))
-            if not tw["report"]["ok"]:
-                return "fail", _fails_to_witnesses(tw["report"]["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "slq":
-            slq = build_slq(mats["q"], bound, cache=cache)
-            reps = [verify_hopf_axioms(slq), build_slq_resolution(slq).is_complex()]
-            bad = [r for r in reps if not r["ok"]]
-            if bad:
-                return "fail", _fails_to_witnesses(bad[0]["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "cone":
-            lc = laurent_cone(get_slql())
-            rep = lc["cone"].is_complex()
-            if not lc["report"]["ok"] or not rep["ok"]:
-                return "fail", _fails_to_witnesses(rep["failures"]), extras
-            pr = probe_exactness(lc["cone"], N=min(N, 5), slack=slack,
-                                 window=window)
-            extras["probe"] = pr["positions"]
-            if not pr["ok"]:
-                return "fail", ["cone probe lift failure"], extras
-            return "pass", witnesses, extras
-        if name == "glq_iso":
-            rep = glq_slq_laurent_iso(get_alg(), get_slql())["report"]
-            if not rep["ok"]:
-                return "fail", _fails_to_witnesses(rep["failures"]), extras
-            return "pass", witnesses, extras
-        if name == "probe":
-            pr = probe_exactness(get_resolution(), N=N, slack=slack, window=window)
-            extras["positions"] = pr["positions"]
-            extras["lift_window"] = pr["lift_window"]
-            if not pr["ok"]:
-                return "fail", ["lift failure; see positions"], extras
-            return "pass", witnesses, extras
-        if name == "cohomology":
-            if ctx.get("generic") is False:
-                return "uncertified", ["skipped: genericity failed"], extras
-            coh = bialgebra_cohomology(get_alg(), get_resolution())
-            gs = gs_dimension_report(get_alg(), coh)
-            extras["H_b"] = coh["dims"]
-            extras["ranks"] = coh["ranks"]
-            extras["gs"] = {"upper": gs["upper"], "lower": gs["lower"],
-                            "verdict": gs["verdict"]}
-            want = [1, 1, 0, 1, 1]
-            if coh["dims"] != want:
-                return "fail", [f"H_b dims {coh['dims']} != {want}"], extras
-            return "pass", witnesses, extras
-        raise ConfigInvalid(f"unknown check {name}")
-
     timings = {}
-    for name in requested:
+    for name, check in CHECKS.items():
+        if name not in cfg["checks"]:
+            continue
         t0 = time.monotonic()
         try:
-            status, witnesses, extras = run(name)
+            status, witnesses, extras = check(run)
         except ExceedsCertifiedDegree as e:
             status, witnesses, extras = "uncertified", [str(e)], {}
         except UnexpectedHomDimension as e:
             status, witnesses, extras = "fail", [str(e)], {}
-        except UnitCollapse as e:
-            status, witnesses, extras = "fail", [f"UnitCollapse: {e}"], {}
+        except (UnitCollapse, CacheCorrupt, VersionMismatch) as e:
+            status, witnesses, extras = "fail", [f"{type(e).__name__}: {e}"], {}
         timings[name] = round(time.monotonic() - t0, 3)
         entry = {"name": name, "status": status, "witnesses": witnesses,
-                 "certified_degree": bound}
+                 "certified_degree": run.bound}
         if extras:
             entry["details"] = extras
         results.append(entry)

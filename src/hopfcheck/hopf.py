@@ -63,9 +63,6 @@ class PresentedAlgebra:
     def ngens(self):
         return len(self.names)
 
-    def gen_names(self):
-        return self.names
-
     def nf(self, p):
         return self.rs.normal_form(p)
 
@@ -790,35 +787,8 @@ def presentation_manifest(alg):
     }
 
 
-def build_presented(desc, cache=None):
-    """Build from a config-style dict: kind, matrices/params, degree_bound."""
-    kind = desc["kind"]
-    bound = desc["degree_bound"]
-    if kind == "GLq":
-        return build_glq(frac(desc["q"]), bound, cache=cache)
-    if kind == "SLq":
-        return build_slq(frac(desc["q"]), bound, cache=cache)
-    if kind == "SLqLaurent":
-        return build_slq_laurent(frac(desc["q"]), bound, cache=cache)
-    if kind == "GAB":
-        if "A" in desc:
-            A, B = Mat(desc["A"]), Mat(desc["B"])
-        else:
-            A, B = seeded_pair(desc["seed"], desc.get("n", 3))
-        return build_gab(A, B, bound, cache=cache)
-    if kind == "GABCD":
-        return build_gabcd(Mat(desc["A"]), Mat(desc["B"]), Mat(desc["C"]),
-                           Mat(desc["D"]), bound, cache=cache)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # verification suites
-
-
-def map_respects_relations(f):
-    """Per-relation pass/fail with the failing normal form as witness."""
-    return f.respects_relations()
 
 
 def commutation_check(alg):
@@ -982,6 +952,13 @@ def antipode_squared_sovereign(alg):
     return {"ok": not failures, "failures": failures, "lambda": lam}
 
 
+def conj_map(alg, L, R, name):
+    """The automorphism u -> L u R, D -> D of alg."""
+    images = [alg.elt(sandwich(alg, L, R, i, j)) for i in range(alg.n) for j in range(alg.m)]
+    images.append(alg.loc_elt())
+    return AlgebraMap(alg, alg, images, 1, alg.loc_inv_elt(), name=name)
+
+
 def _sigma_power_map(alg, k):
     """conj_D^k as an algebra map (k may be negative)."""
     images = [alg.elt(alg.sigma_word((g,), k)) for g in range(alg.ngens())]
@@ -997,15 +974,10 @@ def nakayama_G(alg):
     eps = alg.hopf.eps
     S = alg.hopf.antipode
 
-    def conj_map(L, R, name):
-        images = [alg.elt(sandwich(alg, L, R, i, j)) for i in range(n) for j in range(n)]
-        images.append(alg.loc_elt())
-        return AlgebraMap(alg, alg, images, 1, alg.loc_inv_elt(), name=name)
-
-    mu = conj_map(P, Q, "μ")
-    mu_inv = conj_map(P.inverse(), Q.inverse(), "μ^-1")
+    mu = conj_map(alg, P, Q, "μ")
+    mu_inv = conj_map(alg, P.inverse(), Q.inverse(), "μ^-1")
     # nu(u) = A^{-1} A^t u B (B^t)^{-1}
-    nu = conj_map(A.inverse() * A.transpose(), B * B.transpose().inverse(), "ν")
+    nu = conj_map(alg, A.inverse() * A.transpose(), B * B.transpose().inverse(), "ν")
 
     failures = []
     for m_, label in ((mu, "mu"), (mu_inv, "mu_inv"), (nu, "nu")):
@@ -1046,16 +1018,12 @@ def nakayama_G(alg):
 
     # S^-2 [eta S]^r = conj_D ∘ mu on generators
     BAt = B * A.transpose()
-    S2inv = conj_map(BAt.inverse(), BAt, "S^-2")
+    S2inv = conj_map(alg, BAt.inverse(), BAt, "S^-2")
     if not S2inv.then(S.then(S)).eq_on_gens(AlgebraMap.identity(alg)):
         failures.append(("S2inv_check", None))
     etaS = eta.compose_map(S)
     cand = winding(etaS, "right").then(S2inv)
-    sigma_map = AlgebraMap(
-        alg, alg,
-        [alg.elt(alg.sigma_images[g]) for g in range(alg.ngens())],
-        1, alg.loc_inv_elt(), name="conj_D")
-    conj_mu = mu.then(sigma_map)
+    conj_mu = mu.then(_sigma_power_map(alg, 1))
     if not cand.eq_on_gens(conj_mu):
         failures.append(("nakayama_inner_equivalence", None))
     # conj_D is inner: sigma(x) D = D x
@@ -1116,6 +1084,8 @@ def cogroupoid_suite(objects, degree_bound, cache=None):
             Ay, By = objects[y]
             algs[(x, y)] = build_gabcd(Ax, Bx, Ay, By, degree_bound,
                                        name=f"C({x},{y})", cache=cache)
+    # C(x,x) is G(A_x,B_x), so it carries the counit
+    eps = {x: algs[(x, x)].hopf.eps for x in objs}
     failures = []
     checks = 0
     for (x, y), alg in algs.items():
@@ -1160,15 +1130,9 @@ def cogroupoid_suite(objects, degree_bound, cache=None):
                         if not (lhs - rhs).is_zero():
                             failures.append(("coassoc", (x, y, z, t), alg.names[g]))
             # counit triangles
-            epsx = Character(algs[(x, x)],
-                             [ONE if i == j else 0 for i in range(algs[(x, x)].n)
-                              for j in range(algs[(x, x)].m)] + [ONE], name="ε")
-            epsy = Character(algs[(y, y)],
-                             [ONE if i == j else 0 for i in range(algs[(y, y)].n)
-                              for j in range(algs[(y, y)].m)] + [ONE], name="ε")
             for g in gens_of(alg):
-                right = apply_char_slot(deltas[(x, y, y)].images[g], 1, epsy).to_loc()
-                left = apply_char_slot(deltas[(x, y, x)].images[g], 0, epsx).to_loc()
+                right = apply_char_slot(deltas[(x, y, y)].images[g], 1, eps[y]).to_loc()
+                left = apply_char_slot(deltas[(x, y, x)].images[g], 0, eps[x]).to_loc()
                 checks += 1
                 if right != alg.gen_elt(g) or left != alg.gen_elt(g):
                     failures.append(("counit", (x, y), alg.names[g]))
@@ -1176,17 +1140,15 @@ def cogroupoid_suite(objects, degree_bound, cache=None):
     for x in objs:
         for y in objs:
             algxx = algs[(x, x)]
-            epsx = Character(algxx, [ONE if i == j else 0 for i in range(algxx.n)
-                                     for j in range(algxx.m)] + [ONE], name="ε")
             for g in gens_of(algxx):
                 te = deltas[(x, x, y)].images[g]
                 lhs = apply_map_slot(te, 0, svals[(x, y)]).mul_slots()
                 checks += 1
-                if lhs != epsx.values[g] * algs[(y, x)].one():
+                if lhs != eps[x].values[g] * algs[(y, x)].one():
                     failures.append(("antipode_square_left", (x, y), algxx.names[g]))
                 rhs = apply_map_slot(te, 1, svals[(y, x)]).mul_slots()
                 checks += 1
-                if rhs != epsx.values[g] * algs[(x, y)].one():
+                if rhs != eps[x].values[g] * algs[(x, y)].one():
                     failures.append(("antipode_square_right", (x, y), algxx.names[g]))
     # Δ∘S identity: Δ^Z_{X,Y}(S_{Y,X}(a)) = S_{Z,X}(a_2) (x) S_{Y,Z}(a_1)
     for x in objs:
@@ -1227,13 +1189,8 @@ def nakayama_galois(alg, alg_op):
     except Exception as e:  # noqa: BLE001 - report, do not die
         warnings.append(f"invariant check failed: {e}")
 
-    def conj_map(L, R, name):
-        images = [alg.elt(sandwich(alg, L, R, i, j)) for i in range(n) for j in range(m)]
-        images.append(alg.loc_elt())
-        return AlgebraMap(alg, alg, images, 1, alg.loc_inv_elt(), name=name)
-
-    mu = conj_map(A.transpose().inverse() * A, D.transpose() * D.inverse(), "μ")
-    mu_prime = conj_map(A.transpose().inverse() * B.inverse(), D.transpose() * C, "μ'")
+    mu = conj_map(alg, A.transpose().inverse() * A, D.transpose() * D.inverse(), "μ")
+    mu_prime = conj_map(alg, A.transpose().inverse() * B.inverse(), D.transpose() * C, "μ'")
     for m_, label in ((mu, "mu"), (mu_prime, "mu_prime")):
         r = m_.respects_relations()
         if not r["ok"]:
@@ -1241,10 +1198,7 @@ def nakayama_galois(alg, alg_op):
     if mu.images[alg.loc] != alg.loc_elt() or mu.loc_inv_image != alg.loc_inv_elt():
         failures.append(("mu_fixes_D", None))
 
-    sigma_map = AlgebraMap(alg, alg,
-                           [alg.elt(alg.sigma_images[g]) for g in range(alg.ngens())],
-                           1, alg.loc_inv_elt(), name="conj_D")
-    if not mu.then(sigma_map).eq_on_gens(mu_prime):
+    if not mu.then(_sigma_power_map(alg, 1)).eq_on_gens(mu_prime):
         failures.append(("sigma_mu_eq_mu_prime", None))
 
     # commutation D^-1 u D = B A u C^-1 D^-1 lies in the ideal
@@ -1273,10 +1227,7 @@ def nakayama_galois(alg, alg_op):
 
     # mu' = S_{CD,AB} S_{AB,CD} [xi]^l on generators, xi(u) = (A^t)^-1 A B^t B^-1
     Xi = A.transpose().inverse() * A * B.transpose() * B.inverse()
-    wind_images = [alg.elt(sandwich(alg, Xi, Mat.identity(m), i, j))
-                   for i in range(n) for j in range(m)]
-    wind_images.append(alg.loc_elt())
-    wind = AlgebraMap(alg, alg, wind_images, 1, alg.loc_inv_elt(), name="[ξ]^l")
+    wind = conj_map(alg, Xi, Mat.identity(m), "[ξ]^l")
     if not wind.then(ss).eq_on_gens(mu_prime):
         failures.append(("mu_prime_construction", None))
 

@@ -23,12 +23,6 @@ def vec_add(v, w, c=1):
     return out
 
 
-def vec_scale(v, c):
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
 class RowSpace:
     """Sparse echelon row space with preimage tracking.
 
@@ -39,7 +33,6 @@ class RowSpace:
     def __init__(self):
         self.rows = []
         self.combos = []
-        self.pivot_of_row = []
         self.pivots = {}  # col key -> row index
 
     def rank(self):
@@ -77,7 +70,6 @@ class RowSpace:
         rowcombo = vec_add({label: Fraction(1)}, combo, -1)
         rowcombo = {k: x / p for k, x in rowcombo.items()}
         self.pivots[piv] = len(self.rows)
-        self.pivot_of_row.append(piv)
         self.rows.append(row)
         self.combos.append(rowcombo)
         return None
@@ -105,13 +97,9 @@ def kernel_basis(columns):
     return kernel
 
 
-def rank_of(vectors):
-    space = RowSpace()
-    for i, v in enumerate(vectors):
-        space.insert(v, i)
-    return space.rank()
-
-
 def mat_rank(rows):
     """Rank of a dense rational matrix given as lists of entries."""
-    return rank_of([{j: x for j, x in enumerate(row) if x} for row in rows])
+    space = RowSpace()
+    for i, row in enumerate(rows):
+        space.insert({j: x for j, x in enumerate(row) if x}, i)
+    return space.rank()

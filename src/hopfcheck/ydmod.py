@@ -112,12 +112,6 @@ def direct_sum(comods):
     return Comodule(alg, c, labels=labels, name="+".join(V.name for V in comods))
 
 
-def _delta2(alg, le):
-    """(Delta (x) id)Delta of a localized element, as an arity-3 tensor."""
-    d2 = apply_delta_slot(alg.hopf.delta.apply_loc(le), 0, alg.hopf.delta)
-    return d2
-
-
 def boxtimes_coact(V, h, v_index):
     """Coaction of V ⊠ H on v_index (x) h.
 
@@ -126,7 +120,7 @@ def boxtimes_coact(V, h, v_index):
     """
     alg = V.alg
     S = alg.hopf.antipode
-    d2 = _delta2(alg, h)
+    d2 = apply_delta_slot(alg.hopf.delta.apply_loc(h), 0, alg.hopf.delta)  # (Delta (x) id)Delta(h)
     out = [TensorElt.zero((alg, alg)) for _ in range(V.dim)]
     e = d2.exps
     for (w1, w2, w3), coeff in d2.tp.terms():
@@ -165,10 +159,10 @@ def check_boxtimes_yd(V, g, h):
     alg = V.alg
     S = alg.hopf.antipode
     failures = []
+    d2 = apply_delta_slot(alg.hopf.delta.apply_loc(h), 0, alg.hopf.delta)
     for i in range(V.dim):
         lhs = boxtimes_coact(V, g * h, i)
         base = boxtimes_coact(V, g, i)
-        d2 = _delta2(alg, h)
         rhs = [TensorElt.zero((alg, alg)) for _ in range(V.dim)]
         e = d2.exps
         for (w1, w2, w3), coeff in d2.tp.terms():
@@ -185,25 +179,6 @@ def check_boxtimes_yd(V, g, h):
             if not (lhs[k] - rhs[k]).is_zero():
                 failures.append((i, k))
     return {"ok": not failures, "failures": failures}
-
-
-class FreeYD:
-    """V ⊠ H: right multiplication on the H leg, twisted coaction."""
-
-    def __init__(self, comodule):
-        self.comodule = comodule
-        self.alg = comodule.alg
-
-    def coact(self, h, v_index):
-        return boxtimes_coact(self.comodule, h, v_index)
-
-    def check_counit(self, h, v_index):
-        out = boxtimes_counit_contract(self.comodule, h, v_index)
-        return all(out[k] == (h if k == v_index else self.alg.zero())
-                   for k in range(self.comodule.dim))
-
-    def check_compatibility(self, g, h):
-        return check_boxtimes_yd(self.comodule, g, h)
 
 
 class ComoduleMap:

@@ -236,6 +236,29 @@ def test_half_written_cache_entry_is_corrupt(tmp_path, slq6):
         cache.load(key, relations)
 
 
+def test_bad_cache_entry_is_a_failed_check(tmp_path):
+    """A truncated or old-format entry fails the checks that read it, in a report."""
+    cfg = small_config(degree_bound=4, checks=["invariants", "hopf"],
+                       cache_dir=str(tmp_path))
+    _, code = run_config(cfg)
+    assert code == 0
+    (entry,) = os.listdir(tmp_path)
+    path = tmp_path / entry
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    rep, code = run_config(cfg)
+    assert code == 1
+    inv, hopf = rep["checks"]
+    assert inv["status"] == "pass"
+    assert hopf["status"] == "fail" and hopf["witnesses"][0].startswith("CacheCorrupt: ")
+    blob = json.loads(text)
+    blob["version"] = 0
+    path.write_text(json.dumps(blob))
+    rep, code = run_config(cfg)
+    assert code == 1
+    assert rep["checks"][1]["witnesses"][0].startswith("VersionMismatch: ")
+
+
 def test_cache_store_is_atomic(tmp_path, slq6, monkeypatch):
     """A store that dies mid-write leaves the previous entry whole and no temp file."""
     cache = GBCache(str(tmp_path))

@@ -117,10 +117,10 @@ def test_left_resolution(glq8, n3):
 
 def test_dual_complex_entries_and_property(glq8, n3):
     for alg in (glq8, n3):
-        D = dualize_resolution(alg)
+        D = dualize_resolution(build_yd_resolution(alg))
         rep = D.is_complex()
         assert rep["ok"], rep["failures"][:2]
-    D = dualize_resolution(glq8)
+    D = dualize_resolution(build_yd_resolution(glq8))
     # psi^t_1: x -> sum x(delta_ji - u_ji) (x) w_i* w_j + x(D-1)
     for i in range(2):
         for j in range(2):
@@ -132,17 +132,22 @@ def test_dual_complex_entries_and_property(glq8, n3):
     assert D.maps[3].entries[0][0] == glq8.elt(NCPoly.gen(glq8.loc) - NCPoly.one())
 
 
-def test_duality_transpose_consistency(n3):
+def test_duality_transpose_consistency(glq8, n3):
     """The printed dual entries are the transposes of the psi entries.
 
     Block dictionary: level P1=[ww,k] pairs with Q3=[ww,k], P2=[vv,ww] with
     Q2=[ww,vv], P3=[vv,k] with Q1=[k,vv], P0/P4 with Q4/Q0; inside every
     vv/ww block the pair (i,j) pairs with (j,i).
     """
-    n = n3.n
+    for alg in (glq8, n3):
+        _check_transpose(alg)
+
+
+def _check_transpose(alg):
+    n = alg.n
     nn = n * n
-    C = build_yd_resolution(n3)
-    D = dualize_resolution(n3)
+    C = build_yd_resolution(alg)
+    D = dualize_resolution(C)
     T = lambda s: (s % n) * n + s // n  # (i,j) -> (j,i) inside a block
 
     psi1, psit1 = C.maps[3], D.maps[0]
@@ -301,13 +306,42 @@ def test_probe_small(glq9):
     assert all(p["cycles_found"] == p["cycles_lifted"] for p in rep["positions"][:-1])
 
 
+def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
+    from hopfcheck.linalg import RowSpace
+    express = RowSpace.express
+
+    def doubled(self, vec):
+        beta = express(self, vec)
+        return None if beta is None else {k: 2 * c for k, c in beta.items()}
+
+    monkeypatch.setattr(RowSpace, "express", doubled)
+    rep = probe_exactness(build_yd_resolution(glq9), N=4, slack=2, window=1)
+    assert not rep["ok"]
+    lifting = [p for p in rep["positions"][:-1] if p["cycles_found"]]
+    assert lifting
+    for p in lifting:
+        assert not p["ok"] and p["cycles_lifted"] == 0
+        assert p["unlifted"] == p["cycles_found"]
+
+
 def test_probe_rejects_uncertified(glq8):
     C = build_yd_resolution(glq8)
     with pytest.raises(ExceedsCertifiedDegree):
         probe_exactness(C, N=20, slack=2)
 
 
-def test_complex_manifest(glq8):
+# sha256 of the sorted-key JSON manifests of psi and of its dual; they pin
+# every printed entry of both complexes
+MANIFEST_SHA256 = {
+    ("glq8", "psi"): "399768e537e122d9273727816a036473b753174374f9ae8be6748376ed9276f5",
+    ("glq8", "dual"): "e529ac1a0519d1b1adb9bc942d3ea9c41823b552ac85cb873f10ab6e769d2fe5",
+    ("n3", "psi"): "9c864e267852bda5c18fbc5906e75d34e27d0d4724dfeb5474093998413738c5",
+    ("n3", "dual"): "ed25770fa84f7583895400eb3a88ed8e42c987a5a44dfbbf6a3bc24414096107",
+}
+
+
+def test_complex_manifest(glq8, n3):
+    import hashlib
     import json
     from hopfcheck.complexes import complex_manifest
     C = build_yd_resolution(glq8)
@@ -316,3 +350,9 @@ def test_complex_manifest(glq8):
     blob = json.dumps(m, sort_keys=True)
     assert json.dumps(complex_manifest(build_yd_resolution(glq8)),
                       sort_keys=True) == blob
+    for name, alg in (("glq8", glq8), ("n3", n3)):
+        psi = build_yd_resolution(alg)
+        for which, cx in (("psi", psi), ("dual", dualize_resolution(psi))):
+            digest = hashlib.sha256(
+                json.dumps(complex_manifest(cx), sort_keys=True).encode()).hexdigest()
+            assert digest == MANIFEST_SHA256[(name, which)], (name, which)
