@@ -68,11 +68,10 @@ def test_boxtimes_yd_compatibility(glq8):
 
 def test_boxtimes_counit_contraction(glq8):
     fund = build_comodule("fundamental", glq8)
-    for g, v_index in ((1, 0), (3, 1)):
-        h = glq8.gen_elt(g) * glq8.loc_inv_elt()
-        out = boxtimes_counit_contract(fund, h, v_index)
-        assert out[v_index] == h
-        assert out[1 - v_index].is_zero()
+    h = glq8.gen_elt(1) * glq8.loc_inv_elt()
+    out = boxtimes_counit_contract(fund, h, 0)
+    assert out[0] == h
+    assert out[1].is_zero()
 
 
 def test_comodule_maps(glq8):
@@ -172,3 +171,14 @@ def test_direct_sum_coaction(glq8):
     both = direct_sum([triv, fund])
     assert both.dim == 3
     assert both.verify()["ok"]
+
+
+def test_free_yd_wrapper(glq8):
+    """The free Yetter-Drinfeld module V ⊠ H on the fundamental comodule:
+    contracting the coaction with the counit gives back v_1 (x) d D^-1, and
+    the coaction is compatible with right multiplication by a and c."""
+    fund = build_comodule("fundamental", glq8)
+    h = glq8.gen_elt(3) * glq8.loc_inv_elt()
+    out = boxtimes_counit_contract(fund, h, 1)
+    assert all(out[k] == (h if k == 1 else glq8.zero()) for k in range(fund.dim))
+    assert check_boxtimes_yd(fund, glq8.gen_elt(0), glq8.gen_elt(2))["ok"]
