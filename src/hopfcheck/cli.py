@@ -31,6 +31,7 @@ from .errors import (
     ConfigInvalid,
     ExceedsCertifiedDegree,
     NeedsFieldExtension,
+    ProbeInvalid,
     UnexpectedHomDimension,
     UnitCollapse,
     VersionMismatch,
@@ -122,6 +123,28 @@ class GBCache:
             os.unlink(tmp)
             raise
         return path
+
+
+class Refill:
+    """A ``GBCache`` read as a miss where its entry is corrupt or of another version.
+
+    ``verify gb`` completes through it, so the following ``store`` replaces
+    a bad entry atomically; ``replaced`` names the errors read as misses.
+    """
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.replaced = []
+
+    def load(self, key, relations):
+        try:
+            return self.cache.load(key, relations)
+        except (CacheCorrupt, VersionMismatch) as e:
+            self.replaced.append(f"{type(e).__name__}: {e}")
+            return None
+
+    def store(self, key, rs, relations):
+        self.cache.store(key, rs, relations)
 
 
 class RunMemo:
@@ -434,7 +457,7 @@ def _run_checks(cfg, cache):
             status, witnesses, extras = "uncertified", [str(e)], {}
         except UnexpectedHomDimension as e:
             status, witnesses, extras = "fail", [str(e)], {}
-        except (UnitCollapse, CacheCorrupt, VersionMismatch) as e:
+        except (UnitCollapse, CacheCorrupt, VersionMismatch, ProbeInvalid) as e:
             status, witnesses, extras = "fail", [f"{type(e).__name__}: {e}"], {}
         timings[name] = round(time.monotonic() - t0, 3)
         entry = {"name": name, "status": status, "witnesses": witnesses,
@@ -561,9 +584,11 @@ def main(argv=None):
         cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
         if not cache_dir:
             raise ConfigInvalid("gb prebuild needs cache_dir or HOPFCHECK_CACHE")
-        cache = GBCache(cache_dir)
+        cache = Refill(GBCache(cache_dir))
         mats = _instance_matrices(cfg)
         alg = build_gab(mats["A"], mats["B"], cfg["degree_bound"], cache=cache)
+        for err in cache.replaced:
+            sys.stdout.write(f"replaced corrupt cache entry ({err})\n")
         sys.stdout.write(f"cached {alg.name}: {len(alg.rs.rules)} rules\n")
         return 0
     if args.cmd == "report":

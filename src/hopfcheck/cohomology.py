@@ -107,24 +107,27 @@ def bialgebra_cohomology(alg, resolution):
         psi = resolution.maps[3 - i]
         E = [[eps.of_loc(psi.entries[s][t]) for t in range(psi.tgt_rank)]
              for s in range(psi.src_rank)]
-        src_blocks, src_basis = bases[i + 1]
+        _, src_basis = bases[i + 1]
         _, tgt_basis = bases[i]
+        # the induced functionals are expressed in the source level's hom basis
+        space = RowSpace()
+        for lbl, vec in enumerate(src_basis):
+            space.insert({k: v for k, v in enumerate(vec) if v}, lbl)
         rows = []
         for F in tgt_basis:
             G = [sum((E[s][t] * F[t] for t in range(len(F))), ZERO)
                  for s in range(psi.src_rank)]
-            # express G in the source level's hom basis
-            space = RowSpace()
-            for lbl, vec in enumerate(src_basis):
-                space.insert({k: v for k, v in enumerate(vec) if v}, lbl)
             combo = space.express({k: v for k, v in enumerate(G) if v})
-            assert combo is not None, "induced functional not a comodule map"
+            if combo is None:
+                raise UnexpectedHomDimension(
+                    f"d^{i} of a functional is not a comodule map")
             rows.append([combo.get(lbl, ZERO) for lbl in range(len(src_basis))])
         mats.append(rows)
 
     sc = ScalarComplex(dims, mats)
     chk = sc.check_complex()
-    assert chk["ok"], f"scalar complex not a complex: {chk['failures']}"
+    if not chk["ok"]:
+        raise UnexpectedHomDimension(f"scalar complex not a complex: {chk['failures']}")
     return {
         "dims": sc.homology_dims(),
         "ranks": sc.ranks(),

@@ -9,10 +9,10 @@ and is what Complex.is_complex() uses on consecutive differentials.
 
 from fractions import Fraction
 
-from .errors import ExceedsCertifiedDegree
+from .errors import ExceedsCertifiedDegree, ProbeInvalid
 from .foundation import Mat, NCPoly
 from .hopf import LocalizedElement, conj_map, sandwich
-from .linalg import RowSpace, kernel_basis
+from .linalg import certified_lifts, kernel_basis
 
 ONE = Fraction(1)
 
@@ -855,14 +855,18 @@ def probe_exactness(C, N, slack, window=2):
     deg(w * D^-m) = weight(w) + m*weight(D) <= N - slack with m <= window,
     then lifts every kernel vector through the incoming differential with
     preimages of degree <= N.  Reports cycles_found / cycles_lifted per
-    position; lifts are re-verified exactly.
+    position.  Lifts come from linalg.certified_lifts: searched modulo a
+    prime, and each one verified exactly before it counts.
     """
     alg = C.alg
-    assert C.side == "right" and alg.loc is not None
+    if C.side != "right" or alg.loc is None:
+        raise ProbeInvalid(f"needs a right complex over a localized algebra, "
+                           f"got side {C.side!r} over {alg.name}")
     order = alg.order
     wloc = order.weights[alg.loc]
     rep = C.is_complex()
-    assert rep["ok"], f"not a complex: {rep['failures'][:2]}"
+    if not rep["ok"]:
+        raise ProbeInvalid(f"not a complex: {rep['failures'][:2]}")
 
     max_entry_exp = max(m.max_entry_exp() for m in C.maps)
     lift_window = window + max_entry_exp  # auto-expansion when entries carry D^-1
@@ -885,8 +889,8 @@ def probe_exactness(C, N, slack, window=2):
                     if m > 0 and w and w[-1] == alg.loc:
                         continue
                     if m > 0 and not alg.rs.is_normal_word(w + (alg.loc,) * m):
-                        raise AssertionError("normal word times D^k reduced; "
-                                             "probe basis would be dependent")
+                        raise ProbeInvalid("normal word times D^k reduced; "
+                                           "probe basis would be dependent")
                     words.append((w, m))
             words_cache[key] = words
         return [(t, w, m) for t in range(rank) for (w, m) in words]
@@ -924,16 +928,11 @@ def probe_exactness(C, N, slack, window=2):
         cycles = kernel_basis(columns)
 
         lifted = 0
-        unlifted = []
         if j >= 1:
             fmap_in = C.maps[j - 1]
             lift_dom = filtration_basis(C.ranks[j - 1], N, lift_window)
-            space = RowSpace()
-            images = {}
-            for (t, w, m) in lift_dom:
-                vec = image_vector(fmap_in, t, w, m)
-                images[(t, w, m)] = vec
-                space.insert(vec, (t, w, m))
+            images = [((t, w, m), image_vector(fmap_in, t, w, m)) for (t, w, m) in lift_dom]
+            targets = []
             for cyc in cycles:
                 target = {}
                 for (t, w, m), c in cyc.items():
@@ -943,23 +942,8 @@ def probe_exactness(C, N, slack, window=2):
                             target[key] = nx
                         else:
                             del target[key]
-                beta = space.express(target)
-                # recheck: only a beta whose d(beta) reproduces the cycle exactly lifts it
-                check = {}
-                for lab, c in (beta or {}).items():
-                    for key, x in images[lab].items():
-                        nx = check.get(key, 0) + c * x
-                        if nx:
-                            check[key] = nx
-                        else:
-                            del check[key]
-                if beta is None or check != target:
-                    unlifted.append(cyc)
-                    continue
-                lifted += 1
-        else:
-            lifted = 0
-            unlifted = cycles
+                targets.append(target)
+            lifted = sum(beta is not None for beta in certified_lifts(images, targets))
         found = len(cycles)
         ok = (lifted == found) if j >= 1 else (found == 0)
         if not ok:
@@ -967,9 +951,9 @@ def probe_exactness(C, N, slack, window=2):
         positions.append({
             "position": p,
             "cycles_found": found,
-            "cycles_lifted": lifted if j >= 1 else 0,
+            "cycles_lifted": lifted,
             "ok": ok,
-            "unlifted": len(unlifted),
+            "unlifted": found - lifted,
         })
     return {"ok": all_ok, "positions": positions, "N": N, "slack": slack,
             "window": window, "lift_window": lift_window}

@@ -41,8 +41,13 @@ class ExceedsCertifiedDegree(HopfcheckError):
     """Input weight exceeds the certified degree of the rewrite system."""
 
 
+class ProbeInvalid(HopfcheckError):
+    """The exactness probe cannot run on this complex (or d∘d ≠ 0)."""
+
+
 class UnexpectedHomDimension(HopfcheckError):
-    """A Hom space came out with a dimension the pipeline does not expect."""
+    """A Hom space, or the scalar complex built from them, is not what the
+    pipeline expects."""
 
 
 class ConfigInvalid(HopfcheckError):

@@ -259,6 +259,36 @@ def test_bad_cache_entry_is_a_failed_check(tmp_path):
     assert rep["checks"][1]["witnesses"][0].startswith("VersionMismatch: ")
 
 
+def test_gb_replaces_a_bad_cache_entry(tmp_path, monkeypatch, capsys):
+    """`verify gb` recomputes over a truncated or old-format entry and stores
+    a good one, which the next run reads."""
+    cfg = small_config(degree_bound=4, checks=["invariants", "hopf"],
+                       cache_dir=str(tmp_path / "cache"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["gb", str(cfg_path)]) == 0
+    (entry,) = os.listdir(tmp_path / "cache")
+    path = tmp_path / "cache" / entry
+    good = path.read_text()
+    blob = json.loads(good)
+    blob["version"] = 0
+    for bad, error in [(good[: len(good) // 2], "CacheCorrupt"),
+                       (json.dumps(blob), "VersionMismatch")]:
+        path.write_text(bad)
+        capsys.readouterr()
+        assert cli.main(["gb", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"replaced corrupt cache entry ({error}: " in out
+        assert os.listdir(tmp_path / "cache") == [entry]
+        assert path.read_text() == good
+    completions = []
+    monkeypatch.setattr(rewrite, "complete_truncated",
+                        lambda *a, **kw: completions.append(a))
+    rep, code = run_config(cfg)
+    assert code == 0 and not completions
+    assert [c["status"] for c in rep["checks"]] == ["pass", "pass"]
+
+
 def test_cache_store_is_atomic(tmp_path, slq6, monkeypatch):
     """A store that dies mid-write leaves the previous entry whole and no temp file."""
     cache = GBCache(str(tmp_path))

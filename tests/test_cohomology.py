@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.cohomology import ScalarComplex, bialgebra_cohomology, gs_dimension_report
-from hopfcheck.complexes import build_yd_resolution
+from hopfcheck.complexes import Complex, FreeModuleMap, build_yd_resolution
 from hopfcheck.errors import UnexpectedHomDimension
 from hopfcheck.foundation import Mat
 from hopfcheck.hopf import build_gab
@@ -37,6 +37,19 @@ def test_h0_is_one(coh):
 
 def test_scalar_complex_property(coh):
     assert coh["scalar_complex"].check_complex()["ok"]
+
+
+@pytest.mark.parametrize("s, match", [(0, "not a comodule map"),
+                                      (4, "scalar complex not a complex")])
+def test_broken_resolution_is_unexpected(glq8, s, match):
+    """1 added to entry (s, 0) of ψ1: the induced d^0 leaves the comodule maps,
+    or the scalar cochains stop being a complex; neither rests on an assert."""
+    C = build_yd_resolution(glq8)
+    entries = [list(row) for row in C.maps[3].entries]
+    entries[s][0] = entries[s][0] + glq8.one()
+    maps = C.maps[:3] + [FreeModuleMap(glq8, C.side, entries)]
+    with pytest.raises(UnexpectedHomDimension, match=match):
+        bialgebra_cohomology(glq8, Complex(glq8, C.side, maps, C.augmentation))
 
 
 def test_gs_dimension(glq8, coh):

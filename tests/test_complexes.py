@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.errors import ExceedsCertifiedDegree
+from hopfcheck.errors import ExceedsCertifiedDegree, ProbeInvalid
 from hopfcheck.foundation import Mat, NCPoly
 from hopfcheck.complexes import (
     ChainMap,
@@ -306,15 +306,30 @@ def test_probe_small(glq9):
     assert all(p["cycles_found"] == p["cycles_lifted"] for p in rep["positions"][:-1])
 
 
-def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
+def test_probe_lifts_glq9_without_exact_fallback(glq9, monkeypatch):
+    """Every lift at N=4 is found mod P and confirmed exactly; no target
+    reaches RowSpace.express, the exact fallback of certified_lifts."""
     from hopfcheck.linalg import RowSpace
-    express = RowSpace.express
+    calls = []
+    monkeypatch.setattr(RowSpace, "express", lambda self, vec: calls.append(vec))
+    rep = probe_exactness(build_yd_resolution(glq9), N=4, slack=2, window=1)
+    assert rep["ok"] and not calls
+    assert sum(p["cycles_lifted"] for p in rep["positions"]) > 0
 
-    def doubled(self, vec):
-        beta = express(self, vec)
+
+def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
+    """Both candidate sources of certified_lifts, modular and exact, give a
+    doubled beta; the exact recheck turns each down."""
+    import hopfcheck.linalg as linalg
+    from hopfcheck.linalg import RowSpace
+    express, modular = RowSpace.express, linalg._modular_lifts
+
+    def doubled(beta):
         return None if beta is None else {k: 2 * c for k, c in beta.items()}
 
-    monkeypatch.setattr(RowSpace, "express", doubled)
+    monkeypatch.setattr(RowSpace, "express", lambda self, vec: doubled(express(self, vec)))
+    monkeypatch.setattr(linalg, "_modular_lifts",
+                        lambda columns, targets: [doubled(b) for b in modular(columns, targets)])
     rep = probe_exactness(build_yd_resolution(glq9), N=4, slack=2, window=1)
     assert not rep["ok"]
     lifting = [p for p in rep["positions"][:-1] if p["cycles_found"]]
@@ -322,6 +337,37 @@ def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
     for p in lifting:
         assert not p["ok"] and p["cycles_lifted"] == 0
         assert p["unlifted"] == p["cycles_found"]
+
+
+def broken_resolution(alg):
+    """ψ with 1 added to one entry of ψ2, so that ψ2;ψ1 != 0."""
+    C = build_yd_resolution(alg)
+    psi2 = C.maps[2]
+    entries = [list(row) for row in psi2.entries]
+    entries[0][0] = entries[0][0] + alg.one()
+    maps = list(C.maps)
+    maps[2] = FreeModuleMap(alg, C.side, entries, psi2.src_labels, psi2.tgt_labels)
+    return Complex(alg, C.side, maps, C.augmentation)
+
+
+def test_probe_rejects_a_non_complex(glq9):
+    with pytest.raises(ProbeInvalid, match="not a complex"):
+        probe_exactness(broken_resolution(glq9), N=4, slack=2, window=1)
+    C = build_yd_resolution(glq9)
+    left = Complex(glq9, "left", C.maps, C.augmentation)
+    with pytest.raises(ProbeInvalid, match="right complex"):
+        probe_exactness(left, N=4, slack=2, window=1)
+
+
+def test_probe_on_a_non_complex_is_a_failed_check(monkeypatch):
+    import hopfcheck.cli as cli
+    monkeypatch.setattr(cli, "build_yd_resolution", broken_resolution)
+    rep, code = cli.run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
+                                "probe": {"N": 3}, "checks": ["probe"]})
+    assert code == 1
+    (entry,) = rep["checks"]
+    assert entry["status"] == "fail"
+    assert entry["witnesses"][0].startswith("ProbeInvalid: not a complex")
 
 
 def test_probe_rejects_uncertified(glq8):
