@@ -41,8 +41,6 @@ from .hopf import (
 )
 from .ydmod import (
     Comodule,
-    ComoduleMap,
-    HomSpace,
     boxtimes_coact,
     build_comodule,
     check_boxtimes_yd,

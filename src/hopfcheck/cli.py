@@ -16,7 +16,6 @@ from functools import cached_property
 
 from .cohomology import bialgebra_cohomology, gs_dimension_report
 from .complexes import (
-    build_glq_complexes,
     build_twist_chainmap,
     build_left_resolution,
     build_slq_resolution,
@@ -30,7 +29,11 @@ from .errors import (
     CacheCorrupt,
     ConfigInvalid,
     ExceedsCertifiedDegree,
+    IdentityFailed,
     NeedsFieldExtension,
+    NotInvertible,
+    NotScalarMultiple,
+    NotSquare,
     ProbeInvalid,
     UnexpectedHomDimension,
     UnitCollapse,
@@ -207,7 +210,44 @@ def cache_roundtrip(rs, directory, probes=None, seed=7):
 # configuration
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _rational(x, what):
+    """An exact rational from an integer or a "p/q" string, else ConfigInvalid."""
+    if not (_is_int(x) or isinstance(x, str)):
+        raise ConfigInvalid(f'{what} must be an integer or a "p/q" string, not {x!r}')
+    try:
+        return frac(x)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigInvalid(f"{what} is not a rational: {x!r}") from e
+
+
+def _matrix(rows, what):
+    """A square matrix with at least two rows, else ConfigInvalid."""
+    if (not isinstance(rows, list) or len(rows) < 2
+            or any(not isinstance(r, list) or len(r) != len(rows) for r in rows)):
+        raise ConfigInvalid(f"{what} must be a square list of at least two rows")
+    return Mat([[_rational(x, what) for x in r] for r in rows])
+
+
+def _load_config(path):
+    """The parsed JSON config at path; ConfigInvalid if it is unreadable or not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ConfigInvalid(f"{path}: {e}") from e
+
+
 def validate_config(cfg):
+    """cfg itself if it names a valid run, else ConfigInvalid.
+
+    Besides the keys, checks the types and ranges of q, the matrices (each
+    pair must satisfy B^t A^t B A = lambda I), the check list and the probe
+    parameters.
+    """
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config must be an object")
     unknown = set(cfg) - _TOP_KEYS
@@ -229,45 +269,72 @@ def validate_config(cfg):
         raise ConfigInvalid("GLq instance needs q")
     if kind == "GAB" and "A" not in inst and "seed" not in cfg:
         raise ConfigInvalid("seed is mandatory for seeded random matrices")
-    if not isinstance(cfg["degree_bound"], int) or cfg["degree_bound"] < 2:
+    if "seed" in cfg and not (_is_int(cfg["seed"]) or isinstance(cfg["seed"], str)):
+        raise ConfigInvalid("seed must be an integer or a string")
+    if not _is_int(inst.get("n", 3)) or inst.get("n", 3) < 2:
+        raise ConfigInvalid("n must be an integer >= 2")
+    for X, Y in (("A", "B"), ("C", "D")):
+        if (X in inst) != (Y in inst):
+            raise ConfigInvalid(f"{X} and {Y} must be given together")
+    if kind == "GABCD" and not {"A", "C"} <= set(inst):
+        raise ConfigInvalid("GABCD instance needs A, B, C and D")
+    if not _is_int(cfg["degree_bound"]) or cfg["degree_bound"] < 2:
         raise ConfigInvalid("degree_bound must be an integer >= 2")
     checks = cfg["checks"]
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise ConfigInvalid("checks must be a list of check names")
     bad = [c for c in checks if c not in CHECK_ORDER]
     if bad:
         raise ConfigInvalid(f"unknown checks: {bad}")
     probe = cfg.get("probe", {})
+    if not isinstance(probe, dict):
+        raise ConfigInvalid("probe must be an object")
     unknown = set(probe) - _PROBE_KEYS
     if unknown:
         raise ConfigInvalid(f"unknown probe keys: {sorted(unknown)}")
+    for key, low in (("N", 1), ("slack", 0), ("laurent_window", 0)):
+        if key in probe and (not _is_int(probe[key]) or probe[key] < low):
+            raise ConfigInvalid(f"probe {key} must be an integer >= {low}")
     needs_cd = {"galois", "cogroupoid"} & set(checks)
     if needs_cd and kind != "GABCD" and "conjugator" not in inst and "C" not in inst:
         raise ConfigInvalid(f"{sorted(needs_cd)} need (C,D) or a conjugator")
     needs_q = {"slq", "cone", "glq_iso"} & set(checks)
     if needs_q and kind != "GLq":
         raise ConfigInvalid(f"{sorted(needs_q)} require a GLq instance")
+    try:
+        mats = _instance_matrices(cfg)
+        for X, Y in (("A", "B"), ("C", "D")):
+            if X in mats:
+                matrix_invariants(mats[X], mats[Y])
+    except (NotInvertible, NotScalarMultiple, NotSquare) as e:
+        raise ConfigInvalid(f"{type(e).__name__}: {e}") from e
     return cfg
 
 
 def _instance_matrices(cfg):
     inst = cfg["instance"]
     kind = inst["kind"]
-    out = {"kind": kind, "q": frac(inst["q"]) if "q" in inst else None}
+    out = {"kind": kind, "q": _rational(inst["q"], "q") if "q" in inst else None}
+    if out["q"] == 0:
+        raise ConfigInvalid("q must be nonzero")
     if kind == "GLq":
         A = a_q_matrix(out["q"])
         B = A.inverse()
     elif "A" in inst:
-        A, B = Mat(inst["A"]), Mat(inst["B"])
+        A, B = _matrix(inst["A"], "A"), _matrix(inst["B"], "B")
     else:
         A, B = seeded_pair(cfg["seed"], inst.get("n", 3))
     out["A"], out["B"] = A, B
     if kind == "GABCD":
-        out["C"], out["D"] = Mat(inst["C"]), Mat(inst["D"])
+        out["C"], out["D"] = _matrix(inst["C"], "C"), _matrix(inst["D"], "D")
     elif "conjugator" in inst:
-        F = Mat(inst["conjugator"])
+        F = _matrix(inst["conjugator"], "conjugator")
+        if F.rows != A.rows:
+            raise ConfigInvalid(f"conjugator must be {A.rows} x {A.rows}")
         out["C"] = F.transpose() * A * F
         out["D"] = F.inverse() * B * F.transpose().inverse()
     elif "C" in inst:
-        out["C"], out["D"] = Mat(inst["C"]), Mat(inst["D"])
+        out["C"], out["D"] = _matrix(inst["C"], "C"), _matrix(inst["D"], "D")
     return out
 
 
@@ -457,7 +524,7 @@ def _run_checks(cfg, cache):
             status, witnesses, extras = "uncertified", [str(e)], {}
         except UnexpectedHomDimension as e:
             status, witnesses, extras = "fail", [str(e)], {}
-        except (UnitCollapse, CacheCorrupt, VersionMismatch, ProbeInvalid) as e:
+        except (UnitCollapse, CacheCorrupt, VersionMismatch, ProbeInvalid, IdentityFailed) as e:
             status, witnesses, extras = "fail", [f"{type(e).__name__}: {e}"], {}
         timings[name] = round(time.monotonic() - t0, 3)
         entry = {"name": name, "status": status, "witnesses": witnesses,
@@ -479,11 +546,7 @@ def exit_code_of(statuses):
 
 def run_config(cfg_or_path):
     """Execute a config; returns (report, exit_code)."""
-    if isinstance(cfg_or_path, str):
-        with open(cfg_or_path) as fh:
-            cfg = json.load(fh)
-    else:
-        cfg = cfg_or_path
+    cfg = _load_config(cfg_or_path) if isinstance(cfg_or_path, str) else cfg_or_path
     cfg = validate_config(cfg)
     cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
     cache = RunMemo(GBCache(cache_dir) if cache_dir else None)
@@ -551,6 +614,31 @@ def emit_report(report, fmt="json", path=None):
     return text
 
 
+def _main_run(args):
+    report, code = run_config(args.config)
+    target = args.report or report["config"].get("report_path")
+    if target:
+        emit_report(report, "json", target)
+    if args.md:
+        emit_report(report, "markdown", args.md)
+    sys.stdout.write(report_markdown(report))
+    return code
+
+
+def _main_gb(args):
+    cfg = validate_config(_load_config(args.config))
+    cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
+    if not cache_dir:
+        raise ConfigInvalid("gb prebuild needs cache_dir or HOPFCHECK_CACHE")
+    cache = Refill(GBCache(cache_dir))
+    mats = _instance_matrices(cfg)
+    alg = build_gab(mats["A"], mats["B"], cfg["degree_bound"], cache=cache)
+    for err in cache.replaced:
+        sys.stdout.write(f"replaced corrupt cache entry ({err})\n")
+    sys.stdout.write(f"cached {alg.name}: {len(alg.rs.rules)} rules\n")
+    return 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="verify",
                                  description="symbolic verification suites")
@@ -566,31 +654,14 @@ def main(argv=None):
     repp.add_argument("--md", action="store_true")
     args = ap.parse_args(argv)
 
-    if args.cmd == "run":
-        report, code = run_config(args.config)
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        target = args.report or cfg.get("report_path")
-        if target:
-            emit_report(report, "json", target)
-        if args.md:
-            emit_report(report, "markdown", args.md)
-        sys.stdout.write(report_markdown(report))
-        return code
-    if args.cmd == "gb":
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        cfg = validate_config(cfg)
-        cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
-        if not cache_dir:
-            raise ConfigInvalid("gb prebuild needs cache_dir or HOPFCHECK_CACHE")
-        cache = Refill(GBCache(cache_dir))
-        mats = _instance_matrices(cfg)
-        alg = build_gab(mats["A"], mats["B"], cfg["degree_bound"], cache=cache)
-        for err in cache.replaced:
-            sys.stdout.write(f"replaced corrupt cache entry ({err})\n")
-        sys.stdout.write(f"cached {alg.name}: {len(alg.rs.rules)} rules\n")
-        return 0
+    try:
+        if args.cmd == "run":
+            return _main_run(args)
+        if args.cmd == "gb":
+            return _main_gb(args)
+    except ConfigInvalid as e:
+        sys.stderr.write(f"invalid config: {e}\n")
+        return 3
     if args.cmd == "report":
         with open(args.report_file) as fh:
             blob = json.load(fh)

@@ -8,6 +8,7 @@ matrix entries).  Homology dimensions come from exact ranks.
 
 from fractions import Fraction
 
+from .complexes import _PSI_LAYOUTS, _block_offsets
 from .errors import UnexpectedHomDimension
 from .linalg import RowSpace, mat_rank
 from .ydmod import build_comodule, hom_to_trivial
@@ -45,18 +46,6 @@ class ScalarComplex:
         return dims
 
 
-def _level_blocks(alg, level_index):
-    """Block structure of the resolution levels P4..P0 (levels 0..4)."""
-    n = alg.n
-    return {
-        0: [("k", 1)],
-        1: [("vv", n * n), ("k", 1)],
-        2: [("vv", n * n), ("ww", n * n)],
-        3: [("ww", n * n), ("k", 1)],
-        4: [("k", 1)],
-    }[level_index]
-
-
 def bialgebra_cohomology(alg, resolution):
     """Cohomology dimensions of Hom(P., k) for the YD resolution P. of k."""
     triv = build_comodule("trivial", alg)
@@ -66,38 +55,29 @@ def bialgebra_cohomology(alg, resolution):
 
     h_triv = hom_to_trivial(triv)
     h_vv = hom_to_trivial(vxv)
-    if h_triv.dim != 1:
-        raise UnexpectedHomDimension(f"Hom(k,k) has dim {h_triv.dim}")
-    if h_vv.dim != 1:
+    if len(h_triv) != 1:
+        raise UnexpectedHomDimension(f"Hom(k,k) has dim {len(h_triv)}")
+    if len(h_vv) != 1:
         raise UnexpectedHomDimension(
-            f"Hom(V*xV,k) has dim {h_vv.dim}; instance not generic")
+            f"Hom(V*xV,k) has dim {len(h_vv)}; instance not generic")
     homs = {"k": h_triv, "vv": h_vv, "ww": h_vv}
-    comods = {"k": triv, "vv": vxv, "ww": vxv}
 
     eps = alg.hopf.eps
 
-    def level_hom_basis(level):
+    def level_hom_basis(layout):
         """Functionals on the level's coordinates, blockwise."""
-        blocks = _level_blocks(alg, level)
-        rank = sum(sz for _, sz in blocks)
+        offsets, rank = _block_offsets(alg.n, layout)
         basis = []
-        off = 0
-        for bname, sz in blocks:
-            for row in homs[bname].basis:
+        for b in layout:
+            for row in homs[b]:
                 vec = [ZERO] * rank
-                for i, v in enumerate(row):
-                    vec[off + i] = v
+                vec[offsets[b]:offsets[b] + len(row)] = row
                 basis.append(vec)
-            off += sz
-        return blocks, basis
+        return basis
 
     # C^i = Hom(P_i) lives at complex level 4-i
-    dims = []
-    bases = []
-    for i in range(5):
-        blocks, basis = level_hom_basis(4 - i)
-        dims.append(len(basis))
-        bases.append((blocks, basis))
+    bases = [level_hom_basis(layout) for layout in reversed(_PSI_LAYOUTS)]
+    dims = [len(basis) for basis in bases]
     if dims != [1, 2, 2, 2, 1]:
         raise UnexpectedHomDimension(f"cochain dims {dims}")
 
@@ -107,8 +87,7 @@ def bialgebra_cohomology(alg, resolution):
         psi = resolution.maps[3 - i]
         E = [[eps.of_loc(psi.entries[s][t]) for t in range(psi.tgt_rank)]
              for s in range(psi.src_rank)]
-        _, src_basis = bases[i + 1]
-        _, tgt_basis = bases[i]
+        src_basis, tgt_basis = bases[i + 1], bases[i]
         # the induced functionals are expressed in the source level's hom basis
         space = RowSpace()
         for lbl, vec in enumerate(src_basis):
@@ -133,7 +112,7 @@ def bialgebra_cohomology(alg, resolution):
         "ranks": sc.ranks(),
         "cochain_dims": dims,
         "scalar_complex": sc,
-        "hom_dims": {"k": h_triv.dim, "vv": h_vv.dim},
+        "hom_dims": {"k": len(h_triv), "vv": len(h_vv)},
     }
 
 

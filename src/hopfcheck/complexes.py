@@ -9,7 +9,7 @@ and is what Complex.is_complex() uses on consecutive differentials.
 
 from fractions import Fraction
 
-from .errors import ExceedsCertifiedDegree, ProbeInvalid
+from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
 from .foundation import Mat, NCPoly
 from .hopf import LocalizedElement, conj_map, sandwich
 from .linalg import certified_lifts, kernel_basis
@@ -28,17 +28,21 @@ class FreeModuleMap:
         self.tgt_labels = tgt_labels
         self.name = name
 
-    def compose(self, then):
-        """self followed by then."""
+    def compose(self, then, twist=None):
+        """self followed by then; with a twist (an algebra map), the
+        coordinates self produces pass through it before then acts."""
         assert self.alg is then.alg and self.side == then.side
         assert self.tgt_rank == then.src_rank
+        first = self.entries
+        if twist is not None:
+            first = [[a if a.is_zero() else twist.apply_loc(a) for a in row] for row in first]
         out = []
         for s in range(self.src_rank):
             row = []
             for u in range(then.tgt_rank):
                 acc = self.alg.zero()
                 for t in range(self.tgt_rank):
-                    a, b = self.entries[s][t], then.entries[t][u]
+                    a, b = first[s][t], then.entries[t][u]
                     if a.is_zero() or b.is_zero():
                         continue
                     acc = acc + (b * a if self.side == "right" else a * b)
@@ -156,28 +160,10 @@ class ChainMap:
         self.twist = twist
         self.name = name
 
-    def _twisted_compose(self, first, then):
-        """first;then where coordinates produced by first pass through twist."""
-        out = []
-        for s in range(first.src_rank):
-            row = []
-            for u in range(then.tgt_rank):
-                acc = first.alg.zero()
-                for t in range(first.tgt_rank):
-                    a = first.entries[s][t]
-                    b = then.entries[t][u]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    ta = self.twist.apply_loc(a) if self.twist is not None else a
-                    acc = acc + (b * ta if first.side == "right" else ta * b)
-                row.append(acc)
-            out.append(row)
-        return FreeModuleMap(first.alg, first.side, out)
-
     def verify_squares(self):
         failures = []
         for i in range(len(self.top.maps)):
-            lhs = self._twisted_compose(self.top.maps[i], self.verticals[i + 1])
+            lhs = self.top.maps[i].compose(self.verticals[i + 1], self.twist)
             rhs = self.verticals[i].compose(self.bottom.maps[i])
             diff = lhs.add(rhs.scale(-1))
             if not diff.is_zero():
@@ -198,6 +184,15 @@ def _vv_labels(n, sym="v"):
     return [f"{sym}{i+1}*{sym}{j+1}" for i in range(n) for j in range(n)]
 
 
+def _vv_map(alg, fn, name):
+    """The vv -> vv block whose (i,j), (k,l) entry is fn(i, j, k, l)."""
+    n = alg.n
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    vv = _vv_labels(n)
+    return FreeModuleMap(alg, "right", [[fn(i, j, k, l) for k, l in pairs] for i, j in pairs],
+                         vv, vv, name=name)
+
+
 def gamma_maps(alg):
     """The comodule-level building blocks of the resolution, as module maps."""
     A, B = alg.mats["A"], alg.mats["B"]
@@ -212,23 +207,14 @@ def gamma_maps(alg):
     vv = _vv_labels(n)
     k = ["k"]
 
-    def vvmap(fn, name):
-        e = zero_entries(alg, n * n, n * n)
-        for i in range(n):
-            for j in range(n):
-                for kk in range(n):
-                    for ll in range(n):
-                        e[i * n + j][kk * n + ll] = fn(i, j, kk, ll)
-        return FreeModuleMap(alg, "right", e, vv, vv, name=name)
-
     g1 = FreeModuleMap(alg, "right",
                        [[alg.elt(NCPoly.one() if i == j else NCPoly.zero())]
                         for i in range(n) for j in range(n)], vv, k, name="γ1")
     g2 = FreeModuleMap(alg, "right",
                        [[alg.u_elt(i, j)] for i in range(n) for j in range(n)],
                        vv, k, name="γ2")
-    g3 = vvmap(lambda i, j, kk, ll: (Binv[j, kk]) * alg.elt(sandwich(alg, I, Bt, i, ll)),
-               "γ3")
+    g3 = _vv_map(alg, lambda i, j, kk, ll: Binv[j, kk] * alg.elt(sandwich(alg, I, Bt, i, ll)),
+                 "γ3")
     g4 = FreeModuleMap(alg, "right",
                        [[alg.elt(NCPoly.term((), AtB[i, j])) for i in range(n) for j in range(n)]],
                        k, vv, name="γ4")
@@ -245,8 +231,36 @@ def gamma_maps(alg):
             p = p - NCPoly.one()
         return alg.elt(p)
 
-    g7 = vvmap(g7fn, "γ7")
+    g7 = _vv_map(alg, g7fn, "γ7")
     return {"g1": g1, "g2": g2, "g3": g3, "g4": g4, "g5": g5, "g6": g6, "g7": g7}
+
+
+def left_gamma_maps(alg):
+    """The blocks of the left-module resolution phi, in gamma_maps' shape.
+
+    γ1 and γ6 are psi's and γ7' is γ7's transpose; the others are phi's own:
+    γ2' = u_ji, γ3' = (A^-1)_kj (A^t u)_li, γ4' = (AB^t)_ji, γ5' = (A^t u B)_ji.
+    """
+    A, B = alg.mats["A"], alg.mats["B"]
+    n = alg.n
+    At, Ainv, ABt = A.transpose(), A.inverse(), A * B.transpose()
+    I = Mat.identity(n)
+    g = gamma_maps(alg)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    vv = _vv_labels(n)
+    g7 = g["g7"].entries
+    return {
+        "g1": g["g1"],
+        "g2": FreeModuleMap(alg, "right", [[alg.u_elt(j, i)] for i, j in pairs], vv, ["k"]),
+        "g3": _vv_map(alg, lambda i, j, k, l: Ainv[k, j] * alg.elt(sandwich(alg, At, I, l, i)),
+                      "γ3'"),
+        "g4": FreeModuleMap(alg, "right", [[alg.elt(NCPoly.term((), ABt[j, i])) for i, j in pairs]],
+                            ["k"], vv),
+        "g5": FreeModuleMap(alg, "right", [[alg.elt(sandwich(alg, At, B, j, i)) for i, j in pairs]],
+                            ["k"], vv),
+        "g6": g["g6"],
+        "g7": _vv_map(alg, lambda i, j, k, l: g7[k * n + l][i * n + j], "γ7'"),
+    }
 
 
 def gamma_identity_suite(alg):
@@ -317,127 +331,43 @@ def _block_map(alg, side, blocks, src_layout, tgt_layout, name):
                          _block_labels(n, tgt_layout), name=name)
 
 
-def build_yd_resolution(alg):
-    """The free Yetter-Drinfeld resolution of the trivial module over G(A,B).
+def _assemble_resolution(alg, side, blocks, layouts, v, w):
+    """The four differentials of psi's block shape, from gamma-shaped blocks.
 
-    Each differential psi_i is assembled from the gamma blocks.
+    Levels follow ``layouts``; ``v`` and ``w`` name the blocks that play the
+    parts of psi's vv and ww.  psi is ("right", gamma_maps, _PSI_LAYOUTS,
+    vv, ww); phi is ("left", left_gamma_maps, _DUAL_LAYOUTS, ww, vv).
     """
+    g = blocks
+    neg = lambda m: m.scale(-1)
+    idm = identity_map(alg, side, alg.n * alg.n)
+    differentials = [
+        {("k", v): g["g4"].add(neg(g["g5"])), ("k", "k"): g["g6"]},
+        {(v, v): idm.add(g["g3"]), (v, w): g["g7"], ("k", v): g["g4"],
+         ("k", w): g["g5"].add(neg(g["g4"]))},
+        {(v, "k"): g["g2"].add(neg(g["g1"])), (v, w): g["g7"], (w, "k"): neg(g["g1"]),
+         (w, w): neg(idm).add(neg(g["g3"]))},
+        {(w, "k"): g["g1"].add(neg(g["g2"])), ("k", "k"): g["g6"]},
+    ]
+    sym, name = {"right": ("ψ", "yd_resolution"), "left": ("φ", "left_resolution")}[side]
+    maps = [_block_map(alg, side, d, layouts[i], layouts[i + 1], f"{sym}{4 - i}")
+            for i, d in enumerate(differentials)]
+    return Complex(alg, side, maps, augmentation=alg.hopf.eps, name=name)
+
+
+def build_yd_resolution(alg):
+    """The free Yetter-Drinfeld resolution psi of the trivial module over G(A,B)."""
     assert alg.kind == "GAB", "YD resolution is defined over G(A,B)"
     if alg.rs.certified_degree < 6:
         raise ExceedsCertifiedDegree("YD resolution needs certified degree >= 6")
-    g = gamma_maps(alg)
-    P = _PSI_LAYOUTS
-    neg = lambda m: m.scale(-1)
-    idm = identity_map(alg, "right", alg.n * alg.n)
-    psi4 = _block_map(alg, "right", {
-        ("k", "vv"): g["g4"].add(neg(g["g5"])),
-        ("k", "k"): g["g6"],
-    }, P[0], P[1], "ψ4")
-    psi3 = _block_map(alg, "right", {
-        ("vv", "vv"): idm.add(g["g3"]),
-        ("vv", "ww"): g["g7"],
-        ("k", "vv"): g["g4"],
-        ("k", "ww"): g["g5"].add(neg(g["g4"])),
-    }, P[1], P[2], "ψ3")
-    psi2 = _block_map(alg, "right", {
-        ("vv", "k"): g["g2"].add(neg(g["g1"])),
-        ("vv", "ww"): g["g7"],
-        ("ww", "k"): neg(g["g1"]),
-        ("ww", "ww"): neg(idm).add(neg(g["g3"])),
-    }, P[2], P[3], "ψ2")
-    psi1 = _block_map(alg, "right", {
-        ("ww", "k"): g["g1"].add(neg(g["g2"])),
-        ("k", "k"): g["g6"],
-    }, P[3], P[4], "ψ1")
-    return Complex(alg, "right", [psi4, psi3, psi2, psi1],
-                   augmentation=alg.hopf.eps, name="yd_resolution")
+    return _assemble_resolution(alg, "right", gamma_maps(alg), _PSI_LAYOUTS, "vv", "ww")
 
 
 def build_left_resolution(alg):
-    """The free resolution of the trivial module by left modules."""
+    """The free resolution phi of the trivial module by left modules: psi's
+    assembly over phi's own blocks, with the parts of vv and ww exchanged."""
     assert alg.kind == "GAB"
-    A, B = alg.mats["A"], alg.mats["B"]
-    n = alg.n
-    lam = _lam(alg)
-    I = Mat.identity(n)
-    At = A.transpose()
-    Ainv = A.inverse()
-    ABt = A * B.transpose()
-    BtAt = B.transpose() * A.transpose()
-    BA = B * A
-    loc = alg.loc
-    vv = _vv_labels(n, "v")
-    ww = _vv_labels(n, "w")
-    R4 = [("k", 1)]
-    R3 = [("ww", n * n), ("k", 1)]
-    R2 = [("ww", n * n), ("vv", n * n)]
-    R1 = [("k", 1), ("vv", n * n)]
-    R0 = [("k", 1)]
-    L4, L3, L2, L1, L0 = ["k"], ww + ["k"], ww + vv, ["k"] + vv, ["k"]
-
-    def scalar(c):
-        return alg.elt(NCPoly.term((), c)) if c else alg.zero()
-
-    # phi4: x -> sum x[(AB^t)_ji - (A^t u B)_ji] (x) w_i* w_j + x(D-1)
-    e = zero_entries(alg, 1, n * n + 1)
-    for i in range(n):
-        for j in range(n):
-            e[0][i * n + j] = alg.elt(NCPoly.term((), ABt[j, i]) - sandwich(alg, At, B, j, i))
-    e[0][n * n] = alg.elt(NCPoly.gen(loc) - NCPoly.one())
-    phi4 = FreeModuleMap(alg, "left", e, L4, L3, name="φ4")
-
-    # phi3
-    e = zero_entries(alg, n * n + 1, 2 * n * n)
-    for i in range(n):
-        for j in range(n):
-            s = i * n + j
-            e[s][s] = e[s][s] + alg.one()
-            for kk in range(n):
-                for ll in range(n):
-                    e[s][kk * n + ll] = e[s][kk * n + ll] + \
-                        Ainv[kk, j] * alg.elt(sandwich(alg, At, I, ll, i))
-                    e[s][n * n + kk * n + ll] = e[s][n * n + kk * n + ll] + \
-                        alg.elt(NCPoly.term((loc,), BtAt[kk, i] * BA[j, ll] / lam))
-            e[s][n * n + s] = e[s][n * n + s] - alg.one()
-    for i in range(n):
-        for j in range(n):
-            e[n * n][i * n + j] = scalar(ABt[j, i])
-            e[n * n][n * n + i * n + j] = alg.elt(
-                sandwich(alg, At, B, j, i) - NCPoly.term((), ABt[j, i]))
-    phi3 = FreeModuleMap(alg, "left", e, L3, L2, name="φ3")
-
-    # phi2
-    e = zero_entries(alg, 2 * n * n, n * n + 1)
-    for i in range(n):
-        for j in range(n):
-            s = i * n + j
-            e[s][0] = alg.elt(NCPoly.gen(alg.u_idx(j, i)) -
-                              (NCPoly.one() if i == j else NCPoly.zero()))
-            for kk in range(n):
-                for ll in range(n):
-                    e[s][1 + kk * n + ll] = e[s][1 + kk * n + ll] + \
-                        alg.elt(NCPoly.term((loc,), BtAt[kk, i] * BA[j, ll] / lam))
-            e[s][1 + s] = e[s][1 + s] - alg.one()
-            sv = n * n + i * n + j
-            e[sv][0] = scalar(-ONE if i == j else 0)
-            e[sv][1 + i * n + j] = e[sv][1 + i * n + j] - alg.one()
-            for kk in range(n):
-                for ll in range(n):
-                    e[sv][1 + kk * n + ll] = e[sv][1 + kk * n + ll] - \
-                        Ainv[kk, j] * alg.elt(sandwich(alg, At, I, ll, i))
-    phi2 = FreeModuleMap(alg, "left", e, L2, L1, name="φ2")
-
-    # phi1
-    e = zero_entries(alg, n * n + 1, 1)
-    e[0][0] = alg.elt(NCPoly.gen(loc) - NCPoly.one())
-    for i in range(n):
-        for j in range(n):
-            e[1 + i * n + j][0] = alg.elt(
-                (NCPoly.one() if i == j else NCPoly.zero()) - NCPoly.gen(alg.u_idx(j, i)))
-    phi1 = FreeModuleMap(alg, "left", e, L1, L0, name="φ1")
-
-    return Complex(alg, "left", [phi4, phi3, phi2, phi1],
-                   augmentation=alg.hopf.eps, name="left_resolution")
+    return _assemble_resolution(alg, "left", left_gamma_maps(alg), _DUAL_LAYOUTS, "ww", "vv")
 
 
 def dualize_resolution(psi):
@@ -615,7 +545,8 @@ def laurent_cone(alg):
     cm = ChainMap(C, C, f, name="(z-1)")
     squares = cm.verify_squares()
     cone = mapping_cone(cm, augmentation=alg.hopf.eps)
-    assert cone.ranks == [1, 5, 8, 5, 1]
+    if cone.ranks != [1, 5, 8, 5, 1]:
+        raise IdentityFailed(f"cone ranks {cone.ranks} != [1, 5, 8, 5, 1]")
     return {"cone": cone, "chainmap": cm,
             "report": {"ok": squares["ok"], "squares": squares}}
 
@@ -631,7 +562,6 @@ def build_glq_complexes(alg):
     one = NCPoly.one()
     loc = alg.loc
     E = alg.elt
-    Dinv = alg.loc_inv_elt()
     D = alg.loc_elt()
     Dm1 = E(NCPoly.gen(loc) - one)
     vv = _vv_labels(2, "v")
@@ -905,10 +835,6 @@ def probe_exactness(C, N, slack, window=2):
             _coords_of_elt(alg, u, e * le0, out)
         return out
 
-    def basis_vector(t, w, m):
-        w2, m2 = _canonical_pair(alg, w, m)
-        return {(t, m2, order.key(w2)): Fraction(1)}
-
     L = len(C.ranks) - 1
     positions = []
     all_ok = True
@@ -932,17 +858,10 @@ def probe_exactness(C, N, slack, window=2):
             fmap_in = C.maps[j - 1]
             lift_dom = filtration_basis(C.ranks[j - 1], N, lift_window)
             images = [((t, w, m), image_vector(fmap_in, t, w, m)) for (t, w, m) in lift_dom]
-            targets = []
-            for cyc in cycles:
-                target = {}
-                for (t, w, m), c in cyc.items():
-                    for key, x in basis_vector(t, w, m).items():
-                        nx = target.get(key, 0) + c * x
-                        if nx:
-                            target[key] = nx
-                        else:
-                            del target[key]
-                targets.append(target)
+            # a filtration word with m > 0 never ends in D, so each basis
+            # vector is its own canonical coordinate
+            targets = [{(t, m, order.key(w)): c for (t, w, m), c in cyc.items()}
+                       for cyc in cycles]
             lifted = sum(beta is not None for beta in certified_lifts(images, targets))
         found = len(cycles)
         ok = (lifted == found) if j >= 1 else (found == 0)

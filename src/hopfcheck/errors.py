@@ -45,6 +45,11 @@ class ProbeInvalid(HopfcheckError):
     """The exactness probe cannot run on this complex (or d∘d ≠ 0)."""
 
 
+class IdentityFailed(HopfcheckError):
+    """An identity that a construction relies on does not hold: the twisting
+    automorphism of a presentation, a comodule's axioms, or a complex's ranks."""
+
+
 class UnexpectedHomDimension(HopfcheckError):
     """A Hom space, or the scalar complex built from them, is not what the
     pipeline expects."""

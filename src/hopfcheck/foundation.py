@@ -161,10 +161,6 @@ class Mat:
         return [[frac_str(x) for x in row] for row in self.a]
 
 
-def mat_from_lists(rows):
-    return Mat(rows)
-
-
 # ---------------------------------------------------------------------------
 # pair invariants of (A, B)
 

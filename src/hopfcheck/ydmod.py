@@ -10,13 +10,9 @@ basis vector (the h-slot and the coaction slot).
 
 from fractions import Fraction
 
+from .errors import IdentityFailed
 from .foundation import NCPoly
-from .hopf import (
-    LocalizedElement,
-    TensorElt,
-    apply_delta_slot,
-    apply_map_slot,
-)
+from .hopf import LocalizedElement, TensorElt, apply_delta_slot
 from .linalg import kernel_basis
 
 ONE = Fraction(1)
@@ -85,7 +81,8 @@ def build_comodule(kind, alg, parts=None, verify=True):
         raise ValueError(f"unknown comodule kind {kind!r}")
     if verify:
         rep = V.verify()
-        assert rep["ok"], f"comodule axioms failed: {rep['failures'][:3]}"
+        if not rep["ok"]:
+            raise IdentityFailed(f"comodule axioms failed: {rep['failures'][:3]}")
     return V
 
 
@@ -181,43 +178,13 @@ def check_boxtimes_yd(V, g, h):
     return {"ok": not failures, "failures": failures}
 
 
-class ComoduleMap:
-    """Linear map V -> U ⊠ H given by gamma(v_i) = sum_j u_j (x) g[j][i]."""
+def check_yd_morphism(psi, src, tgt):
+    """The comodule condition, on the module generators v (x) 1, for a map
+    psi between the free YD modules on the comodules src and tgt.
 
-    def __init__(self, source, target_u, entries, name=""):
-        self.source = source
-        self.target_u = target_u
-        self.entries = entries  # target_u.dim x source.dim of LocalizedElement
-        self.name = name
-
-    def check(self):
-        """Coaction intertwining, one equation per source basis vector."""
-        V, U = self.source, self.target_u
-        alg = V.alg
-        failures = []
-        for i in range(V.dim):
-            # lhs: coaction of gamma(v_i) in U ⊠ H
-            lhs = [TensorElt.zero((alg, alg)) for _ in range(U.dim)]
-            for j in range(U.dim):
-                co = boxtimes_coact(U, self.entries[j][i], j)
-                for l in range(U.dim):
-                    lhs[l] = lhs[l] + co[l]
-            # rhs: (gamma (x) id) rho_V
-            rhs = [TensorElt.zero((alg, alg)) for _ in range(U.dim)]
-            for k in range(V.dim):
-                for j in range(U.dim):
-                    rhs[j] = rhs[j] + TensorElt.from_locs((self.entries[j][k], V.c[k][i]))
-            for j in range(U.dim):
-                if not (lhs[j] - rhs[j]).is_zero():
-                    failures.append((self.name, i, j))
-        return {"ok": not failures, "failures": failures}
-
-
-def check_yd_morphism(psi, src_blocks, tgt_blocks):
-    """A free-module map between free YD modules is right-linear by shape;
-    this checks the comodule condition on the module generators v (x) 1."""
-    src = direct_sum(src_blocks) if len(src_blocks) > 1 else src_blocks[0]
-    tgt = direct_sum(tgt_blocks) if len(tgt_blocks) > 1 else tgt_blocks[0]
+    psi.entries[b][t] is the coefficient of basis vector t in the image of b;
+    right-linearity holds by shape.
+    """
     assert psi.src_rank == src.dim and psi.tgt_rank == tgt.dim
     alg = src.alg
     failures = []
@@ -237,20 +204,9 @@ def check_yd_morphism(psi, src_blocks, tgt_blocks):
     return {"ok": not failures, "failures": failures}
 
 
-class HomSpace:
-    """Solution space of comodule maps V -> k, as scalar rows."""
-
-    def __init__(self, comodule, basis):
-        self.comodule = comodule
-        self.basis = basis
-        self.dim = len(basis)
-
-    def functional(self, idx):
-        return self.basis[idx]
-
-
 def hom_to_trivial(V):
-    """Exact solution space of sum_k f_k c[k][i] = f_i for all i."""
+    """Basis rows of the comodule maps V -> k: the exact solution space of
+    sum_k f_k c[k][i] = f_i for all i."""
     alg = V.alg
     order = alg.order
     columns = []
@@ -280,11 +236,4 @@ def hom_to_trivial(V):
                 else:
                     del vec[key]
         columns.append((k, vec))
-    basis = kernel_basis(columns)
-    rows = [[v.get(k, Fraction(0)) for k in range(V.dim)] for v in basis]
-    return HomSpace(V, rows)
-
-
-def f_tilde_eval(hom_row, V, v_index, h):
-    """The correspondence f -> f~ with f~(v (x) h) = f(v) eps(h)."""
-    return hom_row[v_index] * V.alg.hopf.eps.of_loc(h)
+    return [[v.get(k, Fraction(0)) for k in range(V.dim)] for v in kernel_basis(columns)]

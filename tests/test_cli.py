@@ -337,3 +337,54 @@ def test_run_completes_each_presentation_once(monkeypatch):
     assert len(first) == len(completed) == 6
     # a memo lives for one run: the second run shares no system with the first
     assert not {id(rs) for rs in first} & {id(rs) for rs in completed}
+
+
+def _glq(**inst):
+    return small_config(instance={"kind": "GLq", "q": "2", **inst}, checks=["hopf"])
+
+
+def _gab(A, B):
+    return small_config(instance={"kind": "GAB", "A": A, "B": B}, checks=["hopf"])
+
+
+INVALID_CONFIGS = {
+    "float_q": (_glq(q=2.0), "q must be an integer"),
+    "zero_q": (_glq(q="0"), "q must be nonzero"),
+    "singular_A": (_gab([["1", "2"], ["2", "4"]], [["1", "0"], ["0", "1"]]), "NotInvertible"),
+    "non_scalar_BtAtBA": (_gab([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "2"]]),
+                          "NotScalarMultiple"),
+    "string_probe_N": (small_config(probe={"N": "6"}), "probe N must be an integer"),
+    "checks_string": (small_config(checks="hopf"), "checks must be a list"),
+    "probe_not_object": (small_config(probe=6), "probe must be an object"),
+    "string_n": (small_config(instance={"kind": "GAB", "n": "3"}, seed=1), "n must be"),
+    "list_seed": (small_config(instance={"kind": "GAB", "n": 3}, seed=[1]), "seed must be"),
+    "A_without_B": (small_config(instance={"kind": "GAB", "A": [["1", "0"], ["0", "1"]]}),
+                    "A and B must be given together"),
+    "conjugator_3x3": (_glq(conjugator=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+                       "conjugator must be 2 x 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+def test_invalid_config_is_config_invalid(case):
+    cfg, message = INVALID_CONFIGS[case]
+    with pytest.raises(ConfigInvalid, match=message):
+        run_config(cfg)
+
+
+@pytest.mark.parametrize("cmd", ["run", "gb"])
+def test_invalid_config_exits_3(cmd, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOPFCHECK_CACHE", str(tmp_path / "cache"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_glq(q="0")))
+    assert cli.main([cmd, str(cfg_path)]) == 3
+    assert capsys.readouterr().err == "invalid config: q must be nonzero\n"
+
+
+@pytest.mark.parametrize("content", [None, "{not json"])
+def test_unreadable_config_exits_3(content, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    if content is not None:
+        cfg_path.write_text(content)
+    assert cli.main(["run", str(cfg_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"invalid config: {cfg_path}: ")

@@ -204,7 +204,7 @@ def test_twist_chainmap(glq8, n3):
 def test_twist_single_square_directly(glq8):
     tw = build_twist_chainmap(glq8)
     cm = tw["chainmap"]
-    lhs = cm._twisted_compose(cm.top.maps[3], cm.verticals[4])
+    lhs = cm.top.maps[3].compose(cm.verticals[4], cm.twist)
     rhs = cm.verticals[3].compose(cm.bottom.maps[3])
     assert lhs.add(rhs.scale(-1)).is_zero()
 
@@ -376,13 +376,15 @@ def test_probe_rejects_uncertified(glq8):
         probe_exactness(C, N=20, slack=2)
 
 
-# sha256 of the sorted-key JSON manifests of psi and of its dual; they pin
-# every printed entry of both complexes
+# sha256 of the sorted-key JSON manifests of psi, of its dual and of the
+# left resolution phi; they pin every printed entry of the three complexes
 MANIFEST_SHA256 = {
     ("glq8", "psi"): "399768e537e122d9273727816a036473b753174374f9ae8be6748376ed9276f5",
     ("glq8", "dual"): "e529ac1a0519d1b1adb9bc942d3ea9c41823b552ac85cb873f10ab6e769d2fe5",
+    ("glq8", "left"): "059960f2158ce4e6d50c12aff8d88150d10ed851181f6e4dffac310ade16f379",
     ("n3", "psi"): "9c864e267852bda5c18fbc5906e75d34e27d0d4724dfeb5474093998413738c5",
     ("n3", "dual"): "ed25770fa84f7583895400eb3a88ed8e42c987a5a44dfbbf6a3bc24414096107",
+    ("n3", "left"): "4d715eadd7815fabd6edcf9d28acb76bca82e1af86be8e174d12a4b87d19fb64",
 }
 
 
@@ -398,7 +400,30 @@ def test_complex_manifest(glq8, n3):
                       sort_keys=True) == blob
     for name, alg in (("glq8", glq8), ("n3", n3)):
         psi = build_yd_resolution(alg)
-        for which, cx in (("psi", psi), ("dual", dualize_resolution(psi))):
+        for which, cx in (("psi", psi), ("dual", dualize_resolution(psi)),
+                          ("left", build_left_resolution(alg))):
             digest = hashlib.sha256(
                 json.dumps(complex_manifest(cx), sort_keys=True).encode()).hexdigest()
             assert digest == MANIFEST_SHA256[(name, which)], (name, which)
+
+
+def test_cone_with_wrong_ranks_raises_identity_failed(slql8, monkeypatch):
+    """A cone that lost its last level fails laurent_cone's rank check: an
+    IdentityFailed, which a run reports as a fail of the cone check."""
+    import hopfcheck.complexes as complexes
+    from hopfcheck.cli import run_config
+    from hopfcheck.errors import IdentityFailed
+    real = complexes.mapping_cone
+
+    def truncated(chainmap, augmentation=None):
+        cone = real(chainmap, augmentation)
+        return Complex(cone.alg, cone.side, cone.maps[:-1], name=cone.name)
+
+    monkeypatch.setattr(complexes, "mapping_cone", truncated)
+    with pytest.raises(IdentityFailed, match="cone ranks"):
+        laurent_cone(slql8)
+    report, code = run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
+                               "probe": {"N": 3}, "checks": ["cone"]})
+    (entry,) = report["checks"]
+    assert code == 1 and entry["status"] == "fail"
+    assert entry["witnesses"][0] == "IdentityFailed: cone ranks [1, 5, 8, 5] != [1, 5, 8, 5, 1]"

@@ -1,8 +1,10 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
-from hopfcheck.foundation import Mat, NCPoly
+from hopfcheck.foundation import Mat, NCPoly, frac_str
 from hopfcheck.hopf import (
     AlgebraMap,
     Character,
@@ -234,3 +236,102 @@ def test_seeded_pair_reproducible():
     assert A1 == A2 and B1 == B2
     assert A1 * A1.inverse() == Mat.identity(3)
     assert B1 == A1.transpose().inverse()
+
+
+def _loc_json(le):
+    return {"num": sorted([list(w), frac_str(c)] for w, c in le.num.terms()), "exp": le.exp}
+
+
+def _tensor_json(te):
+    return {"exps": list(te.exps),
+            "terms": sorted([[list(w) for w in ws], frac_str(c)] for ws, c in te.tp.terms())}
+
+
+def _hopf_json(alg):
+    """Generator images of Δ, ε and S, as unreduced JSON."""
+    H = alg.hopf
+    S = H.antipode
+    return {"delta": [_tensor_json(te) for te in H.delta.images],
+            "eps": [frac_str(v) for v in H.eps.values],
+            "S": [_loc_json(le) for le in S.images],
+            "S_loc_inv": None if S.loc_inv_image is None else _loc_json(S.loc_inv_image),
+            "variance": S.variance}
+
+
+def _sha(blob):
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of _hopf_json: the Hopf structure of G(A,B) as built before it was
+# taken from the cogroupoid's cocomposition and antipode
+GAB_HOPF_SHA256 = {
+    "glq8": "872e0631813921c2696a71ed5abf9b620597b5031b3e224b349c3732b3c6f417",
+    "n3": "bfd70717929cb4bf879e922520038b657578e69b9653087721a302c769a8d651",
+}
+
+# sha256 of the generators, relations and Hopf table of O(SL_q(2)) and
+# O(SL_q(2))[z^±1] at q = 2, from before the two shared one table
+SLQ_TABLE_SHA256 = {
+    "slq6": "b31adeb606a795ecc7b1a18f11574c986ec58fa7f64071a4387fdf2455d7b6cf",
+    "slql8": "090f3c3ae6a1dac66aa5c501f1f7b4e3758cf72268e1e97508058c4ee9975faa",
+}
+
+
+def test_gab_hopf_structure_pinned(glq8, n3):
+    for name, alg in (("glq8", glq8), ("n3", n3)):
+        assert _sha(_hopf_json(alg)) == GAB_HOPF_SHA256[name], name
+
+
+def test_slq_hopf_tables_pinned(slq6, slql8):
+    for name, alg in (("slq6", slq6), ("slql8", slql8)):
+        table = _hopf_json(alg)
+        table["generators"] = alg.names
+        table["relations"] = [sorted([list(w), frac_str(c)] for w, c in r.terms())
+                              for r in alg.relations]
+        assert _sha(table) == SLQ_TABLE_SHA256[name], name
+
+
+def _run_one(check, degree):
+    from hopfcheck.cli import run_config
+    report, code = run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": degree,
+                               "probe": {"N": 3}, "checks": [check]})
+    (entry,) = report["checks"]
+    return entry, code
+
+
+def test_broken_sigma_raises_identity_failed(monkeypatch):
+    """A twisting automorphism sigma that does not realize D x = sigma(x) D
+    raises IdentityFailed at build time, which a run reports as a fail."""
+    import hopfcheck.hopf as hopf
+    from hopfcheck.errors import IdentityFailed
+    init = hopf.PresentedAlgebra.__init__
+
+    def doubled_sigma(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.kind == "GAB":
+            self.sigma_images = [2 * self.sigma_images[0]] + self.sigma_images[1:]
+
+    monkeypatch.setattr(hopf.PresentedAlgebra, "__init__", doubled_sigma)
+    with pytest.raises(IdentityFailed):
+        hopf.build_glq(2, 4)
+    entry, code = _run_one("hopf", 4)
+    assert code == 1 and entry["status"] == "fail"
+    assert entry["witnesses"][0].startswith("IdentityFailed: ")
+
+
+def test_nakayama_galois_lets_programming_errors_through(glq8, monkeypatch):
+    """Only a HopfcheckError from the invariant comparison becomes a warning."""
+    import hopfcheck.foundation as foundation
+    from hopfcheck.errors import NotScalarMultiple
+
+    def raising(exc):
+        def invariants(A, B):
+            raise exc
+        return invariants
+
+    monkeypatch.setattr(foundation, "matrix_invariants", raising(NotScalarMultiple("x")))
+    ng = nakayama_galois(glq8, glq8)
+    assert ng["report"]["warnings"] == ["invariant check failed: x"]
+    monkeypatch.setattr(foundation, "matrix_invariants", raising(KeyError("A")))
+    with pytest.raises(KeyError):
+        nakayama_galois(glq8, glq8)

@@ -1,5 +1,8 @@
-"""Tooling: the traced benchmark's targets exist, and a python -O run is unchanged."""
+"""Tooling: the traced benchmark's targets exist, a python -O run is unchanged,
+and the package has no unused imports or dead locals."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import json
@@ -64,3 +67,67 @@ def test_run_under_python_O_matches(tmp_path):
         assert got == [{"position": p, "cycles_found": found, "cycles_lifted": lifted,
                         "ok": found == lifted, "unlifted": found - lifted}
                        for p, (found, lifted) in enumerate(pin)]
+
+
+def _unused_imports(tree):
+    """Module-level imports whose name is never loaded in the module."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                bound[name] = node.lineno
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Load)}
+    return [(line, name) for name, line in bound.items() if name not in loaded]
+
+
+def _own_scope(fn):
+    """The nodes of a function body, not descending into nested scopes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                      ast.ClassDef)):
+                stack.append(child)
+
+
+def _dead_locals(tree):
+    """Names a function assigns with a plain assignment and never reads,
+    neither in its own body nor in a nested function."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        declared = set()
+        assigned = {}
+        for node in _own_scope(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                            assigned.setdefault(n.id, node.lineno)
+        loaded = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Load)}
+        out.extend((line, f"{fn.name}: {name}") for name, line in assigned.items()
+                   if name not in loaded and name not in declared and name != "_")
+    return out
+
+
+def test_no_unused_imports_or_locals():
+    """A stdlib-ast lint of src/hopfcheck (the package __init__ re-exports)."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        mod = os.path.basename(path)
+        found += [f"{mod}:{line}: unused import {name}" for line, name in _unused_imports(tree)]
+        found += [f"{mod}:{line}: dead local {what}" for line, what in _dead_locals(tree)]
+    assert not found, "\n".join(found)

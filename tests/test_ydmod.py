@@ -4,17 +4,15 @@ import pytest
 
 from hopfcheck.foundation import NCPoly
 from hopfcheck.hopf import LocalizedElement, TensorElt
-from hopfcheck.complexes import build_yd_resolution
+from hopfcheck.complexes import FreeModuleMap, build_yd_resolution
 from hopfcheck.ydmod import (
     Comodule,
-    ComoduleMap,
     boxtimes_coact,
     boxtimes_counit_contract,
     build_comodule,
     check_boxtimes_yd,
     check_yd_morphism,
     direct_sum,
-    f_tilde_eval,
     hom_to_trivial,
 )
 
@@ -80,30 +78,28 @@ def test_comodule_maps(glq8):
     fund = build_comodule("fundamental", glq8)
     vxv = build_comodule("tensor", glq8, parts=[dual, fund])
 
-    g6 = ComoduleMap(triv, triv,
-                     [[glq8.elt(NCPoly.gen(glq8.loc) - NCPoly.one())]], name="γ6")
-    assert g6.check()["ok"]
+    def column(entries):
+        # the map v_ij (x) 1 -> 1 (x) entries[ij] of V*(x)V ⊠ H into k ⊠ H
+        return FreeModuleMap(glq8, "right", [[e] for e in entries])
 
-    entries = [[glq8.u_elt(i, j) for (i, j) in
-                [(p, q) for p in range(2) for q in range(2)]]]
-    g2 = ComoduleMap(vxv, triv, entries, name="γ2")
-    assert g2.check()["ok"]
+    g6 = FreeModuleMap(glq8, "right", [[glq8.elt(NCPoly.gen(glq8.loc) - NCPoly.one())]])
+    assert check_yd_morphism(g6, triv, triv)["ok"]
+
+    pairs = [(p, q) for p in range(2) for q in range(2)]
+    g2 = column([glq8.u_elt(i, j) for (i, j) in pairs])
+    assert check_yd_morphism(g2, vxv, triv)["ok"]
 
     # adding delta_ij*D still intertwines: D is a coinvariant of the twisted
     # coaction and sum_k S(u_ik) u_kj collapses to delta_ij, so the map is a
     # genuine morphism and must pass
-    d_entries = [[glq8.u_elt(i, j) +
-                  (glq8.loc_elt() if i == j else glq8.zero())
-                  for (i, j) in [(p, q) for p in range(2) for q in range(2)]]]
-    still_good = ComoduleMap(vxv, triv, d_entries, name="γ2+δD")
-    assert still_good.check()["ok"]
+    still_good = column([glq8.u_elt(i, j) + (glq8.loc_elt() if i == j else glq8.zero())
+                         for (i, j) in pairs])
+    assert check_yd_morphism(still_good, vxv, triv)["ok"]
 
     # a non-coinvariant summand genuinely breaks the intertwining
-    bad_entries = [[glq8.u_elt(i, j) +
-                    (glq8.gen_elt(0) if i == j else glq8.zero())
-                    for (i, j) in [(p, q) for p in range(2) for q in range(2)]]]
-    bad = ComoduleMap(vxv, triv, bad_entries, name="γ2+δa")
-    assert not bad.check()["ok"]
+    bad = column([glq8.u_elt(i, j) + (glq8.gen_elt(0) if i == j else glq8.zero())
+                  for (i, j) in pairs])
+    assert not check_yd_morphism(bad, vxv, triv)["ok"]
 
 
 def test_yd_morphism_psi1_psi4(glq9):
@@ -113,12 +109,11 @@ def test_yd_morphism_psi1_psi4(glq9):
     fund = build_comodule("fundamental", glq9)
     vxv = build_comodule("tensor", glq9, parts=[dual, fund])
     # psi1: [W*W, k] -> [k]; psi4: [k] -> [V*V, k]
-    assert check_yd_morphism(C.maps[3], [vxv, triv], [triv])["ok"]
-    assert check_yd_morphism(C.maps[0], [triv], [vxv, triv])["ok"]
+    assert check_yd_morphism(C.maps[3], direct_sum([vxv, triv]), triv)["ok"]
+    assert check_yd_morphism(C.maps[0], triv, direct_sum([vxv, triv]))["ok"]
 
 
 def test_sign_flip_is_comodule_map_but_breaks_complex(glq9):
-    from hopfcheck.complexes import FreeModuleMap
     C = build_yd_resolution(glq9)
     triv = build_comodule("trivial", glq9)
     dual = build_comodule("dual_fundamental", glq9)
@@ -129,7 +124,7 @@ def test_sign_flip_is_comodule_map_but_breaks_complex(glq9):
                 for t in range(psi4.tgt_rank)]]
     psi4_flip = FreeModuleMap(glq9, "right", flipped)
     # the comodule condition is sign-blind ...
-    assert check_yd_morphism(psi4_flip, [triv], [vxv, triv])["ok"]
+    assert check_yd_morphism(psi4_flip, triv, direct_sum([vxv, triv]))["ok"]
     # ... but the composite with psi3 no longer vanishes
     assert not psi4_flip.compose(C.maps[1]).is_zero()
 
@@ -137,32 +132,22 @@ def test_sign_flip_is_comodule_map_but_breaks_complex(glq9):
 def test_hom_to_trivial_dimensions(glq8, n3):
     for alg in (glq8, n3):
         triv = build_comodule("trivial", alg)
-        assert hom_to_trivial(triv).dim == 1
+        assert len(hom_to_trivial(triv)) == 1
         dual = build_comodule("dual_fundamental", alg)
         fund = build_comodule("fundamental", alg)
         vxv = build_comodule("tensor", alg, parts=[dual, fund])
         h = hom_to_trivial(vxv)
-        assert h.dim == 1
+        assert len(h) == 1
         # the solution is the trace functional, normalized on v1* (x) v1
         n = alg.n
-        row = h.basis[0]
+        row = h[0]
         scale = row[0]
         assert scale != 0
         for k in range(n):
             for l in range(n):
                 want = scale if k == l else 0
                 assert row[k * n + l] == want
-        assert hom_to_trivial(fund).dim == 0
-
-
-def test_f_tilde_round_trip(glq8):
-    dual = build_comodule("dual_fundamental", glq8)
-    fund = build_comodule("fundamental", glq8)
-    vxv = build_comodule("tensor", glq8, parts=[dual, fund])
-    h = hom_to_trivial(vxv)
-    row = h.basis[0]
-    for i in range(vxv.dim):
-        assert f_tilde_eval(row, vxv, i, glq8.one()) == row[i]
+        assert len(hom_to_trivial(fund)) == 0
 
 
 def test_direct_sum_coaction(glq8):
@@ -182,3 +167,27 @@ def test_free_yd_wrapper(glq8):
     out = boxtimes_counit_contract(fund, h, 1)
     assert all(out[k] == (h if k == 1 else glq8.zero()) for k in range(fund.dim))
     assert check_boxtimes_yd(fund, glq8.gen_elt(0), glq8.gen_elt(2))["ok"]
+
+
+def test_broken_comodule_raises_identity_failed(monkeypatch):
+    """With S(a) doubled, the dual fundamental comodule breaks its counit
+    axiom: build_comodule raises IdentityFailed and cohomology fails."""
+    import hopfcheck.hopf as hopf
+    from hopfcheck.cli import run_config
+    from hopfcheck.errors import IdentityFailed
+    real = hopf.galois_s_map
+
+    def doubled(src, tgt):
+        S = real(src, tgt)
+        S.images[0] = 2 * S.images[0]
+        return S
+
+    monkeypatch.setattr(hopf, "galois_s_map", doubled)
+    alg = hopf.build_glq(2, 6)
+    with pytest.raises(IdentityFailed, match="comodule axioms"):
+        build_comodule("dual_fundamental", alg)
+    report, code = run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
+                               "checks": ["cohomology"]})
+    (entry,) = report["checks"]
+    assert code == 1 and entry["status"] == "fail"
+    assert entry["witnesses"][0].startswith("IdentityFailed: comodule axioms failed")
