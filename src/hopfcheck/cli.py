@@ -22,6 +22,7 @@ from .complexes import (
     build_yd_resolution,
     dualize_resolution,
     gamma_identity_suite,
+    gamma_maps,
     laurent_cone,
     probe_exactness,
 )
@@ -364,8 +365,12 @@ class _Run:
         return build_gab(self.mats["A"], self.mats["B"], self.bound, cache=self.cache)
 
     @cached_property
+    def gamma(self):
+        return gamma_maps(self.alg)
+
+    @cached_property
     def resolution(self):
-        return build_yd_resolution(self.alg)
+        return build_yd_resolution(self.gamma)
 
     @cached_property
     def dual(self):
@@ -442,12 +447,12 @@ def _check_galois(run):
 
 
 def _check_gamma(run):
-    rep = gamma_identity_suite(run.alg)
+    rep = gamma_identity_suite(run.gamma)
     return _verdict(rep, {"identities": rep["identities"]})
 
 
 def _check_twist(run):
-    tw = build_twist_chainmap(run.alg, run.dual, build_left_resolution(run.alg))
+    tw = build_twist_chainmap(run.dual, build_left_resolution(run.gamma))
     return _verdict(tw["report"], {})
 
 
@@ -663,9 +668,13 @@ def main(argv=None):
         sys.stderr.write(f"invalid config: {e}\n")
         return 3
     if args.cmd == "report":
-        with open(args.report_file) as fh:
-            blob = json.load(fh)
-        report = blob["report"]
+        try:
+            with open(args.report_file) as fh:
+                blob = json.load(fh)
+            report = dict(blob["report"])
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            sys.stderr.write(f"invalid report: {args.report_file}: {type(e).__name__}: {e}\n")
+            return 3
         report["timings"] = blob.get("timings", {})
         sys.stdout.write(report_markdown(report) if args.md
                          else report_json(report))

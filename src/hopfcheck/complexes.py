@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
 from .foundation import Mat, NCPoly
-from .hopf import LocalizedElement, conj_map, sandwich
+from .hopf import LocalizedElement, conj_map, glq_slq_laurent_iso, sandwich
 from .linalg import certified_lifts, kernel_basis
 
 ONE = Fraction(1)
@@ -235,17 +235,18 @@ def gamma_maps(alg):
     return {"g1": g1, "g2": g2, "g3": g3, "g4": g4, "g5": g5, "g6": g6, "g7": g7}
 
 
-def left_gamma_maps(alg):
+def left_gamma_maps(g):
     """The blocks of the left-module resolution phi, in gamma_maps' shape.
 
-    γ1 and γ6 are psi's and γ7' is γ7's transpose; the others are phi's own:
-    γ2' = u_ji, γ3' = (A^-1)_kj (A^t u)_li, γ4' = (AB^t)_ji, γ5' = (A^t u B)_ji.
+    γ1 and γ6 are psi's (from ``g``, psi's blocks) and γ7' is γ7's transpose;
+    the others are phi's own: γ2' = u_ji, γ3' = (A^-1)_kj (A^t u)_li,
+    γ4' = (AB^t)_ji, γ5' = (A^t u B)_ji.
     """
+    alg = g["g1"].alg
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
     At, Ainv, ABt = A.transpose(), A.inverse(), A * B.transpose()
     I = Mat.identity(n)
-    g = gamma_maps(alg)
     pairs = [(i, j) for i in range(n) for j in range(n)]
     vv = _vv_labels(n)
     g7 = g["g7"].entries
@@ -263,14 +264,14 @@ def left_gamma_maps(alg):
     }
 
 
-def gamma_identity_suite(alg):
-    """The composition identities behind psi.psi = 0, checked as map equalities.
+def gamma_identity_suite(g):
+    """The composition identities behind psi.psi = 0 among the blocks ``g``
+    of gamma_maps, checked as map equalities.
 
     The U-indexed family is instantiated for both U = V and U = W (the two
     names carry identical fundamental-comodule maps, so the instances agree
     entrywise; both are executed as listed).
     """
-    g = gamma_maps(alg)
     ids = []
     for U in ("V", "W"):
         ids.extend([
@@ -355,19 +356,23 @@ def _assemble_resolution(alg, side, blocks, layouts, v, w):
     return Complex(alg, side, maps, augmentation=alg.hopf.eps, name=name)
 
 
-def build_yd_resolution(alg):
-    """The free Yetter-Drinfeld resolution psi of the trivial module over G(A,B)."""
+def build_yd_resolution(g):
+    """The free Yetter-Drinfeld resolution psi of the trivial module over
+    G(A,B), assembled from its blocks ``g`` = gamma_maps(G(A,B))."""
+    alg = g["g1"].alg
     assert alg.kind == "GAB", "YD resolution is defined over G(A,B)"
     if alg.rs.certified_degree < 6:
         raise ExceedsCertifiedDegree("YD resolution needs certified degree >= 6")
-    return _assemble_resolution(alg, "right", gamma_maps(alg), _PSI_LAYOUTS, "vv", "ww")
+    return _assemble_resolution(alg, "right", g, _PSI_LAYOUTS, "vv", "ww")
 
 
-def build_left_resolution(alg):
+def build_left_resolution(g):
     """The free resolution phi of the trivial module by left modules: psi's
-    assembly over phi's own blocks, with the parts of vv and ww exchanged."""
+    assembly over phi's own blocks (built on psi's blocks ``g``), with the
+    parts of vv and ww exchanged."""
+    alg = g["g1"].alg
     assert alg.kind == "GAB"
-    return _assemble_resolution(alg, "left", left_gamma_maps(alg), _DUAL_LAYOUTS, "ww", "vv")
+    return _assemble_resolution(alg, "left", left_gamma_maps(g), _DUAL_LAYOUTS, "ww", "vv")
 
 
 def dualize_resolution(psi):
@@ -400,14 +405,11 @@ def dualize_resolution(psi):
     return Complex(alg, "left", maps, name="dual_complex")
 
 
-def build_twist_chainmap(alg, dual=None, left=None):
+def build_twist_chainmap(dual, left):
     """The nu-twisted vertical isomorphism between the dual and left complexes."""
+    alg = dual.alg
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
-    if dual is None:
-        dual = dualize_resolution(build_yd_resolution(alg))
-    if left is None:
-        left = build_left_resolution(alg)
     nu = conj_map(alg, A.inverse() * A.transpose(), B * B.transpose().inverse(), "ν")
 
     def scalar(c):
@@ -551,86 +553,36 @@ def laurent_cone(alg):
             "report": {"ok": squares["ok"], "squares": squares}}
 
 
-def build_glq_complexes(alg):
-    """(eq 2), its z-side twin (eq 3), and the connecting chain isomorphism."""
+def build_glq_complexes(alg, slql):
+    """(eq 2), its z-side twin (eq 3), and the connecting chain isomorphism.
+
+    Eq 2 is psi over alg = O(GL_q(2)).  Eq 3 is the Laurent cone over
+    slql = O(SL_q(2))[z^±1] carried to alg by the isomorphism's bwd
+    (a -> aD^-1, b -> bD^-1, c -> c, d -> d, z -> D) and negated, with the
+    blocks of level 3 in the printed order ww|k instead of the cone's k|vv.
+    """
     assert alg.kind == "GAB" and alg.n == 2
     if alg.rs.certified_degree < 8:
         raise ExceedsCertifiedDegree("glq complexes need certified degree >= 8")
     q = alg.mats["q"]
-    c2 = build_yd_resolution(alg)
-    a, b, c, d = (NCPoly.gen(i) for i in range(4))
-    one = NCPoly.one()
-    loc = alg.loc
+    c2 = build_yd_resolution(gamma_maps(alg))
+    iso = glq_slq_laurent_iso(alg, slql)
+    bwd = iso["bwd"]
+    cone = laurent_cone(slql)["cone"]
+    # cone level 3 is [C0 (k), C1 shifted (vv)]; eq 3 lists the shifted block first
+    order = [list(range(r)) for r in cone.ranks]
+    order[3] = order[3][1:] + order[3][:1]
+    c3 = Complex(alg, "right", [
+        FreeModuleMap(alg, "right", [[-bwd.apply_loc(m.entries[s][t]) for t in order[i + 1]]
+                                     for s in order[i]],
+                      _block_labels(2, _PSI_LAYOUTS[i]), _block_labels(2, _PSI_LAYOUTS[i + 1]),
+                      name=f"ψb{4 - i}")
+        for i, m in enumerate(cone.maps)], augmentation=alg.hopf.eps, name="eq3")
     E = alg.elt
+    a, c = NCPoly.gen(0), NCPoly.gen(2)
     D = alg.loc_elt()
-    Dm1 = E(NCPoly.gen(loc) - one)
     vv = _vv_labels(2, "v")
     ww = _vv_labels(2, "w")
-
-    def lw(p, dexp=0):
-        return LocalizedElement(alg, alg.rs.normal_form(p), dexp)
-
-    # eq 3 differentials (bar psi)
-    e = zero_entries(alg, 1, 5)
-    e[0][0] = E(-q * one + (1 / q) * d)
-    e[0][1] = E(-c)
-    e[0][2] = lw(-1 * b, 1)
-    e[0][3] = (-1 / q) * alg.one() + q * lw(a, 1)
-    e[0][4] = Dm1
-    bpsi4 = FreeModuleMap(alg, "right", e, ["k"], vv + ["k"], name="ψb4")
-
-    e = zero_entries(alg, 5, 8)
-    e[0][0] = alg.one()
-    e[0][2] = (-1 / q) * lw(b, 1)
-    e[0][3] = lw(a, 1)
-    e[0][4] = Dm1
-    e[1][0] = lw(b, 1)
-    e[1][1] = alg.one() - q * lw(a, 1)
-    e[1][5] = Dm1
-    e[2][2] = E(one - (1 / q) * d)
-    e[2][3] = E(c)
-    e[2][6] = Dm1
-    e[3][0] = E(d)
-    e[3][1] = E(-q * c)
-    e[3][3] = alg.one()
-    e[3][7] = Dm1
-    e[4][4] = E(q * one - (1 / q) * d)
-    e[4][5] = E(c)
-    e[4][6] = lw(b, 1)
-    e[4][7] = (1 / q) * alg.one() - q * lw(a, 1)
-    bpsi3 = FreeModuleMap(alg, "right", e, vv + ["k"], vv + ww, name="ψb3")
-
-    e = zero_entries(alg, 8, 5)
-    e[0][4] = lw(a, 1) - alg.one()
-    e[0][0] = Dm1
-    e[1][4] = lw(b, 1)
-    e[1][1] = Dm1
-    e[2][4] = E(c)
-    e[2][2] = Dm1
-    e[3][4] = E(d - one)
-    e[3][3] = Dm1
-    e[4][0] = -1 * alg.one()
-    e[4][2] = (1 / q) * lw(b, 1)
-    e[4][3] = -1 * lw(a, 1)
-    e[5][0] = -1 * lw(b, 1)
-    e[5][1] = -1 * (alg.one() - q * lw(a, 1))
-    e[6][2] = -1 * (alg.one() - (1 / q) * E(d))
-    e[6][3] = -1 * E(c)
-    e[7][0] = -1 * E(d)
-    e[7][1] = q * E(c)
-    e[7][3] = -1 * alg.one()
-    bpsi2 = FreeModuleMap(alg, "right", e, vv + ww, ww + ["k"], name="ψb2")
-
-    e = zero_entries(alg, 5, 1)
-    e[0][0] = alg.one() - lw(a, 1)
-    e[1][0] = -1 * lw(b, 1)
-    e[2][0] = -1 * E(c)
-    e[3][0] = E(one - d)
-    e[4][0] = Dm1
-    bpsi1 = FreeModuleMap(alg, "right", e, ww + ["k"], ["k"], name="ψb1")
-
-    c3 = Complex(alg, "right", [bpsi4, bpsi3, bpsi2, bpsi1],
-                 augmentation=alg.hopf.eps, name="eq3")
 
     # the chain isomorphism g (display matrices transposed into src x tgt)
     g4 = FreeModuleMap(alg, "right", [[D]], name="g4")
@@ -666,8 +618,7 @@ def build_glq_complexes(alg):
     g0 = identity_map(alg, "right", 1)
 
     cm = ChainMap(c2, c3, [g4, g3, g2, g1, g0], name="g")
-    squares = cm.verify_squares()
-    failures = list(squares["failures"])
+    failures = list(iso["report"]["failures"]) + cm.verify_squares()["failures"]
 
     inverses = []
     for gmap in cm.verticals:
@@ -685,16 +636,20 @@ def _invert_triangular(fmap):
 
     Solves sum_t G[t][u] . F[s][t] = delta by fixpoint substitution (valid
     here because the off-diagonal part is nilpotent), then verifies both
-    composites against the identity.
+    composites against the identity.  A diagonal entry that is not c*D^k
+    raises IdentityFailed.
     """
     alg = fmap.alg
     r = fmap.src_rank
     dinv = []
     for s in range(r):
         le = fmap.entries[s][s]
-        assert len(le.num.d) == 1, "diagonal entry not a monomial"
+        if len(le.num.d) != 1:
+            raise IdentityFailed(f"{fmap.name}: diagonal entry {le.pretty()} is not a monomial")
         word, coeff = next(iter(le.num.d.items()))
-        assert all(g == alg.loc for g in word), "diagonal entry not a power of D"
+        if any(g != alg.loc for g in word):
+            raise IdentityFailed(f"{fmap.name}: diagonal entry {le.pretty()} "
+                                 f"is not a power of D")
         dinv.append(_monomial_inverse(alg, word, coeff, le.exp))
     G = [[alg.zero() for _ in range(r)] for _ in range(r)]
     for _ in range(r + 1):

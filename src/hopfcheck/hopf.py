@@ -763,43 +763,23 @@ def commutation_check(alg):
 
 
 def verify_hopf_axioms(alg):
-    """Hopf axioms on every generator, with witnesses on failure."""
-    H = alg.hopf
-    delta, eps, S = H.delta, H.eps, H.antipode
-    failures = []
+    """Hopf axioms on every generator, with witnesses on failure.
 
-    r = delta.respects_relations()
-    if not r["ok"]:
-        failures.append(("delta_relations", r["failures"]))
-    r = eps.respects_relations()
+    A Hopf algebra is the one-object cogroupoid, so its diagrams are
+    ``_cogroupoid_diagrams`` on C(0,0) = alg.  Besides them: ε respects the
+    relations (a cogroupoid takes its counits from its C(x,x)), and, for a
+    localized algebra, m(S ⊗ id)Δ(D^-1) = 1.
+    """
+    H = alg.hopf
+    rep = _cogroupoid_diagrams({(0, 0): alg}, {(0, 0, 0): H.delta}, {(0, 0): H.antipode},
+                               {0: H.eps})
+    failures = rep["failures"]
+    r = H.eps.respects_relations()
     if not r["ok"]:
         failures.append(("counit_relations", r["failures"]))
-    r = S.respects_relations()
-    if not r["ok"]:
-        failures.append(("antipode_relations", r["failures"]))
-
-    gens = list(range(alg.ngens()))
-    for g in gens:
-        dg = delta.images[g]
-        lhs = apply_delta_slot(dg, 0, delta)
-        rhs = apply_delta_slot(dg, 1, delta)
-        if not (lhs - rhs).is_zero():
-            failures.append(("coassoc", alg.names[g]))
-        left = apply_char_slot(dg, 0, eps).to_loc()
-        right = apply_char_slot(dg, 1, eps).to_loc()
-        if left != alg.gen_elt(g) or right != alg.gen_elt(g):
-            failures.append(("counit", alg.names[g]))
-        target = eps.values[g] * alg.one()
-        s_left = apply_map_slot(dg, 0, S).mul_slots()
-        s_right = apply_map_slot(dg, 1, S).mul_slots()
-        if s_left != target:
-            failures.append(("antipode_left", alg.names[g], s_left.pretty()))
-        if s_right != target:
-            failures.append(("antipode_right", alg.names[g], s_right.pretty()))
     if alg.loc is not None:
-        # also S(D^-1) pairs off: m(S x id)Δ(D^-1) = 1
         dinv = TensorElt((alg, alg), (1, 1), TensorPoly.unit(2))
-        if apply_map_slot(dinv, 0, S).mul_slots() != alg.one():
+        if apply_map_slot(dinv, 0, H.antipode).mul_slots() != alg.one():
             failures.append(("antipode_left", "D^-1"))
     return {"ok": not failures, "failures": failures}
 
@@ -833,22 +813,6 @@ def convolve_chars(alg, chi1, chi2):
             v /= chi2.loc_value() ** e1
         values.append(v)
     return Character(alg, values, name=f"{chi1.name}*{chi2.name}")
-
-
-def convolve(f, g):
-    """Convolution product of two maps H -> H on generators, (f*g)(x)=f(x1)g(x2)."""
-    alg = f.source
-    delta = alg.hopf.delta
-    images = []
-    for gi in range(alg.ngens()):
-        te = delta.images[gi]
-        te = apply_map_slot(te, 0, f)
-        te = apply_map_slot(te, 1, g)
-        images.append(te.mul_slots())
-    inv = None
-    if alg.loc is not None:
-        inv = f.loc_inv_image * g.loc_inv_image
-    return AlgebraMap(alg, alg, images, 1, inv, name=f"{f.name}*{g.name}")
 
 
 def antipode_squared_sovereign(alg):
@@ -1012,97 +976,92 @@ def cogroupoid_suite(objects, degree_bound, cache=None):
     """All cogroupoid diagrams on generators for the given (A,B) objects.
 
     objects: list of (A, B) matrix pairs.  Builds C(X,Y) for every ordered
-    pair (completing through ``cache``, as ``build_gabcd`` does) and checks
-    cocomposition coassociativity, counits, the antipode squares, that each
-    S_{X,Y} is a homomorphism into the opposite algebra, and the Δ∘S
-    identity.
+    pair (completing through ``cache``, as ``build_gabcd`` does), with its
+    cocompositions and antipodes, and checks ``_cogroupoid_diagrams``.
     """
-    objs = list(range(len(objects)))
-    algs = {}
-    for x in objs:
-        for y in objs:
-            Ax, Bx = objects[x]
-            Ay, By = objects[y]
-            algs[(x, y)] = build_gabcd(Ax, Bx, Ay, By, degree_bound,
-                                       name=f"C({x},{y})", cache=cache)
+    objs = range(len(objects))
+    algs = {(x, y): build_gabcd(*objects[x], *objects[y], degree_bound,
+                                name=f"C({x},{y})", cache=cache)
+            for x in objs for y in objs}
+    deltas = {(x, y, z): cocomposition(algs[(x, y)], algs[(x, z)], algs[(z, y)])
+              for x in objs for y in objs for z in objs}
+    antipodes = {(x, y): galois_s_map(algs[(x, y)], algs[(y, x)]) for x, y in algs}
     # C(x,x) is G(A_x,B_x), so it carries the counit
-    eps = {x: algs[(x, x)].hopf.eps for x in objs}
+    return _cogroupoid_diagrams(algs, deltas, antipodes,
+                                {x: algs[(x, x)].hopf.eps for x in objs})
+
+
+def _cogroupoid_diagrams(algs, deltas, antipodes, counits):
+    """The cogroupoid diagrams, on generators.
+
+    algs[(x, y)] is C(x,y); deltas[(x, y, z)] the cocomposition
+    C(x,y) -> C(x,z) (x) C(z,y); antipodes[(x, y)] the antipode
+    C(x,y) -> C(y,x)^op; counits[x] the counit of C(x,x).  Checks that each
+    C(x,y) is nonzero and each Δ and S respects the relations, then
+    coassociativity for every pair of middle objects, the counit triangles,
+    the antipode squares on the diagonal algebras, and the Δ∘S identity.
+    """
+    objs = list(counits)
     failures = []
     checks = 0
-    for (x, y), alg in algs.items():
+    for xy, alg in algs.items():
         try:
             alg.rs.nonzero_witness()
         except UnitCollapse:
-            failures.append(("nonzero", (x, y)))
+            failures.append(("nonzero", xy))
         checks += 1
+    for xyz, dm in deltas.items():
+        checks += 1
+        if not dm.respects_relations()["ok"]:
+            failures.append(("cocomposition_relations", xyz))
+    for xy, smap in antipodes.items():
+        r = smap.respects_relations()
+        checks += 1
+        if not r["ok"]:
+            failures.append(("antipode_relations", xy, r["failures"]))
 
-    deltas = {}
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                dm = cocomposition(algs[(x, y)], algs[(x, z)], algs[(z, y)])
-                deltas[(x, y, z)] = dm
-                r = dm.respects_relations()
-                checks += 1
-                if not r["ok"]:
-                    failures.append(("cocomposition_relations", (x, y, z)))
-
-    svals = {}
-    for x in objs:
-        for y in objs:
-            smap = galois_s_map(algs[(x, y)], algs[(y, x)])
-            svals[(x, y)] = smap
-            r = smap.respects_relations()
+    for (x, y), alg in algs.items():
+        gens = range(alg.ngens())
+        for z in objs:
+            for t in objs:
+                for g in gens:
+                    lhs = apply_delta_slot(deltas[(x, y, z)].images[g], 0, deltas[(x, z, t)])
+                    rhs = apply_delta_slot(deltas[(x, y, t)].images[g], 1, deltas[(t, y, z)])
+                    checks += 1
+                    if not (lhs - rhs).is_zero():
+                        failures.append(("coassoc", (x, y, z, t), alg.names[g]))
+        for g in gens:
+            right = apply_char_slot(deltas[(x, y, y)].images[g], 1, counits[y]).to_loc()
+            left = apply_char_slot(deltas[(x, y, x)].images[g], 0, counits[x]).to_loc()
             checks += 1
-            if not r["ok"]:
-                failures.append(("antipode_relations", (x, y), r["failures"]))
-
-    gens_of = lambda alg: range(alg.ngens())
-    for x in objs:
-        for y in objs:
-            alg = algs[(x, y)]
-            # coassociativity for every pair of middle objects
-            for z in objs:
-                for t in objs:
-                    for g in gens_of(alg):
-                        lhs = apply_delta_slot(deltas[(x, y, z)].images[g], 0, deltas[(x, z, t)])
-                        rhs = apply_delta_slot(deltas[(x, y, t)].images[g], 1, deltas[(t, y, z)])
-                        checks += 1
-                        if not (lhs - rhs).is_zero():
-                            failures.append(("coassoc", (x, y, z, t), alg.names[g]))
-            # counit triangles
-            for g in gens_of(alg):
-                right = apply_char_slot(deltas[(x, y, y)].images[g], 1, eps[y]).to_loc()
-                left = apply_char_slot(deltas[(x, y, x)].images[g], 0, eps[x]).to_loc()
-                checks += 1
-                if right != alg.gen_elt(g) or left != alg.gen_elt(g):
-                    failures.append(("counit", (x, y), alg.names[g]))
-    # antipode squares on the diagonal algebras
+            if right != alg.gen_elt(g) or left != alg.gen_elt(g):
+                failures.append(("counit", (x, y), alg.names[g]))
     for x in objs:
         for y in objs:
             algxx = algs[(x, x)]
-            for g in gens_of(algxx):
+            for g in range(algxx.ngens()):
                 te = deltas[(x, x, y)].images[g]
-                lhs = apply_map_slot(te, 0, svals[(x, y)]).mul_slots()
+                unit = counits[x].values[g]
+                lhs = apply_map_slot(te, 0, antipodes[(x, y)]).mul_slots()
                 checks += 1
-                if lhs != eps[x].values[g] * algs[(y, x)].one():
+                if lhs != unit * algs[(y, x)].one():
                     failures.append(("antipode_square_left", (x, y), algxx.names[g]))
-                rhs = apply_map_slot(te, 1, svals[(y, x)]).mul_slots()
+                rhs = apply_map_slot(te, 1, antipodes[(y, x)]).mul_slots()
                 checks += 1
-                if rhs != eps[x].values[g] * algs[(x, y)].one():
+                if rhs != unit * algs[(x, y)].one():
                     failures.append(("antipode_square_right", (x, y), algxx.names[g]))
     # Δ∘S identity: Δ^Z_{X,Y}(S_{Y,X}(a)) = S_{Z,X}(a_2) (x) S_{Y,Z}(a_1)
     for x in objs:
         for y in objs:
             for z in objs:
                 src = algs[(y, x)]
-                for g in gens_of(src):
-                    lhs = deltas[(x, y, z)].apply_loc(svals[(y, x)].images[g])
+                for g in range(src.ngens()):
+                    lhs = deltas[(x, y, z)].apply_loc(antipodes[(y, x)].images[g])
                     rhs = TensorElt.zero((algs[(x, z)], algs[(z, y)]))
                     for (w1, w2), c in deltas[(y, x, z)].images[g].tp.terms():
-                        le2 = svals[(z, x)].apply_loc(
+                        le2 = antipodes[(z, x)].apply_loc(
                             LocalizedElement(algs[(z, x)], NCPoly.term(w2), 0))
-                        le1 = svals[(y, z)].apply_loc(
+                        le1 = antipodes[(y, z)].apply_loc(
                             LocalizedElement(algs[(y, z)], NCPoly.term(w1), 0))
                         rhs = rhs + c * TensorElt.from_locs((le2, le1))
                     checks += 1

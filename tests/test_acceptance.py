@@ -19,6 +19,7 @@ from hopfcheck.complexes import (
     build_slq_resolution,
     build_yd_resolution,
     gamma_identity_suite,
+    gamma_maps,
     identity_map,
     laurent_cone,
     probe_exactness,
@@ -70,14 +71,14 @@ def test_criterion_1_hopf_suite():
 def test_criterion_2_resolution_complex():
     t0 = time.monotonic()
     glq = build_glq(2, 8)
-    C = build_yd_resolution(glq)
+    C = build_yd_resolution(gamma_maps(glq))
     rep = C.is_complex()
     assert rep["ok"] and rep["failures"] == []
     # eps . psi_1 = 0 stands on its own as well
     eps = glq.hopf.eps
     for s in range(C.maps[-1].src_rank):
         assert eps.of_loc(C.maps[-1].entries[s][0]) == 0
-    gam = gamma_identity_suite(glq)
+    gam = gamma_identity_suite(gamma_maps(glq))
     assert gam["ok"] and gam["identities"] == 15
     t_n2 = time.monotonic() - t0
     assert t_n2 < 300, f"n=2 resolution checks took {t_n2:.1f}s"
@@ -85,7 +86,7 @@ def test_criterion_2_resolution_complex():
     t0 = time.monotonic()
     A, B = seeded_pair(12345)
     g3 = build_gab(A, B, 6)
-    rep3 = build_yd_resolution(g3).is_complex()
+    rep3 = build_yd_resolution(gamma_maps(g3)).is_complex()
     assert rep3["ok"], rep3["failures"][:2]
     print(PASS % (2, "resolution", t_n2 + time.monotonic() - t0))
 
@@ -93,7 +94,7 @@ def test_criterion_2_resolution_complex():
 def test_criterion_3_exactness_probe():
     t0 = time.monotonic()
     glq = build_glq(2, 8)
-    C = build_yd_resolution(glq)
+    C = build_yd_resolution(gamma_maps(glq))
     rep = probe_exactness(C, N=6, slack=2, window=2)
     assert rep["ok"]
     for pos in rep["positions"]:
@@ -113,7 +114,7 @@ def test_criterion_3_exactness_probe():
 def test_criterion_4_bialgebra_cohomology():
     t0 = time.monotonic()
     glq = build_glq(2, 8)
-    C = build_yd_resolution(glq)
+    C = build_yd_resolution(gamma_maps(glq))
     coh = bialgebra_cohomology(glq, C)
     assert coh["dims"] == [1, 1, 0, 1, 1]
     assert coh["ranks"] == [0, 1, 1, 0]
@@ -168,7 +169,7 @@ def test_criterion_7_glq_slq_machinery(glq8, slq6, slql8):
     assert lc["cone"].is_complex()["ok"]
     probe = probe_exactness(lc["cone"], N=5, slack=2, window=2)
     assert probe["ok"], probe["positions"]
-    gc = build_glq_complexes(glq8)
+    gc = build_glq_complexes(glq8, slql8)
     assert gc["report"]["ok"], gc["report"]["failures"][:4]
     for gmap, inv in zip(gc["g"].verticals, gc["inverses"]):
         ident = identity_map(glq8, "right", gmap.src_rank)

@@ -339,6 +339,27 @@ def test_run_completes_each_presentation_once(monkeypatch):
     assert not {id(rs) for rs in first} & {id(rs) for rs in completed}
 
 
+def test_run_builds_the_gamma_blocks_once(monkeypatch):
+    """The seeded n=3 instance with resolution, gamma and twist: ψ, the γ
+    identities and φ share one gamma_maps(G(A,B)) per run."""
+    import hopfcheck.complexes as complexes
+    real = complexes.gamma_maps
+    calls = []
+
+    def counting(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(complexes, "gamma_maps", counting)
+    monkeypatch.setattr(cli, "gamma_maps", counting)
+    cfg = {"instance": {"kind": "GAB", "n": 3}, "degree_bound": 6, "seed": 12345,
+           "checks": ["invariants", "hopf", "nakayama", "resolution", "gamma",
+                      "dual", "twist", "cohomology"]}
+    _, code = run_config(cfg)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def _glq(**inst):
     return small_config(instance={"kind": "GLq", "q": "2", **inst}, checks=["hopf"])
 
@@ -388,3 +409,16 @@ def test_unreadable_config_exits_3(content, tmp_path, capsys):
         cfg_path.write_text(content)
     assert cli.main(["run", str(cfg_path)]) == 3
     assert capsys.readouterr().err.startswith(f"invalid config: {cfg_path}: ")
+
+
+@pytest.mark.parametrize("content, error", [(None, "FileNotFoundError"),
+                                            ("{not json", "JSONDecodeError"),
+                                            ('{"timings": {}}', "KeyError")])
+def test_unreadable_report_exits_3(content, error, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_text(content)
+    assert cli.main(["report", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"invalid report: {path}: {error}: ")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.cohomology import ScalarComplex, bialgebra_cohomology, gs_dimension_report
-from hopfcheck.complexes import Complex, FreeModuleMap, build_yd_resolution
+from hopfcheck.complexes import Complex, FreeModuleMap, build_yd_resolution, gamma_maps
 from hopfcheck.errors import UnexpectedHomDimension
 from hopfcheck.foundation import Mat
 from hopfcheck.hopf import build_gab
@@ -13,7 +13,7 @@ from hopfcheck.linalg import mat_rank
 
 @pytest.fixture(scope="module")
 def coh(glq8):
-    C = build_yd_resolution(glq8)
+    C = build_yd_resolution(gamma_maps(glq8))
     return bialgebra_cohomology(glq8, C)
 
 
@@ -44,7 +44,7 @@ def test_scalar_complex_property(coh):
 def test_broken_resolution_is_unexpected(glq8, s, match):
     """1 added to entry (s, 0) of ψ1: the induced d^0 leaves the comodule maps,
     or the scalar cochains stop being a complex; neither rests on an assert."""
-    C = build_yd_resolution(glq8)
+    C = build_yd_resolution(gamma_maps(glq8))
     entries = [list(row) for row in C.maps[3].entries]
     entries[s][0] = entries[s][0] + glq8.one()
     maps = C.maps[:3] + [FreeModuleMap(glq8, C.side, entries)]
@@ -68,7 +68,7 @@ def test_gs_inconclusive_branch(glq8):
 def test_conjugated_pair_same_cohomology(conj_pair):
     _, _, C, D = conj_pair
     alg = build_gab(C, D, 8, name="G(C,D)")
-    res = build_yd_resolution(alg)
+    res = build_yd_resolution(gamma_maps(alg))
     coh = bialgebra_cohomology(alg, res)
     assert coh["dims"] == [1, 1, 0, 1, 1]
     assert coh["ranks"] == [0, 1, 1, 0]
@@ -113,6 +113,6 @@ def test_unexpected_hom_dimension_guard(glq8, monkeypatch):
         return [[1, 0, 0, 0], [0, 1, 0, 0]] if V.dim == 4 else real(V)
 
     monkeypatch.setattr(co, "hom_to_trivial", fake)
-    C = build_yd_resolution(glq8)
+    C = build_yd_resolution(gamma_maps(glq8))
     with pytest.raises(UnexpectedHomDimension):
         co.bialgebra_cohomology(glq8, C)

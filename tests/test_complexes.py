@@ -26,7 +26,7 @@ Q = Fraction(2)
 
 
 def test_yd_resolution_ranks_and_entries(glq8):
-    C = build_yd_resolution(glq8)
+    C = build_yd_resolution(gamma_maps(glq8))
     assert C.ranks == [1, 5, 8, 5, 1]
     psi1 = C.maps[3]
     # psi''_1 entry (delta_ij - u_ij), psi'_1 entry (D - 1)
@@ -54,7 +54,7 @@ def test_gamma7_block_entry(n3):
 
 def test_yd_is_complex(glq8, n3):
     for alg in (glq8, n3):
-        rep = build_yd_resolution(alg).is_complex()
+        rep = build_yd_resolution(gamma_maps(alg)).is_complex()
         assert rep["ok"], rep["failures"][:2]
 
 
@@ -62,11 +62,11 @@ def test_yd_resolution_needs_degree_six(glq8):
     from hopfcheck.hopf import build_glq
     small = build_glq(2, 4)
     with pytest.raises(ExceedsCertifiedDegree):
-        build_yd_resolution(small)
+        build_yd_resolution(gamma_maps(small))
 
 
 def test_sign_flip_breaks_complex(glq8):
-    C = build_yd_resolution(glq8)
+    C = build_yd_resolution(gamma_maps(glq8))
     psi3 = C.maps[1]
     flipped = [[psi3.entries[s][t] * (-1 if t >= 4 else 1)
                 for t in range(psi3.tgt_rank)] for s in range(psi3.src_rank)]
@@ -78,7 +78,7 @@ def test_sign_flip_breaks_complex(glq8):
 
 def test_gamma_identity_suite(glq8, n3):
     for alg in (glq8, n3):
-        rep = gamma_identity_suite(alg)
+        rep = gamma_identity_suite(gamma_maps(alg))
         assert rep["ok"], rep["failures"]
         assert rep["identities"] == 15
 
@@ -94,10 +94,10 @@ def test_gamma13_composite_value(glq8):
 
 def test_left_resolution(glq8, n3):
     for alg in (glq8, n3):
-        L = build_left_resolution(alg)
+        L = build_left_resolution(gamma_maps(alg))
         rep = L.is_complex()
         assert rep["ok"], rep["failures"][:2]
-    L = build_left_resolution(glq8)
+    L = build_left_resolution(gamma_maps(glq8))
     # phi_1 on the vv block sends x (x) v_i* v_j to x(delta_ji - u_ji)
     for i in range(2):
         for j in range(2):
@@ -117,10 +117,10 @@ def test_left_resolution(glq8, n3):
 
 def test_dual_complex_entries_and_property(glq8, n3):
     for alg in (glq8, n3):
-        D = dualize_resolution(build_yd_resolution(alg))
+        D = dualize_resolution(build_yd_resolution(gamma_maps(alg)))
         rep = D.is_complex()
         assert rep["ok"], rep["failures"][:2]
-    D = dualize_resolution(build_yd_resolution(glq8))
+    D = dualize_resolution(build_yd_resolution(gamma_maps(glq8)))
     # psi^t_1: x -> sum x(delta_ji - u_ji) (x) w_i* w_j + x(D-1)
     for i in range(2):
         for j in range(2):
@@ -146,7 +146,7 @@ def test_duality_transpose_consistency(glq8, n3):
 def _check_transpose(alg):
     n = alg.n
     nn = n * n
-    C = build_yd_resolution(alg)
+    C = build_yd_resolution(gamma_maps(alg))
     D = dualize_resolution(C)
     T = lambda s: (s % n) * n + s // n  # (i,j) -> (j,i) inside a block
 
@@ -181,11 +181,18 @@ def _check_transpose(alg):
             assert psit3.entries[nn + s][1 + t] == psi3.entries[T(t)][T(s)]
 
 
+def twist(alg):
+    """The ν-twisted isomorphism between ψ's dual and φ, both from alg's blocks."""
+    g = gamma_maps(alg)
+    return build_twist_chainmap(dualize_resolution(build_yd_resolution(g)),
+                                build_left_resolution(g))
+
+
 def test_twist_chainmap(glq8, n3):
     for alg in (glq8, n3):
-        tw = build_twist_chainmap(alg)
+        tw = twist(alg)
         assert tw["report"]["ok"], tw["report"]["failures"][:3]
-    tw = build_twist_chainmap(glq8)
+    tw = twist(glq8)
     # f2 block on the W part: x (x) w_i*w_j -> sum B_pi A_qj nu(x) (x) w_p*w_q
     A, B = glq8.mats["A"], glq8.mats["B"]
     f2 = tw["chainmap"].verticals[2]
@@ -202,7 +209,7 @@ def test_twist_chainmap(glq8, n3):
 
 
 def test_twist_single_square_directly(glq8):
-    tw = build_twist_chainmap(glq8)
+    tw = twist(glq8)
     cm = tw["chainmap"]
     lhs = cm.top.maps[3].compose(cm.verticals[4], cm.twist)
     rhs = cm.verticals[3].compose(cm.bottom.maps[3])
@@ -251,8 +258,8 @@ def test_cone_of_random_central_chain_map(slql8):
     assert cone.is_complex()["ok"]
 
 
-def test_glq_complexes(glq8):
-    gc = build_glq_complexes(glq8)
+def test_glq_complexes(glq8, slql8):
+    gc = build_glq_complexes(glq8, slql8)
     assert gc["report"]["ok"], gc["report"]["failures"][:4]
     assert gc["c3"].is_complex()["ok"]
     D = glq8.loc_elt()
@@ -276,8 +283,23 @@ def test_glq_complexes(glq8):
         assert inv.compose(gmap).eq(ident)
 
 
-def test_glq_complexes_single_square(glq8):
-    gc = build_glq_complexes(glq8)
+@pytest.mark.parametrize("diagonal, match", [("0", "not a monomial"),
+                                             ("a + D", "not a monomial"),
+                                             ("a", "not a power of D")])
+def test_invert_triangular_rejects_a_non_unit_diagonal(glq8, diagonal, match):
+    """A vertical whose diagonal entry is not c*D^k cannot be inverted by
+    substitution; _invert_triangular raises IdentityFailed, not an assert."""
+    from hopfcheck.complexes import _invert_triangular, identity_map
+    from hopfcheck.errors import IdentityFailed
+    a, D = glq8.gen_elt(0), glq8.loc_elt()
+    vertical = identity_map(glq8, "right", 2)
+    vertical.entries[1][1] = {"0": glq8.zero(), "a + D": a + D, "a": a}[diagonal]
+    with pytest.raises(IdentityFailed, match=match):
+        _invert_triangular(vertical)
+
+
+def test_glq_complexes_single_square(glq8, slql8):
+    gc = build_glq_complexes(glq8, slql8)
     cm = gc["g"]
     lhs = cm.top.maps[3].compose(cm.verticals[4])
     rhs = cm.verticals[3].compose(cm.bottom.maps[3])
@@ -285,7 +307,7 @@ def test_glq_complexes_single_square(glq8):
 
 
 def test_probe_trivial_witnesses(glq9):
-    C = build_yd_resolution(glq9)
+    C = build_yd_resolution(gamma_maps(glq9))
     psi1 = C.maps[3]
     # a - 1 lifts via w1*w1 (x) (-1)
     coords = [glq9.zero()] * 5
@@ -300,7 +322,7 @@ def test_probe_trivial_witnesses(glq9):
 
 
 def test_probe_small(glq9):
-    C = build_yd_resolution(glq9)
+    C = build_yd_resolution(gamma_maps(glq9))
     rep = probe_exactness(C, N=4, slack=2, window=1)
     assert rep["ok"], rep["positions"]
     assert all(p["cycles_found"] == p["cycles_lifted"] for p in rep["positions"][:-1])
@@ -312,7 +334,7 @@ def test_probe_lifts_glq9_without_exact_fallback(glq9, monkeypatch):
     from hopfcheck.linalg import RowSpace
     calls = []
     monkeypatch.setattr(RowSpace, "express", lambda self, vec: calls.append(vec))
-    rep = probe_exactness(build_yd_resolution(glq9), N=4, slack=2, window=1)
+    rep = probe_exactness(build_yd_resolution(gamma_maps(glq9)), N=4, slack=2, window=1)
     assert rep["ok"] and not calls
     assert sum(p["cycles_lifted"] for p in rep["positions"]) > 0
 
@@ -330,7 +352,7 @@ def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
     monkeypatch.setattr(RowSpace, "express", lambda self, vec: doubled(express(self, vec)))
     monkeypatch.setattr(linalg, "_modular_lifts",
                         lambda columns, targets: [doubled(b) for b in modular(columns, targets)])
-    rep = probe_exactness(build_yd_resolution(glq9), N=4, slack=2, window=1)
+    rep = probe_exactness(build_yd_resolution(gamma_maps(glq9)), N=4, slack=2, window=1)
     assert not rep["ok"]
     lifting = [p for p in rep["positions"][:-1] if p["cycles_found"]]
     assert lifting
@@ -339,9 +361,10 @@ def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
         assert p["unlifted"] == p["cycles_found"]
 
 
-def broken_resolution(alg):
-    """ψ with 1 added to one entry of ψ2, so that ψ2;ψ1 != 0."""
-    C = build_yd_resolution(alg)
+def broken_resolution(g):
+    """ψ, from the blocks g, with 1 added to one entry of ψ2, so that ψ2;ψ1 != 0."""
+    C = build_yd_resolution(g)
+    alg = C.alg
     psi2 = C.maps[2]
     entries = [list(row) for row in psi2.entries]
     entries[0][0] = entries[0][0] + alg.one()
@@ -352,8 +375,8 @@ def broken_resolution(alg):
 
 def test_probe_rejects_a_non_complex(glq9):
     with pytest.raises(ProbeInvalid, match="not a complex"):
-        probe_exactness(broken_resolution(glq9), N=4, slack=2, window=1)
-    C = build_yd_resolution(glq9)
+        probe_exactness(broken_resolution(gamma_maps(glq9)), N=4, slack=2, window=1)
+    C = build_yd_resolution(gamma_maps(glq9))
     left = Complex(glq9, "left", C.maps, C.augmentation)
     with pytest.raises(ProbeInvalid, match="right complex"):
         probe_exactness(left, N=4, slack=2, window=1)
@@ -371,14 +394,15 @@ def test_probe_on_a_non_complex_is_a_failed_check(monkeypatch):
 
 
 def test_probe_rejects_uncertified(glq8):
-    C = build_yd_resolution(glq8)
+    C = build_yd_resolution(gamma_maps(glq8))
     with pytest.raises(ExceedsCertifiedDegree):
         probe_exactness(C, N=20, slack=2)
 
 
-# sha256 of the sorted-key JSON manifests of psi, of its dual and of the
-# left resolution phi; they pin every printed entry of the three complexes
+# sha256 of the sorted-key JSON manifests of psi, of its dual, of the left
+# resolution phi and of eq 3; they pin every printed entry of the four complexes
 MANIFEST_SHA256 = {
+    ("glq8", "eq3"): "8316a425d3f707b5050f8abfa95ceac449ece6cfb4bd9d88d6f63267de852fb0",
     ("glq8", "psi"): "399768e537e122d9273727816a036473b753174374f9ae8be6748376ed9276f5",
     ("glq8", "dual"): "e529ac1a0519d1b1adb9bc942d3ea9c41823b552ac85cb873f10ab6e769d2fe5",
     ("glq8", "left"): "059960f2158ce4e6d50c12aff8d88150d10ed851181f6e4dffac310ade16f379",
@@ -388,23 +412,26 @@ MANIFEST_SHA256 = {
 }
 
 
-def test_complex_manifest(glq8, n3):
+def test_complex_manifest(glq8, n3, slql8):
     import hashlib
     import json
     from hopfcheck.complexes import complex_manifest
-    C = build_yd_resolution(glq8)
+    C = build_yd_resolution(gamma_maps(glq8))
     m = complex_manifest(C)
     assert m["ranks"] == [1, 5, 8, 5, 1] and m["side"] == "right"
     blob = json.dumps(m, sort_keys=True)
-    assert json.dumps(complex_manifest(build_yd_resolution(glq8)),
+    assert json.dumps(complex_manifest(build_yd_resolution(gamma_maps(glq8))),
                       sort_keys=True) == blob
     for name, alg in (("glq8", glq8), ("n3", n3)):
-        psi = build_yd_resolution(alg)
+        psi = build_yd_resolution(gamma_maps(alg))
         for which, cx in (("psi", psi), ("dual", dualize_resolution(psi)),
-                          ("left", build_left_resolution(alg))):
+                          ("left", build_left_resolution(gamma_maps(alg)))):
             digest = hashlib.sha256(
                 json.dumps(complex_manifest(cx), sort_keys=True).encode()).hexdigest()
             assert digest == MANIFEST_SHA256[(name, which)], (name, which)
+    eq3 = build_glq_complexes(glq8, slql8)["c3"]
+    digest = hashlib.sha256(json.dumps(complex_manifest(eq3), sort_keys=True).encode()).hexdigest()
+    assert digest == MANIFEST_SHA256[("glq8", "eq3")]
 
 
 def test_cone_with_wrong_ranks_raises_identity_failed(slql8, monkeypatch):

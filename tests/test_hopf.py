@@ -8,6 +8,7 @@ from hopfcheck.foundation import Mat, NCPoly, frac_str
 from hopfcheck.hopf import (
     AlgebraMap,
     Character,
+    DeltaMap,
     HopfStructure,
     LocalizedElement,
     a_q_matrix,
@@ -83,8 +84,8 @@ def test_map_respects_relations_failure_witness(glq8):
     assert witnessed[ca_idx] == glq8.elt(-1 * NCPoly.gen(2)).pretty()
 
 
-def test_hopf_axioms(glq8, n3, slq6):
-    for alg in (glq8, n3, slq6):
+def test_hopf_axioms(glq8, n3, slq6, slql8):
+    for alg in (glq8, n3, slq6, slql8):
         rep = verify_hopf_axioms(alg)
         assert rep["ok"], rep["failures"][:3]
 
@@ -102,6 +103,32 @@ def test_hopf_axioms_detect_corrupted_antipode(glq8):
         glq8.hopf = saved
     assert not rep["ok"]
     assert any("antipode" in f[0] and "D" in str(f[1]) for f in rep["failures"])
+
+
+def _hopf_axioms_with(alg, delta=None, eps=None):
+    """verify_hopf_axioms(alg) with Δ or ε replaced for the call."""
+    saved = alg.hopf
+    alg.hopf = HopfStructure(delta or saved.delta, eps or saved.eps, saved.antipode)
+    try:
+        return verify_hopf_axioms(alg)
+    finally:
+        alg.hopf = saved
+
+
+@pytest.mark.parametrize("name", ["slq6", "glq8"])
+def test_hopf_axioms_detect_corrupted_coproduct_and_counit(name, request):
+    alg = request.getfixturevalue(name)
+    delta, eps = alg.hopf.delta, alg.hopf.eps
+    swapped = list(delta.images)
+    swapped[0], swapped[1] = swapped[1], swapped[0]  # Δ(a) and Δ(b) exchanged
+    rep = _hopf_axioms_with(alg, delta=DeltaMap(alg, delta.targets, swapped, name="badΔ"))
+    assert not rep["ok"]
+    assert {"cocomposition_relations", "coassoc", "counit"} <= {f[0] for f in rep["failures"]}
+    values = list(eps.values)
+    values[0] = 0  # ε(a) = 0
+    rep = _hopf_axioms_with(alg, eps=Character(alg, values, name="badε"))
+    assert not rep["ok"]
+    assert {"counit_relations", "counit"} <= {f[0] for f in rep["failures"]}
 
 
 def test_antipode_squared_closed_forms(glq8, n3):
@@ -185,13 +212,14 @@ def test_cogroupoid_suite_pair(conj_pair):
     A, B, C, D = conj_pair
     rep = cogroupoid_suite([(A, B), (C, D)], 5)
     assert rep["ok"], rep["failures"][:4]
-    assert rep["checks"] > 100
+    assert rep["checks"] == 196
 
 
 def test_cogroupoid_suite_single_object():
     A = a_q_matrix(2)
     rep = cogroupoid_suite([(A, A.inverse())], 5)
     assert rep["ok"], rep["failures"][:4]
+    assert rep["checks"] == 28
 
 
 def test_glq_slq_laurent_iso(glq8, slql8):
@@ -200,15 +228,6 @@ def test_glq_slq_laurent_iso(glq8, slql8):
     assert iso["fwd"].images[glq8.loc] == slql8.gen_elt(4)
     # bwd(fwd(a)) = a is part of the round trip
     assert iso["fwd"].then(iso["bwd"]).images[0] == glq8.gen_elt(0)
-
-
-def test_convolution_of_antipode_with_identity(glq8):
-    from hopfcheck.hopf import convolve
-    S = glq8.hopf.antipode
-    conv = convolve(S, AlgebraMap.identity(glq8))
-    eps = glq8.hopf.eps
-    for g in range(glq8.ngens()):
-        assert conv.images[g] == eps.values[g] * glq8.one()
 
 
 def test_sigma_is_invertible_on_generators(n3, galois6):

@@ -119,15 +119,37 @@ def _dead_locals(tree):
     return out
 
 
+def _unread_private_defs(trees):
+    """Module-level _private functions and classes that no module reads,
+    by name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return [(mod, node.lineno, node.name) for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in read]
+
+
 def test_no_unused_imports_or_locals():
-    """A stdlib-ast lint of src/hopfcheck (the package __init__ re-exports)."""
+    """A stdlib-ast lint of src/hopfcheck: unused imports and dead locals (the
+    package __init__ re-exports, so it is not linted for imports), and
+    _private module-level functions and classes nothing in the package reads."""
     found = []
+    trees = {}
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py"))):
-        if os.path.basename(path) == "__init__.py":
-            continue
         with open(path) as fh:
             tree = ast.parse(fh.read(), path)
         mod = os.path.basename(path)
+        trees[mod] = tree
+        if mod == "__init__.py":
+            continue
         found += [f"{mod}:{line}: unused import {name}" for line, name in _unused_imports(tree)]
         found += [f"{mod}:{line}: dead local {what}" for line, what in _dead_locals(tree)]
+    found += [f"{mod}:{line}: unread private {name}"
+              for mod, line, name in _unread_private_defs(trees)]
     assert not found, "\n".join(found)

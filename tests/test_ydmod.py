@@ -4,7 +4,7 @@ import pytest
 
 from hopfcheck.foundation import NCPoly
 from hopfcheck.hopf import LocalizedElement, TensorElt
-from hopfcheck.complexes import FreeModuleMap, build_yd_resolution
+from hopfcheck.complexes import FreeModuleMap, build_yd_resolution, gamma_maps
 from hopfcheck.ydmod import (
     Comodule,
     boxtimes_coact,
@@ -103,7 +103,7 @@ def test_comodule_maps(glq8):
 
 
 def test_yd_morphism_psi1_psi4(glq9):
-    C = build_yd_resolution(glq9)
+    C = build_yd_resolution(gamma_maps(glq9))
     triv = build_comodule("trivial", glq9)
     dual = build_comodule("dual_fundamental", glq9)
     fund = build_comodule("fundamental", glq9)
@@ -114,7 +114,7 @@ def test_yd_morphism_psi1_psi4(glq9):
 
 
 def test_sign_flip_is_comodule_map_but_breaks_complex(glq9):
-    C = build_yd_resolution(glq9)
+    C = build_yd_resolution(gamma_maps(glq9))
     triv = build_comodule("trivial", glq9)
     dual = build_comodule("dual_fundamental", glq9)
     fund = build_comodule("fundamental", glq9)
