@@ -644,6 +644,20 @@ def _main_gb(args):
     return 0
 
 
+def _stored_report(blob):
+    """The "report" object of a stored report, checked for the shape both
+    renderings read: a checks list of objects with name, status and a
+    witnesses list."""
+    report = blob["report"]
+    checks = report.get("checks") if isinstance(report, dict) else None
+    if not isinstance(checks, list) or not all(
+            isinstance(c, dict) and "name" in c and "status" in c
+            and isinstance(c.get("witnesses"), list) for c in checks):
+        raise ValueError("a report needs a checks list of objects with name, status "
+                         "and a witnesses list")
+    return dict(report)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(prog="verify",
                                  description="symbolic verification suites")
@@ -671,7 +685,7 @@ def main(argv=None):
         try:
             with open(args.report_file) as fh:
                 blob = json.load(fh)
-            report = dict(blob["report"])
+            report = _stored_report(blob)
         except (OSError, ValueError, KeyError, TypeError) as e:
             sys.stderr.write(f"invalid report: {args.report_file}: {type(e).__name__}: {e}\n")
             return 3

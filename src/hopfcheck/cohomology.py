@@ -85,7 +85,7 @@ def bialgebra_cohomology(alg, resolution):
     for i in range(4):
         # d^i: C^i -> C^{i+1} induced by psi_{i+1}: level 3-i -> level 4-i
         psi = resolution.maps[3 - i]
-        E = [[eps.of_loc(psi.entries[s][t]) for t in range(psi.tgt_rank)]
+        E = [[eps.apply_loc(psi.entries[s][t]) for t in range(psi.tgt_rank)]
              for s in range(psi.src_rank)]
         src_basis, tgt_basis = bases[i + 1], bases[i]
         # the induced functionals are expressed in the source level's hom basis

@@ -140,7 +140,7 @@ class Complex:
             last = self.maps[-1]
             assert last.tgt_rank == 1
             for s in range(last.src_rank):
-                v = eps.of_loc(last.entries[s][0])
+                v = eps.apply_loc(last.entries[s][0])
                 if v:
                     failures.append(("augmentation", (s, str(v))))
         return {"ok": not failures, "failures": failures}
@@ -804,7 +804,7 @@ def probe_exactness(C, N, slack, window=2):
         else:
             eps = C.augmentation
             for (t, w, m) in dom:
-                v = eps.of_loc(LocalizedElement(alg, NCPoly.term(w), m))
+                v = eps.apply_loc(LocalizedElement(alg, NCPoly.term(w), m))
                 columns.append(((t, w, m), {0: v} if v else {}))
         cycles = kernel_basis(columns)
 

@@ -5,6 +5,13 @@ normal element D of weight 2; the inverse D^-1 never enters the rewrite
 alphabet.  Instead every element is carried as p * D^-m with p in the
 D-positive subalgebra (LocalizedElement), using the commutation
 D*x = sigma(x)*D to move denominators around.
+
+Every map is given on generators: a Character (a scalar per generator, e.g.
+ε), an AlgebraMap (an element per generator, e.g. S, or a winding) or a
+DeltaMap (a tensor square per generator, e.g. Δ or a cocomposition).  Each
+extends to words, polynomials and p * D^-m the same way, and
+``apply_slot`` applies any of them to one slot of a tensor, which is how
+(ε ⊗ id)Δ, m(S ⊗ id)Δ, (Δ ⊗ id)Δ and the windings are formed.
 """
 
 import itertools
@@ -294,9 +301,8 @@ class TensorElt:
         alg = self.algs[0]
         out = alg.zero()
         for (w1, w2), c in self.tp.terms():
-            le = LocalizedElement(alg, alg.rs.normal_form(NCPoly.term(w1)), self.exps[0]) * \
-                 LocalizedElement(alg, alg.rs.normal_form(NCPoly.term(w2)), self.exps[1])
-            out = out + c * le
+            out = out + c * (alg.elt(NCPoly.term(w1), self.exps[0]) *
+                             alg.elt(NCPoly.term(w2), self.exps[1]))
         return out
 
 
@@ -311,115 +317,114 @@ def _slotwise(polys, c=ONE):
     return TensorPoly(len(polys), d)
 
 
-def apply_char_slot(te, slot, chi):
-    """Contract one tensor slot with a character."""
-    k = te.arity()
-    algs = te.algs[:slot] + te.algs[slot + 1 :]
-    exps = te.exps[:slot] + te.exps[slot + 1 :]
-    scale = chi.loc_value() ** -te.exps[slot] if te.exps[slot] else ONE
-    d = {}
+def apply_slot(te, slot, f):
+    """Apply a generator map to one tensor slot.
+
+    f's targets say what becomes of the slot: a Character (no targets) drops
+    it, an AlgebraMap (one) replaces it, a DeltaMap (two) splits it in two.
+    """
+    src, e = te.algs[slot], te.exps[slot]
+    arity = len(f.targets)
+    algs = te.algs[:slot] + f.targets + te.algs[slot + 1 :]
+    parts = {}  # slot exponents of an image -> its terms
     for ws, c in te.tp.terms():
-        v = chi.of_word(ws[slot])
-        if not v:
-            continue
-        key = ws[:slot] + ws[slot + 1 :]
-        nc = d.get(key, 0) + c * v * scale
-        if nc:
-            d[key] = nc
+        img = f.apply_loc(LocalizedElement(src, NCPoly.term(ws[slot]), e))
+        if arity == 2:
+            exps, terms = img.exps, img.tp.terms()
+        elif arity == 1:
+            exps, terms = (img.exp,), (((w,), cc) for w, cc in img.num.terms())
         else:
-            del d[key]
-    return TensorElt(algs, exps, TensorPoly(k - 1, d))
-
-
-def apply_map_slot(te, slot, f):
-    """Apply an algebra map to one tensor slot."""
-    algs = te.algs[:slot] + (f.target,) + te.algs[slot + 1 :]
-    out = TensorElt.zero(algs)
-    for ws, c in te.tp.terms():
-        le = f.apply_loc(LocalizedElement(te.algs[slot], NCPoly.term(ws[slot]), te.exps[slot]))
-        exps = te.exps[:slot] + (le.exp,) + te.exps[slot + 1 :]
-        d = {}
-        for w, cc in le.num.terms():
-            d[ws[:slot] + (w,) + ws[slot + 1 :]] = c * cc
-        out = out + TensorElt(algs, exps, TensorPoly(te.arity(), d))
-    return out
-
-
-def apply_delta_slot(te, slot, dmap):
-    """Apply a comultiplication-type map to one slot (arity grows by one)."""
-    algs = te.algs[:slot] + dmap.targets + te.algs[slot + 1 :]
-    out = TensorElt.zero(algs)
-    for ws, c in te.tp.terms():
-        inner = dmap.apply_word(ws[slot])  # arity-2 TensorElt
-        e = te.exps[slot]
-        exps = te.exps[:slot] + (inner.exps[0] + e, inner.exps[1] + e) + te.exps[slot + 1 :]
-        d = {}
-        for (v1, v2), cc in inner.tp.terms():
-            d[ws[:slot] + (v1, v2) + ws[slot + 1 :]] = c * cc
-        out = out + TensorElt(algs, exps, TensorPoly(te.arity() + 1, d))
-    return out
+            exps, terms = (), (((), img),)
+        d = parts.setdefault(te.exps[:slot] + exps + te.exps[slot + 1 :], {})
+        pre, post = ws[:slot], ws[slot + 1 :]
+        for vs, cc in terms:
+            key = pre + vs + post
+            d[key] = d.get(key, 0) + c * cc
+    outs = [TensorElt(algs, exps, TensorPoly(len(algs), d)) for exps, d in parts.items()]
+    return sum(outs[1:], outs[0]) if outs else TensorElt.zero(algs)
 
 
 # ---------------------------------------------------------------------------
 # characters and algebra maps
 
 
-class Character:
+class _GeneratorMap:
+    """A map given by its images of the source's generators.
+
+    apply_word multiplies the images (in reverse order when variance is -1)
+    starting from the subclass's unit, apply_poly extends linearly.  A
+    subclass gives its unit, apply_loc (the image of p * D^-m) and the
+    witness respects_relations reports for a relation it does not kill.
+    """
+
+    variance = 1
+
+    def __init__(self, source, targets, images, name=""):
+        self.source = source
+        self.targets = tuple(targets)
+        self.images = list(images)
+        self.name = name
+        self._word_cache = {}
+
+    def apply_word(self, word):
+        hit = self._word_cache.get(word)
+        if hit is None:
+            hit = self._unit()
+            for g in (reversed(word) if self.variance < 0 else word):
+                hit = hit * self.images[g]
+            self._word_cache[word] = hit
+        return hit
+
+    def apply_poly(self, p):
+        outs = [c * self.apply_word(w) for w, c in p.terms()]
+        return sum(outs[1:], outs[0]) if outs else 0 * self._unit()
+
+    def respects_relations(self):
+        failures = [self._witness(i, self.apply_poly(r))
+                    for i, r in enumerate(self.source.relations)]
+        failures = [f for f in failures if f is not None]
+        return {"ok": not failures, "failures": failures}
+
+
+class Character(_GeneratorMap):
     """Multiplicative unital functional, given by its generator values."""
 
     def __init__(self, alg, values, name=""):
-        self.alg = alg
-        self.values = [frac(v) for v in values]
-        self.name = name
+        super().__init__(alg, (), [frac(v) for v in values], name)
+
+    @property
+    def values(self):
+        return self.images
+
+    def _unit(self):
+        return ONE
+
+    def _witness(self, i, v):
+        return (i, v) if v else None
 
     def loc_value(self):
-        return self.values[self.alg.loc] if self.alg.loc is not None else ONE
+        return self.images[self.source.loc] if self.source.loc is not None else ONE
 
-    def of_word(self, word):
-        v = ONE
-        for g in word:
-            v *= self.values[g]
-            if not v:
-                return v
-        return v
-
-    def of_poly(self, p):
-        return sum((c * self.of_word(w) for w, c in p.terms()), Fraction(0))
-
-    def of_loc(self, le):
-        v = self.of_poly(le.num)
-        if le.exp:
-            v /= self.loc_value() ** le.exp
-        return v
-
-    def respects_relations(self):
-        failures = []
-        for i, r in enumerate(self.alg.relations):
-            v = self.of_poly(r)
-            if v:
-                failures.append((i, v))
-        return {"ok": not failures, "failures": failures}
+    def apply_loc(self, le):
+        v = self.apply_poly(le.num)
+        return v / self.loc_value() ** le.exp if le.exp else v
 
     def compose_map(self, f):
         """The character x -> self(f(x)) on f's source."""
-        vals = [self.of_loc(f.images[g]) for g in range(f.source.ngens())]
+        vals = [self.apply_loc(f.images[g]) for g in range(f.source.ngens())]
         return Character(f.source, vals, name=f"{self.name}∘{f.name}")
 
     def eq(self, other):
-        return self.values == other.values
+        return self.images == other.images
 
 
-class AlgebraMap:
+class AlgebraMap(_GeneratorMap):
     """(Anti)homomorphism given on generators; well-definedness is checked."""
 
     def __init__(self, source, target, images, variance=1, loc_inv_image=None, name=""):
-        self.source = source
-        self.target = target
-        self.images = list(images)
+        super().__init__(source, (target,), images, name)
         self.variance = variance
         self.loc_inv_image = loc_inv_image
-        self.name = name
-        self._word_cache = {}
 
     @classmethod
     def identity(cls, alg):
@@ -427,22 +432,11 @@ class AlgebraMap:
         inv = alg.loc_inv_elt() if alg.loc is not None else None
         return cls(alg, alg, images, 1, inv, name="id")
 
-    def apply_word(self, word):
-        hit = self._word_cache.get(word)
-        if hit is not None:
-            return hit
-        out = self.target.one()
-        seq = reversed(word) if self.variance < 0 else word
-        for g in seq:
-            out = out * self.images[g]
-        self._word_cache[word] = out
-        return out
+    def _unit(self):
+        return self.targets[0].one()
 
-    def apply_poly(self, p):
-        out = self.target.zero()
-        for w, c in p.terms():
-            out = out + c * self.apply_word(w)
-        return out
+    def _witness(self, i, img):
+        return None if img.is_zero() else (i, img.pretty())
 
     def apply_loc(self, le):
         body = self.apply_poly(le.num)
@@ -451,19 +445,11 @@ class AlgebraMap:
         dinv = self.loc_inv_image ** le.exp
         return body * dinv if self.variance > 0 else dinv * body
 
-    def respects_relations(self):
-        failures = []
-        for i, r in enumerate(self.source.relations):
-            img = self.apply_poly(r)
-            if not img.is_zero():
-                failures.append((i, img.pretty()))
-        return {"ok": not failures, "failures": failures}
-
     def then(self, outer):
         """Composite outer∘self as a new map."""
         images = [outer.apply_loc(le) for le in self.images]
         inv = outer.apply_loc(self.loc_inv_image) if self.loc_inv_image is not None else None
-        return AlgebraMap(self.source, outer.target, images,
+        return AlgebraMap(self.source, outer.targets[0], images,
                           self.variance * outer.variance, inv,
                           name=f"{outer.name}∘{self.name}")
 
@@ -475,45 +461,24 @@ class AlgebraMap:
         return True
 
 
-class DeltaMap:
-    """Map into a tensor square, e.g. a comultiplication or cocomposition."""
+class DeltaMap(_GeneratorMap):
+    """Map into a tensor square, e.g. a comultiplication or cocomposition.
 
-    def __init__(self, source, targets, images, name=""):
-        self.source = source
-        self.targets = tuple(targets)
-        self.images = list(images)  # TensorElt per generator; loc image group-like
-        self.name = name
-        self._word_cache = {}
+    Its images are TensorElts; the image of the localized letter must be
+    group-like, so D^-m goes to D^-m (x) D^-m.
+    """
 
-    def apply_word(self, word):
-        hit = self._word_cache.get(word)
-        if hit is not None:
-            return hit
-        out = TensorElt.unit(self.targets)
-        for g in word:
-            out = out * self.images[g]
-        self._word_cache[word] = out
-        return out
+    def _unit(self):
+        return TensorElt.unit(self.targets)
 
-    def apply_poly(self, p):
-        out = TensorElt.zero(self.targets)
-        for w, c in p.terms():
-            out = out + c * self.apply_word(w)
-        return out
+    def _witness(self, i, img):
+        return None if img.is_zero() else i
 
     def apply_loc(self, le):
         te = self.apply_poly(le.num)
         if le.exp:
             te = TensorElt(te.algs, (te.exps[0] + le.exp, te.exps[1] + le.exp), te.tp)
         return te
-
-    def respects_relations(self):
-        failures = []
-        for i, r in enumerate(self.source.relations):
-            img = self.apply_poly(r)
-            if not img.is_zero():
-                failures.append(i)
-        return {"ok": not failures, "failures": failures}
 
 
 class HopfStructure:
@@ -779,20 +744,16 @@ def verify_hopf_axioms(alg):
         failures.append(("counit_relations", r["failures"]))
     if alg.loc is not None:
         dinv = TensorElt((alg, alg), (1, 1), TensorPoly.unit(2))
-        if apply_map_slot(dinv, 0, H.antipode).mul_slots() != alg.one():
+        if apply_slot(dinv, 0, H.antipode).mul_slots() != alg.one():
             failures.append(("antipode_left", "D^-1"))
     return {"ok": not failures, "failures": failures}
 
 
 def winding(chi, side):
     """Left or right winding automorphism of a character of a Hopf algebra."""
-    alg = chi.alg
-    delta = alg.hopf.delta
-    images = []
-    for g in range(alg.ngens()):
-        te = delta.images[g]
-        le = apply_char_slot(te, 0 if side == "left" else 1, chi).to_loc()
-        images.append(le)
+    alg = chi.source
+    slot = 0 if side == "left" else 1
+    images = [apply_slot(te, slot, chi).to_loc() for te in alg.hopf.delta.images]
     v = chi.loc_value()
     inv = (1 / v) * alg.loc_inv_elt() if alg.loc is not None else None
     return AlgebraMap(alg, alg, images, 1, inv, name=f"[{chi.name}]^{side[0]}")
@@ -800,18 +761,8 @@ def winding(chi, side):
 
 def convolve_chars(alg, chi1, chi2):
     """(chi1 * chi2)(x) = chi1(x_(1)) chi2(x_(2)) via the comultiplication."""
-    delta = alg.hopf.delta
-    values = []
-    for g in range(alg.ngens()):
-        te = delta.images[g]
-        v = sum((c * chi1.of_word(ws[0]) * chi2.of_word(ws[1])
-                 for ws, c in te.tp.terms()), Fraction(0))
-        e0, e1 = te.exps
-        if e0:
-            v /= chi1.loc_value() ** e0
-        if e1:
-            v /= chi2.loc_value() ** e1
-        values.append(v)
+    values = [apply_slot(apply_slot(te, 1, chi2), 0, chi1).tp.d.get((), 0)
+              for te in alg.hopf.delta.images]
     return Character(alg, values, name=f"{chi1.name}*{chi2.name}")
 
 
@@ -855,9 +806,9 @@ def antipode_squared_sovereign(alg):
     # S^2 = Φ * id * Φ^{-1}, the sovereign identity, checked on generators
     delta = alg.hopf.delta
     for g in range(alg.ngens()):
-        te = apply_delta_slot(delta.images[g], 0, delta)  # arity 3
-        te = apply_char_slot(te, 2, phi_inv)
-        te = apply_char_slot(te, 0, phi)
+        te = apply_slot(delta.images[g], 0, delta)  # arity 3
+        te = apply_slot(te, 2, phi_inv)
+        te = apply_slot(te, 0, phi)
         if te.to_loc() != S2.images[g]:
             failures.append(("sovereign_convolution", alg.names[g]))
     return {"ok": not failures, "failures": failures, "lambda": lam}
@@ -1025,14 +976,14 @@ def _cogroupoid_diagrams(algs, deltas, antipodes, counits):
         for z in objs:
             for t in objs:
                 for g in gens:
-                    lhs = apply_delta_slot(deltas[(x, y, z)].images[g], 0, deltas[(x, z, t)])
-                    rhs = apply_delta_slot(deltas[(x, y, t)].images[g], 1, deltas[(t, y, z)])
+                    lhs = apply_slot(deltas[(x, y, z)].images[g], 0, deltas[(x, z, t)])
+                    rhs = apply_slot(deltas[(x, y, t)].images[g], 1, deltas[(t, y, z)])
                     checks += 1
                     if not (lhs - rhs).is_zero():
                         failures.append(("coassoc", (x, y, z, t), alg.names[g]))
         for g in gens:
-            right = apply_char_slot(deltas[(x, y, y)].images[g], 1, counits[y]).to_loc()
-            left = apply_char_slot(deltas[(x, y, x)].images[g], 0, counits[x]).to_loc()
+            right = apply_slot(deltas[(x, y, y)].images[g], 1, counits[y]).to_loc()
+            left = apply_slot(deltas[(x, y, x)].images[g], 0, counits[x]).to_loc()
             checks += 1
             if right != alg.gen_elt(g) or left != alg.gen_elt(g):
                 failures.append(("counit", (x, y), alg.names[g]))
@@ -1042,11 +993,11 @@ def _cogroupoid_diagrams(algs, deltas, antipodes, counits):
             for g in range(algxx.ngens()):
                 te = deltas[(x, x, y)].images[g]
                 unit = counits[x].values[g]
-                lhs = apply_map_slot(te, 0, antipodes[(x, y)]).mul_slots()
+                lhs = apply_slot(te, 0, antipodes[(x, y)]).mul_slots()
                 checks += 1
                 if lhs != unit * algs[(y, x)].one():
                     failures.append(("antipode_square_left", (x, y), algxx.names[g]))
-                rhs = apply_map_slot(te, 1, antipodes[(y, x)]).mul_slots()
+                rhs = apply_slot(te, 1, antipodes[(y, x)]).mul_slots()
                 checks += 1
                 if rhs != unit * algs[(x, y)].one():
                     failures.append(("antipode_square_right", (x, y), algxx.names[g]))
@@ -1057,13 +1008,11 @@ def _cogroupoid_diagrams(algs, deltas, antipodes, counits):
                 src = algs[(y, x)]
                 for g in range(src.ngens()):
                     lhs = deltas[(x, y, z)].apply_loc(antipodes[(y, x)].images[g])
-                    rhs = TensorElt.zero((algs[(x, z)], algs[(z, y)]))
-                    for (w1, w2), c in deltas[(y, x, z)].images[g].tp.terms():
-                        le2 = antipodes[(z, x)].apply_loc(
-                            LocalizedElement(algs[(z, x)], NCPoly.term(w2), 0))
-                        le1 = antipodes[(y, z)].apply_loc(
-                            LocalizedElement(algs[(y, z)], NCPoly.term(w1), 0))
-                        rhs = rhs + c * TensorElt.from_locs((le2, le1))
+                    # (S_{Y,Z} (x) S_{Z,X})Δ^Z_{Y,X}(a), slots then swapped
+                    s = apply_slot(apply_slot(deltas[(y, x, z)].images[g], 0, antipodes[(y, z)]),
+                                   1, antipodes[(z, x)])
+                    rhs = TensorElt(s.algs[::-1], s.exps[::-1],
+                                    TensorPoly(2, {(v, u): c for (u, v), c in s.tp.terms()}))
                     checks += 1
                     if not (lhs - rhs).is_zero():
                         failures.append(("delta_antipode", (x, y, z), src.names[g]))

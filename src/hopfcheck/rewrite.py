@@ -351,7 +351,7 @@ def _absorb(rules, pending, order):
         items = rest
 
 
-def complete_truncated(relations, order, degree_bound, progress=None):
+def complete_truncated(relations, order, degree_bound):
     """Truncated two-sided completion of the given relation polynomials.
 
     Returns a RewriteSystem whose overlaps of weight <= degree_bound all
@@ -373,13 +373,9 @@ def complete_truncated(relations, order, degree_bound, progress=None):
     rules = []
     pending = list(relations)
     seen = set()
-    rounds = 0
     while True:
         _absorb(rules, pending, order)
         rules = _interreduce(rules, order)
-        rounds += 1
-        if progress:
-            progress(f"round {rounds}: {len(rules)} rules")
 
         reducer = _Reducer(rules, order)
         new = []

@@ -413,12 +413,16 @@ def test_unreadable_config_exits_3(content, tmp_path, capsys):
 
 @pytest.mark.parametrize("content, error", [(None, "FileNotFoundError"),
                                             ("{not json", "JSONDecodeError"),
-                                            ('{"timings": {}}', "KeyError")])
+                                            ('{"timings": {}}', "KeyError"),
+                                            ('{"report": {}}', "ValueError"),
+                                            ('{"report": {"checks": [{}]}}', "ValueError"),
+                                            ('{"report": {"checks": 5}}', "ValueError")])
 def test_unreadable_report_exits_3(content, error, tmp_path, capsys):
     path = tmp_path / "report.json"
     if content is not None:
         path.write_text(content)
-    assert cli.main(["report", str(path)]) == 3
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err.startswith(f"invalid report: {path}: {error}: ")
+    for md in ([], ["--md"]):
+        assert cli.main(["report", str(path)] + md) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"invalid report: {path}: {error}: ")

@@ -4,21 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.foundation import Mat, NCPoly, frac_str
+from hopfcheck.foundation import Mat, NCPoly, TensorPoly, frac_str
 from hopfcheck.hopf import (
     AlgebraMap,
     Character,
     DeltaMap,
     HopfStructure,
     LocalizedElement,
+    TensorElt,
     a_q_matrix,
     antipode_squared_sovereign,
+    apply_slot,
     build_gab,
     build_gabcd,
     build_slq_laurent,
+    cocomposition,
     cogroupoid_suite,
     commutation_check,
     convolve_chars,
+    galois_s_map,
     glq_slq_laurent_iso,
     nakayama_G,
     nakayama_galois,
@@ -129,6 +133,100 @@ def test_hopf_axioms_detect_corrupted_coproduct_and_counit(name, request):
     rep = _hopf_axioms_with(alg, eps=Character(alg, values, name="badε"))
     assert not rep["ok"]
     assert {"counit_relations", "counit"} <= {f[0] for f in rep["failures"]}
+
+
+# The three slot functions apply_slot replaced, one per kind of map, kept as
+# the reference it is compared against.
+
+def _ref_char_slot(te, slot, chi):
+    """Contract one tensor slot with a character."""
+    k = te.arity()
+    algs = te.algs[:slot] + te.algs[slot + 1 :]
+    exps = te.exps[:slot] + te.exps[slot + 1 :]
+    scale = chi.loc_value() ** -te.exps[slot] if te.exps[slot] else Fraction(1)
+    d = {}
+    for ws, c in te.tp.terms():
+        v = chi.apply_word(ws[slot])
+        if not v:
+            continue
+        key = ws[:slot] + ws[slot + 1 :]
+        nc = d.get(key, 0) + c * v * scale
+        if nc:
+            d[key] = nc
+        else:
+            del d[key]
+    return TensorElt(algs, exps, TensorPoly(k - 1, d))
+
+
+def _ref_map_slot(te, slot, f):
+    """Apply an algebra map to one tensor slot."""
+    algs = te.algs[:slot] + f.targets + te.algs[slot + 1 :]
+    out = TensorElt.zero(algs)
+    for ws, c in te.tp.terms():
+        le = f.apply_loc(LocalizedElement(te.algs[slot], NCPoly.term(ws[slot]), te.exps[slot]))
+        exps = te.exps[:slot] + (le.exp,) + te.exps[slot + 1 :]
+        d = {}
+        for w, cc in le.num.terms():
+            d[ws[:slot] + (w,) + ws[slot + 1 :]] = c * cc
+        out = out + TensorElt(algs, exps, TensorPoly(te.arity(), d))
+    return out
+
+
+def _ref_delta_slot(te, slot, dmap):
+    """Apply a comultiplication-type map to one slot (arity grows by one)."""
+    algs = te.algs[:slot] + dmap.targets + te.algs[slot + 1 :]
+    out = TensorElt.zero(algs)
+    for ws, c in te.tp.terms():
+        inner = dmap.apply_word(ws[slot])  # arity-2 TensorElt
+        e = te.exps[slot]
+        exps = te.exps[:slot] + (inner.exps[0] + e, inner.exps[1] + e) + te.exps[slot + 1 :]
+        d = {}
+        for (v1, v2), cc in inner.tp.terms():
+            d[ws[:slot] + (v1, v2) + ws[slot + 1 :]] = c * cc
+        out = out + TensorElt(algs, exps, TensorPoly(te.arity() + 1, d))
+    return out
+
+
+_REF_SLOT = {Character: _ref_char_slot, AlgebraMap: _ref_map_slot, DeltaMap: _ref_delta_slot}
+
+
+def _hopf_maps(alg):
+    """ε, S and Δ, and ε scaled by 2^weight, which unlike ε does not send
+    the localized letter to 1 and so shows how D^-m is handled."""
+    eps = alg.hopf.eps
+    scaled = Character(alg, [2 ** w * v for w, v in zip(alg.weights, eps.values)], name="2^wt ε")
+    return [eps, scaled, alg.hopf.antipode, alg.hopf.delta]
+
+
+@pytest.mark.parametrize("name", ["glq8", "n3", "slql8", "C(0,1)"])
+def test_apply_slot_matches_reference(name, request):
+    """apply_slot against the old slot functions, with ε, S and Δ at every
+    slot of the Δ and (Δ ⊗ id)Δ images of each generator g and of g D^-1
+    (and with a second character, see _hopf_maps)."""
+    if name == "C(0,1)":
+        # C(0,1) of cogroupoid_suite's conjugated pair, whose Δ lands in
+        # C(0,0) (x) C(0,1); C(0,1) has no counit
+        A, B, _, _ = request.getfixturevalue("conj_pair")
+        c01, c10 = request.getfixturevalue("galois6")
+        c00 = build_gab(A, B, 6, name="C(0,0)")
+        delta = cocomposition(c01, c00, c01)
+        maps = {c00: _hopf_maps(c00), c01: [galois_s_map(c01, c10), delta]}
+    else:
+        alg = request.getfixturevalue(name)
+        delta = alg.hopf.delta
+        maps = {alg: _hopf_maps(alg)}
+    src = delta.source
+    cases = 0
+    for g in range(src.ngens()):
+        for img in (delta.images[g], delta.apply_loc(src.elt(NCPoly.gen(g), 1))):
+            outer = _ref_delta_slot(img, 0, maps[img.algs[0]][-1])
+            for te in (img, outer):
+                for slot, alg in enumerate(te.algs):
+                    for f in maps[alg]:
+                        assert apply_slot(te, slot, f) == _REF_SLOT[type(f)](te, slot, f), \
+                            (g, te.exps, slot, f.name)
+                        cases += 1
+    assert cases == 2 * src.ngens() * sum(len(maps[a]) for a in img.algs + outer.algs)
 
 
 def test_antipode_squared_closed_forms(glq8, n3):

@@ -119,37 +119,48 @@ def _dead_locals(tree):
     return out
 
 
-def _unread_private_defs(trees):
-    """Module-level _private functions and classes that no module reads,
-    by name or as an attribute."""
+def _names_read(trees):
+    """Every name the given module trees load, or read as an attribute."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
-    return [(mod, node.lineno, node.name) for mod, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in read]
+    return read
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
 
 
 def test_no_unused_imports_or_locals():
     """A stdlib-ast lint of src/hopfcheck: unused imports and dead locals (the
-    package __init__ re-exports, so it is not linted for imports), and
-    _private module-level functions and classes nothing in the package reads."""
+    package __init__ re-exports, so it is not linted for imports), _private
+    module-level functions and classes nothing in the package reads, and
+    public ones that neither the package nor tests/ reads."""
     found = []
     trees = {}
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py"))):
-        with open(path) as fh:
-            tree = ast.parse(fh.read(), path)
+        tree = _parse(path)
         mod = os.path.basename(path)
         trees[mod] = tree
         if mod == "__init__.py":
             continue
         found += [f"{mod}:{line}: unused import {name}" for line, name in _unused_imports(tree)]
         found += [f"{mod}:{line}: dead local {what}" for line, what in _dead_locals(tree)]
-    found += [f"{mod}:{line}: unread private {name}"
-              for mod, line, name in _unread_private_defs(trees)]
+    read = _names_read(trees.values())
+    read_or_tested = read | _names_read(
+        _parse(path) for path in glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("__"):
+                continue
+            private = node.name.startswith("_")
+            if node.name not in (read if private else read_or_tested):
+                found.append(f"{mod}:{node.lineno}: unread {'private' if private else 'public'} "
+                             f"{node.name}")
     assert not found, "\n".join(found)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.foundation import NCPoly
-from hopfcheck.hopf import LocalizedElement, TensorElt
+from hopfcheck.hopf import AlgebraMap, HopfStructure, LocalizedElement, TensorElt
 from hopfcheck.complexes import FreeModuleMap, build_yd_resolution, gamma_maps
 from hopfcheck.ydmod import (
     Comodule,
@@ -62,6 +62,23 @@ def test_boxtimes_yd_compatibility(glq8):
     c = glq8.gen_elt(2)
     assert check_boxtimes_yd(fund, glq8.one(), c)["ok"]
     assert check_boxtimes_yd(fund, a, c)["ok"]
+
+
+def test_boxtimes_yd_detects_a_broken_antipode(glq8):
+    """With S(a) doubled, S no longer respects the relations, and the
+    compatibility check must fail rather than compare S with itself."""
+    fund = build_comodule("fundamental", glq8)
+    saved = glq8.hopf
+    S = saved.antipode
+    images = list(S.images)
+    images[0] = 2 * images[0]
+    badS = AlgebraMap(glq8, glq8, images, S.variance, S.loc_inv_image, name="badS")
+    glq8.hopf = HopfStructure(saved.delta, saved.eps, badS)
+    try:
+        rep = check_boxtimes_yd(fund, glq8.gen_elt(0), glq8.gen_elt(2))
+    finally:
+        glq8.hopf = saved
+    assert not rep["ok"]
 
 
 def test_boxtimes_counit_contraction(glq8):
