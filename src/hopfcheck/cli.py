@@ -644,17 +644,36 @@ def _main_gb(args):
     return 0
 
 
+def _details_problem(d):
+    """What is wrong with a check's details for report_markdown, or None."""
+    if not isinstance(d, dict):
+        return "details is not an object"
+    if not isinstance(d.get("H_b", []), list):
+        return "details.H_b is not a list"
+    gs = d.get("gs")
+    if gs and not (isinstance(gs, dict) and all(k in gs for k in ("upper", "lower", "verdict"))):
+        return "details.gs is not an object with upper, lower and verdict"
+    if not isinstance(d.get("mu", {}), dict):
+        return "details.mu is not an object"
+    return None
+
+
 def _stored_report(blob):
     """The "report" object of a stored report, checked for the shape both
-    renderings read: a checks list of objects with name, status and a
-    witnesses list."""
+    renderings read: a checks list of objects with name, status, a list of
+    string witnesses and, optionally, details (see _details_problem)."""
     report = blob["report"]
     checks = report.get("checks") if isinstance(report, dict) else None
     if not isinstance(checks, list) or not all(
             isinstance(c, dict) and "name" in c and "status" in c
-            and isinstance(c.get("witnesses"), list) for c in checks):
+            and isinstance(c.get("witnesses"), list)
+            and all(isinstance(w, str) for w in c["witnesses"]) for c in checks):
         raise ValueError("a report needs a checks list of objects with name, status "
-                         "and a witnesses list")
+                         "and a list of string witnesses")
+    for c in checks:
+        problem = _details_problem(c.get("details", {}))
+        if problem:
+            raise ValueError(f"check {c['name']!r}: {problem}")
     return dict(report)
 
 

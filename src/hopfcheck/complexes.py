@@ -716,20 +716,61 @@ def _canonical_pair(alg, word, m):
     return word, m
 
 
-def _coords_of_elt(alg, slot, le, out=None):
-    """Expand slot-coordinate le into canonical (slot, word, exp) coordinates."""
-    if out is None:
-        out = {}
-    order = alg.order
-    for w, c in le.num.terms():
-        w2, m2 = _canonical_pair(alg, w, le.exp)
-        key = (slot, m2, order.key(w2))
-        nc = out.get(key, 0) + c
-        if nc:
-            out[key] = nc
-        else:
-            del out[key]
-    return out
+def _image_columns(C):
+    """column(j, t, w, m): the image of e_t * w D^-m under C.maps[j], in
+    canonical (slot, exp, order key) coordinates.
+
+    Normal words are a basis (Bergman's diamond lemma), so nf is linear: an
+    entry e = sum_v c_v v D^-k sends w D^-m to
+    sum_v c_v nf(v sigma^-k(w)) D^-(k+m).  Each product nf(v sigma^-k(w)) is
+    computed once, each distinct entry is combined with them once per w, and
+    a column only re-keys the images of its row's entries with the exponent
+    k + m.  Within a slot distinct words keep distinct keys, so re-keying
+    never merges terms.  Columns are kept, so the kernel columns of one
+    position are the lift columns of the position before.
+    """
+    alg = C.alg
+    key_of = alg.order.key
+    products, images, keys, columns = {}, {}, {}, {}
+    ids = {}  # entry content -> entry id, so equal entries share their images
+    entry_rows = [[[(u, e, ids.setdefault((tuple(e.num.d.items()), e.exp), len(ids)))
+                    for u, e in enumerate(row) if not e.is_zero()]
+                   for row in f.entries] for f in C.maps]
+
+    def product(v, k, w):
+        hit = products.get((v, k, w))
+        if hit is None:
+            hit = products[(v, k, w)] = alg.rs.normal_form(
+                NCPoly.term(v) * alg.sigma_word(w, -k)).d
+        return hit
+
+    def image(e, eid, w):
+        hit = images.get((eid, w))
+        if hit is None:
+            acc = {}
+            for v, c in e.num.terms():
+                for x, d in product(v, e.exp, w).items():
+                    old = acc.get(x)
+                    acc[x] = c * d if old is None else old + c * d
+            hit = images[(eid, w)] = [(x, c) for x, c in acc.items() if c]
+        return hit
+
+    def canonical(x, exp):
+        hit = keys.get((x, exp))
+        if hit is None:
+            x2, m2 = _canonical_pair(alg, x, exp)
+            hit = keys[(x, exp)] = (m2, key_of(x2))
+        return hit
+
+    def column(j, t, w, m):
+        hit = columns.get((j, t, w, m))
+        if hit is None:
+            hit = columns[(j, t, w, m)] = {(u, *canonical(x, e.exp + m)): c
+                                           for u, e, eid in entry_rows[j][t]
+                                           for x, c in image(e, eid, w)}
+        return hit
+
+    return column
 
 
 def probe_exactness(C, N, slack, window=2):
@@ -780,28 +821,17 @@ def probe_exactness(C, N, slack, window=2):
             words_cache[key] = words
         return [(t, w, m) for t in range(rank) for (w, m) in words]
 
-    def image_vector(fmap, t, w, m):
-        out = {}
-        le0 = LocalizedElement(alg, NCPoly.term(w), m)
-        for u in range(fmap.tgt_rank):
-            e = fmap.entries[t][u]
-            if e.is_zero():
-                continue
-            _coords_of_elt(alg, u, e * le0, out)
-        return out
-
+    column = _image_columns(C)
     L = len(C.ranks) - 1
     positions = []
     all_ok = True
     for p in range(L + 1):
         j = L - p  # complex level carrying the cycles
         dom = filtration_basis(C.ranks[j], N - slack, window)
-        columns = []
         if j < L:
-            fmap = C.maps[j]
-            for (t, w, m) in dom:
-                columns.append(((t, w, m), image_vector(fmap, t, w, m)))
+            columns = [((t, w, m), column(j, t, w, m)) for (t, w, m) in dom]
         else:
+            columns = []
             eps = C.augmentation
             for (t, w, m) in dom:
                 v = eps.apply_loc(LocalizedElement(alg, NCPoly.term(w), m))
@@ -810,9 +840,8 @@ def probe_exactness(C, N, slack, window=2):
 
         lifted = 0
         if j >= 1:
-            fmap_in = C.maps[j - 1]
             lift_dom = filtration_basis(C.ranks[j - 1], N, lift_window)
-            images = [((t, w, m), image_vector(fmap_in, t, w, m)) for (t, w, m) in lift_dom]
+            images = [((t, w, m), column(j - 1, t, w, m)) for (t, w, m) in lift_dom]
             # a filtration word with m > 0 never ends in D, so each basis
             # vector is its own canonical coordinate
             targets = [{(t, m, order.key(w)): c for (t, w, m), c in cyc.items()}

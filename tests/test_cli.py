@@ -411,12 +411,25 @@ def test_unreadable_config_exits_3(content, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"invalid config: {cfg_path}: ")
 
 
+def _one_check(**fields):
+    """A stored report of one check entry, ``fields`` over a passing one."""
+    entry = {"name": "hopf", "status": "pass", "witnesses": [], **fields}
+    return json.dumps({"report": {"checks": [entry]}})
+
+
 @pytest.mark.parametrize("content, error", [(None, "FileNotFoundError"),
                                             ("{not json", "JSONDecodeError"),
                                             ('{"timings": {}}', "KeyError"),
                                             ('{"report": {}}', "ValueError"),
                                             ('{"report": {"checks": [{}]}}', "ValueError"),
-                                            ('{"report": {"checks": 5}}', "ValueError")])
+                                            ('{"report": {"checks": 5}}', "ValueError"),
+                                            (_one_check(details=5), "ValueError"),
+                                            (_one_check(witnesses=[1]), "ValueError"),
+                                            (_one_check(details={"H_b": 5}), "ValueError"),
+                                            (_one_check(details={"H_b": [1], "gs": {"upper": 4}}),
+                                             "ValueError"),
+                                            (_one_check(details={"gs": [4]}), "ValueError"),
+                                            (_one_check(details={"mu": ["a"]}), "ValueError")])
 def test_unreadable_report_exits_3(content, error, tmp_path, capsys):
     path = tmp_path / "report.json"
     if content is not None:

@@ -20,7 +20,9 @@ from hopfcheck.complexes import (
     laurent_cone,
     mapping_cone,
     probe_exactness,
+    _image_columns,
 )
+from hopfcheck.hopf import LocalizedElement
 
 Q = Fraction(2)
 
@@ -359,6 +361,62 @@ def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
     for p in lifting:
         assert not p["ok"] and p["cycles_lifted"] == 0
         assert p["unlifted"] == p["cycles_found"]
+
+
+def _coords_of_elt(alg, slot, le, out):
+    """Add le, in slot ``slot``, to out in canonical (slot, exp, order key)
+    coordinates: each word drops trailing D against the exponent."""
+    for w, c in le.num.terms():
+        m = le.exp
+        while m > 0 and w and w[-1] == alg.loc:
+            w, m = w[:-1], m - 1
+        key = (slot, m, alg.order.key(w))
+        nc = out.get(key, 0) + c
+        if nc:
+            out[key] = nc
+        else:
+            del out[key]
+
+
+def reference_column(fmap, t, w, m):
+    """The probe column of e_t * w D^-m, built the direct way: each entry
+    times w D^-m as a LocalizedElement product, normalized as a whole."""
+    alg = fmap.alg
+    out = {}
+    for u, e in enumerate(fmap.entries[t]):
+        if not e.is_zero():
+            _coords_of_elt(alg, u, e * LocalizedElement(alg, NCPoly.term(w), m), out)
+    return out
+
+
+@pytest.mark.parametrize("which, bound, window", [("glq9 psi", 4, 1), ("slql8 cone", 5, 2),
+                                                  ("n3 psi", 2, 1), ("n3 psi.D^-1", 2, 1)])
+def test_probe_columns_match_products(which, bound, window, request):
+    """The probe's table-built columns equal the direct products on every
+    map, row t and filtration vector w D^-m (weight(w) + m weight(D) <= bound).
+    ψ.D^-1, ψ with every entry times D^-1, exercises the sigma shift: D is
+    not central in G(A3,B3)."""
+    if which == "slql8 cone":
+        C = laurent_cone(request.getfixturevalue("slql8"))["cone"]
+    else:
+        C = build_yd_resolution(gamma_maps(request.getfixturevalue(which.split()[0])))
+    if which == "n3 psi.D^-1":
+        dinv = C.alg.loc_inv_elt()
+        C = Complex(C.alg, "right", [FreeModuleMap(C.alg, "right", [[e * dinv for e in row]
+                                                                     for row in f.entries])
+                                     for f in C.maps])
+    alg = C.alg
+    wloc = alg.order.weights[alg.loc]
+    vectors = [(w, m) for w in alg.rs.enumerate_normal_words(bound) for m in range(window + 1)
+               if alg.order.weight(w) + m * wloc <= bound
+               and not (m and w and w[-1] == alg.loc)]
+    assert any(m for _, m in vectors)
+    assert (max(f.max_entry_exp() for f in C.maps) > 0) == which.endswith("D^-1")
+    column = _image_columns(C)
+    for j, fmap in enumerate(C.maps):
+        for t in range(fmap.src_rank):
+            for w, m in vectors:
+                assert column(j, t, w, m) == reference_column(fmap, t, w, m), (j, t, w, m)
 
 
 def broken_resolution(g):

@@ -1,5 +1,6 @@
-"""Tooling: the traced benchmark's targets exist, a python -O run is unchanged,
-and the package has no unused imports or dead locals."""
+"""Tooling: the traced benchmark's targets exist, committed benchmark results
+name its metrics, a python -O run is unchanged, and the package has no
+unused imports or dead locals."""
 
 import ast
 import glob
@@ -29,6 +30,36 @@ def test_traced_benchmark_targets_resolve():
             assert attr in vars(getattr(owner, cls)), (modname, name)
         else:
             assert callable(getattr(owner, name, None)), (modname, name)
+
+
+def _metrics_objects(blob):
+    """Every value stored under a "metrics" key, at any depth."""
+    if isinstance(blob, dict):
+        for key, value in blob.items():
+            if key == "metrics":
+                yield value
+            else:
+                yield from _metrics_objects(value)
+    elif isinstance(blob, list):
+        for value in blob:
+            yield from _metrics_objects(value)
+
+
+def test_bench_results_name_benchmark_metrics():
+    """Each BENCH_<label>.json at the root parses, holds result lines of
+    perfbench/run.py, and names only metrics that BENCHMARK.json lists."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    known = {m["name"] for m in spec["end_to_end"] + spec["per_layer"]}
+    paths = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+    assert paths
+    for path in paths:
+        with open(path) as fh:
+            found = list(_metrics_objects(json.load(fh)))
+        assert found, path
+        for metrics in found:
+            assert isinstance(metrics, dict) and metrics, path
+            assert set(metrics) <= known, (path, sorted(set(metrics) - known))
 
 
 # probe and cone positions of configs/glq2.json at degree 6, probe N=3, as
