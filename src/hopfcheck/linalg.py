@@ -21,15 +21,20 @@ P = 2**127 - 1
 RR_BOUND = isqrt(P // 2)
 
 
+def _add_into(v, w, c):
+    """v += c*w in place, sparse."""
+    for k, x in w.items():
+        nx = v.get(k, ZERO) + c * x
+        if nx:
+            v[k] = nx
+        else:
+            del v[k]
+
+
 def vec_add(v, w, c=1):
     """v + c*w, sparse."""
     out = dict(v)
-    for k, x in w.items():
-        nx = out.get(k, ZERO) + c * x
-        if nx:
-            out[k] = nx
-        else:
-            del out[k]
+    _add_into(out, w, c)
     return out
 
 
@@ -62,8 +67,8 @@ class RowSpace:
                 return vec, combo
             k, r = hit
             c = vec[k]
-            vec = vec_add(vec, self.rows[r], -c)
-            combo = vec_add(combo, self.combos[r], c)
+            _add_into(vec, self.rows[r], -c)
+            _add_into(combo, self.combos[r], c)
 
     def insert(self, vec, label):
         """Insert a labeled vector.
@@ -200,12 +205,7 @@ def _reproduces(images, beta, target):
     """Whether sum of beta[l] * images[l] equals target, exactly."""
     out = {}
     for lab, c in beta.items():
-        for key, x in images[lab].items():
-            nx = out.get(key, ZERO) + c * x
-            if nx:
-                out[key] = nx
-            else:
-                del out[key]
+        _add_into(out, images[lab], c)
     return out == target
 
 

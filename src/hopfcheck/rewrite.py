@@ -4,27 +4,41 @@ Completion resolves every overlap ambiguity whose overlap word has weight
 at most the requested bound (diamond lemma, truncated).  Reduction never
 increases weight, so the resulting system certifies normal forms and ideal
 membership for all inputs within that weight.
+
+Normal forms are computed fraction-free (Bareiss 1968): inside the reducer
+the normal form of a word is a dict of integer coefficients over one
+positive denominator, in lowest terms, and only ``_Reducer.reduce`` turns
+a result back into ``Fraction`` coefficients.  The rule leads are indexed
+in a trie (the goto function of Aho & Corasick 1975), which one completion
+keeps up to date as it appends, replaces and drops rules.
 """
 
 import hashlib
 import json
+from bisect import insort
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import gcd, lcm
 
 from .errors import ExceedsCertifiedDegree, NoRelations, UnitCollapse
 from .foundation import MonomialOrder, NCPoly, frac, frac_str
 
-ONE = Fraction(1)
+# trie key under which a node lists the serials of the leads ending there;
+# letters are generator indices, so never negative
+_END = -1
+_ZERO_NF = ({}, 1)
 
 
 class RewriteRule:
     """lead -> tail, with lead the order-maximal monomial and tail below it."""
 
-    __slots__ = ("lead", "tail", "_sig")
+    __slots__ = ("lead", "tail", "_sig", "_int_tail")
 
     def __init__(self, lead, tail):
         self.lead = tuple(lead)
         self.tail = tail
         self._sig = None
+        self._int_tail = None
 
     def poly(self):
         return NCPoly.term(self.lead) - self.tail
@@ -33,6 +47,14 @@ class RewriteRule:
         if self._sig is None:
             self._sig = (self.lead, frozenset(self.tail.d.items()))
         return self._sig
+
+    def int_tail(self):
+        """(den, [(word, n), ...]): the tail is the sum of n/den * word, den > 0."""
+        if self._int_tail is None:
+            den = lcm(*(c.denominator for c in self.tail.d.values()))
+            self._int_tail = (den, [(w, c.numerator * (den // c.denominator))
+                                    for w, c in self.tail.d.items()])
+        return self._int_tail
 
     def __repr__(self):
         return f"RewriteRule({self.lead} -> {self.tail.d})"
@@ -46,95 +68,179 @@ def rule_from_poly(p, order):
     return RewriteRule(lead, tail)
 
 
-class _Reducer:
-    """Reduction engine over a fixed rule list, memoized per word.
+def _combine(den, parts):
+    """The sum of n/den * nf over parts [(n, nf), ...], each nf a normal form
+    (coefficients, denominator), as a normal form in lowest terms.
 
-    Deterministic: each word is rewritten at its leftmost redex, using the
-    first matching rule in the (order-sorted) rule list, and the reduction
-    recurses on the resulting words.
+    Terms are summed in the order of parts and of each nf, and a word whose
+    running coefficient cancels is deleted, so the keys come out in the
+    order that summing the same terms as Fractions gives.
+    """
+    common = 1
+    for _, (_, d) in parts:
+        if d != 1:
+            common = lcm(common, d)
+    out = {}
+    for n, (coeffs, d) in parts:
+        f = n * (common // d)
+        for w, c in coeffs.items():
+            nc = out.get(w, 0) + f * c
+            if nc:
+                out[w] = nc
+            else:
+                del out[w]
+    if not out:
+        return _ZERO_NF
+    den *= common
+    if den != 1:
+        g = gcd(den, *out.values())
+        if g != 1:
+            den //= g
+            out = {w: c // g for w, c in out.items()}
+    return out, den
+
+
+class _Reducer:
+    """Reduction engine over an ordered, editable rule list.
+
+    ``rules`` maps serial numbers to rules; list order is serial order.  The
+    trie ``root`` indexes the leads of the linked rules.  Each word is
+    rewritten at its leftmost redex, using the matching rule that comes
+    first in list order, and the reduction recurses on the resulting words.
+    Normal forms are memoized per word, and every change to the index
+    clears the memo.
     """
 
-    __slots__ = ("rules", "order", "by_letter", "has_empty", "cache")
+    __slots__ = ("rules", "root", "empty", "maxlen", "cache", "_next")
 
-    def __init__(self, rules, order):
-        self.rules = rules
-        self.order = order
-        by_letter = {}
-        self.has_empty = False
-        for i, r in enumerate(rules):
-            if not r.lead:
-                self.has_empty = True
-            else:
-                by_letter.setdefault(r.lead[0], []).append(i)
-        self.by_letter = by_letter
+    def __init__(self, rules):
+        self.rules = {}
+        self.root = {}
+        self.empty = []  # serials of linked rules with the empty lead
+        self.maxlen = 0  # no linked lead is longer
         self.cache = {}
+        self._next = 0
+        for r in rules:
+            self.append(r)
 
-    def find_redex(self, word):
-        for pos in range(len(word)):
-            ids = self.by_letter.get(word[pos])
-            if not ids:
-                continue
-            for i in ids:
-                lead = self.rules[i].lead
-                if word[pos : pos + len(lead)] == lead:
-                    return pos, i
+    def append(self, rule):
+        """Add rule at the end of the list and index its lead."""
+        seq = self._next
+        self._next += 1
+        self.rules[seq] = rule
+        self.link(seq)
+
+    def link(self, seq):
+        """Index the lead of rule seq."""
+        lead = self.rules[seq].lead
+        if lead:
+            node = self.root
+            for g in lead:
+                node = node.setdefault(g, {})
+            insort(node.setdefault(_END, []), seq)
+            self.maxlen = max(self.maxlen, len(lead))
+        else:
+            insort(self.empty, seq)
+        self.cache.clear()
+
+    def unlink(self, seq):
+        """Take the lead of rule seq out of the index; the rule keeps its place."""
+        lead = self.rules[seq].lead
+        if lead:
+            path = [self.root]
+            for g in lead:
+                path.append(path[-1][g])
+            ends = path[-1][_END]
+            ends.remove(seq)
+            if not ends:
+                del path[-1][_END]
+                for i in range(len(lead), 0, -1):
+                    if path[i]:
+                        break
+                    del path[i - 1][lead[i - 1]]
+        else:
+            self.empty.remove(seq)
+        self.cache.clear()
+
+    def find_redex(self, word, start=0):
+        """(position, serial) of the leftmost redex of word, by the first
+        matching rule in list order, or None if word is normal.
+
+        The search begins at start, so word must hold no redex that starts
+        before it.  An empty lead makes every word reducible.
+        """
+        if self.empty:
+            return start, self.empty[0]
+        root = self.root
+        n = len(word)
+        for pos in range(start, n):
+            node = root.get(word[pos])
+            best = None
+            j = pos + 1
+            while node is not None:
+                ends = node.get(_END)
+                if ends is not None and (best is None or ends[0] < best):
+                    best = ends[0]
+                if j == n:
+                    break
+                node = node.get(word[j])
+                j += 1
+            if best is not None:
+                return pos, best
         return None
 
     def nf_word(self, word):
-        """Normal form of a single word as a coefficient dict."""
-        if self.has_empty:
-            return {}
+        """Normal form of a single word, as (coefficients, denominator)."""
+        if self.empty:
+            return _ZERO_NF
         cache = self.cache
         hit = cache.get(word)
         if hit is not None:
             return hit
-        # iterative post-order over the rewrite dag rooted at word
-        stack = [word]
+        rules = self.rules
+        # iterative post-order over the rewrite dag rooted at word; an entry
+        # is (word, start, None) until its redex is found, then
+        # (word, denominator, children)
+        stack = [(word, 0, None)]
         while stack:
-            w = stack[-1]
+            w, x, children = stack[-1]
+            if children is not None:
+                stack.pop()
+                cache[w] = _combine(x, [(n, cache[cw]) for cw, n in children])
+                continue
             if w in cache:
                 stack.pop()
                 continue
-            red = self.find_redex(w)
+            red = self.find_redex(w, x)
             if red is None:
-                cache[w] = {w: ONE}
+                cache[w] = ({w: 1}, 1)
                 stack.pop()
                 continue
-            pos, i = red
-            rule = self.rules[i]
+            pos, seq = red
+            rule = rules[seq]
+            den, tail = rule.int_tail()
             pre, post = w[:pos], w[pos + len(rule.lead) :]
-            children = [(pre + tw + post, tc) for tw, tc in rule.tail.d.items()]
-            missing = [cw for cw, _ in children if cw not in cache]
-            if missing:
-                stack.extend(missing)
-                continue
-            out = {}
-            for cw, tc in children:
-                for rw, rc in cache[cw].items():
-                    nc = out.get(rw, 0) + tc * rc
-                    if nc:
-                        out[rw] = nc
-                    else:
-                        del out[rw]
-            cache[w] = out
-            stack.pop()
+            children = [(pre + tw + post, n) for tw, n in tail]
+            stack[-1] = (w, den, children)
+            # w[:pos] holds no redex, so one in a child ends past pos
+            start = max(0, pos + 1 - self.maxlen)
+            stack.extend((cw, start, None) for cw, _ in children if cw not in cache)
         return cache[word]
 
     def reduce(self, p):
-        out = {}
-        for w, c in p.d.items():
-            for rw, rc in self.nf_word(w).items():
-                nc = out.get(rw, 0) + c * rc
-                if nc:
-                    out[rw] = nc
-                else:
-                    del out[rw]
-        return NCPoly(out)
-
-
-def reduce_poly(p, rules, order):
-    """One-shot full normal form (builds a throwaway reducer)."""
-    return _Reducer(rules, order).reduce(p)
+        """Normal form of p, with Fraction coefficients."""
+        if len(p.d) == 1:
+            # most calls reduce one term, which is only scaled
+            ((w, c),) = p.d.items()
+            coeffs, den = self.nf_word(w)
+            num, den = c.numerator, c.denominator * den
+            return NCPoly({rw: Fraction(num * n, den) for rw, n in coeffs.items()})
+        den = lcm(*(c.denominator for c in p.d.values()))
+        coeffs, den = _combine(den, [
+            (c.numerator * (den // c.denominator), self.nf_word(w))
+            for w, c in p.d.items()
+        ])
+        return NCPoly({w: Fraction(c, den) for w, c in coeffs.items()})
 
 
 def _overlaps(r1, r2):
@@ -174,9 +280,9 @@ def _spoly(r1, r2, kind, pos):
     return left - right
 
 
-def _has_subword(word, sub):
-    n = len(sub)
-    return any(word[i : i + n] == sub for i in range(len(word) - n + 1))
+def _text(word):
+    """word spelt with one character per letter, for substring search."""
+    return "".join(map(chr, word))
 
 
 class RewriteSystem:
@@ -189,7 +295,7 @@ class RewriteSystem:
         self.rules = sorted(rules, key=lambda r: order.key(r.lead))
         self.certified_degree = certified_degree
         self.collapsed = collapsed
-        self._reducer = _Reducer(self.rules, order)
+        self._reducer = _Reducer(self.rules)
 
     # -- queries ------------------------------------------------------------
 
@@ -220,14 +326,16 @@ class RewriteSystem:
 
     def enumerate_normal_words(self, max_weight):
         """All irreducible words of weight <= max_weight, sorted by order."""
-        assert max_weight <= self.certified_degree
+        if max_weight > self.certified_degree:
+            raise ExceedsCertifiedDegree(
+                f"weight {max_weight} > certified {self.certified_degree}")
         if self.collapsed:
             return []
         out = [()]
         frontier = [()]
         ngens = len(self.order.weights)
-        lead_lengths = sorted({len(r.lead) for r in self.rules})
-        by_letter = self._reducer.by_letter
+        find_redex = self._reducer.find_redex
+        maxlen = self._reducer.maxlen
         while frontier:
             new = []
             for w in frontier:
@@ -235,16 +343,8 @@ class RewriteSystem:
                     w2 = w + (g,)
                     if self.order.weight(w2) > max_weight:
                         continue
-                    # only a suffix of w2 can be a fresh redex
-                    bad = False
-                    for L in lead_lengths:
-                        if L <= len(w2):
-                            suf = w2[len(w2) - L :]
-                            ids = by_letter.get(suf[0], ())
-                            if any(self.rules[i].lead == suf for i in ids):
-                                bad = True
-                                break
-                    if not bad:
+                    # w is normal, so only a suffix of w2 can be a redex
+                    if find_redex(w2, max(0, len(w2) - maxlen)) is None:
                         new.append(w2)
             out.extend(new)
             frontier = new
@@ -302,52 +402,75 @@ class RewriteSystem:
         return cls(order, rules, d["certified_degree"], d.get("collapsed", False))
 
 
-def _interreduce(rules, order):
-    """Reduce every rule against the others until stable; drop zeros."""
-    queue = True
-    while queue:
-        queue = False
-        for i in range(len(rules)):
-            r = rules[i]
-            others = rules[:i] + rules[i + 1 :]
-            nf = reduce_poly(r.poly(), others, order)
-            if nf == r.poly():
-                continue
-            queue = True
-            if nf.is_zero():
-                rules.pop(i)
-            else:
-                rules[i] = rule_from_poly(nf, order)
-            break
-    return rules
+def _interreduce(reducer, order):
+    """Reduce every rule against the others until stable; drop zeros.
+
+    Each step rewrites the first rule, in list order, with a word that
+    contains the lead of another rule: it is reduced with its own lead
+    unlinked, then replaced by the monic rule of its normal form, or
+    dropped if that is zero.  Every rule is tested once; after that a rule
+    is tested again only when a lead it contains has been linked since its
+    last test, since dropping a lead makes no rule reducible.
+    """
+    rules = reducer.rules
+    heap = list(rules)
+    queued = set(heap)
+    while heap:
+        seq = heappop(heap)
+        queued.discard(seq)
+        rule = rules[seq]
+        reducer.unlink(seq)
+        if all(reducer.find_redex(w) is None for w in (rule.lead, *rule.tail.d)):
+            reducer.link(seq)
+            continue
+        nf = reducer.reduce(rule.poly())
+        if nf.is_zero():
+            del rules[seq]
+            continue
+        rule = rules[seq] = rule_from_poly(nf, order)
+        reducer.link(seq)
+        lead = _text(rule.lead)
+        for s, r in rules.items():
+            if s not in queued and s != seq and any(
+                    lead in _text(w) for w in (r.lead, *r.tail.d)):
+                heappush(heap, s)
+                queued.add(s)
 
 
-def _absorb(rules, pending, order):
+def _absorb(reducer, pending, order):
     """Append rules made from pending polynomials, smallest lead first.
 
-    Every pending polynomial must be normal for ``rules``.  Each new rule is
-    made from the pending polynomial with the least leading word; the rest
-    are then normal for every rule but the new one, so only those with a
-    word containing its lead are re-reduced (and re-keyed).  The others
-    keep their polynomial and key, and the stable sort sees the same list
-    as a full re-reduction would give.
+    Every pending polynomial must be normal for the reducer's rules.  Each
+    new rule is made from the pending polynomial with the least leading
+    word; the rest are then normal for every rule but the new one, so only
+    those with a word containing its lead are re-reduced (and re-keyed).
+    The others keep their polynomial and key, and the stable sort sees the
+    same list as a full re-reduction would give.
+
+    The containment test is one string search per polynomial: its words
+    are spelt as text, one character per letter, joined by a character
+    that is no letter.  The lead index would answer it only by a trie walk
+    at every position of every word.
     """
-    items = [(order.key(p.max_word(order)), p) for p in pending]
+    sep = chr(len(order.weights))
+
+    def item(p):
+        return order.key(p.max_word(order)), p, sep.join(map(_text, p.d))
+
+    items = [item(p) for p in pending]
     while items:
         items.sort(key=lambda t: t[0])
         rule = rule_from_poly(items[0][1], order)
-        rules.append(rule)
-        reducer = None
+        reducer.append(rule)
+        lead = _text(rule.lead)
         rest = []
-        for k, p in items[1:]:
-            if any(_has_subword(w, rule.lead) for w in p.d):
-                if reducer is None:
-                    reducer = _Reducer(rules, order)
-                p = reducer.reduce(p)
+        for it in items[1:]:
+            if lead in it[2]:
+                p = reducer.reduce(it[1])
                 if p.is_zero():
                     continue
-                k = order.key(p.max_word(order))
-            rest.append((k, p))
+                it = item(p)
+            rest.append(it)
         items = rest
 
 
@@ -370,17 +493,21 @@ def complete_truncated(relations, order, degree_bound):
         raise ExceedsCertifiedDegree(
             f"degree_bound {degree_bound} below max relation weight {maxw}")
 
-    rules = []
+    reducer = _Reducer([])
     pending = list(relations)
     seen = set()
+    # the rules of the last round: every overlap between two of them is seen
+    done = set()
     while True:
-        _absorb(rules, pending, order)
-        rules = _interreduce(rules, order)
-
-        reducer = _Reducer(rules, order)
+        _absorb(reducer, pending, order)
+        _interreduce(reducer, order)
+        rules = list(reducer.rules.values())
         new = []
         for r1 in rules:
+            old1 = r1 in done
             for r2 in rules:
+                if old1 and r2 in done:
+                    continue
                 for kind, pos in _overlaps(r1, r2):
                     key = (r1.signature(), r2.signature(), kind, pos)
                     if key in seen:
@@ -394,6 +521,7 @@ def complete_truncated(relations, order, degree_bound):
         if not new:
             break
         pending = new
+        done = set(rules)
 
     collapsed = any(not r.lead for r in rules)
     return RewriteSystem(order, rules, degree_bound, collapsed)

@@ -4,15 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfcheck.errors import ExceedsCertifiedDegree, NoRelations, UnitCollapse
 from hopfcheck.foundation import MonomialOrder, NCPoly
 from hopfcheck.hopf import build_gab, build_gabcd, build_glq, build_slq, a_q_matrix
 from hopfcheck.rewrite import (
+    RewriteRule,
     RewriteSystem,
-    _interreduce,
     _overlaps,
     _Reducer,
     _spoly,
@@ -96,6 +96,11 @@ def test_enumerate_normal_words(glq8, slq6):
     w2 = ["".join(names[g] for g in w)
           for w in glq8.rs.enumerate_normal_words(2) if order.weight(w) == 2]
     assert sorted(w2) == ["D", "aa", "ab", "ac", "bb", "bc", "bd", "cc", "cd", "dd"]
+
+
+def test_enumerate_normal_words_above_bound_raises(slq6):
+    with pytest.raises(ExceedsCertifiedDegree):
+        slq6.rs.enumerate_normal_words(slq6.rs.certified_degree + 1)
 
 
 def test_slq_filtration_matches_classical_dimension(slq6):
@@ -215,6 +220,99 @@ def test_confluence_overlap_count_pinned(glq8):
     assert glq8.rs.verify_confluence()["overlaps_checked"] == 151
 
 
+class _FractionReducer:
+    """The reduction engine as it was before normal forms went fraction-free
+    and rule leads were indexed: a linear scan for redexes and Fraction
+    coefficients throughout.  Kept as the reference the engine is compared
+    against."""
+
+    def __init__(self, rules):
+        self.rules = rules
+        by_letter = {}
+        self.has_empty = False
+        for i, r in enumerate(rules):
+            if not r.lead:
+                self.has_empty = True
+            else:
+                by_letter.setdefault(r.lead[0], []).append(i)
+        self.by_letter = by_letter
+        self.cache = {}
+
+    def find_redex(self, word):
+        for pos in range(len(word)):
+            for i in self.by_letter.get(word[pos], ()):
+                lead = self.rules[i].lead
+                if word[pos : pos + len(lead)] == lead:
+                    return pos, i
+        return None
+
+    def nf_word(self, word):
+        if self.has_empty:
+            return {}
+        cache = self.cache
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in cache:
+                stack.pop()
+                continue
+            red = self.find_redex(w)
+            if red is None:
+                cache[w] = {w: Fraction(1)}
+                stack.pop()
+                continue
+            pos, i = red
+            rule = self.rules[i]
+            pre, post = w[:pos], w[pos + len(rule.lead) :]
+            children = [(pre + tw + post, tc) for tw, tc in rule.tail.d.items()]
+            missing = [cw for cw, _ in children if cw not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+            out = {}
+            for cw, tc in children:
+                for rw, rc in cache[cw].items():
+                    nc = out.get(rw, 0) + tc * rc
+                    if nc:
+                        out[rw] = nc
+                    else:
+                        del out[rw]
+            cache[w] = out
+            stack.pop()
+        return cache[word]
+
+    def reduce(self, p):
+        out = {}
+        for w, c in p.d.items():
+            for rw, rc in self.nf_word(w).items():
+                nc = out.get(rw, 0) + c * rc
+                if nc:
+                    out[rw] = nc
+                else:
+                    del out[rw]
+        return NCPoly(out)
+
+
+def _reference_interreduce(rules, order):
+    """Reduce the first rule that changes against a fresh reducer over all
+    the others, and start again, until no rule changes."""
+    queue = True
+    while queue:
+        queue = False
+        for i in range(len(rules)):
+            r = rules[i]
+            nf = _FractionReducer(rules[:i] + rules[i + 1 :]).reduce(r.poly())
+            if nf == r.poly():
+                continue
+            queue = True
+            if nf.is_zero():
+                rules.pop(i)
+            else:
+                rules[i] = rule_from_poly(nf, order)
+            break
+    return rules
+
+
 def _reference_complete(relations, order, degree_bound):
     """The completion loop that re-reduces every pending polynomial against a
     fresh reducer after each absorbed rule, and builds every S-polynomial
@@ -224,7 +322,7 @@ def _reference_complete(relations, order, degree_bound):
     seen = set()
     while True:
         while pending:
-            reducer = _Reducer(rules, order)
+            reducer = _FractionReducer(rules)
             reduced = [reducer.reduce(p) for p in pending]
             reduced = [p for p in reduced if not p.is_zero()]
             pending = []
@@ -233,8 +331,8 @@ def _reference_complete(relations, order, degree_bound):
             reduced.sort(key=lambda p: order.key(p.max_word(order)))
             rules.append(rule_from_poly(reduced[0], order))
             pending = reduced[1:]
-        rules = _interreduce(rules, order)
-        reducer = _Reducer(rules, order)
+        rules = _reference_interreduce(rules, order)
+        reducer = _FractionReducer(rules)
         new = []
         for r1 in rules:
             for r2 in rules:
@@ -288,3 +386,64 @@ def test_completion_matches_reference_loop(presentation):
     got = complete_truncated(relations, order, bound)
     want = _reference_complete(relations, order, bound)
     assert got.to_dict() == want.to_dict()
+
+
+_COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([Fraction(1, 3), Fraction(-2, 5), Fraction(1, 2), Fraction(-3, 4),
+                     Fraction(7, 6)]),
+)
+
+
+@st.composite
+def _rule_lists(draw, ngens=3):
+    """Rules made monic from random polynomials over ngens weight-1
+    letters, neither interreduced nor free of repeated leads."""
+    order = MonomialOrder([1] * ngens)
+    word = st.lists(st.integers(0, ngens - 1), max_size=3).map(tuple)
+    poly = st.dictionaries(word, _COEFFS.filter(bool), min_size=1, max_size=4).map(
+        lambda d: NCPoly({w: Fraction(c) for w, c in d.items()}))
+    polys = draw(st.lists(poly.filter(lambda p: p.max_word(order)), min_size=1, max_size=8))
+    return [rule_from_poly(p, order) for p in polys]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rule_lists(), st.lists(st.tuples(
+    st.lists(st.integers(0, 2), max_size=6).map(tuple), _COEFFS), max_size=5))
+def test_integer_normal_forms_match_fraction_reducer(rules, terms):
+    """Mixed int and Fraction input, non-dyadic rule tails: the same
+    Fractions, with the keys in the same order."""
+    d = {}
+    for w, c in terms:
+        d[w] = d.get(w, 0) + c
+    p = NCPoly(d)
+    got = _Reducer(rules).reduce(p)
+    want = _FractionReducer(rules).reduce(p)
+    assert list(got.d.items()) == list(want.d.items())
+    assert all(type(c) is Fraction for c in got.d.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),
+                min_size=1, max_size=8),
+       st.lists(st.integers(0, 1), max_size=8).map(tuple),
+       st.sets(st.integers(0, 7)))
+@example(leads=[(0, 1), (0,), (0, 1)], word=(1, 0, 1), unlinked={0})
+def test_indexed_find_redex_matches_linear_scan(leads, word, unlinked):
+    """Leads over two letters often match at one position (a lead and its
+    prefix, or a repeated lead): the first in list order wins, before and
+    after some leads are taken out of the index."""
+    rules = [RewriteRule(lead, NCPoly({})) for lead in leads]
+    reducer = _Reducer(rules)
+    want = _FractionReducer(rules).find_redex(word)
+    assert reducer.find_redex(word) == want
+    unlinked = sorted(unlinked & set(range(len(rules))))
+    for seq in unlinked:
+        reducer.unlink(seq)
+    kept = [seq for seq in range(len(rules)) if seq not in unlinked]
+    want = _FractionReducer([rules[seq] for seq in kept]).find_redex(word)
+    got = reducer.find_redex(word)
+    assert got == (want and (want[0], kept[want[1]]))
+    for seq in unlinked:
+        reducer.link(seq)
+    assert reducer.find_redex(word) == _FractionReducer(rules).find_redex(word)
