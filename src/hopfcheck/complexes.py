@@ -31,40 +31,37 @@ class FreeModuleMap:
     def compose(self, then, twist=None):
         """self followed by then; with a twist (an algebra map), the
         coordinates self produces pass through it before then acts."""
-        assert self.alg is then.alg and self.side == then.side
-        assert self.tgt_rank == then.src_rank
+        if self.alg is not then.alg or self.side != then.side:
+            raise IdentityFailed(f"cannot compose {self.name} ({self.side}, {self.alg.name}) "
+                                 f"with {then.name} ({then.side}, {then.alg.name})")
+        if self.tgt_rank != then.src_rank:
+            raise IdentityFailed(f"cannot compose {self.name} (target rank {self.tgt_rank}) "
+                                 f"with {then.name} (source rank {then.src_rank})")
         first = self.entries
         if twist is not None:
             first = [[a if a.is_zero() else twist.apply_loc(a) for a in row] for row in first]
-        out = []
-        for s in range(self.src_rank):
-            row = []
-            for u in range(then.tgt_rank):
-                acc = self.alg.zero()
-                for t in range(self.tgt_rank):
-                    a, b = first[s][t], then.entries[t][u]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + (b * a if self.side == "right" else a * b)
-                row.append(acc)
-            out.append(row)
+        right = self.side == "right"
+        out = [[LocalizedElement.sum(self.alg, [
+                    b * a if right else a * b
+                    for a, b in zip(row, (then_row[u] for then_row in then.entries))
+                    if not (a.is_zero() or b.is_zero())])
+                for u in range(then.tgt_rank)]
+               for row in first]
         return FreeModuleMap(self.alg, self.side, out,
                              self.src_labels, then.tgt_labels,
                              name=f"{self.name};{then.name}")
 
     def apply(self, coords):
         """Image coordinates of a coordinate row."""
-        assert len(coords) == self.src_rank
-        out = []
-        for t in range(self.tgt_rank):
-            acc = self.alg.zero()
-            for s in range(self.src_rank):
-                e = self.entries[s][t]
-                if e.is_zero() or coords[s].is_zero():
-                    continue
-                acc = acc + (e * coords[s] if self.side == "right" else coords[s] * e)
-            out.append(acc)
-        return out
+        if len(coords) != self.src_rank:
+            raise IdentityFailed(f"{self.name} takes {self.src_rank} coordinates, "
+                                 f"got {len(coords)}")
+        right = self.side == "right"
+        return [LocalizedElement.sum(self.alg, [
+                    e * x if right else x * e
+                    for x, e in zip(coords, (row[t] for row in self.entries))
+                    if not (e.is_zero() or x.is_zero())])
+                for t in range(self.tgt_rank)]
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)
@@ -127,7 +124,10 @@ class Complex:
         self.augmentation = augmentation
         self.name = name
         for i in range(len(maps) - 1):
-            assert maps[i].tgt_rank == maps[i + 1].src_rank
+            if maps[i].tgt_rank != maps[i + 1].src_rank:
+                raise IdentityFailed(
+                    f"{name or 'complex'}: map {i} has target rank {maps[i].tgt_rank}, "
+                    f"map {i + 1} source rank {maps[i + 1].src_rank}")
 
     def is_complex(self):
         failures = []
@@ -138,7 +138,9 @@ class Complex:
         if self.augmentation is not None:
             eps = self.augmentation
             last = self.maps[-1]
-            assert last.tgt_rank == 1
+            if last.tgt_rank != 1:
+                raise IdentityFailed(f"{self.name or 'complex'}: the augmentation needs "
+                                     f"a last target rank of 1, not {last.tgt_rank}")
             for s in range(last.src_rank):
                 v = eps.apply_loc(last.entries[s][0])
                 if v:
@@ -322,12 +324,13 @@ def _block_map(alg, side, blocks, src_layout, tgt_layout, name):
     n = alg.n
     src_off, src_rank = _block_offsets(n, src_layout)
     tgt_off, tgt_rank = _block_offsets(n, tgt_layout)
-    e = zero_entries(alg, src_rank, tgt_rank)
+    parts = [[[] for _ in range(tgt_rank)] for _ in range(src_rank)]
     for (sb, tb), m in blocks.items():
         entries = m.entries if isinstance(m, FreeModuleMap) else m
         for s, row in enumerate(entries):
             for t, val in enumerate(row):
-                e[src_off[sb] + s][tgt_off[tb] + t] = e[src_off[sb] + s][tgt_off[tb] + t] + val
+                parts[src_off[sb] + s][tgt_off[tb] + t].append(val)
+    e = [[LocalizedElement.sum(alg, vals) for vals in row] for row in parts]
     return FreeModuleMap(alg, side, e, _block_labels(n, src_layout),
                          _block_labels(n, tgt_layout), name=name)
 
@@ -655,15 +658,11 @@ def _invert_triangular(fmap):
     for _ in range(r + 1):
         for u in range(r):
             for s in range(r):
-                acc = alg.one() if s == u else alg.zero()
-                for t in range(r):
-                    if t == s:
-                        continue
-                    e = fmap.entries[s][t]
-                    if e.is_zero() or G[t][u].is_zero():
-                        continue
-                    acc = acc - G[t][u] * e
-                G[s][u] = acc * dinv[s]
+                terms = [-(G[t][u] * e) for t, e in enumerate(fmap.entries[s])
+                         if t != s and not (e.is_zero() or G[t][u].is_zero())]
+                if s == u:
+                    terms.append(alg.one())
+                G[s][u] = LocalizedElement.sum(alg, terms) * dinv[s]
     ginv = FreeModuleMap(alg, fmap.side, G, fmap.tgt_labels, fmap.src_labels,
                          name=fmap.name + "^-1")
     ident = identity_map(alg, fmap.side, r)

@@ -92,18 +92,16 @@ class PresentedAlgebra:
         for g in word:
             p = p * images[g]
         for _ in range(abs(k) - 1):
-            q = NCPoly.zero()
-            for w, c in p.terms():
-                q = q + c * self.sigma_word(w, 1 if k > 0 else -1)
-            p = q
+            p = self.sigma_poly(p, 1 if k > 0 else -1)
         self._sigma_cache[key] = p
         return p
 
     def sigma_poly(self, p, k):
-        out = NCPoly.zero()
+        d = {}
         for w, c in p.terms():
-            out = out + c * self.sigma_word(w, k)
-        return out
+            for v, cc in self.sigma_word(w, k).terms():
+                d[v] = d.get(v, 0) + c * cc
+        return NCPoly(d)
 
     # -- element constructors --------------------------------------------------
 
@@ -154,13 +152,33 @@ class LocalizedElement:
     def is_zero(self):
         return self.num.is_zero()
 
+    @staticmethod
+    def sum(alg, terms):
+        """The sum of localized elements of alg, with one normal form.
+
+        Every nonzero term is padded to the largest exponent m (p D^-e =
+        p D^(m-e) D^-m), the padded numerators are added in one dict and
+        the sum is normal-formed once.  The certified-degree guard sees the
+        words left after the addition: a word whose coefficient cancels is
+        not guarded, which is sound because the addition is exact in the
+        free algebra, so the cancelled word is no part of what is reduced.
+        """
+        terms = [t for t in terms if t.num.d]
+        if not terms:
+            return alg.zero()
+        m = max(t.exp for t in terms)
+        loc = alg.loc
+        d = {}
+        for t in terms:
+            pad = (loc,) * (m - t.exp)
+            for w, c in t.num.d.items():
+                w += pad
+                d[w] = d.get(w, 0) + c
+        return LocalizedElement(alg, alg.rs.normal_form(NCPoly(d)), m)
+
     def __add__(self, other):
         assert self.alg is other.alg
-        m = max(self.exp, other.exp)
-        loc = self.alg.loc
-        p = self.num * NCPoly.term((loc,) * (m - self.exp)) if m > self.exp else self.num
-        q = other.num * NCPoly.term((loc,) * (m - other.exp)) if m > other.exp else other.num
-        return LocalizedElement(self.alg, self.alg.rs.normal_form(p + q), m)
+        return LocalizedElement.sum(self.alg, (self, other))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -188,7 +206,13 @@ class LocalizedElement:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, LocalizedElement) and (self - other).is_zero()
+        if not isinstance(other, LocalizedElement):
+            return False
+        # identical representations are equal; only the difference can
+        # tell unequal ones apart
+        if self.alg is other.alg and self.exp == other.exp and self.num.d == other.num.d:
+            return True
+        return (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("unhashable")
@@ -228,30 +252,46 @@ class TensorElt:
 
     @classmethod
     def from_locs(cls, les):
+        """le_0 (x) ... (x) le_{k-1}."""
+        d = {}
+        for combo in itertools.product(*(le.num.terms() for le in les)):
+            coeff = ONE
+            for _, c in combo:
+                coeff *= c
+            d[tuple(w for w, _ in combo)] = coeff
         return cls(tuple(le.alg for le in les), tuple(le.exp for le in les),
-                   _slotwise([le.num for le in les]))
+                   TensorPoly(len(les), d))
 
     def arity(self):
         return len(self.algs)
 
-    def _aligned(self, exps):
-        """Re-express with the given (>= current) slot exponents."""
-        pads = tuple(e - f for e, f in zip(exps, self.exps))
-        if not any(pads):
-            return self.tp
+    @classmethod
+    def sum(cls, algs, terms):
+        """The sum of tensors over algs, aligned once and added in one dict.
+
+        Each slot takes the largest exponent of any term, zero terms
+        included, and each term's words are padded with the localized
+        letter up to it.  Nothing is normal-formed: that is reduce's work.
+        """
+        terms = list(terms)
+        if not terms:
+            return cls.zero(algs)
+        exps = tuple(max(t.exps[i] for t in terms) for i in range(len(algs)))
         d = {}
-        for words, c in self.tp.terms():
-            key = tuple(
-                w + (self.algs[i].loc,) * pads[i] if pads[i] else w
-                for i, w in enumerate(words)
-            )
-            d[key] = d.get(key, 0) + c
-        return TensorPoly(self.arity(), d)
+        for t in terms:
+            pads = [(alg.loc,) * (e - f) for alg, e, f in zip(algs, exps, t.exps)]
+            if not any(pads):
+                for ws, c in t.tp.d.items():
+                    d[ws] = d.get(ws, 0) + c
+                continue
+            for ws, c in t.tp.d.items():
+                ws = tuple(w + pad for w, pad in zip(ws, pads))
+                d[ws] = d.get(ws, 0) + c
+        return cls(algs, exps, TensorPoly(len(algs), d))
 
     def __add__(self, other):
         assert self.algs == other.algs
-        exps = tuple(max(e, f) for e, f in zip(self.exps, other.exps))
-        return TensorElt(self.algs, exps, self._aligned(exps) + other._aligned(exps))
+        return TensorElt.sum(self.algs, (self, other))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -263,25 +303,46 @@ class TensorElt:
         if not isinstance(other, TensorElt):
             return frac(other) * self
         assert self.algs == other.algs
-        k = self.arity()
         exps = tuple(e + f for e, f in zip(self.exps, other.exps))
-        out = TensorPoly(k)
-        for ws, c in self.tp.terms():
-            for vs, d in other.tp.terms():
-                # slot i: (w D^-e)(v D^-f) = w sigma^-e(v) D^-(e+f)
-                out = out + _slotwise([
-                    NCPoly.term(ws[i]) * (self.algs[i].sigma_word(vs[i], -self.exps[i])
-                                          if self.exps[i] else NCPoly.term(vs[i]))
-                    for i in range(k)], c * d)
-        return TensorElt(self.algs, exps, out)
+        # slot i: (w D^-e)(v D^-f) = w sigma^-e(v) D^-(e+f), so other's slots
+        # are shifted once, only where e != 0, and then words concatenate
+        right = other.tp.d
+        for i, (alg, e) in enumerate(zip(self.algs, self.exps)):
+            if e:
+                shifted = {}
+                for vs, c in right.items():
+                    for v, x in alg.sigma_word(vs[i], -e).terms():
+                        key = vs[:i] + (v,) + vs[i + 1 :]
+                        shifted[key] = shifted.get(key, 0) + c * x
+                right = shifted
+        d = {}
+        for ws, c in self.tp.d.items():
+            for vs, cc in right.items():
+                key = tuple(w + v for w, v in zip(ws, vs))
+                d[key] = d.get(key, 0) + c * cc
+        return TensorElt(self.algs, exps, TensorPoly(len(exps), d))
 
     def reduce(self):
-        """Slotwise normal form (sound for the tensor product of quotients)."""
-        out = TensorPoly(self.arity())
-        for ws, c in self.tp.terms():
-            out = out + _slotwise([alg.rs.normal_form(NCPoly.term(w))
-                                   for alg, w in zip(self.algs, ws)], c)
-        return TensorElt(self.algs, self.exps, out)
+        """Slotwise normal form, one slot at a time.
+
+        nf ⊗ ... ⊗ nf is the composite of the maps id ⊗ .. ⊗ nf ⊗ .. ⊗ id,
+        and nf is linear, so slot i is reduced by grouping the terms by
+        their other slots and normal-forming each group's slot-i polynomial
+        once.  The certified-degree guard sees the slot-i words of the terms
+        left after slots 0..i-1 are reduced: a word whose other-slot factor
+        reduces to 0 is not guarded, which is sound because that term is 0
+        in the tensor product of the quotients whatever the word is.
+        """
+        d = self.tp.d
+        for i, alg in enumerate(self.algs):
+            groups = {}
+            for ws, c in d.items():
+                groups.setdefault(ws[:i] + ws[i + 1 :], {})[ws[i]] = c
+            nf = alg.rs.normal_form
+            # distinct groups and distinct normal words give distinct keys
+            d = {rest[:i] + (w,) + rest[i:]: c
+                 for rest, p in groups.items() for w, c in nf(NCPoly(p)).d.items()}
+        return TensorElt(self.algs, self.exps, TensorPoly(self.arity(), d))
 
     def is_zero(self):
         return self.reduce().tp.is_zero()
@@ -296,25 +357,21 @@ class TensorElt:
         return LocalizedElement(alg, alg.rs.normal_form(p), self.exps[0])
 
     def mul_slots(self):
-        """Multiply the two slots of an arity-2 tensor over one algebra."""
+        """Multiply the two slots of an arity-2 tensor over one algebra.
+
+        Every term has the exponents (e, f), and (w1 D^-e)(w2 D^-f) =
+        w1 sigma^-e(w2) D^-(e+f), so the products are added in one dict and
+        normal-formed once.
+        """
         assert self.arity() == 2 and self.algs[0] is self.algs[1]
         alg = self.algs[0]
-        out = alg.zero()
-        for (w1, w2), c in self.tp.terms():
-            out = out + c * (alg.elt(NCPoly.term(w1), self.exps[0]) *
-                             alg.elt(NCPoly.term(w2), self.exps[1]))
-        return out
-
-
-def _slotwise(polys, c=ONE):
-    """c * (p_0 (x) ... (x) p_{k-1}) as a TensorPoly."""
-    d = {}
-    for combo in itertools.product(*(p.terms() for p in polys)):
-        coeff = c
-        for _, cc in combo:
-            coeff *= cc
-        d[tuple(w for w, _ in combo)] = coeff
-    return TensorPoly(len(polys), d)
+        e = self.exps[0]
+        d = {}
+        for (w1, w2), c in self.tp.d.items():
+            for v, cc in alg.sigma_word(w2, -e).terms():
+                v = w1 + v
+                d[v] = d.get(v, 0) + c * cc
+        return LocalizedElement(alg, alg.rs.normal_form(NCPoly(d)), e + self.exps[1])
 
 
 def apply_slot(te, slot, f):
@@ -340,8 +397,8 @@ def apply_slot(te, slot, f):
         for vs, cc in terms:
             key = pre + vs + post
             d[key] = d.get(key, 0) + c * cc
-    outs = [TensorElt(algs, exps, TensorPoly(len(algs), d)) for exps, d in parts.items()]
-    return sum(outs[1:], outs[0]) if outs else TensorElt.zero(algs)
+    return TensorElt.sum(algs, (TensorElt(algs, exps, TensorPoly(len(algs), d))
+                                for exps, d in parts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +409,10 @@ class _GeneratorMap:
     """A map given by its images of the source's generators.
 
     apply_word multiplies the images (in reverse order when variance is -1)
-    starting from the subclass's unit, apply_poly extends linearly.  A
-    subclass gives its unit, apply_loc (the image of p * D^-m) and the
-    witness respects_relations reports for a relation it does not kill.
+    starting from the subclass's unit, apply_poly extends linearly with one
+    sum.  A subclass gives its unit, its sum, apply_loc (the image of
+    p * D^-m) and the witness respects_relations reports for a relation it
+    does not kill.
     """
 
     variance = 1
@@ -376,8 +434,7 @@ class _GeneratorMap:
         return hit
 
     def apply_poly(self, p):
-        outs = [c * self.apply_word(w) for w, c in p.terms()]
-        return sum(outs[1:], outs[0]) if outs else 0 * self._unit()
+        return self._sum([c * self.apply_word(w) for w, c in p.terms()])
 
     def respects_relations(self):
         failures = [self._witness(i, self.apply_poly(r))
@@ -398,6 +455,9 @@ class Character(_GeneratorMap):
 
     def _unit(self):
         return ONE
+
+    def _sum(self, values):
+        return sum(values, Fraction(0))
 
     def _witness(self, i, v):
         return (i, v) if v else None
@@ -435,6 +495,9 @@ class AlgebraMap(_GeneratorMap):
     def _unit(self):
         return self.targets[0].one()
 
+    def _sum(self, elts):
+        return LocalizedElement.sum(self.targets[0], elts)
+
     def _witness(self, i, img):
         return None if img.is_zero() else (i, img.pretty())
 
@@ -470,6 +533,9 @@ class DeltaMap(_GeneratorMap):
 
     def _unit(self):
         return TensorElt.unit(self.targets)
+
+    def _sum(self, tensors):
+        return TensorElt.sum(self.targets, tensors)
 
     def _witness(self, i, img):
         return None if img.is_zero() else i

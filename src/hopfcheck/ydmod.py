@@ -42,9 +42,8 @@ class Comodule:
         for k in range(self.dim):
             for i in range(self.dim):
                 lhs = delta.apply_loc(self.c[k][i])
-                rhs = TensorElt.zero((alg, alg))
-                for j in range(self.dim):
-                    rhs = rhs + TensorElt.from_locs((self.c[k][j], self.c[j][i]))
+                rhs = TensorElt.sum((alg, alg), [TensorElt.from_locs((self.c[k][j], self.c[j][i]))
+                                                 for j in range(self.dim)])
                 if not (lhs - rhs).is_zero():
                     failures.append(("coassoc", (k, i)))
         return {"ok": not failures, "failures": failures}
@@ -124,13 +123,13 @@ def _yd_act(coaction, h):
                 for (w1, w2, w3), c in d3.tp.terms()]
     out = []
     for te in coaction:
-        acc = TensorElt.zero((alg, alg))
+        terms = []
         for (t, s), c in te.tp.terms():
             tl = alg.elt(NCPoly.term(t), te.exps[0])
             sl = alg.elt(NCPoly.term(s), te.exps[1])
-            for cc, s1, h2, h3 in sweedler:
-                acc = acc + (c * cc) * TensorElt.from_locs((tl * h2, s1 * sl * h3))
-        out.append(acc)
+            terms.extend((c * cc) * TensorElt.from_locs((tl * h2, s1 * sl * h3))
+                         for cc, s1, h2, h3 in sweedler)
+        out.append(TensorElt.sum((alg, alg), terms))
     return out
 
 
@@ -170,21 +169,19 @@ def check_yd_morphism(psi, src, tgt):
     psi.entries[b][t] is the coefficient of basis vector t in the image of b;
     right-linearity holds by shape.
     """
-    assert psi.src_rank == src.dim and psi.tgt_rank == tgt.dim
+    if (psi.src_rank, psi.tgt_rank) != (src.dim, tgt.dim):
+        raise IdentityFailed(f"{psi.name or 'map'} is {psi.src_rank}x{psi.tgt_rank}, "
+                             f"the comodules have dimensions {src.dim} and {tgt.dim}")
     alg = src.alg
+    algs = (alg, alg)
     failures = []
     for b in range(src.dim):
-        lhs = [TensorElt.zero((alg, alg)) for _ in range(tgt.dim)]
+        coacts = [boxtimes_coact(tgt, psi.entries[b][t], t) for t in range(tgt.dim)]
         for t in range(tgt.dim):
-            co = boxtimes_coact(tgt, psi.entries[b][t], t)
-            for l in range(tgt.dim):
-                lhs[l] = lhs[l] + co[l]
-        rhs = [TensorElt.zero((alg, alg)) for _ in range(tgt.dim)]
-        for k in range(src.dim):
-            for t in range(tgt.dim):
-                rhs[t] = rhs[t] + TensorElt.from_locs((psi.entries[k][t], src.c[k][b]))
-        for t in range(tgt.dim):
-            if not (lhs[t] - rhs[t]).is_zero():
+            lhs = TensorElt.sum(algs, [co[t] for co in coacts])
+            rhs = TensorElt.sum(algs, [TensorElt.from_locs((psi.entries[k][t], src.c[k][b]))
+                                       for k in range(src.dim)])
+            if not (lhs - rhs).is_zero():
                 failures.append((b, t))
     return {"ok": not failures, "failures": failures}
 
