@@ -62,6 +62,6 @@ from .complexes import (
     probe_exactness,
 )
 from .cohomology import bialgebra_cohomology, gs_dimension_report
-from .cli import cache_roundtrip, emit_report, run_config
+from .cli import emit_report, run_config
 
 __version__ = "0.1.0"

@@ -56,7 +56,7 @@ from .hopf import (
     seeded_pair,
     verify_hopf_axioms,
 )
-from .rewrite import RewriteSystem, content_hash, relations_digest, system_cache_key
+from .rewrite import RewriteSystem, content_hash, relations_digest
 
 _INSTANCE_KEYS = {"kind", "A", "B", "C", "D", "q", "n", "conjugator"}
 _PROBE_KEYS = {"N", "slack", "laurent_window"}
@@ -149,62 +149,6 @@ class Refill:
 
     def store(self, key, rs, relations):
         self.cache.store(key, rs, relations)
-
-
-class RunMemo:
-    """Completed systems of one run, keyed by ``system_cache_key``.
-
-    Has the ``load``/``store`` interface of ``GBCache`` and sits in front of
-    an optional one, so a run completes (or reads from disk) each distinct
-    presentation once.  Builds with the same key share one ``RewriteSystem``
-    object, so a memo must not outlive its run.
-    """
-
-    def __init__(self, backing=None):
-        self.backing = backing
-        self.systems = {}
-
-    def load(self, key, relations):
-        rs = self.systems.get(key)
-        if rs is None and self.backing is not None:
-            rs = self.backing.load(key, relations)
-            if rs is not None:
-                self.systems[key] = rs
-        return rs
-
-    def store(self, key, rs, relations):
-        self.systems[key] = rs
-        if self.backing is not None:
-            self.backing.store(key, rs, relations)
-
-
-def cache_roundtrip(rs, directory, probes=None, seed=7):
-    """Store and reload a system; verify normal forms agree on seeded probes."""
-    import random
-
-    from .foundation import NCPoly
-
-    cache = GBCache(directory)
-    relations = [r.poly() for r in rs.rules]
-    key = system_cache_key(relations, rs.order, rs.certified_degree)
-    cache.store(key, rs, relations)
-    rs2 = cache.load(key, relations)
-    rng = random.Random(seed)
-    ngens = len(rs.order.weights)
-    if probes is None:
-        probes = []
-        for _ in range(100):
-            p = NCPoly.zero()
-            for _ in range(3):
-                length = rng.randint(0, 4)
-                w = tuple(rng.randrange(ngens) for _ in range(length))
-                if rs.order.weight(w) <= rs.certified_degree:
-                    p = p + NCPoly.term(w, rng.randint(-3, 3))
-            probes.append(p)
-    for p in probes:
-        if rs.normal_form(p) != rs2.normal_form(p):
-            raise CacheCorrupt("roundtrip normal forms differ")
-    return rs2
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +292,17 @@ def _fails_to_witnesses(failures):
 
 
 class _Run:
-    """The instance of one run, and the objects its checks share, each built once."""
+    """The instance of one run, and the objects its checks share, each built once.
+
+    The cogroupoid's objects are (A,B) and, where the config gives one,
+    (C,D).  ``C(x, y)`` is G(A_x,B_x|A_y,B_y), built on first use; C(0,0) is
+    ``alg``.  An object equal to an earlier one shares its algebras, so a
+    presentation is built once per run.
+    """
 
     def __init__(self, cfg, cache):
-        self.mats = _instance_matrices(cfg)
+        self.mats = m = _instance_matrices(cfg)
+        self.objects = [(m["A"], m["B"])] + ([(m["C"], m["D"])] if "C" in m else [])
         self.bound = cfg["degree_bound"]
         probe = cfg.get("probe", {})
         self.N = probe.get("N", 6)
@@ -359,10 +310,19 @@ class _Run:
         self.window = probe.get("laurent_window", 2)
         self.cache = cache
         self.generic = None  # set by the invariants check
+        self._cogroupoid = {}
 
-    @cached_property
+    def C(self, x, y):
+        x, y = (self.objects.index(self.objects[i]) for i in (x, y))
+        alg = self._cogroupoid.get((x, y))
+        if alg is None:
+            alg = build_gabcd(*self.objects[x], *self.objects[y], self.bound, cache=self.cache)
+            self._cogroupoid[(x, y)] = alg
+        return alg
+
+    @property
     def alg(self):
-        return build_gab(self.mats["A"], self.mats["B"], self.bound, cache=self.cache)
+        return self.C(0, 0)
 
     @cached_property
     def gamma(self):
@@ -427,16 +387,13 @@ def _check_nakayama(run):
 
 
 def _check_cogroupoid(run):
-    m = run.mats
-    rep = cogroupoid_suite([(m["A"], m["B"]), (m["C"], m["D"])], run.bound,
-                           cache=run.cache)
+    objs = range(len(run.objects))
+    rep = cogroupoid_suite({(x, y): run.C(x, y) for x in objs for y in objs})
     return _verdict(rep, {"checks": rep["checks"]})
 
 
 def _check_galois(run):
-    m = run.mats
-    gal = build_gabcd(m["A"], m["B"], m["C"], m["D"], run.bound, cache=run.cache)
-    gal_op = build_gabcd(m["C"], m["D"], m["A"], m["B"], run.bound, cache=run.cache)
+    gal, gal_op = run.C(0, 1), run.C(1, 0)
     try:
         extras = {"nonzero_up_to": gal.rs.nonzero_witness()["nonzero_up_to"]}
     except UnitCollapse:
@@ -554,7 +511,7 @@ def run_config(cfg_or_path):
     cfg = _load_config(cfg_or_path) if isinstance(cfg_or_path, str) else cfg_or_path
     cfg = validate_config(cfg)
     cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
-    cache = RunMemo(GBCache(cache_dir) if cache_dir else None)
+    cache = GBCache(cache_dir) if cache_dir else None
     checks, timings = _run_checks(cfg, cache)
     statuses = [c["status"] for c in checks]
     code = exit_code_of(statuses)

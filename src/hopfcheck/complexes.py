@@ -10,8 +10,8 @@ and is what Complex.is_complex() uses on consecutive differentials.
 from fractions import Fraction
 
 from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
-from .foundation import Mat, NCPoly
-from .hopf import LocalizedElement, conj_map, glq_slq_laurent_iso, sandwich
+from .foundation import Mat, NCPoly, matrix_invariants
+from .hopf import LocalizedElement, glq_slq_laurent_iso, nakayama_nu, sandwich
 from .linalg import certified_lifts, kernel_basis
 
 ONE = Fraction(1)
@@ -89,7 +89,8 @@ class FreeModuleMap:
     def max_entry_exp(self):
         return max((e.exp for row in self.entries for e in row), default=0)
 
-    def nonzero_witnesses(self, limit=3):
+    def nonzero_witnesses(self):
+        """The first three nonzero entries, as (source, target, entry)."""
         out = []
         for s in range(self.src_rank):
             for t in range(self.tgt_rank):
@@ -97,7 +98,7 @@ class FreeModuleMap:
                     lab_s = self.src_labels[s] if self.src_labels else s
                     lab_t = self.tgt_labels[t] if self.tgt_labels else t
                     out.append((lab_s, lab_t, self.entries[s][t].pretty()))
-                    if len(out) >= limit:
+                    if len(out) == 3:
                         return out
         return out
 
@@ -177,11 +178,6 @@ class ChainMap:
 # the gamma building blocks and the Yetter-Drinfeld resolution
 
 
-def _lam(alg):
-    A, B = alg.mats["A"], alg.mats["B"]
-    return (B.transpose() * A.transpose() * B * A)[0, 0]
-
-
 def _vv_labels(n, sym="v"):
     return [f"{sym}{i+1}*{sym}{j+1}" for i in range(n) for j in range(n)]
 
@@ -199,7 +195,7 @@ def gamma_maps(alg):
     """The comodule-level building blocks of the resolution, as module maps."""
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
-    lam = _lam(alg)
+    lam = matrix_invariants(A, B)["lambda"]
     I = Mat.identity(n)
     Bt = B.transpose()
     Binv = B.inverse()
@@ -413,7 +409,7 @@ def build_twist_chainmap(dual, left):
     alg = dual.alg
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
-    nu = conj_map(alg, A.inverse() * A.transpose(), B * B.transpose().inverse(), "ν")
+    nu, eta = nakayama_nu(alg)
 
     def scalar(c):
         return [[alg.elt(NCPoly.term((), c))]]
@@ -453,8 +449,6 @@ def build_twist_chainmap(dual, left):
         inverses.append(inv)
 
     # eta = eps∘nu is the printed character
-    eps = alg.hopf.eps
-    eta = eps.compose_map(nu)
     H = A.inverse() * A.transpose() * B * B.transpose().inverse()
     if [eta.values[alg.u_idx(i, j)] for i in range(n) for j in range(n)] != \
             [H[i, j] for i in range(n) for j in range(n)]:

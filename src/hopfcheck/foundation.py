@@ -68,10 +68,6 @@ class Mat:
     def identity(cls, n):
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, r, c):
-        return cls([[ZERO] * c for _ in range(r)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.a[i][j]

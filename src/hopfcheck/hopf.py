@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from .errors import HopfcheckError, IdentityFailed, UnitCollapse
-from .foundation import Mat, MonomialOrder, NCPoly, TensorPoly, frac
+from .foundation import Mat, MonomialOrder, NCPoly, TensorPoly, frac, matrix_invariants
 from .rewrite import complete_with_cache
 
 ONE = Fraction(1)
@@ -558,12 +558,10 @@ class HopfStructure:
 # builders
 
 
-def _gab_names(n, m, with_loc=True):
+def _gab_names(n, m):
     if (n, m) == (2, 2):
-        names = ["a", "b", "c", "d"]
-    else:
-        names = [f"u{i+1}{j+1}" for i in range(n) for j in range(m)]
-    return names + (["D"] if with_loc else [])
+        return ["a", "b", "c", "d", "D"]
+    return [f"u{i+1}{j+1}" for i in range(n) for j in range(m)] + ["D"]
 
 
 def _gabcd_relations(alg, A, B, C, D):
@@ -644,10 +642,7 @@ def _verify_sigma(alg):
     """sigma must respect the relations and realize D x = sigma(x) D."""
     if alg.rs.collapsed:
         return
-    sigma_map = AlgebraMap(
-        alg, alg, [alg.elt(img) for img in alg.sigma_images],
-        1, alg.loc_inv_elt(), name="σ")
-    rep = sigma_map.respects_relations()
+    rep = _sigma_power_map(alg, 1).respects_relations()
     if not rep["ok"]:
         raise IdentityFailed(f"sigma breaks the presentation: {rep['failures'][:2]}")
     loc = NCPoly.gen(alg.loc)
@@ -797,14 +792,12 @@ def verify_hopf_axioms(alg):
     """Hopf axioms on every generator, with witnesses on failure.
 
     A Hopf algebra is the one-object cogroupoid, so its diagrams are
-    ``_cogroupoid_diagrams`` on C(0,0) = alg.  Besides them: ε respects the
+    ``cogroupoid_suite`` on C(0,0) = alg.  Besides them: ε respects the
     relations (a cogroupoid takes its counits from its C(x,x)), and, for a
     localized algebra, m(S ⊗ id)Δ(D^-1) = 1.
     """
     H = alg.hopf
-    rep = _cogroupoid_diagrams({(0, 0): alg}, {(0, 0, 0): H.delta}, {(0, 0): H.antipode},
-                               {0: H.eps})
-    failures = rep["failures"]
+    failures = cogroupoid_suite({(0, 0): alg})["failures"]
     r = H.eps.respects_relations()
     if not r["ok"]:
         failures.append(("counit_relations", r["failures"]))
@@ -835,7 +828,7 @@ def convolve_chars(alg, chi1, chi2):
 def antipode_squared_sovereign(alg):
     """S^2 against its two closed forms and the sovereign convolution."""
     A, B = alg.mats["A"], alg.mats["B"]
-    lam = (B.transpose() * A.transpose() * B * A)[0, 0]
+    lam = matrix_invariants(A, B)["lambda"]
     S = alg.hopf.antipode
     S2 = S.then(S)
     n = alg.n
@@ -893,6 +886,13 @@ def _sigma_power_map(alg, k):
     return AlgebraMap(alg, alg, images, 1, alg.loc_inv_elt(), name=f"conj_D^{k}")
 
 
+def nakayama_nu(alg):
+    """ν(u) = A^-1 A^t u B (B^t)^-1, D -> D, of G(A,B), and the character η = ε∘ν."""
+    A, B = alg.mats["A"], alg.mats["B"]
+    nu = conj_map(alg, A.inverse() * A.transpose(), B * B.transpose().inverse(), "ν")
+    return nu, alg.hopf.eps.compose_map(nu)
+
+
 def nakayama_G(alg):
     """Nakayama data for G(A,B): mu, xi, eta, and the identities tying them."""
     A, B = alg.mats["A"], alg.mats["B"]
@@ -901,11 +901,11 @@ def nakayama_G(alg):
     Q = B.transpose() * B.inverse()
     eps = alg.hopf.eps
     S = alg.hopf.antipode
+    S2 = S.then(S)
 
     mu = conj_map(alg, P, Q, "μ")
     mu_inv = conj_map(alg, P.inverse(), Q.inverse(), "μ^-1")
-    # nu(u) = A^{-1} A^t u B (B^t)^{-1}
-    nu = conj_map(alg, A.inverse() * A.transpose(), B * B.transpose().inverse(), "ν")
+    nu, eta = nakayama_nu(alg)
 
     failures = []
     for m_, label in ((mu, "mu"), (mu_inv, "mu_inv"), (nu, "nu")):
@@ -916,7 +916,6 @@ def nakayama_G(alg):
         failures.append(("mu_inverse", None))
 
     xi = eps.compose_map(mu)
-    eta = eps.compose_map(nu)
     PQ = P * Q
     if [xi.values[alg.u_idx(i, j)] for i in range(n) for j in range(n)] != \
             [PQ[i, j] for i in range(n) for j in range(n)]:
@@ -929,7 +928,7 @@ def nakayama_G(alg):
     # so the ratio must be a power of conj_D.  The character level is exact:
     # eps∘S^2[xi]^l = xi = eps∘mu.
     wind_xi = winding(xi, "left")
-    s2_wind = wind_xi.then(S.then(S))
+    s2_wind = wind_xi.then(S2)
     if not eps.compose_map(s2_wind).eq(xi):
         failures.append(("eps_S2_wind_xi_is_xi", None))
     inner_power = None
@@ -947,7 +946,7 @@ def nakayama_G(alg):
     # S^-2 [eta S]^r = conj_D ∘ mu on generators
     BAt = B * A.transpose()
     S2inv = conj_map(alg, BAt.inverse(), BAt, "S^-2")
-    if not S2inv.then(S.then(S)).eq_on_gens(AlgebraMap.identity(alg)):
+    if not S2inv.then(S2).eq_on_gens(AlgebraMap.identity(alg)):
         failures.append(("S2inv_check", None))
     etaS = eta.compose_map(S)
     cand = winding(etaS, "right").then(S2inv)
@@ -989,36 +988,26 @@ def cocomposition(src, left, right):
     return DeltaMap(src, (left, right), images, name="Δ")
 
 
-def cogroupoid_suite(objects, degree_bound, cache=None):
-    """All cogroupoid diagrams on generators for the given (A,B) objects.
-
-    objects: list of (A, B) matrix pairs.  Builds C(X,Y) for every ordered
-    pair (completing through ``cache``, as ``build_gabcd`` does), with its
-    cocompositions and antipodes, and checks ``_cogroupoid_diagrams``.
-    """
-    objs = range(len(objects))
-    algs = {(x, y): build_gabcd(*objects[x], *objects[y], degree_bound,
-                                name=f"C({x},{y})", cache=cache)
-            for x in objs for y in objs}
-    deltas = {(x, y, z): cocomposition(algs[(x, y)], algs[(x, z)], algs[(z, y)])
-              for x in objs for y in objs for z in objs}
-    antipodes = {(x, y): galois_s_map(algs[(x, y)], algs[(y, x)]) for x, y in algs}
-    # C(x,x) is G(A_x,B_x), so it carries the counit
-    return _cogroupoid_diagrams(algs, deltas, antipodes,
-                                {x: algs[(x, x)].hopf.eps for x in objs})
-
-
-def _cogroupoid_diagrams(algs, deltas, antipodes, counits):
+def cogroupoid_suite(algs):
     """The cogroupoid diagrams, on generators.
 
-    algs[(x, y)] is C(x,y); deltas[(x, y, z)] the cocomposition
-    C(x,y) -> C(x,z) (x) C(z,y); antipodes[(x, y)] the antipode
-    C(x,y) -> C(y,x)^op; counits[x] the counit of C(x,x).  Checks that each
-    C(x,y) is nonzero and each Δ and S respects the relations, then
+    algs[(x, y)] is C(x,y), e.g. G(A_x,B_x|A_y,B_y), for every ordered pair
+    of objects x, y.  Each C(x,x) is a Hopf algebra (G(A_x,B_x)), whose own
+    Δ, S and ε are the cocomposition Δ^x_{x,x}, the antipode S_{x,x} and the
+    counit of x; the other cocompositions C(x,y) -> C(x,z) (x) C(z,y) and
+    antipodes C(x,y) -> C(y,x)^op are built here.  Checks that each C(x,y)
+    is nonzero and each Δ and S respects the relations, then
     coassociativity for every pair of middle objects, the counit triangles,
     the antipode squares on the diagonal algebras, and the Δ∘S identity.
     """
-    objs = list(counits)
+    objs = sorted({x for x, _ in algs})
+    hopfs = {x: algs[(x, x)].hopf for x in objs}
+    deltas = {(x, y, z): hopfs[x].delta if x == y == z
+              else cocomposition(algs[(x, y)], algs[(x, z)], algs[(z, y)])
+              for x in objs for y in objs for z in objs}
+    antipodes = {(x, y): hopfs[x].antipode if x == y else galois_s_map(algs[(x, y)], algs[(y, x)])
+                 for x, y in algs}
+    counits = {x: h.eps for x, h in hopfs.items()}
     failures = []
     checks = 0
     for xy, alg in algs.items():
@@ -1096,7 +1085,6 @@ def nakayama_galois(alg, alg_op):
     failures = []
     warnings = []
     try:
-        from .foundation import matrix_invariants
         iab = matrix_invariants(A, B)
         icd = matrix_invariants(C, D)
         if iab["lambda"] != icd["lambda"] or iab["trace"] != icd["trace"]:

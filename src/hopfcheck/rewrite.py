@@ -559,7 +559,11 @@ def relations_digest(relations):
 
 
 def complete_with_cache(relations, order, degree_bound, cache=None):
-    """complete_truncated behind an optional cache (see cli.GBCache, cli.RunMemo)."""
+    """complete_truncated behind an optional cache (see cli.GBCache and cli.Refill).
+
+    A cache has ``load(key, relations)``, which returns a stored system or
+    None, and ``store(key, rs, relations)``; the key is ``system_cache_key``.
+    """
     if cache is None:
         return complete_truncated(relations, order, degree_bound)
     key = system_cache_key(relations, order, degree_bound)

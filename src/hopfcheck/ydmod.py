@@ -49,8 +49,10 @@ class Comodule:
         return {"ok": not failures, "failures": failures}
 
 
-def build_comodule(kind, alg, parts=None, verify=True):
-    """trivial | fundamental | dual_fundamental | tensor(list of comodules)."""
+def build_comodule(kind, alg, parts=None):
+    """trivial | fundamental | dual_fundamental | tensor(list of comodules).
+
+    Raises IdentityFailed if the result breaks the comodule axioms."""
     n = alg.n
     if kind == "trivial":
         V = Comodule(alg, [[alg.one()]], labels=["1"], name="k")
@@ -78,10 +80,9 @@ def build_comodule(kind, alg, parts=None, verify=True):
         V = Comodule(alg, c, labels=labels, name="(x)".join(W.name for W in Vs))
     else:
         raise ValueError(f"unknown comodule kind {kind!r}")
-    if verify:
-        rep = V.verify()
-        if not rep["ok"]:
-            raise IdentityFailed(f"comodule axioms failed: {rep['failures'][:3]}")
+    rep = V.verify()
+    if not rep["ok"]:
+        raise IdentityFailed(f"comodule axioms failed: {rep['failures'][:3]}")
     return V
 
 

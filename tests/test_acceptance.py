@@ -28,6 +28,7 @@ from hopfcheck.foundation import NCPoly
 from hopfcheck.hopf import (
     antipode_squared_sovereign,
     build_gab,
+    build_gabcd,
     build_glq,
     cogroupoid_suite,
     commutation_check,
@@ -153,7 +154,9 @@ def test_criterion_6_galois_objects(conj_pair, galois6):
     assert ng["report"]["ok"], ng["report"]["failures"]
     assert ng["mu"].respects_relations()["ok"]
     assert ng["mu_prime"].respects_relations()["ok"]
-    suite = cogroupoid_suite([(A, B), (C, D)], 5)
+    objects = [(A, B), (C, D)]
+    suite = cogroupoid_suite({(x, y): build_gabcd(*objects[x], *objects[y], 5)
+                              for x in range(2) for y in range(2)})
     assert suite["ok"], suite["failures"][:4]
     print(PASS % (6, "galois", time.monotonic() - t0))
 

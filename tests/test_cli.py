@@ -8,7 +8,6 @@ import hopfcheck.cli as cli
 import hopfcheck.rewrite as rewrite
 from hopfcheck.cli import (
     GBCache,
-    cache_roundtrip,
     emit_report,
     report_json,
     report_markdown,
@@ -16,7 +15,7 @@ from hopfcheck.cli import (
     validate_config,
 )
 from hopfcheck.errors import CacheCorrupt, ConfigInvalid, VersionMismatch
-from hopfcheck.hopf import build_glq
+from hopfcheck.hopf import build_gabcd, build_glq
 from hopfcheck.rewrite import system_cache_key
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -121,11 +120,6 @@ def test_exit_code_contract_synthetic():
                 assert got == 2
             else:
                 assert got == 0
-
-
-def test_cache_roundtrip(tmp_path, slq6):
-    rs2 = cache_roundtrip(slq6.rs, str(tmp_path))
-    assert rs2.certified_degree == slq6.rs.certified_degree
 
 
 def test_cache_tamper_detected(tmp_path, slq6):
@@ -312,31 +306,90 @@ def test_cache_store_is_atomic(tmp_path, slq6, monkeypatch):
     assert cache.load(key, relations).to_dict() == slq6.rs.to_dict()
 
 
-def test_run_completes_each_presentation_once(monkeypatch):
-    """glq2 at degree 6: G(A,B) is also C(0,0) of the cogroupoid, and C(0,1),
-    C(1,0) are the Galois objects, so 6 of the 9 builds are distinct."""
+def _glq2(degree_bound, **instance):
     with open(os.path.join(CONFIGS, "glq2.json")) as fh:
         cfg = json.load(fh)
-    cfg["degree_bound"] = 6
+    cfg["degree_bound"] = degree_bound
     cfg["probe"]["N"] = 3
-    completed = []
-    real = rewrite.complete_truncated
+    cfg["instance"].update(instance)
+    return cfg
 
-    def counting(*args, **kwargs):
-        rs = real(*args, **kwargs)
-        completed.append(rs)
-        return rs
 
-    monkeypatch.setattr(rewrite, "complete_truncated", counting)
+def _recording(monkeypatch, module, name):
+    """Patch module.name to record the (args, result) of each call; returns the record."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_run_completes_each_presentation_once(monkeypatch):
+    """glq2 at degree 6: the run builds the cogroupoid's C(0,0) = G(A,B),
+    C(0,1), C(1,0) and C(1,1) once each, and completes them, O(SL_q(2)) and
+    O(SL_q(2))[z^±1].  hopf, nakayama, cogroupoid and galois read the same
+    algebras, and a second run shares none of them."""
+    cfg = _glq2(6)
+    completed = _recording(monkeypatch, rewrite, "complete_truncated")
+    built = _recording(monkeypatch, cli, "build_gabcd")
+    calls = {name: _recording(monkeypatch, cli, name) for name in
+             ("verify_hopf_axioms", "nakayama_G", "cogroupoid_suite", "nakayama_galois")}
     _, code = run_config(cfg)
     assert code == 0
-    first = list(completed)
+    assert len(built) == 4 and len(completed) == 6
+    ((algs,), _), = calls["cogroupoid_suite"]
+    assert [algs[xy] for xy in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [a for _, a in built]
+    # the slq check calls verify_hopf_axioms too, on O(SL_q(2))
+    for name in ("verify_hopf_axioms", "nakayama_G"):
+        (alg,), _ = calls[name][0]
+        assert alg is algs[(0, 0)]
+    (gal, gal_op), _ = calls["nakayama_galois"][0]
+    assert gal is algs[(0, 1)] and gal_op is algs[(1, 0)]
+    first = list(completed) + list(built)
     completed.clear()
+    built.clear()
     _, code = run_config(cfg)
     assert code == 0
-    assert len(first) == len(completed) == 6
-    # a memo lives for one run: the second run shares no system with the first
-    assert not {id(rs) for rs in first} & {id(rs) for rs in completed}
+    assert len(built) == 4 and len(completed) == 6
+    assert not {id(x) for _, x in first} & {id(x) for _, x in completed + built}
+
+
+def test_equal_objects_share_one_algebra(monkeypatch):
+    """A conjugator that fixes (A,B) makes (C,D) = (A,B): the four C(x,y) are
+    one presentation, built and completed once."""
+    built = _recording(monkeypatch, cli, "build_gabcd")
+    completed = _recording(monkeypatch, rewrite, "complete_truncated")
+    rep, code = run_config(_glq2(5, conjugator=[["1", "0"], ["0", "1"]]) | {
+        "checks": ["hopf", "cogroupoid", "galois"]})
+    assert code == 0, rep["checks"]
+    assert len(built) == len(completed) == 1
+
+
+def test_corrupt_galois_entry_fails_only_its_checks(tmp_path):
+    """A truncated cache entry for C(0,1) fails cogroupoid and galois, the
+    two checks that read C(0,1), with CacheCorrupt; hopf reads only C(0,0)."""
+    cfg = _glq2(5) | {"checks": ["hopf", "cogroupoid", "galois"],
+                      "cache_dir": str(tmp_path)}
+    _, code = run_config(cfg)
+    assert code == 0
+    assert len(os.listdir(tmp_path)) == 4
+    m = cli._instance_matrices(cfg)
+    c01 = build_gabcd(m["A"], m["B"], m["C"], m["D"], 5)
+    path = tmp_path / f"gb-{system_cache_key(c01.relations, c01.order, 5)}.json"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    rep, code = run_config(cfg)
+    assert code == 1
+    hopf, cogroupoid, galois = rep["checks"]
+    assert hopf["status"] == "pass"
+    for entry in (cogroupoid, galois):
+        assert entry["status"] == "fail"
+        assert entry["witnesses"][0].startswith("CacheCorrupt: ")
 
 
 def test_run_builds_the_gamma_blocks_once(monkeypatch):

@@ -306,16 +306,23 @@ def test_nakayama_galois_diagonal_case(glq8):
     assert ng["mu"].eq_on_gens(nk["mu"])
 
 
+def _cogroupoid(objects, degree_bound):
+    """C(x,y) = G(A_x,B_x|A_y,B_y) for every ordered pair of the (A,B) objects."""
+    objs = range(len(objects))
+    return {(x, y): build_gabcd(*objects[x], *objects[y], degree_bound)
+            for x in objs for y in objs}
+
+
 def test_cogroupoid_suite_pair(conj_pair):
     A, B, C, D = conj_pair
-    rep = cogroupoid_suite([(A, B), (C, D)], 5)
+    rep = cogroupoid_suite(_cogroupoid([(A, B), (C, D)], 5))
     assert rep["ok"], rep["failures"][:4]
     assert rep["checks"] == 196
 
 
 def test_cogroupoid_suite_single_object():
     A = a_q_matrix(2)
-    rep = cogroupoid_suite([(A, A.inverse())], 5)
+    rep = cogroupoid_suite(_cogroupoid([(A, A.inverse())], 5))
     assert rep["ok"], rep["failures"][:4]
     assert rep["checks"] == 28
 
@@ -438,7 +445,7 @@ def test_broken_sigma_raises_identity_failed(monkeypatch):
 
 def test_nakayama_galois_lets_programming_errors_through(glq8, monkeypatch):
     """Only a HopfcheckError from the invariant comparison becomes a warning."""
-    import hopfcheck.foundation as foundation
+    import hopfcheck.hopf as hopf
     from hopfcheck.errors import NotScalarMultiple
 
     def raising(exc):
@@ -446,9 +453,9 @@ def test_nakayama_galois_lets_programming_errors_through(glq8, monkeypatch):
             raise exc
         return invariants
 
-    monkeypatch.setattr(foundation, "matrix_invariants", raising(NotScalarMultiple("x")))
+    monkeypatch.setattr(hopf, "matrix_invariants", raising(NotScalarMultiple("x")))
     ng = nakayama_galois(glq8, glq8)
     assert ng["report"]["warnings"] == ["invariant check failed: x"]
-    monkeypatch.setattr(foundation, "matrix_invariants", raising(KeyError("A")))
+    monkeypatch.setattr(hopf, "matrix_invariants", raising(KeyError("A")))
     with pytest.raises(KeyError):
         nakayama_galois(glq8, glq8)

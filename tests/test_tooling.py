@@ -1,9 +1,10 @@
 """Tooling: the traced benchmark's targets exist, committed benchmark results
-name its metrics, a python -O run is unchanged, and the package has no
-unused imports or dead locals."""
+name its metrics, a python -O run is unchanged, pinned report bodies are
+byte-identical, and the package has no unused imports or dead locals."""
 
 import ast
 import glob
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -13,14 +14,11 @@ import sys
 
 from hopfcheck.cli import report_json, run_config
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def test_traced_benchmark_targets_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     assert spans.TARGETS
     for modname, name, _ in spans.TARGETS:
         owner = importlib.import_module(modname)
@@ -98,6 +96,34 @@ def test_run_under_python_O_matches(tmp_path):
         assert got == [{"position": p, "cycles_found": found, "cycles_lifted": lifted,
                         "ok": found == lifted, "unlifted": found - lifted}
                        for p, (found, lifted) in enumerate(pin)]
+
+
+def _load_perfbench(name):
+    path = os.path.join(ROOT, "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 of configs/n3seed.json's report body, one of ROADMAP's standing
+# byte-identity pins; perfbench/pins.json holds the benchmark configs' pins
+N3SEED_SHA256 = "57ce49705f892e1d85972a5459693f038d9f0cfd3cede3077eb9b63bb88039b0"
+
+
+def test_report_bodies_match_pins():
+    """The report body (perfbench/gate.report_body) of each perfbench/pins.json
+    config and of configs/n3seed.json hashes to its pin."""
+    gate = _load_perfbench("gate")
+    with open(os.path.join(ROOT, "perfbench", "pins.json")) as fh:
+        pins = [(p["config"], p["sha256"]) for p in json.load(fh)]
+    with open(os.path.join(ROOT, "configs", "n3seed.json")) as fh:
+        pins.append((json.load(fh), N3SEED_SHA256))
+    for cfg, pin in pins:
+        report, code = run_config(cfg)
+        assert code == 0
+        digest = hashlib.sha256(gate.report_body(report_json(report)).encode()).hexdigest()
+        assert digest == pin, cfg
 
 
 def _unused_imports(tree):
