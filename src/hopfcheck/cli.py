@@ -56,7 +56,7 @@ from .hopf import (
     seeded_pair,
     verify_hopf_axioms,
 )
-from .rewrite import RewriteSystem, content_hash, relations_digest
+from .rewrite import RewriteSystem, content_hash, relations_digest, system_cache_key
 
 _INSTANCE_KEYS = {"kind", "A", "B", "C", "D", "q", "n", "conjugator"}
 _PROBE_KEYS = {"N", "slack", "laurent_window"}
@@ -69,8 +69,10 @@ class GBCache:
 
     An entry records the key it was stored under and a digest of the
     relations it was completed from; ``load`` checks both against the
-    request, so an entry copied under another key, or answering other
-    relations, raises ``CacheCorrupt`` instead of being trusted.
+    request, and recomputes the key from the relations and the loaded
+    system's order and certified degree.  So an entry copied under another
+    key, answering other relations, or claiming another order or degree,
+    raises ``CacheCorrupt`` instead of being trusted.
     """
 
     FORMAT_VERSION = 2
@@ -103,9 +105,12 @@ class GBCache:
         if content_hash(payload) != blob.get("hash"):
             raise CacheCorrupt(path)
         try:
-            return RewriteSystem.from_dict(payload)
+            rs = RewriteSystem.from_dict(payload)
         except (KeyError, TypeError, ValueError) as e:
             raise CacheCorrupt(f"{path}: bad payload ({e})") from e
+        if system_cache_key(relations, rs.order, rs.certified_degree) != key:
+            raise CacheCorrupt(f"{path}: order or certified degree is not its key's")
+        return rs
 
     def store(self, key, rs, relations):
         """Write the entry to a temp file beside it, then rename it into place."""
@@ -295,9 +300,11 @@ class _Run:
     """The instance of one run, and the objects its checks share, each built once.
 
     The cogroupoid's objects are (A,B) and, where the config gives one,
-    (C,D).  ``C(x, y)`` is G(A_x,B_x|A_y,B_y), built on first use; C(0,0) is
-    ``alg``.  An object equal to an earlier one shares its algebras, so a
-    presentation is built once per run.
+    (C,D).  ``C(x, y)`` is G(A_x,B_x|A_y,B_y), built on first use; C(x,x) is
+    G(A_x,B_x), and C(0,0) is ``alg``.  An object equal to an earlier one
+    shares its algebras, so a presentation is built once per run.
+    ``presentations`` builds what a run of given checks reads, for
+    ``verify gb``.
     """
 
     def __init__(self, cfg, cache):
@@ -316,7 +323,11 @@ class _Run:
         x, y = (self.objects.index(self.objects[i]) for i in (x, y))
         alg = self._cogroupoid.get((x, y))
         if alg is None:
-            alg = build_gabcd(*self.objects[x], *self.objects[y], self.bound, cache=self.cache)
+            if x == y:
+                alg = build_gab(*self.objects[x], self.bound, cache=self.cache)
+            else:
+                alg = build_gabcd(*self.objects[x], *self.objects[y], self.bound,
+                                  cache=self.cache)
             self._cogroupoid[(x, y)] = alg
         return alg
 
@@ -337,8 +348,36 @@ class _Run:
         return dualize_resolution(self.resolution)
 
     @cached_property
+    def slq(self):
+        return build_slq(self.mats["q"], self.bound, cache=self.cache)
+
+    @cached_property
     def slql(self):
         return build_slq_laurent(self.mats["q"], self.bound, cache=self.cache)
+
+    def presentations(self, checks):
+        """{label: algebra} of every presentation a run of checks reads, built
+        on first use; an object equal to an earlier one is read once."""
+        checks = set(checks)
+        objs = range(len(self.objects))
+        pairs = []
+        # every check but these reads run.alg = C(0,0)
+        if checks - {"invariants", "cogroupoid", "galois", "slq", "cone"}:
+            pairs.append((0, 0))
+        if "cogroupoid" in checks:
+            pairs += [(x, y) for x in objs for y in objs]
+        if "galois" in checks:
+            pairs += [(0, 1), (1, 0)]
+        out = {}
+        for x, y in pairs:
+            alg = self.C(x, y)
+            if all(a is not alg for a in out.values()):
+                out[f"C({x},{y}) {alg.name}"] = alg
+        if "slq" in checks:
+            out[self.slq.name] = self.slq
+        if checks & {"cone", "glq_iso"}:
+            out[self.slql.name] = self.slql
+        return out
 
 
 def _verdict(rep, extras):
@@ -414,9 +453,8 @@ def _check_twist(run):
 
 
 def _check_slq(run):
-    slq = build_slq(run.mats["q"], run.bound, cache=run.cache)
-    return _verdict(_first_failing([verify_hopf_axioms(slq),
-                                    build_slq_resolution(slq).is_complex()]), {})
+    return _verdict(_first_failing([verify_hopf_axioms(run.slq),
+                                    build_slq_resolution(run.slq).is_complex()]), {})
 
 
 def _check_cone(run):
@@ -593,11 +631,11 @@ def _main_gb(args):
     if not cache_dir:
         raise ConfigInvalid("gb prebuild needs cache_dir or HOPFCHECK_CACHE")
     cache = Refill(GBCache(cache_dir))
-    mats = _instance_matrices(cfg)
-    alg = build_gab(mats["A"], mats["B"], cfg["degree_bound"], cache=cache)
+    algs = _Run(cfg, cache).presentations(cfg["checks"])
     for err in cache.replaced:
         sys.stdout.write(f"replaced corrupt cache entry ({err})\n")
-    sys.stdout.write(f"cached {alg.name}: {len(alg.rs.rules)} rules\n")
+    for label, alg in algs.items():
+        sys.stdout.write(f"cached {label}: {len(alg.rs.rules)} rules\n")
     return 0
 
 

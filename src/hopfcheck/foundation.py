@@ -251,7 +251,9 @@ class MonomialOrder:
         self.weights = tuple(weights)
         n = len(self.weights)
         self.precedence = tuple(precedence) if precedence is not None else tuple(range(n))
-        assert sorted(self.precedence) == list(range(n))
+        if sorted(self.precedence) != list(range(n)):
+            raise ValueError(f"precedence {list(self.precedence)} is not a permutation "
+                             f"of the {n} letters")
         rank = [0] * n
         for pos, g in enumerate(self.precedence):
             rank[g] = pos

@@ -5,12 +5,13 @@ at most the requested bound (diamond lemma, truncated).  Reduction never
 increases weight, so the resulting system certifies normal forms and ideal
 membership for all inputs within that weight.
 
-Normal forms are computed fraction-free (Bareiss 1968): inside the reducer
-the normal form of a word is a dict of integer coefficients over one
-positive denominator, in lowest terms, and only ``_Reducer.reduce`` turns
-a result back into ``Fraction`` coefficients.  The rule leads are indexed
-in a trie (the goto function of Aho & Corasick 1975), which one completion
-keeps up to date as it appends, replaces and drops rules.
+Completion is fraction-free (Bareiss 1968) from end to end: S-polynomials,
+their normal forms and the polynomials waiting to become rules are dicts
+of integer coefficients over one positive denominator, and ``Fraction``
+coefficients are made only for the tail of a new rule and by
+``_Reducer.reduce``.  The rule leads are indexed in a trie (the goto
+function of Aho & Corasick 1975), which one completion keeps up to date as
+it appends, replaces and drops rules.
 """
 
 import hashlib
@@ -51,21 +52,49 @@ class RewriteRule:
     def int_tail(self):
         """(den, [(word, n), ...]): the tail is the sum of n/den * word, den > 0."""
         if self._int_tail is None:
-            den = lcm(*(c.denominator for c in self.tail.d.values()))
-            self._int_tail = (den, [(w, c.numerator * (den // c.denominator))
-                                    for w, c in self.tail.d.items()])
+            coeffs, den = _int_poly(self.tail)
+            self._int_tail = (den, list(coeffs.items()))
         return self._int_tail
 
     def __repr__(self):
         return f"RewriteRule({self.lead} -> {self.tail.d})"
 
 
-def rule_from_poly(p, order):
-    """Monic rule with the order-maximal word of p as lead."""
-    lead = p.max_word(order)
-    c = p.d[lead]
-    tail = NCPoly({w: -x / c for w, x in p.d.items() if w != lead})
-    return RewriteRule(lead, tail)
+def _int_poly(p):
+    """p as (integer coefficients, positive denominator)."""
+    den = lcm(*(c.denominator for c in p.d.values()))
+    return {w: c.numerator * (den // c.denominator) for w, c in p.d.items()}, den
+
+
+def _fraction_poly(nf):
+    """The NCPoly of a normal form (coefficients, denominator)."""
+    coeffs, den = nf
+    return NCPoly({w: Fraction(c, den) for w, c in coeffs.items()})
+
+
+def _monic_rule(nf, keys):
+    """Monic rule of a nonzero (coefficients, denominator): its order-maximal
+    word is the lead, and a word with coefficient n gets -n/c in the tail,
+    for the lead's c."""
+    coeffs, _ = nf
+    lead = max(coeffs, key=keys.__getitem__)
+    c = coeffs[lead]
+    return RewriteRule(lead, NCPoly({w: Fraction(-n, c) for w, n in coeffs.items()
+                                     if w != lead}))
+
+
+class _Keys(dict):
+    """order.key of every word looked up, each computed once."""
+
+    __slots__ = ("order",)
+
+    def __init__(self, order):
+        super().__init__()
+        self.order = order
+
+    def __missing__(self, word):
+        key = self[word] = self.order.key(word)
+        return key
 
 
 def _combine(den, parts):
@@ -227,6 +256,10 @@ class _Reducer:
             stack.extend((cw, start, None) for cw, _ in children if cw not in cache)
         return cache[word]
 
+    def nf(self, coeffs, den):
+        """Normal form of the sum of n/den * word over coeffs {word: n}."""
+        return _combine(den, [(n, self.nf_word(w)) for w, n in coeffs.items()])
+
     def reduce(self, p):
         """Normal form of p, with Fraction coefficients."""
         if len(p.d) == 1:
@@ -235,12 +268,12 @@ class _Reducer:
             coeffs, den = self.nf_word(w)
             num, den = c.numerator, c.denominator * den
             return NCPoly({rw: Fraction(num * n, den) for rw, n in coeffs.items()})
+        # _int_poly(p), without the dict it would build
         den = lcm(*(c.denominator for c in p.d.values()))
-        coeffs, den = _combine(den, [
+        return _fraction_poly(_combine(den, [
             (c.numerator * (den // c.denominator), self.nf_word(w))
             for w, c in p.d.items()
-        ])
-        return NCPoly({w: Fraction(c, den) for w, c in coeffs.items()})
+        ]))
 
 
 def _overlaps(r1, r2):
@@ -267,17 +300,32 @@ def _ambiguity_word(r1, r2, kind, pos):
 
 
 def _spoly(r1, r2, kind, pos):
-    """Difference of the two one-step reductions of the ambiguity word."""
-    L1, L2 = r1.lead, r2.lead
+    """Difference left - right of the two one-step reductions of the ambiguity
+    word, r1's minus r2's, as (integer coefficients, positive denominator).
+
+    The denominator is the lcm of the rules' and need not be the least.
+    r1's words come first, then r2's, and a word whose coefficient cancels
+    is deleted, so the keys come out in the order of the Fraction
+    difference.
+    """
+    den1, tail1 = r1.int_tail()
+    den2, tail2 = r2.int_tail()
+    L1 = r1.lead
     if kind == "olap":
-        k = pos
-        left = r1.tail * NCPoly.term(L2[k:])
-        right = NCPoly.term(L1[: len(L1) - k]) * r2.tail
+        post1, pre2, post2 = r2.lead[pos:], L1[: len(L1) - pos], ()
     else:
-        i = pos
-        left = r1.tail
-        right = NCPoly.term(L1[:i]) * r2.tail * NCPoly.term(L1[i + len(L2) :])
-    return left - right
+        post1, pre2, post2 = (), L1[:pos], L1[pos + len(r2.lead) :]
+    den = lcm(den1, den2)
+    f1, f2 = den // den1, -(den // den2)
+    out = {w + post1: f1 * n for w, n in tail1}
+    for w, n in tail2:
+        w = pre2 + w + post2
+        c = out.get(w, 0) + f2 * n
+        if c:
+            out[w] = c
+        else:
+            del out[w]
+    return out, den
 
 
 def _text(word):
@@ -362,9 +410,9 @@ class RewriteSystem:
                     if self.order.weight(word) > self.certified_degree:
                         continue
                     checked += 1
-                    nf = self.reduce(_spoly(r1, r2, kind, pos))
-                    if not nf.is_zero():
-                        failures.append((word, nf))
+                    nf = self._reducer.nf(*_spoly(r1, r2, kind, pos))
+                    if nf[0]:
+                        failures.append((word, _fraction_poly(nf)))
         return {"overlaps_checked": checked, "failures": failures}
 
     # -- serialization --------------------------------------------------------
@@ -402,15 +450,16 @@ class RewriteSystem:
         return cls(order, rules, d["certified_degree"], d.get("collapsed", False))
 
 
-def _interreduce(reducer, order):
+def _interreduce(reducer, keys):
     """Reduce every rule against the others until stable; drop zeros.
 
     Each step rewrites the first rule, in list order, with a word that
-    contains the lead of another rule: it is reduced with its own lead
-    unlinked, then replaced by the monic rule of its normal form, or
-    dropped if that is zero.  Every rule is tested once; after that a rule
-    is tested again only when a lead it contains has been linked since its
-    last test, since dropping a lead makes no rule reducible.
+    contains the lead of another rule: its lead minus tail is reduced with
+    its own lead unlinked, then the rule is replaced by the monic rule of
+    that normal form, or dropped if it is zero.  Every rule is tested once;
+    after that a rule is tested again only when a lead it contains has been
+    linked since its last test, since dropping a lead makes no rule
+    reducible.
     """
     rules = reducer.rules
     heap = list(rules)
@@ -423,11 +472,14 @@ def _interreduce(reducer, order):
         if all(reducer.find_redex(w) is None for w in (rule.lead, *rule.tail.d)):
             reducer.link(seq)
             continue
-        nf = reducer.reduce(rule.poly())
-        if nf.is_zero():
+        den, tail = rule.int_tail()
+        coeffs = {rule.lead: den}
+        coeffs.update((w, -n) for w, n in tail)
+        nf = reducer.nf(coeffs, den)
+        if not nf[0]:
             del rules[seq]
             continue
-        rule = rules[seq] = rule_from_poly(nf, order)
+        rule = rules[seq] = _monic_rule(nf, keys)
         reducer.link(seq)
         lead = _text(rule.lead)
         for s, r in rules.items():
@@ -437,10 +489,11 @@ def _interreduce(reducer, order):
                 queued.add(s)
 
 
-def _absorb(reducer, pending, order):
+def _absorb(reducer, pending, keys):
     """Append rules made from pending polynomials, smallest lead first.
 
-    Every pending polynomial must be normal for the reducer's rules.  Each
+    A pending polynomial is (integer coefficients, positive denominator),
+    and every one must be normal for the reducer's rules.  Each
     new rule is made from the pending polynomial with the least leading
     word; the rest are then normal for every rule but the new one, so only
     those with a word containing its lead are re-reduced (and re-keyed).
@@ -452,24 +505,25 @@ def _absorb(reducer, pending, order):
     that is no letter.  The lead index would answer it only by a trie walk
     at every position of every word.
     """
-    sep = chr(len(order.weights))
+    sep = chr(len(keys.order.weights))
 
-    def item(p):
-        return order.key(p.max_word(order)), p, sep.join(map(_text, p.d))
+    def item(nf):
+        coeffs = nf[0]
+        return max(map(keys.__getitem__, coeffs)), nf, sep.join(map(_text, coeffs))
 
-    items = [item(p) for p in pending]
+    items = [item(nf) for nf in pending]
     while items:
         items.sort(key=lambda t: t[0])
-        rule = rule_from_poly(items[0][1], order)
+        rule = _monic_rule(items[0][1], keys)
         reducer.append(rule)
         lead = _text(rule.lead)
         rest = []
         for it in items[1:]:
             if lead in it[2]:
-                p = reducer.reduce(it[1])
-                if p.is_zero():
+                nf = reducer.nf(*it[1])
+                if not nf[0]:
                     continue
-                it = item(p)
+                it = item(nf)
             rest.append(it)
         items = rest
 
@@ -494,13 +548,14 @@ def complete_truncated(relations, order, degree_bound):
             f"degree_bound {degree_bound} below max relation weight {maxw}")
 
     reducer = _Reducer([])
-    pending = list(relations)
+    keys = _Keys(order)
+    pending = [_int_poly(p) for p in relations]
     seen = set()
     # the rules of the last round: every overlap between two of them is seen
     done = set()
     while True:
-        _absorb(reducer, pending, order)
-        _interreduce(reducer, order)
+        _absorb(reducer, pending, keys)
+        _interreduce(reducer, keys)
         rules = list(reducer.rules.values())
         new = []
         for r1 in rules:
@@ -515,8 +570,8 @@ def complete_truncated(relations, order, degree_bound):
                     seen.add(key)
                     if order.weight(_ambiguity_word(r1, r2, kind, pos)) > degree_bound:
                         continue
-                    nf = reducer.reduce(_spoly(r1, r2, kind, pos))
-                    if not nf.is_zero():
+                    nf = reducer.nf(*_spoly(r1, r2, kind, pos))
+                    if nf[0]:
                         new.append(nf)
         if not new:
             break

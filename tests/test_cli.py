@@ -283,6 +283,44 @@ def test_gb_replaces_a_bad_cache_entry(tmp_path, monkeypatch, capsys):
     assert [c["status"] for c in rep["checks"]] == ["pass", "pass"]
 
 
+@pytest.mark.parametrize("field, error", [("certified_degree", "is not its key's"),
+                                          ("weights", "is not its key's"),
+                                          ("precedence", "bad payload")])
+def test_cache_entry_claiming_another_order_or_degree_rejected(tmp_path, field, error, capsys):
+    """An entry whose payload claims a certified degree of 40, other weights,
+    or a precedence that orders no words, with its hash recomputed, is not
+    its key's: the checks that read it fail, and `verify gb` replaces it
+    with a good one."""
+    cfg = small_config(degree_bound=4, checks=["invariants", "hopf"],
+                       cache_dir=str(tmp_path / "cache"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["gb", str(cfg_path)]) == 0
+    (entry,) = os.listdir(tmp_path / "cache")
+    path = tmp_path / "cache" / entry
+    good = path.read_text()
+    blob = json.loads(good)
+    if field == "certified_degree":
+        blob["payload"]["certified_degree"] = 40
+    elif field == "weights":
+        blob["payload"]["order"]["weights"][0] = 3
+    else:
+        blob["payload"]["order"]["precedence"][0] = 1
+    blob["hash"] = rewrite.content_hash(blob["payload"])
+    path.write_text(json.dumps(blob))
+    rep, code = run_config(cfg)
+    assert code == 1
+    inv, hopf = rep["checks"]
+    assert inv["status"] == "pass"
+    assert hopf["status"] == "fail"
+    assert hopf["witnesses"][0].startswith("CacheCorrupt: ")
+    assert error in hopf["witnesses"][0]
+    capsys.readouterr()
+    assert cli.main(["gb", str(cfg_path)]) == 0
+    assert "replaced corrupt cache entry (CacheCorrupt: " in capsys.readouterr().out
+    assert path.read_text() == good
+
+
 def test_cache_store_is_atomic(tmp_path, slq6, monkeypatch):
     """A store that dies mid-write leaves the previous entry whole and no temp file."""
     cache = GBCache(str(tmp_path))
@@ -337,32 +375,34 @@ def test_run_completes_each_presentation_once(monkeypatch):
     cfg = _glq2(6)
     completed = _recording(monkeypatch, rewrite, "complete_truncated")
     built = _recording(monkeypatch, cli, "build_gabcd")
+    built_gab = _recording(monkeypatch, cli, "build_gab")
     calls = {name: _recording(monkeypatch, cli, name) for name in
              ("verify_hopf_axioms", "nakayama_G", "cogroupoid_suite", "nakayama_galois")}
     _, code = run_config(cfg)
     assert code == 0
-    assert len(built) == 4 and len(completed) == 6
+    assert len(built_gab) == len(built) == 2 and len(completed) == 6
     ((algs,), _), = calls["cogroupoid_suite"]
-    assert [algs[xy] for xy in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [a for _, a in built]
+    assert [algs[xy] for xy in [(0, 0), (1, 1)]] == [a for _, a in built_gab]
+    assert [algs[xy] for xy in [(0, 1), (1, 0)]] == [a for _, a in built]
     # the slq check calls verify_hopf_axioms too, on O(SL_q(2))
     for name in ("verify_hopf_axioms", "nakayama_G"):
         (alg,), _ = calls[name][0]
         assert alg is algs[(0, 0)]
     (gal, gal_op), _ = calls["nakayama_galois"][0]
     assert gal is algs[(0, 1)] and gal_op is algs[(1, 0)]
-    first = list(completed) + list(built)
-    completed.clear()
-    built.clear()
+    first = completed + built + built_gab
+    for record in (completed, built, built_gab):
+        record.clear()
     _, code = run_config(cfg)
     assert code == 0
-    assert len(built) == 4 and len(completed) == 6
-    assert not {id(x) for _, x in first} & {id(x) for _, x in completed + built}
+    assert len(built_gab) == len(built) == 2 and len(completed) == 6
+    assert not {id(x) for _, x in first} & {id(x) for _, x in completed + built + built_gab}
 
 
 def test_equal_objects_share_one_algebra(monkeypatch):
     """A conjugator that fixes (A,B) makes (C,D) = (A,B): the four C(x,y) are
     one presentation, built and completed once."""
-    built = _recording(monkeypatch, cli, "build_gabcd")
+    built = _recording(monkeypatch, cli, "build_gab")
     completed = _recording(monkeypatch, rewrite, "complete_truncated")
     rep, code = run_config(_glq2(5, conjugator=[["1", "0"], ["0", "1"]]) | {
         "checks": ["hopf", "cogroupoid", "galois"]})
@@ -390,6 +430,38 @@ def test_corrupt_galois_entry_fails_only_its_checks(tmp_path):
     for entry in (cogroupoid, galois):
         assert entry["status"] == "fail"
         assert entry["witnesses"][0].startswith("CacheCorrupt: ")
+
+
+@pytest.mark.parametrize("checks", [["hopf", "cogroupoid", "galois"], ["slq"], ["cone"],
+                                    ["glq_iso"]])
+def test_gb_prebuilds_every_presentation_a_run_reads(tmp_path, monkeypatch, capsys, checks):
+    """After `verify gb`, a run of the same config completes nothing: gb built
+    each presentation its checks read, one `cached` line and entry each."""
+    cfg = _glq2(5) | {"checks": checks, "cache_dir": str(tmp_path / "cache")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["gb", str(cfg_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("cached ") for line in lines)
+    assert len(lines) == len(os.listdir(tmp_path / "cache"))
+    completed = _recording(monkeypatch, rewrite, "complete_truncated")
+    rep, code = run_config(cfg)
+    assert code == 0, rep["checks"]
+    assert not completed
+
+
+def test_gb_builds_only_gab_for_the_n3_checks(tmp_path, capsys):
+    """The seeded n=3 instance with the checks that read G(A,B) alone: gb
+    builds G(A,B) and nothing else."""
+    cfg = {"instance": {"kind": "GAB", "n": 3}, "degree_bound": 4, "seed": 12345,
+           "checks": ["invariants", "hopf", "nakayama", "resolution", "gamma",
+                      "dual", "twist", "cohomology"], "cache_dir": str(tmp_path / "cache")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["gb", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("cached C(0,0) GAB: ") and out.count("\n") == 1
+    assert len(os.listdir(tmp_path / "cache")) == 1
 
 
 def test_run_builds_the_gamma_blocks_once(monkeypatch):

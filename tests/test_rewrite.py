@@ -8,16 +8,23 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hopfcheck.errors import ExceedsCertifiedDegree, NoRelations, UnitCollapse
-from hopfcheck.foundation import MonomialOrder, NCPoly
-from hopfcheck.hopf import build_gab, build_gabcd, build_glq, build_slq, a_q_matrix
+from hopfcheck.foundation import Mat, MonomialOrder, NCPoly
+from hopfcheck.hopf import (
+    a_q_matrix,
+    build_gab,
+    build_gabcd,
+    build_glq,
+    build_slq,
+    seeded_pair,
+)
 from hopfcheck.rewrite import (
     RewriteRule,
     RewriteSystem,
+    _fraction_poly,
     _overlaps,
     _Reducer,
     _spoly,
     complete_truncated,
-    rule_from_poly,
 )
 
 
@@ -191,6 +198,9 @@ RULE_SET_PINS = {
     "galois-d8": "008c3f0a9670d9fc3269bc88515e83bf5fe8ba59b899e8a8ee8211d31c0d863b",
     "galois-op-d8": "de25745f13d09ec3c45b4d51e67a5fe7797ca502b43b0bd8952a71606b317fd2",
     "n3-d6": "62ad64c5ea73241c835d0c4af5c883b90cad6ee82098374c9b4e6395e176400f",
+    "n3-diagonal-d6": "0e225a0168831cb0d4ce0a95648d50dab33003477133eb2b0cc40b16ba54fd82",
+    "galois-k-3-d6": "16a5beb0a1664de17911503d37e15f0385f4a6eb702fe4d7192357a88f0e2561",
+    "galois-op-k-3-d6": "88cd149bdbad2b7cc24badfb91bc7d03fb6512229040ace0b336b47452da8b07",
 }
 
 
@@ -201,6 +211,11 @@ def _rule_set_sha(rs):
 
 def test_rule_sets_pinned(glq8, glq9, slq6, slql8, n3, conj_pair):
     A, B, C, D = conj_pair
+    # the conjugate of (A_q, A_q^-1) by [[1,-3],[0,1]]: G(C,D|A,B) has tail
+    # denominators up to 217
+    F = Mat([[1, -3], [0, 1]])
+    C3 = F.transpose() * A * F
+    D3 = F.inverse() * B * F.transpose().inverse()
     systems = {
         "glq2-d6": build_glq(2, 6).rs,
         "glq2-d7": build_glq(2, 7).rs,
@@ -212,12 +227,33 @@ def test_rule_sets_pinned(glq8, glq9, slq6, slql8, n3, conj_pair):
         "galois-d8": build_gabcd(A, B, C, D, 8).rs,
         "galois-op-d8": build_gabcd(C, D, A, B, 8).rs,
         "n3-d6": n3.rs,
+        # seed 5 draws a diagonal signed permutation
+        "n3-diagonal-d6": build_gab(*seeded_pair(5), 6).rs,
+        "galois-k-3-d6": build_gabcd(A, B, C3, D3, 6).rs,
+        "galois-op-k-3-d6": build_gabcd(C3, D3, A, B, 6).rs,
     }
     assert {name: _rule_set_sha(rs) for name, rs in systems.items()} == RULE_SET_PINS
 
 
 def test_confluence_overlap_count_pinned(glq8):
     assert glq8.rs.verify_confluence()["overlaps_checked"] == 151
+
+
+def test_completion_multiplies_no_polynomials(glq8, monkeypatch):
+    """Completion builds its S-polynomials from the rules' integer tails:
+    glq2 at degree 6 makes no NCPoly product."""
+    calls = []
+    real = NCPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(NCPoly, "__mul__", counting)
+    rs = complete_truncated(glq8.relations, glq8.order, 6)
+    assert not calls
+    monkeypatch.undo()
+    assert _rule_set_sha(rs) == RULE_SET_PINS["glq2-d6"]
 
 
 class _FractionReducer:
@@ -293,6 +329,31 @@ class _FractionReducer:
         return NCPoly(out)
 
 
+def rule_from_poly(p, order):
+    """Monic rule with the order-maximal word of p as lead, made in Fractions,
+    as completion made its rules before it went fraction-free."""
+    lead = p.max_word(order)
+    c = p.d[lead]
+    tail = NCPoly({w: -x / c for w, x in p.d.items() if w != lead})
+    return RewriteRule(lead, tail)
+
+
+def _fraction_spoly(r1, r2, kind, pos):
+    """Difference of the two one-step reductions of the ambiguity word, as
+    NCPoly products: the S-polynomial as completion built it before it went
+    fraction-free."""
+    L1, L2 = r1.lead, r2.lead
+    if kind == "olap":
+        k = pos
+        left = r1.tail * NCPoly.term(L2[k:])
+        right = NCPoly.term(L1[: len(L1) - k]) * r2.tail
+    else:
+        i = pos
+        left = r1.tail
+        right = NCPoly.term(L1[:i]) * r2.tail * NCPoly.term(L1[i + len(L2) :])
+    return left - right
+
+
 def _reference_interreduce(rules, order):
     """Reduce the first rule that changes against a fresh reducer over all
     the others, and start again, until no rule changes."""
@@ -341,7 +402,7 @@ def _reference_complete(relations, order, degree_bound):
                     if key in seen:
                         continue
                     seen.add(key)
-                    s = _spoly(r1, r2, kind, pos)
+                    s = _fraction_spoly(r1, r2, kind, pos)
                     word = r1.lead + r2.lead[pos:] if kind == "olap" else r1.lead
                     if order.weight(word) > degree_bound:
                         continue
@@ -386,6 +447,51 @@ def test_completion_matches_reference_loop(presentation):
     got = complete_truncated(relations, order, bound)
     want = _reference_complete(relations, order, bound)
     assert got.to_dict() == want.to_dict()
+
+
+# tail coefficients over 2, 3, 5 and 7, with repeats so that terms cancel
+_SPOLY_COEFFS = st.sampled_from([Fraction(n, d) for d in (1, 2, 3, 5, 7) for n in (-2, -1, 1, 3)])
+
+
+@st.composite
+def _rule_pairs(draw):
+    """Two rules over two letters with leads of length 1-4, so that their
+    leads often overlap or one contains the other, and arbitrary tails."""
+    word = st.lists(st.integers(0, 1), max_size=3).map(tuple)
+    tail = st.dictionaries(word, _SPOLY_COEFFS, max_size=4).map(NCPoly)
+    lead = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple)
+    return [RewriteRule(draw(lead), draw(tail)) for _ in range(2)]
+
+
+def _assert_spolys_agree(rules):
+    """Both orders of the pair, every olap and incl descriptor: the integer
+    S-polynomial has the Fraction one's coefficients, with the keys in the
+    same order.  Returns the kinds of descriptor compared."""
+    kinds = set()
+    for r1, r2 in (rules, rules[::-1]):
+        for kind, pos in _overlaps(r1, r2):
+            got = _fraction_poly(_spoly(r1, r2, kind, pos))
+            want = _fraction_spoly(r1, r2, kind, pos)
+            assert list(got.d.items()) == list(want.d.items())
+            kinds.add(kind)
+    return kinds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_rule_pairs())
+def test_integer_spoly_matches_fraction_spoly(rules):
+    _assert_spolys_agree(rules)
+
+
+def test_integer_spoly_cancels_like_fraction_spoly():
+    """aba contains ba, and ba overlaps aba: in the incl S-polynomial the
+    word a, first in r1's tail, cancels against r2's, and tails over 2, 3,
+    5 and 7 meet."""
+    r1 = RewriteRule((0, 1, 0), NCPoly({(0,): Fraction(1, 2), (): Fraction(3, 7)}))
+    r2 = RewriteRule((1, 0), NCPoly({(0,): Fraction(1, 3), (1, 1): Fraction(2, 5),
+                                     (): Fraction(1, 2)}))
+    assert _assert_spolys_agree([r1, r2]) == {"olap", "incl"}
+    assert list(_fraction_poly(_spoly(r1, r2, "incl", 1)).d) == [(), (0, 0), (0, 1, 1)]
 
 
 _COEFFS = st.one_of(
