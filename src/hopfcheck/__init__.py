@@ -33,6 +33,7 @@ from .hopf import (
     cogroupoid_suite,
     commutation_check,
     glq_slq_laurent_iso,
+    hopf_structure,
     nakayama_G,
     nakayama_galois,
     seeded_pair,

@@ -51,6 +51,7 @@ from .hopf import (
     cogroupoid_suite,
     commutation_check,
     glq_slq_laurent_iso,
+    hopf_structure,
     nakayama_G,
     nakayama_galois,
     seeded_pair,
@@ -303,6 +304,8 @@ class _Run:
     (C,D).  ``C(x, y)`` is G(A_x,B_x|A_y,B_y), built on first use; C(x,x) is
     G(A_x,B_x), and C(0,0) is ``alg``.  An object equal to an earlier one
     shares its algebras, so a presentation is built once per run.
+    ``hopf(alg)`` builds a Hopf algebra's structure once, so every check
+    shares its Δ, ε and S and their word caches.
     ``presentations`` builds what a run of given checks reads, for
     ``verify gb``.
     """
@@ -318,6 +321,7 @@ class _Run:
         self.cache = cache
         self.generic = None  # set by the invariants check
         self._cogroupoid = {}
+        self._hopf = {}
 
     def C(self, x, y):
         x, y = (self.objects.index(self.objects[i]) for i in (x, y))
@@ -331,6 +335,11 @@ class _Run:
             self._cogroupoid[(x, y)] = alg
         return alg
 
+    def hopf(self, alg):
+        if alg not in self._hopf:
+            self._hopf[alg] = hopf_structure(alg)
+        return self._hopf[alg]
+
     @property
     def alg(self):
         return self.C(0, 0)
@@ -341,7 +350,7 @@ class _Run:
 
     @cached_property
     def resolution(self):
-        return build_yd_resolution(self.gamma)
+        return build_yd_resolution(self.gamma, self.hopf(self.alg).eps)
 
     @cached_property
     def dual(self):
@@ -410,14 +419,14 @@ def _check_invariants(run):
 
 
 def _check_hopf(run):
-    reps = [verify_hopf_axioms(run.alg), antipode_squared_sovereign(run.alg),
-            commutation_check(run.alg)]
+    H = run.hopf(run.alg)
+    reps = [verify_hopf_axioms(H), antipode_squared_sovereign(H), commutation_check(run.alg)]
     return _verdict(_first_failing(reps), {})
 
 
 def _check_nakayama(run):
     alg = run.alg
-    nk = nakayama_G(alg)
+    nk = nakayama_G(run.hopf(alg))
     return _verdict(nk["report"], {
         "mu": {alg.names[g]: nk["mu"].images[g].pretty() for g in range(alg.ngens())},
         "xi": [frac_str(v) for v in nk["xi"].values],
@@ -427,7 +436,8 @@ def _check_nakayama(run):
 
 def _check_cogroupoid(run):
     objs = range(len(run.objects))
-    rep = cogroupoid_suite({(x, y): run.C(x, y) for x in objs for y in objs})
+    rep = cogroupoid_suite({(x, y): run.C(x, y) for x in objs for y in objs},
+                           {x: run.hopf(run.C(x, x)) for x in objs})
     return _verdict(rep, {"checks": rep["checks"]})
 
 
@@ -448,17 +458,19 @@ def _check_gamma(run):
 
 
 def _check_twist(run):
-    tw = build_twist_chainmap(run.dual, build_left_resolution(run.gamma))
+    H = run.hopf(run.alg)
+    tw = build_twist_chainmap(run.dual, build_left_resolution(run.gamma, H.eps), H)
     return _verdict(tw["report"], {})
 
 
 def _check_slq(run):
-    return _verdict(_first_failing([verify_hopf_axioms(run.slq),
-                                    build_slq_resolution(run.slq).is_complex()]), {})
+    H = run.hopf(run.slq)
+    reps = [verify_hopf_axioms(H), build_slq_resolution(H).is_complex()]
+    return _verdict(_first_failing(reps), {})
 
 
 def _check_cone(run):
-    lc = laurent_cone(run.slql)
+    lc = laurent_cone(run.hopf(run.slql))
     rep = lc["cone"].is_complex()
     if not lc["report"]["ok"] or not rep["ok"]:
         return "fail", _fails_to_witnesses(rep["failures"]), {}
@@ -479,7 +491,7 @@ def _check_probe(run):
 def _check_cohomology(run):
     if run.generic is False:
         return "uncertified", ["skipped: genericity failed"], {}
-    coh = bialgebra_cohomology(run.alg, run.resolution)
+    coh = bialgebra_cohomology(run.hopf(run.alg), run.resolution)
     gs = gs_dimension_report(run.alg, coh)
     extras = {"H_b": coh["dims"], "ranks": coh["ranks"],
               "gs": {"upper": gs["upper"], "lower": gs["lower"], "verdict": gs["verdict"]}}
@@ -631,7 +643,11 @@ def _main_gb(args):
     if not cache_dir:
         raise ConfigInvalid("gb prebuild needs cache_dir or HOPFCHECK_CACHE")
     cache = Refill(GBCache(cache_dir))
-    algs = _Run(cfg, cache).presentations(cfg["checks"])
+    try:
+        algs = _Run(cfg, cache).presentations(cfg["checks"])
+    except ExceedsCertifiedDegree as e:
+        sys.stdout.write(f"uncertified: {e}\n")
+        return 2
     for err in cache.replaced:
         sys.stdout.write(f"replaced corrupt cache entry ({err})\n")
     for label, alg in algs.items():

@@ -46,12 +46,12 @@ class ScalarComplex:
         return dims
 
 
-def bialgebra_cohomology(alg, resolution):
-    """Cohomology dimensions of Hom(P., k) for the YD resolution P. of k."""
-    triv = build_comodule("trivial", alg)
-    dual = build_comodule("dual_fundamental", alg)
-    fund = build_comodule("fundamental", alg)
-    vxv = build_comodule("tensor", alg, parts=[dual, fund])
+def bialgebra_cohomology(hopf, resolution):
+    """Cohomology dimensions of Hom(P., k) for the YD resolution P. of k over hopf.alg."""
+    triv = build_comodule("trivial", hopf)
+    dual = build_comodule("dual_fundamental", hopf)
+    fund = build_comodule("fundamental", hopf)
+    vxv = build_comodule("tensor", hopf, parts=[dual, fund])
 
     h_triv = hom_to_trivial(triv)
     h_vv = hom_to_trivial(vxv)
@@ -62,11 +62,11 @@ def bialgebra_cohomology(alg, resolution):
             f"Hom(V*xV,k) has dim {len(h_vv)}; instance not generic")
     homs = {"k": h_triv, "vv": h_vv, "ww": h_vv}
 
-    eps = alg.hopf.eps
+    eps = hopf.eps
 
     def level_hom_basis(layout):
         """Functionals on the level's coordinates, blockwise."""
-        offsets, rank = _block_offsets(alg.n, layout)
+        offsets, rank = _block_offsets(hopf.alg.n, layout)
         basis = []
         for b in layout:
             for row in homs[b]:

@@ -211,13 +211,13 @@ def gamma_maps(alg):
     g2 = FreeModuleMap(alg, "right",
                        [[alg.u_elt(i, j)] for i in range(n) for j in range(n)],
                        vv, k, name="γ2")
-    g3 = _vv_map(alg, lambda i, j, kk, ll: Binv[j, kk] * alg.elt(sandwich(alg, I, Bt, i, ll)),
+    g3 = _vv_map(alg, lambda i, j, kk, ll: Binv[j, kk] * alg.elt(sandwich(I, Bt, i, ll)),
                  "γ3")
     g4 = FreeModuleMap(alg, "right",
                        [[alg.elt(NCPoly.term((), AtB[i, j])) for i in range(n) for j in range(n)]],
                        k, vv, name="γ4")
     g5 = FreeModuleMap(alg, "right",
-                       [[alg.elt(sandwich(alg, A, Bt, i, j)) for i in range(n) for j in range(n)]],
+                       [[alg.elt(sandwich(A, Bt, i, j)) for i in range(n) for j in range(n)]],
                        k, vv, name="γ5")
     g6 = FreeModuleMap(alg, "right",
                        [[alg.elt(NCPoly.gen(alg.loc) - NCPoly.one())]], k, k, name="γ6")
@@ -251,11 +251,11 @@ def left_gamma_maps(g):
     return {
         "g1": g["g1"],
         "g2": FreeModuleMap(alg, "right", [[alg.u_elt(j, i)] for i, j in pairs], vv, ["k"]),
-        "g3": _vv_map(alg, lambda i, j, k, l: Ainv[k, j] * alg.elt(sandwich(alg, At, I, l, i)),
+        "g3": _vv_map(alg, lambda i, j, k, l: Ainv[k, j] * alg.elt(sandwich(At, I, l, i)),
                       "γ3'"),
         "g4": FreeModuleMap(alg, "right", [[alg.elt(NCPoly.term((), ABt[j, i])) for i, j in pairs]],
                             ["k"], vv),
-        "g5": FreeModuleMap(alg, "right", [[alg.elt(sandwich(alg, At, B, j, i)) for i, j in pairs]],
+        "g5": FreeModuleMap(alg, "right", [[alg.elt(sandwich(At, B, j, i)) for i, j in pairs]],
                             ["k"], vv),
         "g6": g["g6"],
         "g7": _vv_map(alg, lambda i, j, k, l: g7[k * n + l][i * n + j], "γ7'"),
@@ -331,7 +331,7 @@ def _block_map(alg, side, blocks, src_layout, tgt_layout, name):
                          _block_labels(n, tgt_layout), name=name)
 
 
-def _assemble_resolution(alg, side, blocks, layouts, v, w):
+def _assemble_resolution(alg, side, blocks, layouts, v, w, eps):
     """The four differentials of psi's block shape, from gamma-shaped blocks.
 
     Levels follow ``layouts``; ``v`` and ``w`` name the blocks that play the
@@ -352,26 +352,26 @@ def _assemble_resolution(alg, side, blocks, layouts, v, w):
     sym, name = {"right": ("ψ", "yd_resolution"), "left": ("φ", "left_resolution")}[side]
     maps = [_block_map(alg, side, d, layouts[i], layouts[i + 1], f"{sym}{4 - i}")
             for i, d in enumerate(differentials)]
-    return Complex(alg, side, maps, augmentation=alg.hopf.eps, name=name)
+    return Complex(alg, side, maps, augmentation=eps, name=name)
 
 
-def build_yd_resolution(g):
+def build_yd_resolution(g, eps):
     """The free Yetter-Drinfeld resolution psi of the trivial module over
-    G(A,B), assembled from its blocks ``g`` = gamma_maps(G(A,B))."""
+    G(A,B), assembled from its blocks ``g`` = gamma_maps(G(A,B)), with counit eps."""
     alg = g["g1"].alg
     assert alg.kind == "GAB", "YD resolution is defined over G(A,B)"
     if alg.rs.certified_degree < 6:
         raise ExceedsCertifiedDegree("YD resolution needs certified degree >= 6")
-    return _assemble_resolution(alg, "right", g, _PSI_LAYOUTS, "vv", "ww")
+    return _assemble_resolution(alg, "right", g, _PSI_LAYOUTS, "vv", "ww", eps)
 
 
-def build_left_resolution(g):
+def build_left_resolution(g, eps):
     """The free resolution phi of the trivial module by left modules: psi's
     assembly over phi's own blocks (built on psi's blocks ``g``), with the
-    parts of vv and ww exchanged."""
+    parts of vv and ww exchanged, augmented by the counit eps."""
     alg = g["g1"].alg
     assert alg.kind == "GAB"
-    return _assemble_resolution(alg, "left", left_gamma_maps(g), _DUAL_LAYOUTS, "ww", "vv")
+    return _assemble_resolution(alg, "left", left_gamma_maps(g), _DUAL_LAYOUTS, "ww", "vv", eps)
 
 
 def dualize_resolution(psi):
@@ -404,12 +404,12 @@ def dualize_resolution(psi):
     return Complex(alg, "left", maps, name="dual_complex")
 
 
-def build_twist_chainmap(dual, left):
-    """The nu-twisted vertical isomorphism between the dual and left complexes."""
+def build_twist_chainmap(dual, left, H):
+    """The nu-twisted isomorphism between the dual and left complexes over H.alg."""
     alg = dual.alg
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
-    nu, eta = nakayama_nu(alg)
+    nu, eta = nakayama_nu(H)
 
     def scalar(c):
         return [[alg.elt(NCPoly.term((), c))]]
@@ -488,11 +488,12 @@ def _slq_resolution_maps(alg):
     return [phi3, phi2, phi1]
 
 
-def build_slq_resolution(alg):
-    """The rank (1,4,4,1) free resolution of the trivial SL_q(2)-module."""
+def build_slq_resolution(H):
+    """The rank (1,4,4,1) free resolution of the trivial module over H.alg = O(SL_q(2))."""
+    alg = H.alg
     assert alg.kind == "SLq"
     return Complex(alg, "right", _slq_resolution_maps(alg),
-                   augmentation=alg.hopf.eps, name="slq_resolution")
+                   augmentation=H.eps, name="slq_resolution")
 
 
 def mapping_cone(chainmap, augmentation=None):
@@ -531,8 +532,9 @@ def mapping_cone(chainmap, augmentation=None):
     return Complex(alg, "right", cone_maps, augmentation=augmentation, name="cone")
 
 
-def laurent_cone(alg):
-    """Mapping cone of right multiplication by (z-1) on the extended complex."""
+def laurent_cone(H):
+    """Mapping cone of right multiplication by (z-1) on the complex over H.alg."""
+    alg = H.alg
     assert alg.kind == "SLqLaurent"
     maps = _slq_resolution_maps(alg)  # levels C3 -> C2 -> C1 -> C0
     C = Complex(alg, "right", maps, name="slq_res_z")
@@ -543,27 +545,28 @@ def laurent_cone(alg):
                        name=f"f{3-i}") for i, r in enumerate(ranks)]
     cm = ChainMap(C, C, f, name="(z-1)")
     squares = cm.verify_squares()
-    cone = mapping_cone(cm, augmentation=alg.hopf.eps)
+    cone = mapping_cone(cm, augmentation=H.eps)
     if cone.ranks != [1, 5, 8, 5, 1]:
         raise IdentityFailed(f"cone ranks {cone.ranks} != [1, 5, 8, 5, 1]")
     return {"cone": cone, "chainmap": cm,
             "report": {"ok": squares["ok"], "squares": squares}}
 
 
-def build_glq_complexes(alg, slql):
+def build_glq_complexes(H, slql):
     """(eq 2), its z-side twin (eq 3), and the connecting chain isomorphism.
 
-    Eq 2 is psi over alg = O(GL_q(2)).  Eq 3 is the Laurent cone over
-    slql = O(SL_q(2))[z^±1] carried to alg by the isomorphism's bwd
+    Eq 2 is psi over alg = H.alg = O(GL_q(2)).  Eq 3 is the Laurent cone over
+    slql.alg = O(SL_q(2))[z^±1] carried to alg by the isomorphism's bwd
     (a -> aD^-1, b -> bD^-1, c -> c, d -> d, z -> D) and negated, with the
     blocks of level 3 in the printed order ww|k instead of the cone's k|vv.
     """
+    alg = H.alg
     assert alg.kind == "GAB" and alg.n == 2
     if alg.rs.certified_degree < 8:
         raise ExceedsCertifiedDegree("glq complexes need certified degree >= 8")
-    q = alg.mats["q"]
-    c2 = build_yd_resolution(gamma_maps(alg))
-    iso = glq_slq_laurent_iso(alg, slql)
+    q = slql.alg.mats["q"]
+    c2 = build_yd_resolution(gamma_maps(alg), H.eps)
+    iso = glq_slq_laurent_iso(alg, slql.alg)
     bwd = iso["bwd"]
     cone = laurent_cone(slql)["cone"]
     # cone level 3 is [C0 (k), C1 shifted (vv)]; eq 3 lists the shifted block first
@@ -574,7 +577,7 @@ def build_glq_complexes(alg, slql):
                                      for s in order[i]],
                       _block_labels(2, _PSI_LAYOUTS[i]), _block_labels(2, _PSI_LAYOUTS[i + 1]),
                       name=f"ψb{4 - i}")
-        for i, m in enumerate(cone.maps)], augmentation=alg.hopf.eps, name="eq3")
+        for i, m in enumerate(cone.maps)], augmentation=H.eps, name="eq3")
     E = alg.elt
     a, c = NCPoly.gen(0), NCPoly.gen(2)
     D = alg.loc_elt()

@@ -30,14 +30,15 @@ def a_q_matrix(q):
     return Mat([[0, 1], [-q, 0]])
 
 
-def sandwich(alg, L, R, i, j, transpose=False):
-    """(L u R)_ij as a polynomial; with transpose=True, u is replaced by u^t."""
+def sandwich(L, R, i, j, transpose=False):
+    """(L u R)_ij as a polynomial in the letters u_kl = k*m + l, m = R.rows;
+    with transpose=True, u is replaced by u^t (and m = L.cols)."""
     p = NCPoly.zero()
     for k in range(L.cols):
         for l in range(R.rows):
             c = L[i, k] * R[l, j]
             if c:
-                g = alg.u_idx(l, k) if transpose else alg.u_idx(k, l)
+                g = l * L.cols + k if transpose else k * R.rows + l
                 p = p + c * NCPoly.gen(g)
     return p
 
@@ -60,7 +61,6 @@ class PresentedAlgebra:
         self.sigma_images = sigma_images
         self.sigma_inv_images = sigma_inv_images
         self.mats = mats or {}
-        self.hopf = None
         self._sigma_cache = {}
 
     # -- generator bookkeeping ------------------------------------------------
@@ -548,7 +548,10 @@ class DeltaMap(_GeneratorMap):
 
 
 class HopfStructure:
-    def __init__(self, delta, eps, antipode):
+    """Δ, ε and S of the Hopf algebra alg, which does not point back at them."""
+
+    def __init__(self, alg, delta, eps, antipode):
+        self.alg = alg
         self.delta = delta
         self.eps = eps
         self.antipode = antipode
@@ -564,77 +567,41 @@ def _gab_names(n, m):
     return [f"u{i+1}{j+1}" for i in range(n) for j in range(m)] + ["D"]
 
 
-def _gabcd_relations(alg, A, B, C, D):
-    """u^t A u = C D', u D u^t = B D', plus the derived normality rules."""
-    n, m = alg.n, alg.m
-    loc = NCPoly.gen(alg.loc)
-    rels = []
-    for i in range(m):
-        for j in range(m):
-            p = NCPoly.zero()
-            for k in range(n):
-                for l in range(n):
-                    if A[k, l]:
-                        p = p + A[k, l] * (NCPoly.gen(alg.u_idx(k, i)) * NCPoly.gen(alg.u_idx(l, j)))
-            rels.append(p - C[i, j] * loc)
-    for i in range(n):
-        for j in range(n):
-            p = NCPoly.zero()
-            for k in range(m):
-                for l in range(m):
-                    if D[k, l]:
-                        p = p + D[k, l] * (NCPoly.gen(alg.u_idx(i, k)) * NCPoly.gen(alg.u_idx(j, l)))
-            rels.append(p - B[i, j] * loc)
-    for g in range(n * m):
-        rels.append(loc * NCPoly.gen(g) - alg.sigma_images[g] * loc)
-    return rels
-
-
-class _ProtoAlg:
-    """Just enough structure to build relation polynomials before completion."""
-
-    def __init__(self, n, m, loc):
-        self.n, self.m, self.loc = n, m, loc
-
-    def u_idx(self, i, j):
-        return i * self.m + j
+def _gabcd_relations(A, B, C, D, sigma_images):
+    """u^t A u = C D', u D u^t = B D' on the letters u_kl = k*m + l and
+    D' = n*m, plus the normality rules D' u_g = sigma_images[g] D'."""
+    n, m = A.rows, C.rows
+    loc = NCPoly.gen(n * m)
+    return ([NCPoly({(k * m + i, l * m + j): A[k, l] for k in range(n) for l in range(n)})
+             - C[i, j] * loc for i in range(m) for j in range(m)]
+            + [NCPoly({(i * m + k, j * m + l): D[k, l] for k in range(m) for l in range(m)})
+               - B[i, j] * loc for i in range(n) for j in range(n)]
+            + [loc * NCPoly.gen(g) - sigma_images[g] * loc for g in range(n * m)])
 
 
 def build_gabcd(A, B, C, D, degree_bound, name=None, cache=None):
     """The bi-Galois-object algebra G(A,B|C,D); equals G(A,B) when (C,D)=(A,B)."""
     n, m = A.rows, C.rows
     assert B.rows == n and D.rows == m
-    proto = _ProtoAlg(n, m, n * m)
     BA = B * A
     DC = D * C
     BAi = BA.inverse()
-    sigma_images = [sandwich(proto, BAi, DC, i, j) for i in range(n) for j in range(m)]
-    sigma_images.append(NCPoly.gen(proto.loc))
+    loc = [NCPoly.gen(n * m)]
+    sigma_images = [sandwich(BAi, DC, i, j) for i in range(n) for j in range(m)] + loc
     DCi = DC.inverse()
-    sigma_inv = [sandwich(proto, BA, DCi, i, j) for i in range(n) for j in range(m)]
-    sigma_inv.append(NCPoly.gen(proto.loc))
-
-    # relations need sigma; stash images on the proto object
-    proto.sigma_images = sigma_images
-    rels = _gabcd_relations(proto, A, B, C, D)
+    sigma_inv = [sandwich(BA, DCi, i, j) for i in range(n) for j in range(m)] + loc
+    rels = _gabcd_relations(A, B, C, D, sigma_images)
 
     weights = [1] * (n * m) + [2]
     order = MonomialOrder(weights, heavy={n * m})
     rs = complete_with_cache(rels, order, degree_bound, cache)
-    is_gab = A == C and B == D
-    kind = "GAB" if is_gab else "GABCD"
+    kind = "GAB" if A == C and B == D else "GABCD"
     alg = PresentedAlgebra(
         name or kind, kind, _gab_names(n, m), weights, rels, rs, n, m,
         loc=n * m, sigma_images=sigma_images, sigma_inv_images=sigma_inv,
         mats={"A": A, "B": B, "C": C, "D": D},
     )
     _verify_sigma(alg)
-    if is_gab:
-        # G(A,B) is the diagonal object C(X,X) of the cogroupoid: its Δ and S
-        # are the cocomposition Δ^X_{X,X} and the antipode S_{X,X}
-        eps = Character(alg, [ONE if i == j else 0 for i in range(n) for j in range(n)] + [ONE],
-                        name="ε")
-        alg.hopf = HopfStructure(cocomposition(alg, alg, alg), eps, galois_s_map(alg, alg))
     return alg
 
 
@@ -657,9 +624,7 @@ def build_gab(A, B, degree_bound, name=None, cache=None):
 
 def build_glq(q, degree_bound, cache=None):
     Aq = a_q_matrix(q)
-    alg = build_gab(Aq, Aq.inverse(), degree_bound, name=f"GLq(2),q={q}", cache=cache)
-    alg.mats["q"] = frac(q)
-    return alg
+    return build_gab(Aq, Aq.inverse(), degree_bound, name=f"GLq(2),q={q}", cache=cache)
 
 
 def _slq_relations(q):
@@ -677,33 +642,13 @@ def _slq_relations(q):
     ]
 
 
-def _slq_hopf(alg, q, extras=()):
-    """Δ, ε and S of O(SL_q(2)) on a, b, c, d (the matrix (a b; c d) of
-    coefficients), followed by each extra letter's (Δ, ε, S) images."""
-    delta = [TensorElt((alg, alg), (0, 0), TensorPoly(2, {
-        ((2 * i + k,), (2 * k + j,)): ONE for k in range(2)}))
-        for i in range(2) for j in range(2)]
-    eps = [1, 0, 0, 1]
-    s_images = [alg.gen_elt(3), (-1 / q) * alg.gen_elt(1), (-q) * alg.gen_elt(2), alg.gen_elt(0)]
-    for d, e, si in extras:
-        delta.append(d)
-        eps.append(e)
-        s_images.append(si)
-    inv = alg.loc_elt() if alg.loc is not None else None
-    return HopfStructure(DeltaMap(alg, (alg, alg), delta, name="Δ"),
-                         Character(alg, eps, name="ε"),
-                         AlgebraMap(alg, alg, s_images, variance=-1, loc_inv_image=inv, name="S"))
-
-
 def build_slq(q, degree_bound, cache=None):
     """O(SL_q(2)) on abar..dbar (no localization)."""
     q = frac(q)
     rels = _slq_relations(q)
     rs = complete_with_cache(rels, MonomialOrder([1, 1, 1, 1]), degree_bound, cache)
-    alg = PresentedAlgebra(f"SLq(2),q={q}", "SLq", ["a", "b", "c", "d"], [1, 1, 1, 1],
-                           rels, rs, 2, 2, mats={"q": q})
-    alg.hopf = _slq_hopf(alg, q)
-    return alg
+    return PresentedAlgebra(f"SLq(2),q={q}", "SLq", ["a", "b", "c", "d"], [1, 1, 1, 1],
+                            rels, rs, 2, 2, mats={"q": q})
 
 
 def build_slq_laurent(q, degree_bound, cache=None):
@@ -717,9 +662,38 @@ def build_slq_laurent(q, degree_bound, cache=None):
                            [1, 1, 1, 1, 1], rels, rs, 2, 2, loc=4, sigma_images=sigma,
                            sigma_inv_images=sigma, mats={"q": q})
     _verify_sigma(alg)
-    z = alg.loc_elt()
-    alg.hopf = _slq_hopf(alg, q, [(TensorElt.from_locs((z, z)), 1, alg.loc_inv_elt())])
     return alg
+
+
+def hopf_structure(alg):
+    """The HopfStructure of G(A,B), O(SL_q(2)) or O(SL_q(2))[z^±1]; ValueError
+    on a Galois object G(A,B|C,D), which has none.
+
+    G(A,B) is the diagonal object C(X,X) of the cogroupoid: its Δ and S are
+    the cocomposition Δ^X_{X,X} and the antipode S_{X,X}.  O(SL_q(2)) is on
+    the matrix (a b; c d) of coefficients, and z is central and group-like.
+    """
+    if alg.kind == "GAB":
+        eps = Character(alg, [int(i == j) for i in range(alg.n) for j in range(alg.n)] + [1],
+                        name="ε")
+        return HopfStructure(alg, cocomposition(alg, alg, alg), eps, galois_s_map(alg, alg))
+    if alg.kind not in ("SLq", "SLqLaurent"):
+        raise ValueError(f"{alg.name} is a {alg.kind} algebra, which has no Hopf structure")
+    q = alg.mats["q"]
+    delta = [TensorElt((alg, alg), (0, 0), TensorPoly(2, {
+        ((2 * i + k,), (2 * k + j,)): ONE for k in range(2)}))
+        for i in range(2) for j in range(2)]
+    eps = [1, 0, 0, 1]
+    s_images = [alg.gen_elt(3), (-1 / q) * alg.gen_elt(1), (-q) * alg.gen_elt(2), alg.gen_elt(0)]
+    inv = None
+    if alg.kind == "SLqLaurent":
+        inv = z = alg.loc_elt()
+        delta.append(TensorElt.from_locs((z, z)))
+        eps.append(1)
+        s_images.append(alg.loc_inv_elt())
+    return HopfStructure(alg, DeltaMap(alg, (alg, alg), delta, name="Δ"),
+                         Character(alg, eps, name="ε"),
+                         AlgebraMap(alg, alg, s_images, variance=-1, loc_inv_image=inv, name="S"))
 
 
 def seeded_pair(seed, n=3):
@@ -781,23 +755,23 @@ def commutation_check(alg):
     failures = []
     for i in range(alg.n):
         for j in range(alg.m):
-            nf = alg.rs.normal_form(loc * sandwich(alg, BA, Im, i, j) -
-                                    sandwich(alg, In, DC, i, j) * loc)
+            nf = alg.rs.normal_form(loc * sandwich(BA, Im, i, j) -
+                                    sandwich(In, DC, i, j) * loc)
             if not nf.is_zero():
                 failures.append(((i, j), alg.pretty(nf)))
     return {"ok": not failures, "failures": failures}
 
 
-def verify_hopf_axioms(alg):
-    """Hopf axioms on every generator, with witnesses on failure.
+def verify_hopf_axioms(H):
+    """Hopf axioms of the structure H on every generator, with witnesses on failure.
 
     A Hopf algebra is the one-object cogroupoid, so its diagrams are
-    ``cogroupoid_suite`` on C(0,0) = alg.  Besides them: ε respects the
+    ``cogroupoid_suite`` on C(0,0) = H.alg.  Besides them: ε respects the
     relations (a cogroupoid takes its counits from its C(x,x)), and, for a
     localized algebra, m(S ⊗ id)Δ(D^-1) = 1.
     """
-    H = alg.hopf
-    failures = cogroupoid_suite({(0, 0): alg})["failures"]
+    alg = H.alg
+    failures = cogroupoid_suite({(0, 0): alg}, {0: H})["failures"]
     r = H.eps.respects_relations()
     if not r["ok"]:
         failures.append(("counit_relations", r["failures"]))
@@ -808,28 +782,30 @@ def verify_hopf_axioms(alg):
     return {"ok": not failures, "failures": failures}
 
 
-def winding(chi, side):
-    """Left or right winding automorphism of a character of a Hopf algebra."""
-    alg = chi.source
+def winding(H, chi, side):
+    """Left or right winding automorphism of a character of the Hopf algebra H.alg."""
+    alg = H.alg
     slot = 0 if side == "left" else 1
-    images = [apply_slot(te, slot, chi).to_loc() for te in alg.hopf.delta.images]
+    images = [apply_slot(te, slot, chi).to_loc() for te in H.delta.images]
     v = chi.loc_value()
     inv = (1 / v) * alg.loc_inv_elt() if alg.loc is not None else None
     return AlgebraMap(alg, alg, images, 1, inv, name=f"[{chi.name}]^{side[0]}")
 
 
-def convolve_chars(alg, chi1, chi2):
-    """(chi1 * chi2)(x) = chi1(x_(1)) chi2(x_(2)) via the comultiplication."""
+def convolve_chars(H, chi1, chi2):
+    """(chi1 * chi2)(x) = chi1(x_(1)) chi2(x_(2)) via the comultiplication of H."""
     values = [apply_slot(apply_slot(te, 1, chi2), 0, chi1).tp.d.get((), 0)
-              for te in alg.hopf.delta.images]
-    return Character(alg, values, name=f"{chi1.name}*{chi2.name}")
+              for te in H.delta.images]
+    return Character(H.alg, values, name=f"{chi1.name}*{chi2.name}")
 
 
-def antipode_squared_sovereign(alg):
-    """S^2 against its two closed forms and the sovereign convolution."""
+def antipode_squared_sovereign(H):
+    """S^2 of the G(A,B) structure H against its two closed forms and the
+    sovereign convolution."""
+    alg = H.alg
     A, B = alg.mats["A"], alg.mats["B"]
     lam = matrix_invariants(A, B)["lambda"]
-    S = alg.hopf.antipode
+    S = H.antipode
     S2 = S.then(S)
     n = alg.n
     failures = []
@@ -841,8 +817,8 @@ def antipode_squared_sovereign(alg):
     for i in range(n):
         for j in range(n):
             got = S2.images[alg.u_idx(i, j)]
-            closed1 = alg.loc_inv_elt() * alg.elt(sandwich(alg, M1, M2, i, j)) * alg.loc_elt()
-            closed2 = alg.elt(sandwich(alg, BAt, M3, i, j))
+            closed1 = alg.loc_inv_elt() * alg.elt(sandwich(M1, M2, i, j)) * alg.loc_elt()
+            closed2 = alg.elt(sandwich(BAt, M3, i, j))
             if got != closed1:
                 failures.append(("closed_form_conjugated", (i, j)))
             if got != closed2:
@@ -859,11 +835,11 @@ def antipode_squared_sovereign(alg):
     if not r["ok"]:
         failures.append(("phi_character", r["failures"]))
     phi_inv = phi.compose_map(S)
-    if not all(v == 0 for v in (convolve_chars(alg, phi, phi_inv).values[g] -
-                                alg.hopf.eps.values[g] for g in range(alg.ngens()))):
+    if not all(v == 0 for v in (convolve_chars(H, phi, phi_inv).values[g] -
+                                H.eps.values[g] for g in range(alg.ngens()))):
         failures.append(("phi_convolution_inverse", None))
     # S^2 = Φ * id * Φ^{-1}, the sovereign identity, checked on generators
-    delta = alg.hopf.delta
+    delta = H.delta
     for g in range(alg.ngens()):
         te = apply_slot(delta.images[g], 0, delta)  # arity 3
         te = apply_slot(te, 2, phi_inv)
@@ -875,7 +851,7 @@ def antipode_squared_sovereign(alg):
 
 def conj_map(alg, L, R, name):
     """The automorphism u -> L u R, D -> D of alg."""
-    images = [alg.elt(sandwich(alg, L, R, i, j)) for i in range(alg.n) for j in range(alg.m)]
+    images = [alg.elt(sandwich(L, R, i, j)) for i in range(alg.n) for j in range(alg.m)]
     images.append(alg.loc_elt())
     return AlgebraMap(alg, alg, images, 1, alg.loc_inv_elt(), name=name)
 
@@ -886,26 +862,29 @@ def _sigma_power_map(alg, k):
     return AlgebraMap(alg, alg, images, 1, alg.loc_inv_elt(), name=f"conj_D^{k}")
 
 
-def nakayama_nu(alg):
-    """ν(u) = A^-1 A^t u B (B^t)^-1, D -> D, of G(A,B), and the character η = ε∘ν."""
+def nakayama_nu(H):
+    """ν(u) = A^-1 A^t u B (B^t)^-1, D -> D, of G(A,B) = H.alg, and the
+    character η = ε∘ν."""
+    alg = H.alg
     A, B = alg.mats["A"], alg.mats["B"]
     nu = conj_map(alg, A.inverse() * A.transpose(), B * B.transpose().inverse(), "ν")
-    return nu, alg.hopf.eps.compose_map(nu)
+    return nu, H.eps.compose_map(nu)
 
 
-def nakayama_G(alg):
-    """Nakayama data for G(A,B): mu, xi, eta, and the identities tying them."""
+def nakayama_G(H):
+    """Nakayama data for G(A,B) = H.alg: mu, xi, eta, and the identities tying them."""
+    alg = H.alg
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
     P = A.transpose().inverse() * A
     Q = B.transpose() * B.inverse()
-    eps = alg.hopf.eps
-    S = alg.hopf.antipode
+    eps = H.eps
+    S = H.antipode
     S2 = S.then(S)
 
     mu = conj_map(alg, P, Q, "μ")
     mu_inv = conj_map(alg, P.inverse(), Q.inverse(), "μ^-1")
-    nu, eta = nakayama_nu(alg)
+    nu, eta = nakayama_nu(H)
 
     failures = []
     for m_, label in ((mu, "mu"), (mu_inv, "mu_inv"), (nu, "nu")):
@@ -927,7 +906,7 @@ def nakayama_G(alg):
     # only by an inner automorphism; here the units are scalars times D^k,
     # so the ratio must be a power of conj_D.  The character level is exact:
     # eps∘S^2[xi]^l = xi = eps∘mu.
-    wind_xi = winding(xi, "left")
+    wind_xi = winding(H, xi, "left")
     s2_wind = wind_xi.then(S2)
     if not eps.compose_map(s2_wind).eq(xi):
         failures.append(("eps_S2_wind_xi_is_xi", None))
@@ -939,7 +918,7 @@ def nakayama_G(alg):
     if inner_power is None:
         failures.append(("mu_eq_S2_wind_xi_up_to_inner", None))
     # windings invert: [xi]^l ∘ [xi∘S]^l = id
-    wind_xi_inv = winding(xi.compose_map(S), "left")
+    wind_xi_inv = winding(H, xi.compose_map(S), "left")
     if not wind_xi_inv.then(wind_xi).eq_on_gens(AlgebraMap.identity(alg)):
         failures.append(("winding_inverse", None))
 
@@ -949,7 +928,7 @@ def nakayama_G(alg):
     if not S2inv.then(S2).eq_on_gens(AlgebraMap.identity(alg)):
         failures.append(("S2inv_check", None))
     etaS = eta.compose_map(S)
-    cand = winding(etaS, "right").then(S2inv)
+    cand = winding(H, etaS, "right").then(S2inv)
     conj_mu = mu.then(_sigma_power_map(alg, 1))
     if not cand.eq_on_gens(conj_mu):
         failures.append(("nakayama_inner_equivalence", None))
@@ -966,7 +945,7 @@ def galois_s_map(src, tgt):
     images = []
     for i in range(src.n):
         for j in range(src.m):
-            images.append(tgt.loc_inv_elt() * tgt.elt(sandwich(tgt, Ai, C, i, j, transpose=True)))
+            images.append(tgt.loc_inv_elt() * tgt.elt(sandwich(Ai, C, i, j, transpose=True)))
     images.append(tgt.loc_inv_elt())
     return AlgebraMap(src, tgt, images, variance=-1, loc_inv_image=tgt.loc_elt(),
                       name=f"S[{src.name}]")
@@ -988,20 +967,20 @@ def cocomposition(src, left, right):
     return DeltaMap(src, (left, right), images, name="Δ")
 
 
-def cogroupoid_suite(algs):
+def cogroupoid_suite(algs, hopfs):
     """The cogroupoid diagrams, on generators.
 
     algs[(x, y)] is C(x,y), e.g. G(A_x,B_x|A_y,B_y), for every ordered pair
-    of objects x, y.  Each C(x,x) is a Hopf algebra (G(A_x,B_x)), whose own
-    Δ, S and ε are the cocomposition Δ^x_{x,x}, the antipode S_{x,x} and the
-    counit of x; the other cocompositions C(x,y) -> C(x,z) (x) C(z,y) and
-    antipodes C(x,y) -> C(y,x)^op are built here.  Checks that each C(x,y)
+    of objects x, y.  Each C(x,x) is a Hopf algebra (G(A_x,B_x)), and
+    hopfs[x] is its structure, whose Δ, S and ε are the cocomposition
+    Δ^x_{x,x}, the antipode S_{x,x} and the counit of x; the other
+    cocompositions C(x,y) -> C(x,z) (x) C(z,y) and antipodes
+    C(x,y) -> C(y,x)^op are built here.  Checks that each C(x,y)
     is nonzero and each Δ and S respects the relations, then
     coassociativity for every pair of middle objects, the counit triangles,
     the antipode squares on the diagonal algebras, and the Δ∘S identity.
     """
     objs = sorted({x for x, _ in algs})
-    hopfs = {x: algs[(x, x)].hopf for x in objs}
     deltas = {(x, y, z): hopfs[x].delta if x == y == z
               else cocomposition(algs[(x, y)], algs[(x, z)], algs[(z, y)])
               for x in objs for y in objs for z in objs}
@@ -1110,7 +1089,7 @@ def nakayama_galois(alg, alg_op):
     loc = NCPoly.gen(alg.loc)
     for i in range(n):
         for j in range(m):
-            rhs = sandwich(alg, BA, CiDi, i, j)
+            rhs = sandwich(BA, CiDi, i, j)
             nf = alg.rs.normal_form(NCPoly.gen(alg.u_idx(i, j)) * loc - loc * rhs)
             if not nf.is_zero():
                 failures.append(("D_commutation", (i, j)))
@@ -1123,7 +1102,7 @@ def nakayama_galois(alg, alg_op):
     R = D.transpose() * C
     for i in range(n):
         for j in range(m):
-            if ss.images[alg.u_idx(i, j)] != alg.elt(sandwich(alg, L, R, i, j)):
+            if ss.images[alg.u_idx(i, j)] != alg.elt(sandwich(L, R, i, j)):
                 failures.append(("SS_closed_form", (i, j)))
     if ss.images[alg.loc] != alg.loc_elt():
         failures.append(("SS_fixes_D", None))

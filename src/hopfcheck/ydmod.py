@@ -19,10 +19,11 @@ ONE = Fraction(1)
 
 
 class Comodule:
-    """Coaction matrix c with rho(v_i) = sum_k v_k (x) c[k][i]."""
+    """Coaction matrix c over hopf.alg with rho(v_i) = sum_k v_k (x) c[k][i]."""
 
-    def __init__(self, alg, c, labels=None, name=""):
-        self.alg = alg
+    def __init__(self, hopf, c, labels=None, name=""):
+        self.hopf = hopf
+        self.alg = hopf.alg
         self.c = c
         self.dim = len(c)
         self.labels = labels or [f"v{i}" for i in range(self.dim)]
@@ -31,8 +32,8 @@ class Comodule:
     def verify(self):
         """Counit and coassociativity of the coaction matrix."""
         alg = self.alg
-        eps = alg.hopf.eps
-        delta = alg.hopf.delta
+        eps = self.hopf.eps
+        delta = self.hopf.delta
         failures = []
         for k in range(self.dim):
             for i in range(self.dim):
@@ -49,20 +50,21 @@ class Comodule:
         return {"ok": not failures, "failures": failures}
 
 
-def build_comodule(kind, alg, parts=None):
-    """trivial | fundamental | dual_fundamental | tensor(list of comodules).
+def build_comodule(kind, hopf, parts=None):
+    """trivial | fundamental | dual_fundamental | tensor(list of comodules) over hopf.alg.
 
     Raises IdentityFailed if the result breaks the comodule axioms."""
+    alg = hopf.alg
     n = alg.n
     if kind == "trivial":
-        V = Comodule(alg, [[alg.one()]], labels=["1"], name="k")
+        V = Comodule(hopf, [[alg.one()]], labels=["1"], name="k")
     elif kind == "fundamental":
         c = [[alg.u_elt(k, i) for i in range(n)] for k in range(n)]
-        V = Comodule(alg, c, labels=[f"v{i+1}" for i in range(n)], name="V")
+        V = Comodule(hopf, c, labels=[f"v{i+1}" for i in range(n)], name="V")
     elif kind == "dual_fundamental":
-        S = alg.hopf.antipode
+        S = hopf.antipode
         c = [[S.apply_loc(alg.u_elt(i, j)) for i in range(n)] for j in range(n)]
-        V = Comodule(alg, c, labels=[f"v{i+1}*" for i in range(n)], name="V*")
+        V = Comodule(hopf, c, labels=[f"v{i+1}*" for i in range(n)], name="V*")
     elif kind == "tensor":
         Vs = parts
         dims = [W.dim for W in Vs]
@@ -77,7 +79,7 @@ def build_comodule(kind, alg, parts=None):
                 row.append(e)
             c.append(row)
         labels = ["(x)".join(W.labels[i] for W, i in zip(Vs, idx)) for idx in index]
-        V = Comodule(alg, c, labels=labels, name="(x)".join(W.name for W in Vs))
+        V = Comodule(hopf, c, labels=labels, name="(x)".join(W.name for W in Vs))
     else:
         raise ValueError(f"unknown comodule kind {kind!r}")
     rep = V.verify()
@@ -106,20 +108,19 @@ def direct_sum(comods):
                 c[off + k][off + i] = V.c[k][i]
         labels.extend(V.labels)
         off += V.dim
-    return Comodule(alg, c, labels=labels, name="+".join(V.name for V in comods))
+    return Comodule(comods[0].hopf, c, labels=labels, name="+".join(V.name for V in comods))
 
 
-def _yd_act(coaction, h):
-    """The right action of h on a coaction of V ⊠ H.
+def _yd_act(hopf, coaction, h):
+    """The right action of h on a coaction of V ⊠ H, H = hopf.alg.
 
     coaction holds one arity-2 tensor per module basis vector; each of its
     terms t (x) s becomes t h_(2) (x) S(h_(1)) s h_(3).
     """
-    alg = h.alg
-    delta = alg.hopf.delta
-    d3 = apply_slot(delta.apply_loc(h), 0, delta)  # (Delta (x) id)Delta(h)
+    alg = hopf.alg
+    d3 = apply_slot(hopf.delta.apply_loc(h), 0, hopf.delta)  # (Delta (x) id)Delta(h)
     e = d3.exps
-    sweedler = [(c, alg.hopf.antipode.apply_loc(alg.elt(NCPoly.term(w1), e[0])),
+    sweedler = [(c, hopf.antipode.apply_loc(alg.elt(NCPoly.term(w1), e[0])),
                  alg.elt(NCPoly.term(w2), e[1]), alg.elt(NCPoly.term(w3), e[2]))
                 for (w1, w2, w3), c in d3.tp.terms()]
     out = []
@@ -141,12 +142,12 @@ def boxtimes_coact(V, h, v_index):
     the coaction slot S(h_(1)) c[k][v_index] h_(3).
     """
     one = V.alg.one()
-    return _yd_act([TensorElt.from_locs((one, V.c[k][v_index])) for k in range(V.dim)], h)
+    return _yd_act(V.hopf, [TensorElt.from_locs((one, V.c[k][v_index])) for k in range(V.dim)], h)
 
 
 def boxtimes_counit_contract(V, h, v_index):
     """(id (x) id (x) eps) of the coaction: must return v (x) h."""
-    return [apply_slot(te, 1, V.alg.hopf.eps).to_loc() for te in boxtimes_coact(V, h, v_index)]
+    return [apply_slot(te, 1, V.hopf.eps).to_loc() for te in boxtimes_coact(V, h, v_index)]
 
 
 def check_boxtimes_yd(V, g, h):
@@ -158,7 +159,7 @@ def check_boxtimes_yd(V, g, h):
     failures = []
     for i in range(V.dim):
         lhs = boxtimes_coact(V, g * h, i)
-        rhs = _yd_act(boxtimes_coact(V, g, i), h)
+        rhs = _yd_act(V.hopf, boxtimes_coact(V, g, i), h)
         failures.extend((i, k) for k in range(V.dim) if not (lhs[k] - rhs[k]).is_zero())
     return {"ok": not failures, "failures": failures}
 

@@ -8,6 +8,7 @@ from hopfcheck.hopf import (
     build_glq,
     build_slq,
     build_slq_laurent,
+    hopf_structure,
     seeded_pair,
 )
 
@@ -59,3 +60,16 @@ def galois6(conj_pair):
     gal = build_gabcd(A, B, C, D, 6, name="G(A,B|C,D)")
     gal_op = build_gabcd(C, D, A, B, 6, name="G(C,D|A,B)")
     return gal, gal_op
+
+
+def _hopf_fixture(alg_fixture):
+    """The session fixture <alg_fixture>_hopf: the Hopf structure of the
+    session algebra alg_fixture, shared by the tests as a run's checks share it."""
+    @pytest.fixture(scope="session", name=f"{alg_fixture}_hopf")
+    def fixture(request):
+        return hopf_structure(request.getfixturevalue(alg_fixture))
+    return fixture
+
+
+glq8_hopf, glq9_hopf, slq6_hopf, slql8_hopf, n3_hopf = (
+    _hopf_fixture(name) for name in ("glq8", "glq9", "slq6", "slql8", "n3"))

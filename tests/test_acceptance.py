@@ -33,6 +33,7 @@ from hopfcheck.hopf import (
     cogroupoid_suite,
     commutation_check,
     glq_slq_laurent_iso,
+    hopf_structure,
     nakayama_G,
     nakayama_galois,
     seeded_pair,
@@ -43,9 +44,10 @@ PASS = "ACCEPTANCE %d %-12s PASS  (%.1fs)"
 
 
 def _hopf_instance(alg):
+    H = hopf_structure(alg)
     reports = [
-        verify_hopf_axioms(alg),
-        antipode_squared_sovereign(alg),
+        verify_hopf_axioms(H),
+        antipode_squared_sovereign(H),
         commutation_check(alg),
     ]
     for rep in reports:
@@ -72,11 +74,11 @@ def test_criterion_1_hopf_suite():
 def test_criterion_2_resolution_complex():
     t0 = time.monotonic()
     glq = build_glq(2, 8)
-    C = build_yd_resolution(gamma_maps(glq))
+    eps = hopf_structure(glq).eps
+    C = build_yd_resolution(gamma_maps(glq), eps)
     rep = C.is_complex()
     assert rep["ok"] and rep["failures"] == []
     # eps . psi_1 = 0 stands on its own as well
-    eps = glq.hopf.eps
     for s in range(C.maps[-1].src_rank):
         assert eps.apply_loc(C.maps[-1].entries[s][0]) == 0
     gam = gamma_identity_suite(gamma_maps(glq))
@@ -87,7 +89,7 @@ def test_criterion_2_resolution_complex():
     t0 = time.monotonic()
     A, B = seeded_pair(12345)
     g3 = build_gab(A, B, 6)
-    rep3 = build_yd_resolution(gamma_maps(g3)).is_complex()
+    rep3 = build_yd_resolution(gamma_maps(g3), hopf_structure(g3).eps).is_complex()
     assert rep3["ok"], rep3["failures"][:2]
     print(PASS % (2, "resolution", t_n2 + time.monotonic() - t0))
 
@@ -95,7 +97,7 @@ def test_criterion_2_resolution_complex():
 def test_criterion_3_exactness_probe():
     t0 = time.monotonic()
     glq = build_glq(2, 8)
-    C = build_yd_resolution(gamma_maps(glq))
+    C = build_yd_resolution(gamma_maps(glq), hopf_structure(glq).eps)
     rep = probe_exactness(C, N=6, slack=2, window=2)
     assert rep["ok"]
     for pos in rep["positions"]:
@@ -115,8 +117,9 @@ def test_criterion_3_exactness_probe():
 def test_criterion_4_bialgebra_cohomology():
     t0 = time.monotonic()
     glq = build_glq(2, 8)
-    C = build_yd_resolution(gamma_maps(glq))
-    coh = bialgebra_cohomology(glq, C)
+    H = hopf_structure(glq)
+    C = build_yd_resolution(gamma_maps(glq), H.eps)
+    coh = bialgebra_cohomology(H, C)
     assert coh["dims"] == [1, 1, 0, 1, 1]
     assert coh["ranks"] == [0, 1, 1, 0]
     gs = gs_dimension_report(glq, coh)
@@ -128,7 +131,7 @@ def test_criterion_4_bialgebra_cohomology():
 def test_criterion_5_nakayama():
     t0 = time.monotonic()
     glq = build_glq(2, 6)
-    nk = nakayama_G(glq)
+    nk = nakayama_G(hopf_structure(glq))
     assert nk["report"]["ok"], nk["report"]["failures"]
     mu = nk["mu"]
     a, b, c, d = (glq.gen_elt(i) for i in range(4))
@@ -155,24 +158,24 @@ def test_criterion_6_galois_objects(conj_pair, galois6):
     assert ng["mu"].respects_relations()["ok"]
     assert ng["mu_prime"].respects_relations()["ok"]
     objects = [(A, B), (C, D)]
-    suite = cogroupoid_suite({(x, y): build_gabcd(*objects[x], *objects[y], 5)
-                              for x in range(2) for y in range(2)})
+    algs = {(x, y): build_gabcd(*objects[x], *objects[y], 5) for x in range(2) for y in range(2)}
+    suite = cogroupoid_suite(algs, {x: hopf_structure(algs[(x, x)]) for x in range(2)})
     assert suite["ok"], suite["failures"][:4]
     print(PASS % (6, "galois", time.monotonic() - t0))
 
 
-def test_criterion_7_glq_slq_machinery(glq8, slq6, slql8):
+def test_criterion_7_glq_slq_machinery(glq8, glq8_hopf, slq6_hopf, slql8, slql8_hopf):
     t0 = time.monotonic()
     iso = glq_slq_laurent_iso(glq8, slql8)
     assert iso["report"]["ok"], iso["report"]["failures"]
-    S = build_slq_resolution(slq6)
+    S = build_slq_resolution(slq6_hopf)
     assert S.is_complex()["ok"]
-    lc = laurent_cone(slql8)
+    lc = laurent_cone(slql8_hopf)
     assert lc["report"]["ok"]
     assert lc["cone"].is_complex()["ok"]
     probe = probe_exactness(lc["cone"], N=5, slack=2, window=2)
     assert probe["ok"], probe["positions"]
-    gc = build_glq_complexes(glq8, slql8)
+    gc = build_glq_complexes(glq8_hopf, slql8_hopf)
     assert gc["report"]["ok"], gc["report"]["failures"][:4]
     for gmap, inv in zip(gc["g"].verticals, gc["inverses"]):
         ident = identity_map(glq8, "right", gmap.src_rank)

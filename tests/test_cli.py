@@ -370,33 +370,60 @@ def _recording(monkeypatch, module, name):
 def test_run_completes_each_presentation_once(monkeypatch):
     """glq2 at degree 6: the run builds the cogroupoid's C(0,0) = G(A,B),
     C(0,1), C(1,0) and C(1,1) once each, and completes them, O(SL_q(2)) and
-    O(SL_q(2))[z^±1].  hopf, nakayama, cogroupoid and galois read the same
-    algebras, and a second run shares none of them."""
+    O(SL_q(2))[z^±1], and builds the Hopf structures of C(0,0), C(1,1),
+    O(SL_q(2)) and O(SL_q(2))[z^±1] once each.  hopf, nakayama, cogroupoid
+    and galois read the same algebras and structures, and a second run
+    shares none of them."""
     cfg = _glq2(6)
     completed = _recording(monkeypatch, rewrite, "complete_truncated")
     built = _recording(monkeypatch, cli, "build_gabcd")
     built_gab = _recording(monkeypatch, cli, "build_gab")
+    structures = _recording(monkeypatch, cli, "hopf_structure")
     calls = {name: _recording(monkeypatch, cli, name) for name in
              ("verify_hopf_axioms", "nakayama_G", "cogroupoid_suite", "nakayama_galois")}
     _, code = run_config(cfg)
     assert code == 0
     assert len(built_gab) == len(built) == 2 and len(completed) == 6
-    ((algs,), _), = calls["cogroupoid_suite"]
+    ((algs, hopfs), _), = calls["cogroupoid_suite"]
     assert [algs[xy] for xy in [(0, 0), (1, 1)]] == [a for _, a in built_gab]
     assert [algs[xy] for xy in [(0, 1), (1, 0)]] == [a for _, a in built]
+    (c00, c11, slq, slql) = [alg for (alg,), _ in structures]
+    assert (c00, c11) == (algs[(0, 0)], algs[(1, 1)])
+    assert (slq.kind, slql.kind) == ("SLq", "SLqLaurent")
+    assert all(H.alg is alg for (alg,), H in structures)
+    assert [hopfs[0], hopfs[1]] == [H for _, H in structures[:2]]
     # the slq check calls verify_hopf_axioms too, on O(SL_q(2))
     for name in ("verify_hopf_axioms", "nakayama_G"):
-        (alg,), _ = calls[name][0]
-        assert alg is algs[(0, 0)]
+        (H,), _ = calls[name][0]
+        assert H is hopfs[0]
+    (H,), _ = calls["verify_hopf_axioms"][1]
+    assert H is structures[2][1]
     (gal, gal_op), _ = calls["nakayama_galois"][0]
     assert gal is algs[(0, 1)] and gal_op is algs[(1, 0)]
-    first = completed + built + built_gab
-    for record in (completed, built, built_gab):
+    first = completed + built + built_gab + structures
+    for record in (completed, built, built_gab, structures):
         record.clear()
     _, code = run_config(cfg)
     assert code == 0
-    assert len(built_gab) == len(built) == 2 and len(completed) == 6
-    assert not {id(x) for _, x in first} & {id(x) for _, x in completed + built + built_gab}
+    assert len(built_gab) == len(built) == 2 and len(completed) == 6 and len(structures) == 4
+    assert not {id(x) for _, x in first} & {id(x) for _, x in
+                                             completed + built + built_gab + structures}
+
+
+def test_n3seed_run_builds_one_hopf_structure(monkeypatch):
+    """configs/n3seed.json reads one Hopf algebra, G(A,B): its hopf and
+    nakayama checks and its resolution share one structure."""
+    structures = _recording(monkeypatch, cli, "hopf_structure")
+    calls = {name: _recording(monkeypatch, cli, name) for name in
+             ("verify_hopf_axioms", "nakayama_G", "build_yd_resolution")}
+    _, code = run_config(os.path.join(CONFIGS, "n3seed.json"))
+    assert code == 0
+    ((alg,), H), = structures
+    assert alg.kind == "GAB"
+    assert [args for name in ("verify_hopf_axioms", "nakayama_G") for args, _ in calls[name]] \
+        == [(H,), (H,)]
+    ((_, eps), _), = calls["build_yd_resolution"]
+    assert eps is H.eps
 
 
 def test_equal_objects_share_one_algebra(monkeypatch):
@@ -462,6 +489,44 @@ def test_gb_builds_only_gab_for_the_n3_checks(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("cached C(0,0) GAB: ") and out.count("\n") == 1
     assert len(os.listdir(tmp_path / "cache")) == 1
+
+
+def test_gb_below_the_relation_weight_is_uncertified(tmp_path, capsys):
+    """GL_q(2) at degree 2, below the weight 3 of its relations: `verify gb`
+    prints one uncertified line, stores nothing and exits 2, as `verify run`
+    reports the hopf check uncertified."""
+    cfg = small_config(degree_bound=2, checks=["hopf"], cache_dir=str(tmp_path / "cache"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["gb", str(cfg_path)]) == 2
+    assert capsys.readouterr().out == "uncertified: degree_bound 2 below max relation weight 3\n"
+    assert os.listdir(tmp_path / "cache") == []
+    rep, code = run_config(cfg)
+    assert code == 2 and [c["status"] for c in rep["checks"]] == ["uncertified"]
+
+
+def test_run_leaves_no_cyclic_garbage():
+    """Ownership runs one way (run -> Hopf structure -> maps -> algebra ->
+    rewrite system), so reference counting frees what a run built: with the
+    collector off, nothing is left in a cycle after configs/n3seed.json,
+    glq2 at degree 6, and glq2 at degree 5, where five checks are uncertified."""
+    import gc
+    configs = [os.path.join(CONFIGS, "n3seed.json"), _glq2(6), _glq2(5)]
+    found, uncertified = [], []
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for cfg in configs:
+            rep, _ = run_config(cfg)
+            uncertified.append(rep["summary"]["uncertified"])
+            found.append(gc.collect())
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert uncertified == [0, 0, 5]
+    assert found == [0, 0, 0]
 
 
 def test_run_builds_the_gamma_blocks_once(monkeypatch):

@@ -7,14 +7,14 @@ from hopfcheck.cohomology import ScalarComplex, bialgebra_cohomology, gs_dimensi
 from hopfcheck.complexes import Complex, FreeModuleMap, build_yd_resolution, gamma_maps
 from hopfcheck.errors import UnexpectedHomDimension
 from hopfcheck.foundation import Mat
-from hopfcheck.hopf import build_gab
+from hopfcheck.hopf import build_gab, hopf_structure
 from hopfcheck.linalg import mat_rank
 
 
 @pytest.fixture(scope="module")
-def coh(glq8):
-    C = build_yd_resolution(gamma_maps(glq8))
-    return bialgebra_cohomology(glq8, C)
+def coh(glq8, glq8_hopf):
+    C = build_yd_resolution(gamma_maps(glq8), glq8_hopf.eps)
+    return bialgebra_cohomology(glq8_hopf, C)
 
 
 def test_dims_and_ranks(coh):
@@ -41,15 +41,15 @@ def test_scalar_complex_property(coh):
 
 @pytest.mark.parametrize("s, match", [(0, "not a comodule map"),
                                       (4, "scalar complex not a complex")])
-def test_broken_resolution_is_unexpected(glq8, s, match):
+def test_broken_resolution_is_unexpected(glq8, glq8_hopf, s, match):
     """1 added to entry (s, 0) of ψ1: the induced d^0 leaves the comodule maps,
     or the scalar cochains stop being a complex; neither rests on an assert."""
-    C = build_yd_resolution(gamma_maps(glq8))
+    C = build_yd_resolution(gamma_maps(glq8), glq8_hopf.eps)
     entries = [list(row) for row in C.maps[3].entries]
     entries[s][0] = entries[s][0] + glq8.one()
     maps = C.maps[:3] + [FreeModuleMap(glq8, C.side, entries)]
     with pytest.raises(UnexpectedHomDimension, match=match):
-        bialgebra_cohomology(glq8, Complex(glq8, C.side, maps, C.augmentation))
+        bialgebra_cohomology(glq8_hopf, Complex(glq8, C.side, maps, C.augmentation))
 
 
 def test_gs_dimension(glq8, coh):
@@ -68,8 +68,9 @@ def test_gs_inconclusive_branch(glq8):
 def test_conjugated_pair_same_cohomology(conj_pair):
     _, _, C, D = conj_pair
     alg = build_gab(C, D, 8, name="G(C,D)")
-    res = build_yd_resolution(gamma_maps(alg))
-    coh = bialgebra_cohomology(alg, res)
+    H = hopf_structure(alg)
+    res = build_yd_resolution(gamma_maps(alg), H.eps)
+    coh = bialgebra_cohomology(H, res)
     assert coh["dims"] == [1, 1, 0, 1, 1]
     assert coh["ranks"] == [0, 1, 1, 0]
     gs = gs_dimension_report(alg, coh)
@@ -103,7 +104,7 @@ def test_dims_invariant_under_basis_change(coh):
     assert sc2.homology_dims() == sc.homology_dims()
 
 
-def test_unexpected_hom_dimension_guard(glq8, monkeypatch):
+def test_unexpected_hom_dimension_guard(glq8, glq8_hopf, monkeypatch):
     import hopfcheck.cohomology as co
 
     real = co.hom_to_trivial
@@ -113,6 +114,6 @@ def test_unexpected_hom_dimension_guard(glq8, monkeypatch):
         return [[1, 0, 0, 0], [0, 1, 0, 0]] if V.dim == 4 else real(V)
 
     monkeypatch.setattr(co, "hom_to_trivial", fake)
-    C = build_yd_resolution(gamma_maps(glq8))
+    C = build_yd_resolution(gamma_maps(glq8), glq8_hopf.eps)
     with pytest.raises(UnexpectedHomDimension):
-        co.bialgebra_cohomology(glq8, C)
+        co.bialgebra_cohomology(glq8_hopf, C)

@@ -22,13 +22,18 @@ from hopfcheck.complexes import (
     probe_exactness,
     _image_columns,
 )
-from hopfcheck.hopf import LocalizedElement
+from hopfcheck.hopf import LocalizedElement, hopf_structure
 
 Q = Fraction(2)
 
 
-def test_yd_resolution_ranks_and_entries(glq8):
-    C = build_yd_resolution(gamma_maps(glq8))
+def psi(H):
+    """ψ over H.alg, augmented by the counit of the Hopf structure H."""
+    return build_yd_resolution(gamma_maps(H.alg), H.eps)
+
+
+def test_yd_resolution_ranks_and_entries(glq8, glq8_hopf):
+    C = psi(glq8_hopf)
     assert C.ranks == [1, 5, 8, 5, 1]
     psi1 = C.maps[3]
     # psi''_1 entry (delta_ij - u_ij), psi'_1 entry (D - 1)
@@ -54,21 +59,21 @@ def test_gamma7_block_entry(n3):
         assert g7.entries[i * n + j][k * n + l] == n3.elt(want)
 
 
-def test_yd_is_complex(glq8, n3):
-    for alg in (glq8, n3):
-        rep = build_yd_resolution(gamma_maps(alg)).is_complex()
+def test_yd_is_complex(glq8_hopf, n3_hopf):
+    for H in (glq8_hopf, n3_hopf):
+        rep = psi(H).is_complex()
         assert rep["ok"], rep["failures"][:2]
 
 
-def test_yd_resolution_needs_degree_six(glq8):
+def test_yd_resolution_needs_degree_six():
     from hopfcheck.hopf import build_glq
     small = build_glq(2, 4)
     with pytest.raises(ExceedsCertifiedDegree):
-        build_yd_resolution(gamma_maps(small))
+        psi(hopf_structure(small))
 
 
-def test_sign_flip_breaks_complex(glq8):
-    C = build_yd_resolution(gamma_maps(glq8))
+def test_sign_flip_breaks_complex(glq8, glq8_hopf):
+    C = psi(glq8_hopf)
     psi3 = C.maps[1]
     flipped = [[psi3.entries[s][t] * (-1 if t >= 4 else 1)
                 for t in range(psi3.tgt_rank)] for s in range(psi3.src_rank)]
@@ -94,12 +99,12 @@ def test_gamma13_composite_value(glq8):
             assert comp.entries[i * 2 + j][0] == glq8.u_elt(i, j)
 
 
-def test_left_resolution(glq8, n3):
-    for alg in (glq8, n3):
-        L = build_left_resolution(gamma_maps(alg))
+def test_left_resolution(glq8, glq8_hopf, n3_hopf):
+    for H in (glq8_hopf, n3_hopf):
+        L = build_left_resolution(gamma_maps(H.alg), H.eps)
         rep = L.is_complex()
         assert rep["ok"], rep["failures"][:2]
-    L = build_left_resolution(gamma_maps(glq8))
+    L = build_left_resolution(gamma_maps(glq8), glq8_hopf.eps)
     # phi_1 on the vv block sends x (x) v_i* v_j to x(delta_ji - u_ji)
     for i in range(2):
         for j in range(2):
@@ -113,16 +118,16 @@ def test_left_resolution(glq8, n3):
     for i in range(2):
         for j in range(2):
             want = glq8.elt(NCPoly.term((), ABt[j, i]) -
-                            sandwich(glq8, A.transpose(), B, j, i))
+                            sandwich(A.transpose(), B, j, i))
             assert L.maps[0].entries[0][i * 2 + j] == want
 
 
-def test_dual_complex_entries_and_property(glq8, n3):
-    for alg in (glq8, n3):
-        D = dualize_resolution(build_yd_resolution(gamma_maps(alg)))
+def test_dual_complex_entries_and_property(glq8, glq8_hopf, n3_hopf):
+    for H in (glq8_hopf, n3_hopf):
+        D = dualize_resolution(psi(H))
         rep = D.is_complex()
         assert rep["ok"], rep["failures"][:2]
-    D = dualize_resolution(build_yd_resolution(gamma_maps(glq8)))
+    D = dualize_resolution(psi(glq8_hopf))
     # psi^t_1: x -> sum x(delta_ji - u_ji) (x) w_i* w_j + x(D-1)
     for i in range(2):
         for j in range(2):
@@ -134,21 +139,21 @@ def test_dual_complex_entries_and_property(glq8, n3):
     assert D.maps[3].entries[0][0] == glq8.elt(NCPoly.gen(glq8.loc) - NCPoly.one())
 
 
-def test_duality_transpose_consistency(glq8, n3):
+def test_duality_transpose_consistency(glq8_hopf, n3_hopf):
     """The printed dual entries are the transposes of the psi entries.
 
     Block dictionary: level P1=[ww,k] pairs with Q3=[ww,k], P2=[vv,ww] with
     Q2=[ww,vv], P3=[vv,k] with Q1=[k,vv], P0/P4 with Q4/Q0; inside every
     vv/ww block the pair (i,j) pairs with (j,i).
     """
-    for alg in (glq8, n3):
-        _check_transpose(alg)
+    for H in (glq8_hopf, n3_hopf):
+        _check_transpose(H)
 
 
-def _check_transpose(alg):
-    n = alg.n
+def _check_transpose(H):
+    n = H.alg.n
     nn = n * n
-    C = build_yd_resolution(gamma_maps(alg))
+    C = psi(H)
     D = dualize_resolution(C)
     T = lambda s: (s % n) * n + s // n  # (i,j) -> (j,i) inside a block
 
@@ -183,18 +188,18 @@ def _check_transpose(alg):
             assert psit3.entries[nn + s][1 + t] == psi3.entries[T(t)][T(s)]
 
 
-def twist(alg):
-    """The ν-twisted isomorphism between ψ's dual and φ, both from alg's blocks."""
-    g = gamma_maps(alg)
-    return build_twist_chainmap(dualize_resolution(build_yd_resolution(g)),
-                                build_left_resolution(g))
+def twist(H):
+    """The ν-twisted isomorphism between ψ's dual and φ, both from H.alg's blocks."""
+    g = gamma_maps(H.alg)
+    return build_twist_chainmap(dualize_resolution(build_yd_resolution(g, H.eps)),
+                                build_left_resolution(g, H.eps), H)
 
 
-def test_twist_chainmap(glq8, n3):
-    for alg in (glq8, n3):
-        tw = twist(alg)
+def test_twist_chainmap(glq8, glq8_hopf, n3_hopf):
+    for H in (glq8_hopf, n3_hopf):
+        tw = twist(H)
         assert tw["report"]["ok"], tw["report"]["failures"][:3]
-    tw = twist(glq8)
+    tw = twist(glq8_hopf)
     # f2 block on the W part: x (x) w_i*w_j -> sum B_pi A_qj nu(x) (x) w_p*w_q
     A, B = glq8.mats["A"], glq8.mats["B"]
     f2 = tw["chainmap"].verticals[2]
@@ -210,16 +215,16 @@ def test_twist_chainmap(glq8, n3):
     assert tw["eta"].values[:4] == [H[0, 0], H[0, 1], H[1, 0], H[1, 1]]
 
 
-def test_twist_single_square_directly(glq8):
-    tw = twist(glq8)
+def test_twist_single_square_directly(glq8_hopf):
+    tw = twist(glq8_hopf)
     cm = tw["chainmap"]
     lhs = cm.top.maps[3].compose(cm.verticals[4], cm.twist)
     rhs = cm.verticals[3].compose(cm.bottom.maps[3])
     assert lhs.add(rhs.scale(-1)).is_zero()
 
 
-def test_slq_resolution(slq6):
-    S = build_slq_resolution(slq6)
+def test_slq_resolution(slq6, slq6_hopf):
+    S = build_slq_resolution(slq6_hopf)
     assert S.ranks == [1, 4, 4, 1]
     rep = S.is_complex()
     assert rep["ok"], rep["failures"]
@@ -229,8 +234,8 @@ def test_slq_resolution(slq6):
     assert S.maps[2].entries[1][0] == slq6.elt(b)
 
 
-def test_laurent_cone(slql8):
-    lc = laurent_cone(slql8)
+def test_laurent_cone(slql8, slql8_hopf):
+    lc = laurent_cone(slql8_hopf)
     assert lc["report"]["ok"]
     cone = lc["cone"]
     assert cone.ranks == [1, 5, 8, 5, 1]
@@ -244,9 +249,9 @@ def test_laurent_cone(slql8):
     assert img[0] == slql8.elt(NCPoly.gen(0) - NCPoly.one())
 
 
-def test_cone_of_random_central_chain_map(slql8):
+def test_cone_of_random_central_chain_map(slql8, slql8_hopf):
     rng = random.Random(77)
-    lc = laurent_cone(slql8)
+    lc = laurent_cone(slql8_hopf)
     C = lc["chainmap"].top
     h = slql8.elt(NCPoly.term((4,), rng.randint(1, 3)) +
                   NCPoly.term((), rng.randint(-2, 2)) +
@@ -260,8 +265,8 @@ def test_cone_of_random_central_chain_map(slql8):
     assert cone.is_complex()["ok"]
 
 
-def test_glq_complexes(glq8, slql8):
-    gc = build_glq_complexes(glq8, slql8)
+def test_glq_complexes(glq8, glq8_hopf, slql8_hopf):
+    gc = build_glq_complexes(glq8_hopf, slql8_hopf)
     assert gc["report"]["ok"], gc["report"]["failures"][:4]
     assert gc["c3"].is_complex()["ok"]
     D = glq8.loc_elt()
@@ -300,16 +305,16 @@ def test_invert_triangular_rejects_a_non_unit_diagonal(glq8, diagonal, match):
         _invert_triangular(vertical)
 
 
-def test_glq_complexes_single_square(glq8, slql8):
-    gc = build_glq_complexes(glq8, slql8)
+def test_glq_complexes_single_square(glq8_hopf, slql8_hopf):
+    gc = build_glq_complexes(glq8_hopf, slql8_hopf)
     cm = gc["g"]
     lhs = cm.top.maps[3].compose(cm.verticals[4])
     rhs = cm.verticals[3].compose(cm.bottom.maps[3])
     assert lhs.add(rhs.scale(-1)).is_zero()
 
 
-def test_probe_trivial_witnesses(glq9):
-    C = build_yd_resolution(gamma_maps(glq9))
+def test_probe_trivial_witnesses(glq9, glq9_hopf):
+    C = psi(glq9_hopf)
     psi1 = C.maps[3]
     # a - 1 lifts via w1*w1 (x) (-1)
     coords = [glq9.zero()] * 5
@@ -323,25 +328,25 @@ def test_probe_trivial_witnesses(glq9):
     assert img[0] == glq9.elt(NCPoly.gen(glq9.loc) - NCPoly.one())
 
 
-def test_probe_small(glq9):
-    C = build_yd_resolution(gamma_maps(glq9))
+def test_probe_small(glq9_hopf):
+    C = psi(glq9_hopf)
     rep = probe_exactness(C, N=4, slack=2, window=1)
     assert rep["ok"], rep["positions"]
     assert all(p["cycles_found"] == p["cycles_lifted"] for p in rep["positions"][:-1])
 
 
-def test_probe_lifts_glq9_without_exact_fallback(glq9, monkeypatch):
+def test_probe_lifts_glq9_without_exact_fallback(glq9_hopf, monkeypatch):
     """Every lift at N=4 is found mod P and confirmed exactly; no target
     reaches RowSpace.express, the exact fallback of certified_lifts."""
     from hopfcheck.linalg import RowSpace
     calls = []
     monkeypatch.setattr(RowSpace, "express", lambda self, vec: calls.append(vec))
-    rep = probe_exactness(build_yd_resolution(gamma_maps(glq9)), N=4, slack=2, window=1)
+    rep = probe_exactness(psi(glq9_hopf), N=4, slack=2, window=1)
     assert rep["ok"] and not calls
     assert sum(p["cycles_lifted"] for p in rep["positions"]) > 0
 
 
-def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
+def test_probe_counts_a_wrong_lift_as_unlifted(glq9_hopf, monkeypatch):
     """Both candidate sources of certified_lifts, modular and exact, give a
     doubled beta; the exact recheck turns each down."""
     import hopfcheck.linalg as linalg
@@ -354,7 +359,7 @@ def test_probe_counts_a_wrong_lift_as_unlifted(glq9, monkeypatch):
     monkeypatch.setattr(RowSpace, "express", lambda self, vec: doubled(express(self, vec)))
     monkeypatch.setattr(linalg, "_modular_lifts",
                         lambda columns, targets: [doubled(b) for b in modular(columns, targets)])
-    rep = probe_exactness(build_yd_resolution(gamma_maps(glq9)), N=4, slack=2, window=1)
+    rep = probe_exactness(psi(glq9_hopf), N=4, slack=2, window=1)
     assert not rep["ok"]
     lifting = [p for p in rep["positions"][:-1] if p["cycles_found"]]
     assert lifting
@@ -397,9 +402,9 @@ def test_probe_columns_match_products(which, bound, window, request):
     ψ.D^-1, ψ with every entry times D^-1, exercises the sigma shift: D is
     not central in G(A3,B3)."""
     if which == "slql8 cone":
-        C = laurent_cone(request.getfixturevalue("slql8"))["cone"]
+        C = laurent_cone(request.getfixturevalue("slql8_hopf"))["cone"]
     else:
-        C = build_yd_resolution(gamma_maps(request.getfixturevalue(which.split()[0])))
+        C = psi(request.getfixturevalue(which.split()[0] + "_hopf"))
     if which == "n3 psi.D^-1":
         dinv = C.alg.loc_inv_elt()
         C = Complex(C.alg, "right", [FreeModuleMap(C.alg, "right", [[e * dinv for e in row]
@@ -419,9 +424,10 @@ def test_probe_columns_match_products(which, bound, window, request):
                 assert column(j, t, w, m) == reference_column(fmap, t, w, m), (j, t, w, m)
 
 
-def broken_resolution(g):
-    """ψ, from the blocks g, with 1 added to one entry of ψ2, so that ψ2;ψ1 != 0."""
-    C = build_yd_resolution(g)
+def broken_resolution(g, eps):
+    """ψ, from the blocks g and the counit eps, with 1 added to one entry of
+    ψ2, so that ψ2;ψ1 != 0."""
+    C = build_yd_resolution(g, eps)
     alg = C.alg
     psi2 = C.maps[2]
     entries = [list(row) for row in psi2.entries]
@@ -431,10 +437,11 @@ def broken_resolution(g):
     return Complex(alg, C.side, maps, C.augmentation)
 
 
-def test_probe_rejects_a_non_complex(glq9):
+def test_probe_rejects_a_non_complex(glq9, glq9_hopf):
     with pytest.raises(ProbeInvalid, match="not a complex"):
-        probe_exactness(broken_resolution(gamma_maps(glq9)), N=4, slack=2, window=1)
-    C = build_yd_resolution(gamma_maps(glq9))
+        probe_exactness(broken_resolution(gamma_maps(glq9), glq9_hopf.eps),
+                        N=4, slack=2, window=1)
+    C = psi(glq9_hopf)
     left = Complex(glq9, "left", C.maps, C.augmentation)
     with pytest.raises(ProbeInvalid, match="right complex"):
         probe_exactness(left, N=4, slack=2, window=1)
@@ -451,8 +458,8 @@ def test_probe_on_a_non_complex_is_a_failed_check(monkeypatch):
     assert entry["witnesses"][0].startswith("ProbeInvalid: not a complex")
 
 
-def test_probe_rejects_uncertified(glq8):
-    C = build_yd_resolution(gamma_maps(glq8))
+def test_probe_rejects_uncertified(glq8_hopf):
+    C = psi(glq8_hopf)
     with pytest.raises(ExceedsCertifiedDegree):
         probe_exactness(C, N=20, slack=2)
 
@@ -470,29 +477,28 @@ MANIFEST_SHA256 = {
 }
 
 
-def test_complex_manifest(glq8, n3, slql8):
+def test_complex_manifest(glq8_hopf, n3_hopf, slql8_hopf):
     import hashlib
     import json
     from hopfcheck.complexes import complex_manifest
-    C = build_yd_resolution(gamma_maps(glq8))
+    C = psi(glq8_hopf)
     m = complex_manifest(C)
     assert m["ranks"] == [1, 5, 8, 5, 1] and m["side"] == "right"
     blob = json.dumps(m, sort_keys=True)
-    assert json.dumps(complex_manifest(build_yd_resolution(gamma_maps(glq8))),
-                      sort_keys=True) == blob
-    for name, alg in (("glq8", glq8), ("n3", n3)):
-        psi = build_yd_resolution(gamma_maps(alg))
-        for which, cx in (("psi", psi), ("dual", dualize_resolution(psi)),
-                          ("left", build_left_resolution(gamma_maps(alg)))):
+    assert json.dumps(complex_manifest(psi(glq8_hopf)), sort_keys=True) == blob
+    for name, H in (("glq8", glq8_hopf), ("n3", n3_hopf)):
+        C = psi(H)
+        for which, cx in (("psi", C), ("dual", dualize_resolution(C)),
+                          ("left", build_left_resolution(gamma_maps(H.alg), H.eps))):
             digest = hashlib.sha256(
                 json.dumps(complex_manifest(cx), sort_keys=True).encode()).hexdigest()
             assert digest == MANIFEST_SHA256[(name, which)], (name, which)
-    eq3 = build_glq_complexes(glq8, slql8)["c3"]
+    eq3 = build_glq_complexes(glq8_hopf, slql8_hopf)["c3"]
     digest = hashlib.sha256(json.dumps(complex_manifest(eq3), sort_keys=True).encode()).hexdigest()
     assert digest == MANIFEST_SHA256[("glq8", "eq3")]
 
 
-def test_cone_with_wrong_ranks_raises_identity_failed(slql8, monkeypatch):
+def test_cone_with_wrong_ranks_raises_identity_failed(slql8_hopf, monkeypatch):
     """A cone that lost its last level fails laurent_cone's rank check: an
     IdentityFailed, which a run reports as a fail of the cone check."""
     import hopfcheck.complexes as complexes
@@ -506,7 +512,7 @@ def test_cone_with_wrong_ranks_raises_identity_failed(slql8, monkeypatch):
 
     monkeypatch.setattr(complexes, "mapping_cone", truncated)
     with pytest.raises(IdentityFailed, match="cone ranks"):
-        laurent_cone(slql8)
+        laurent_cone(slql8_hopf)
     report, code = run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
                                "probe": {"N": 3}, "checks": ["cone"]})
     (entry,) = report["checks"]

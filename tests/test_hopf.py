@@ -24,6 +24,7 @@ from hopfcheck.hopf import (
     convolve_chars,
     galois_s_map,
     glq_slq_laurent_iso,
+    hopf_structure,
     nakayama_G,
     nakayama_galois,
     sandwich,
@@ -63,7 +64,7 @@ def test_localized_conjugation_matches_sigma(n3):
             assert lhs == rhs
             # and sigma itself is the sandwich by (BA)^{-1}, (BA)
             assert n3.elt(n3.sigma_word((n3.u_idx(i, j),), 1)) == \
-                n3.elt(sandwich(n3, L, R, i, j))
+                n3.elt(sandwich(L, R, i, j))
 
 
 def test_localized_equality_cross_multiplication(glq8):
@@ -88,49 +89,47 @@ def test_map_respects_relations_failure_witness(glq8):
     assert witnessed[ca_idx] == glq8.elt(-1 * NCPoly.gen(2)).pretty()
 
 
-def test_hopf_axioms(glq8, n3, slq6, slql8):
-    for alg in (glq8, n3, slq6, slql8):
-        rep = verify_hopf_axioms(alg)
+def test_hopf_axioms(glq8_hopf, n3_hopf, slq6_hopf, slql8_hopf):
+    for H in (glq8_hopf, n3_hopf, slq6_hopf, slql8_hopf):
+        rep = verify_hopf_axioms(H)
         assert rep["ok"], rep["failures"][:3]
 
 
-def test_hopf_axioms_detect_corrupted_antipode(glq8):
-    S = glq8.hopf.antipode
-    bad_images = list(S.images)
+def test_galois_object_has_no_hopf_structure(galois6):
+    """G(A,B|C,D) is refused, so no Hopf check can be handed one."""
+    gal, _ = galois6
+    assert not hasattr(gal, "hopf")
+    with pytest.raises(ValueError, match="no Hopf structure"):
+        hopf_structure(gal)
+
+
+def test_hopf_axioms_detect_corrupted_antipode(glq8, glq8_hopf):
+    H = glq8_hopf
+    bad_images = list(H.antipode.images)
     bad_images[glq8.loc] = glq8.loc_elt()  # S(D) := D
     badS = AlgebraMap(glq8, glq8, bad_images, -1, glq8.loc_inv_elt(), name="badS")
-    saved = glq8.hopf
-    glq8.hopf = HopfStructure(saved.delta, saved.eps, badS)
-    try:
-        rep = verify_hopf_axioms(glq8)
-    finally:
-        glq8.hopf = saved
+    rep = verify_hopf_axioms(HopfStructure(glq8, H.delta, H.eps, badS))
     assert not rep["ok"]
     assert any("antipode" in f[0] and "D" in str(f[1]) for f in rep["failures"])
 
 
-def _hopf_axioms_with(alg, delta=None, eps=None):
-    """verify_hopf_axioms(alg) with Δ or ε replaced for the call."""
-    saved = alg.hopf
-    alg.hopf = HopfStructure(delta or saved.delta, eps or saved.eps, saved.antipode)
-    try:
-        return verify_hopf_axioms(alg)
-    finally:
-        alg.hopf = saved
+def _hopf_axioms_with(H, delta=None, eps=None):
+    """verify_hopf_axioms of H with Δ or ε replaced."""
+    return verify_hopf_axioms(HopfStructure(H.alg, delta or H.delta, eps or H.eps, H.antipode))
 
 
 @pytest.mark.parametrize("name", ["slq6", "glq8"])
 def test_hopf_axioms_detect_corrupted_coproduct_and_counit(name, request):
-    alg = request.getfixturevalue(name)
-    delta, eps = alg.hopf.delta, alg.hopf.eps
+    H = request.getfixturevalue(name + "_hopf")
+    alg, delta, eps = H.alg, H.delta, H.eps
     swapped = list(delta.images)
     swapped[0], swapped[1] = swapped[1], swapped[0]  # Δ(a) and Δ(b) exchanged
-    rep = _hopf_axioms_with(alg, delta=DeltaMap(alg, delta.targets, swapped, name="badΔ"))
+    rep = _hopf_axioms_with(H, delta=DeltaMap(alg, delta.targets, swapped, name="badΔ"))
     assert not rep["ok"]
     assert {"cocomposition_relations", "coassoc", "counit"} <= {f[0] for f in rep["failures"]}
     values = list(eps.values)
     values[0] = 0  # ε(a) = 0
-    rep = _hopf_axioms_with(alg, eps=Character(alg, values, name="badε"))
+    rep = _hopf_axioms_with(H, eps=Character(alg, values, name="badε"))
     assert not rep["ok"]
     assert {"counit_relations", "counit"} <= {f[0] for f in rep["failures"]}
 
@@ -190,12 +189,12 @@ def _ref_delta_slot(te, slot, dmap):
 _REF_SLOT = {Character: _ref_char_slot, AlgebraMap: _ref_map_slot, DeltaMap: _ref_delta_slot}
 
 
-def _hopf_maps(alg):
-    """ε, S and Δ, and ε scaled by 2^weight, which unlike ε does not send
-    the localized letter to 1 and so shows how D^-m is handled."""
-    eps = alg.hopf.eps
+def _hopf_maps(H):
+    """ε, S and Δ of H, and ε scaled by 2^weight, which unlike ε does not
+    send the localized letter to 1 and so shows how D^-m is handled."""
+    alg, eps = H.alg, H.eps
     scaled = Character(alg, [2 ** w * v for w, v in zip(alg.weights, eps.values)], name="2^wt ε")
-    return [eps, scaled, alg.hopf.antipode, alg.hopf.delta]
+    return [eps, scaled, H.antipode, H.delta]
 
 
 @pytest.mark.parametrize("name", ["glq8", "n3", "slql8", "C(0,1)"])
@@ -210,11 +209,11 @@ def test_apply_slot_matches_reference(name, request):
         c01, c10 = request.getfixturevalue("galois6")
         c00 = build_gab(A, B, 6, name="C(0,0)")
         delta = cocomposition(c01, c00, c01)
-        maps = {c00: _hopf_maps(c00), c01: [galois_s_map(c01, c10), delta]}
+        maps = {c00: _hopf_maps(hopf_structure(c00)), c01: [galois_s_map(c01, c10), delta]}
     else:
-        alg = request.getfixturevalue(name)
-        delta = alg.hopf.delta
-        maps = {alg: _hopf_maps(alg)}
+        H = request.getfixturevalue(name + "_hopf")
+        delta = H.delta
+        maps = {H.alg: _hopf_maps(H)}
     src = delta.source
     cases = 0
     for g in range(src.ngens()):
@@ -229,11 +228,11 @@ def test_apply_slot_matches_reference(name, request):
     assert cases == 2 * src.ngens() * sum(len(maps[a]) for a in img.algs + outer.algs)
 
 
-def test_antipode_squared_closed_forms(glq8, n3):
-    rep = antipode_squared_sovereign(glq8)
+def test_antipode_squared_closed_forms(glq8, glq8_hopf, n3_hopf):
+    rep = antipode_squared_sovereign(glq8_hopf)
     assert rep["ok"], rep["failures"][:3]
     assert rep["lambda"] == 1
-    S = glq8.hopf.antipode
+    S = glq8_hopf.antipode
     S2 = S.then(S)
     a, b, c, d = (glq8.gen_elt(i) for i in range(4))
     assert S2.images[0] == a
@@ -241,7 +240,7 @@ def test_antipode_squared_closed_forms(glq8, n3):
     assert S2.images[2] == 4 * c
     assert S2.images[3] == d
     assert S2.images[glq8.loc] == glq8.loc_elt()
-    assert antipode_squared_sovereign(n3)["ok"]
+    assert antipode_squared_sovereign(n3_hopf)["ok"]
 
 
 def test_commutation(glq8, n3, galois6):
@@ -251,25 +250,25 @@ def test_commutation(glq8, n3, galois6):
     assert commutation_check(gal)["ok"]
 
 
-def test_winding_identity_and_values(glq8):
-    eps = glq8.hopf.eps
-    assert winding(eps, "left").eq_on_gens(AlgebraMap.identity(glq8))
+def test_winding_identity_and_values(glq8, glq8_hopf):
+    assert winding(glq8_hopf, glq8_hopf.eps, "left").eq_on_gens(AlgebraMap.identity(glq8))
     xi = Character(glq8, [4, 0, 0, Fraction(1, 4), 1], name="ξ")
-    wl = winding(xi, "left")
+    wl = winding(glq8_hopf, xi, "left")
     assert wl.images[0] == 4 * glq8.gen_elt(0)
     assert wl.respects_relations()["ok"]
 
 
-def test_winding_composition_is_convolution(glq8):
-    nk = nakayama_G(glq8)
+def test_winding_composition_is_convolution(glq8_hopf):
+    H = glq8_hopf
+    nk = nakayama_G(H)
     xi, eta = nk["xi"], nk["eta"]
-    lhs = winding(eta, "left").then(winding(xi, "left"))
-    rhs = winding(convolve_chars(glq8, eta, xi), "left")
+    lhs = winding(H, eta, "left").then(winding(H, xi, "left"))
+    rhs = winding(H, convolve_chars(H, eta, xi), "left")
     assert lhs.eq_on_gens(rhs)
 
 
-def test_nakayama_glq(glq8):
-    nk = nakayama_G(glq8)
+def test_nakayama_glq(glq8, glq8_hopf):
+    nk = nakayama_G(glq8_hopf)
     assert nk["report"]["ok"], nk["report"]["failures"]
     mu = nk["mu"]
     a, b, c, d = (glq8.gen_elt(i) for i in range(4))
@@ -284,8 +283,8 @@ def test_nakayama_glq(glq8):
     assert nk["inner_power"] == 0
 
 
-def test_nakayama_n3(n3):
-    nk = nakayama_G(n3)
+def test_nakayama_n3(n3_hopf):
+    nk = nakayama_G(n3_hopf)
     assert nk["report"]["ok"], nk["report"]["failures"]
     assert nk["inner_power"] is not None
 
@@ -299,30 +298,32 @@ def test_nakayama_galois_conjugated(galois6):
     assert ng["mu"].loc_inv_image == gal.loc_inv_elt()
 
 
-def test_nakayama_galois_diagonal_case(glq8):
+def test_nakayama_galois_diagonal_case(glq8, glq8_hopf):
     ng = nakayama_galois(glq8, glq8)
     assert ng["report"]["ok"]
-    nk = nakayama_G(glq8)
+    nk = nakayama_G(glq8_hopf)
     assert ng["mu"].eq_on_gens(nk["mu"])
 
 
 def _cogroupoid(objects, degree_bound):
-    """C(x,y) = G(A_x,B_x|A_y,B_y) for every ordered pair of the (A,B) objects."""
+    """C(x,y) = G(A_x,B_x|A_y,B_y) for every ordered pair of the (A,B)
+    objects, and the Hopf structure of each C(x,x)."""
     objs = range(len(objects))
-    return {(x, y): build_gabcd(*objects[x], *objects[y], degree_bound)
+    algs = {(x, y): build_gabcd(*objects[x], *objects[y], degree_bound)
             for x in objs for y in objs}
+    return algs, {x: hopf_structure(algs[(x, x)]) for x in objs}
 
 
 def test_cogroupoid_suite_pair(conj_pair):
     A, B, C, D = conj_pair
-    rep = cogroupoid_suite(_cogroupoid([(A, B), (C, D)], 5))
+    rep = cogroupoid_suite(*_cogroupoid([(A, B), (C, D)], 5))
     assert rep["ok"], rep["failures"][:4]
     assert rep["checks"] == 196
 
 
 def test_cogroupoid_suite_single_object():
     A = a_q_matrix(2)
-    rep = cogroupoid_suite(_cogroupoid([(A, A.inverse())], 5))
+    rep = cogroupoid_suite(*_cogroupoid([(A, A.inverse())], 5))
     assert rep["ok"], rep["failures"][:4]
     assert rep["checks"] == 28
 
@@ -371,9 +372,8 @@ def _tensor_json(te):
             "terms": sorted([[list(w) for w in ws], frac_str(c)] for ws, c in te.tp.terms())}
 
 
-def _hopf_json(alg):
+def _hopf_json(H):
     """Generator images of Δ, ε and S, as unreduced JSON."""
-    H = alg.hopf
     S = H.antipode
     return {"delta": [_tensor_json(te) for te in H.delta.images],
             "eps": [frac_str(v) for v in H.eps.values],
@@ -401,14 +401,15 @@ SLQ_TABLE_SHA256 = {
 }
 
 
-def test_gab_hopf_structure_pinned(glq8, n3):
-    for name, alg in (("glq8", glq8), ("n3", n3)):
-        assert _sha(_hopf_json(alg)) == GAB_HOPF_SHA256[name], name
+def test_gab_hopf_structure_pinned(glq8_hopf, n3_hopf):
+    for name, H in (("glq8", glq8_hopf), ("n3", n3_hopf)):
+        assert _sha(_hopf_json(H)) == GAB_HOPF_SHA256[name], name
 
 
-def test_slq_hopf_tables_pinned(slq6, slql8):
-    for name, alg in (("slq6", slq6), ("slql8", slql8)):
-        table = _hopf_json(alg)
+def test_slq_hopf_tables_pinned(slq6_hopf, slql8_hopf):
+    for name, H in (("slq6", slq6_hopf), ("slql8", slql8_hopf)):
+        alg = H.alg
+        table = _hopf_json(H)
         table["generators"] = alg.names
         table["relations"] = [sorted([list(w), frac_str(c)] for w, c in r.terms())
                               for r in alg.relations]

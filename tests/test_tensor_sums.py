@@ -25,6 +25,7 @@ from hopfcheck.hopf import (
     build_gab,
     build_glq,
     build_slq_laurent,
+    hopf_structure,
     seeded_pair,
 )
 from hopfcheck.ydmod import build_comodule, check_yd_morphism
@@ -313,21 +314,21 @@ def test_compose_rejects_a_rank_mismatch():
 
 def test_complex_rejects_a_rank_mismatch():
     alg = _alg("glq")
+    eps = hopf_structure(alg).eps
     with pytest.raises(IdentityFailed):
         Complex(alg, "right", [identity_map(alg, "right", 3), identity_map(alg, "right", 2)])
     two_to_one = FreeModuleMap(alg, "right", [[alg.one()], [alg.one()]])
-    wide = Complex(alg, "right", [identity_map(alg, "right", 2)],
-                   augmentation=alg.hopf.eps)
+    wide = Complex(alg, "right", [identity_map(alg, "right", 2)], augmentation=eps)
     with pytest.raises(IdentityFailed):
         wide.is_complex()
-    assert Complex(alg, "right", [two_to_one], augmentation=alg.hopf.eps).is_complex()["ok"] \
-        is False
+    assert Complex(alg, "right", [two_to_one], augmentation=eps).is_complex()["ok"] is False
 
 
 def test_yd_morphism_rejects_a_shape_mismatch():
     alg = _alg("glq")
-    V = build_comodule("fundamental", alg)
-    k = build_comodule("trivial", alg)
+    H = hopf_structure(alg)
+    V = build_comodule("fundamental", H)
+    k = build_comodule("trivial", H)
     with pytest.raises(IdentityFailed):
         check_yd_morphism(identity_map(alg, "right", 2), V, k)
     assert check_yd_morphism(identity_map(alg, "right", 2), V, V)["ok"]

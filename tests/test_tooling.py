@@ -196,8 +196,9 @@ def _parse(path):
 def test_no_unused_imports_or_locals():
     """A stdlib-ast lint of src/hopfcheck: unused imports and dead locals (the
     package __init__ re-exports, so it is not linted for imports), _private
-    module-level functions and classes nothing in the package reads, and
-    public ones that neither the package nor tests/ reads."""
+    module-level functions and classes nothing in the package reads, public
+    ones that neither the package nor tests/ reads, and non-dunder methods of
+    the package's classes that neither reads."""
     found = []
     trees = {}
     for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py"))):
@@ -220,4 +221,9 @@ def test_no_unused_imports_or_locals():
             if node.name not in (read if private else read_or_tested):
                 found.append(f"{mod}:{node.lineno}: unread {'private' if private else 'public'} "
                              f"{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{mod}:{m.lineno}: unread method {node.name}.{m.name}"
+                          for m in node.body
+                          if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not m.name.startswith("__") and m.name not in read_or_tested]
     assert not found, "\n".join(found)

@@ -17,83 +17,79 @@ from hopfcheck.ydmod import (
 )
 
 
-def test_trivial_and_fundamental(glq8):
-    triv = build_comodule("trivial", glq8)
+def test_trivial_and_fundamental(glq8, glq8_hopf):
+    triv = build_comodule("trivial", glq8_hopf)
     assert triv.dim == 1 and triv.c[0][0] == glq8.one()
-    fund = build_comodule("fundamental", glq8)
+    fund = build_comodule("fundamental", glq8_hopf)
     for k in range(2):
         for i in range(2):
             assert fund.c[k][i] == glq8.u_elt(k, i)
 
 
-def test_dual_fundamental_entries(glq8):
-    dual = build_comodule("dual_fundamental", glq8)
+def test_dual_fundamental_entries(glq8, glq8_hopf):
+    dual = build_comodule("dual_fundamental", glq8_hopf)
     # rho(v_1*) has coefficient S(u_11) = d D^-1 on v_1*
     d = glq8.gen_elt(3)
     assert dual.c[0][0] == glq8.loc_inv_elt() * d
 
 
-def test_comodule_axioms_enforced(glq8, n3):
-    for alg in (glq8, n3):
-        dual = build_comodule("dual_fundamental", alg)
-        fund = build_comodule("fundamental", alg)
-        vxv = build_comodule("tensor", alg, parts=[dual, fund])
+def test_comodule_axioms_enforced(glq8_hopf, n3_hopf):
+    for H in (glq8_hopf, n3_hopf):
+        dual = build_comodule("dual_fundamental", H)
+        fund = build_comodule("fundamental", H)
+        vxv = build_comodule("tensor", H, parts=[dual, fund])
         assert vxv.verify()["ok"]
 
 
-def test_boxtimes_with_unit_is_plain_coaction(glq8):
-    fund = build_comodule("fundamental", glq8)
+def test_boxtimes_with_unit_is_plain_coaction(glq8, glq8_hopf):
+    fund = build_comodule("fundamental", glq8_hopf)
     co = boxtimes_coact(fund, glq8.one(), 1)
     for k in range(2):
         want = TensorElt.from_locs((glq8.one(), fund.c[k][1]))
         assert (co[k] - want).is_zero()
 
 
-def test_boxtimes_trivial_on_grouplike(glq8):
-    triv = build_comodule("trivial", glq8)
+def test_boxtimes_trivial_on_grouplike(glq8, glq8_hopf):
+    triv = build_comodule("trivial", glq8_hopf)
     co = boxtimes_coact(triv, glq8.loc_elt(), 0)
     want = TensorElt.from_locs((glq8.loc_elt(), glq8.one()))
     assert (co[0] - want).is_zero()
 
 
-def test_boxtimes_yd_compatibility(glq8):
-    fund = build_comodule("fundamental", glq8)
+def test_boxtimes_yd_compatibility(glq8, glq8_hopf):
+    fund = build_comodule("fundamental", glq8_hopf)
     a = glq8.gen_elt(0)
     c = glq8.gen_elt(2)
     assert check_boxtimes_yd(fund, glq8.one(), c)["ok"]
     assert check_boxtimes_yd(fund, a, c)["ok"]
 
 
-def test_boxtimes_yd_detects_a_broken_antipode(glq8):
+def test_boxtimes_yd_detects_a_broken_antipode(glq8, glq8_hopf):
     """With S(a) doubled, S no longer respects the relations, and the
     compatibility check must fail rather than compare S with itself."""
-    fund = build_comodule("fundamental", glq8)
-    saved = glq8.hopf
-    S = saved.antipode
+    H = glq8_hopf
+    S = H.antipode
     images = list(S.images)
     images[0] = 2 * images[0]
     badS = AlgebraMap(glq8, glq8, images, S.variance, S.loc_inv_image, name="badS")
-    glq8.hopf = HopfStructure(saved.delta, saved.eps, badS)
-    try:
-        rep = check_boxtimes_yd(fund, glq8.gen_elt(0), glq8.gen_elt(2))
-    finally:
-        glq8.hopf = saved
+    fund = build_comodule("fundamental", HopfStructure(glq8, H.delta, H.eps, badS))
+    rep = check_boxtimes_yd(fund, glq8.gen_elt(0), glq8.gen_elt(2))
     assert not rep["ok"]
 
 
-def test_boxtimes_counit_contraction(glq8):
-    fund = build_comodule("fundamental", glq8)
+def test_boxtimes_counit_contraction(glq8, glq8_hopf):
+    fund = build_comodule("fundamental", glq8_hopf)
     h = glq8.gen_elt(1) * glq8.loc_inv_elt()
     out = boxtimes_counit_contract(fund, h, 0)
     assert out[0] == h
     assert out[1].is_zero()
 
 
-def test_comodule_maps(glq8):
-    triv = build_comodule("trivial", glq8)
-    dual = build_comodule("dual_fundamental", glq8)
-    fund = build_comodule("fundamental", glq8)
-    vxv = build_comodule("tensor", glq8, parts=[dual, fund])
+def test_comodule_maps(glq8, glq8_hopf):
+    triv = build_comodule("trivial", glq8_hopf)
+    dual = build_comodule("dual_fundamental", glq8_hopf)
+    fund = build_comodule("fundamental", glq8_hopf)
+    vxv = build_comodule("tensor", glq8_hopf, parts=[dual, fund])
 
     def column(entries):
         # the map v_ij (x) 1 -> 1 (x) entries[ij] of V*(x)V ⊠ H into k ⊠ H
@@ -119,23 +115,23 @@ def test_comodule_maps(glq8):
     assert not check_yd_morphism(bad, vxv, triv)["ok"]
 
 
-def test_yd_morphism_psi1_psi4(glq9):
-    C = build_yd_resolution(gamma_maps(glq9))
-    triv = build_comodule("trivial", glq9)
-    dual = build_comodule("dual_fundamental", glq9)
-    fund = build_comodule("fundamental", glq9)
-    vxv = build_comodule("tensor", glq9, parts=[dual, fund])
+def test_yd_morphism_psi1_psi4(glq9, glq9_hopf):
+    C = build_yd_resolution(gamma_maps(glq9), glq9_hopf.eps)
+    triv = build_comodule("trivial", glq9_hopf)
+    dual = build_comodule("dual_fundamental", glq9_hopf)
+    fund = build_comodule("fundamental", glq9_hopf)
+    vxv = build_comodule("tensor", glq9_hopf, parts=[dual, fund])
     # psi1: [W*W, k] -> [k]; psi4: [k] -> [V*V, k]
     assert check_yd_morphism(C.maps[3], direct_sum([vxv, triv]), triv)["ok"]
     assert check_yd_morphism(C.maps[0], triv, direct_sum([vxv, triv]))["ok"]
 
 
-def test_sign_flip_is_comodule_map_but_breaks_complex(glq9):
-    C = build_yd_resolution(gamma_maps(glq9))
-    triv = build_comodule("trivial", glq9)
-    dual = build_comodule("dual_fundamental", glq9)
-    fund = build_comodule("fundamental", glq9)
-    vxv = build_comodule("tensor", glq9, parts=[dual, fund])
+def test_sign_flip_is_comodule_map_but_breaks_complex(glq9, glq9_hopf):
+    C = build_yd_resolution(gamma_maps(glq9), glq9_hopf.eps)
+    triv = build_comodule("trivial", glq9_hopf)
+    dual = build_comodule("dual_fundamental", glq9_hopf)
+    fund = build_comodule("fundamental", glq9_hopf)
+    vxv = build_comodule("tensor", glq9_hopf, parts=[dual, fund])
     psi4 = C.maps[0]
     flipped = [[psi4.entries[0][t] * (-1 if t == psi4.tgt_rank - 1 else 1)
                 for t in range(psi4.tgt_rank)]]
@@ -146,17 +142,17 @@ def test_sign_flip_is_comodule_map_but_breaks_complex(glq9):
     assert not psi4_flip.compose(C.maps[1]).is_zero()
 
 
-def test_hom_to_trivial_dimensions(glq8, n3):
-    for alg in (glq8, n3):
-        triv = build_comodule("trivial", alg)
+def test_hom_to_trivial_dimensions(glq8_hopf, n3_hopf):
+    for H in (glq8_hopf, n3_hopf):
+        triv = build_comodule("trivial", H)
         assert len(hom_to_trivial(triv)) == 1
-        dual = build_comodule("dual_fundamental", alg)
-        fund = build_comodule("fundamental", alg)
-        vxv = build_comodule("tensor", alg, parts=[dual, fund])
+        dual = build_comodule("dual_fundamental", H)
+        fund = build_comodule("fundamental", H)
+        vxv = build_comodule("tensor", H, parts=[dual, fund])
         h = hom_to_trivial(vxv)
         assert len(h) == 1
         # the solution is the trace functional, normalized on v1* (x) v1
-        n = alg.n
+        n = H.alg.n
         row = h[0]
         scale = row[0]
         assert scale != 0
@@ -167,19 +163,19 @@ def test_hom_to_trivial_dimensions(glq8, n3):
         assert len(hom_to_trivial(fund)) == 0
 
 
-def test_direct_sum_coaction(glq8):
-    triv = build_comodule("trivial", glq8)
-    fund = build_comodule("fundamental", glq8)
+def test_direct_sum_coaction(glq8, glq8_hopf):
+    triv = build_comodule("trivial", glq8_hopf)
+    fund = build_comodule("fundamental", glq8_hopf)
     both = direct_sum([triv, fund])
     assert both.dim == 3
     assert both.verify()["ok"]
 
 
-def test_free_yd_wrapper(glq8):
+def test_free_yd_wrapper(glq8, glq8_hopf):
     """The free Yetter-Drinfeld module V ⊠ H on the fundamental comodule:
     contracting the coaction with the counit gives back v_1 (x) d D^-1, and
     the coaction is compatible with right multiplication by a and c."""
-    fund = build_comodule("fundamental", glq8)
+    fund = build_comodule("fundamental", glq8_hopf)
     h = glq8.gen_elt(3) * glq8.loc_inv_elt()
     out = boxtimes_counit_contract(fund, h, 1)
     assert all(out[k] == (h if k == 1 else glq8.zero()) for k in range(fund.dim))
@@ -200,9 +196,9 @@ def test_broken_comodule_raises_identity_failed(monkeypatch):
         return S
 
     monkeypatch.setattr(hopf, "galois_s_map", doubled)
-    alg = hopf.build_glq(2, 6)
+    H = hopf.hopf_structure(hopf.build_glq(2, 6))
     with pytest.raises(IdentityFailed, match="comodule axioms"):
-        build_comodule("dual_fundamental", alg)
+        build_comodule("dual_fundamental", H)
     report, code = run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
                                "checks": ["cohomology"]})
     (entry,) = report["checks"]
