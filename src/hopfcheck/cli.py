@@ -492,7 +492,7 @@ def _check_cohomology(run):
     if run.generic is False:
         return "uncertified", ["skipped: genericity failed"], {}
     coh = bialgebra_cohomology(run.hopf(run.alg), run.resolution)
-    gs = gs_dimension_report(run.alg, coh)
+    gs = gs_dimension_report(coh)
     extras = {"H_b": coh["dims"], "ranks": coh["ranks"],
               "gs": {"upper": gs["upper"], "lower": gs["lower"], "verdict": gs["verdict"]}}
     want = [1, 1, 0, 1, 1]

@@ -116,7 +116,7 @@ def bialgebra_cohomology(hopf, resolution):
     }
 
 
-def gs_dimension_report(alg, cohomology_result):
+def gs_dimension_report(cohomology_result):
     """Upper bound from the resolution length, lower from top nonzero H_b."""
     dims = cohomology_result["dims"]
     upper = 4

@@ -41,10 +41,9 @@ class FreeModuleMap:
         if twist is not None:
             first = [[a if a.is_zero() else twist.apply_loc(a) for a in row] for row in first]
         right = self.side == "right"
-        out = [[LocalizedElement.sum(self.alg, [
-                    b * a if right else a * b
-                    for a, b in zip(row, (then_row[u] for then_row in then.entries))
-                    if not (a.is_zero() or b.is_zero())])
+        out = [[LocalizedElement.sum_of_products(self.alg, [
+                    (b, a) if right else (a, b)
+                    for a, b in zip(row, (then_row[u] for then_row in then.entries))])
                 for u in range(then.tgt_rank)]
                for row in first]
         return FreeModuleMap(self.alg, self.side, out,
@@ -57,10 +56,9 @@ class FreeModuleMap:
             raise IdentityFailed(f"{self.name} takes {self.src_rank} coordinates, "
                                  f"got {len(coords)}")
         right = self.side == "right"
-        return [LocalizedElement.sum(self.alg, [
-                    e * x if right else x * e
-                    for x, e in zip(coords, (row[t] for row in self.entries))
-                    if not (e.is_zero() or x.is_zero())])
+        return [LocalizedElement.sum_of_products(self.alg, [
+                    (e, x) if right else (x, e)
+                    for x, e in zip(coords, (row[t] for row in self.entries))])
                 for t in range(self.tgt_rank)]
 
     def is_zero(self):
@@ -266,29 +264,37 @@ def gamma_identity_suite(g):
     """The composition identities behind psi.psi = 0 among the blocks ``g``
     of gamma_maps, checked as map equalities.
 
-    The U-indexed family is instantiated for both U = V and U = W (the two
-    names carry identical fundamental-comodule maps, so the instances agree
-    entrywise; both are executed as listed).
+    The U-indexed family is listed for both U = V and U = W (the two names
+    carry identical fundamental-comodule maps, so the instances are the same
+    maps); each distinct composite and sum is computed once and shared.
     """
+    memo = {}
+
+    def then(first, second):
+        """``first`` followed by ``second``, i.e. γ_second∘γ_first in the
+        names below, composed once."""
+        if (first, second) not in memo:
+            memo[first, second] = g[first].compose(g[second])
+        return memo[first, second]
+
+    g4_plus = g["g4"].add(then("g6", "g4"))
+    g1_plus = g["g1"].add(then("g1", "g6"))
     ids = []
     for U in ("V", "W"):
         ids.extend([
-            (f"γ{U}1∘γ{U}3=γ{U}2", g["g3"].compose(g["g1"]), g["g2"]),
-            (f"γ{U}3∘γ{U}4=γ{U}5", g["g4"].compose(g["g3"]), g["g5"]),
-            (f"γ{U}3∘γ{U}5=γ{U}4+γ{U}4∘γ{U}6",
-             g["g5"].compose(g["g3"]), g["g4"].add(g["g6"].compose(g["g4"]))),
-            (f"γ{U}2∘γ{U}3=γ{U}1+γ6∘γ{U}1",
-             g["g3"].compose(g["g2"]), g["g1"].add(g["g1"].compose(g["g6"]))),
+            (f"γ{U}1∘γ{U}3=γ{U}2", then("g3", "g1"), g["g2"]),
+            (f"γ{U}3∘γ{U}4=γ{U}5", then("g4", "g3"), g["g5"]),
+            (f"γ{U}3∘γ{U}5=γ{U}4+γ{U}4∘γ{U}6", then("g5", "g3"), g4_plus),
+            (f"γ{U}2∘γ{U}3=γ{U}1+γ6∘γ{U}1", then("g3", "g2"), g1_plus),
         ])
     ids.extend([
-        ("γV1∘γV4=γW1∘γW4", g["g4"].compose(g["g1"]), g["g4"].compose(g["g1"])),
-        ("γV2∘γV4=γW1∘γW5", g["g4"].compose(g["g2"]), g["g5"].compose(g["g1"])),
-        ("γ7∘γV4=γW4∘γ6", g["g4"].compose(g["g7"]), g["g6"].compose(g["g4"])),
-        ("γ7∘γV5=γW5∘γ6", g["g5"].compose(g["g7"]), g["g6"].compose(g["g5"])),
-        ("γV2∘γV3=γV1+γW1∘γ7", g["g3"].compose(g["g2"]),
-         g["g1"].add(g["g7"].compose(g["g1"]))),
-        ("γ7∘γV3=γW3∘γ7", g["g3"].compose(g["g7"]), g["g7"].compose(g["g3"])),
-        ("γ6∘γV2=γW2∘γ7", g["g2"].compose(g["g6"]), g["g7"].compose(g["g2"])),
+        ("γV1∘γV4=γW1∘γW4", then("g4", "g1"), then("g4", "g1")),
+        ("γV2∘γV4=γW1∘γW5", then("g4", "g2"), then("g5", "g1")),
+        ("γ7∘γV4=γW4∘γ6", then("g4", "g7"), then("g6", "g4")),
+        ("γ7∘γV5=γW5∘γ6", then("g5", "g7"), then("g6", "g5")),
+        ("γV2∘γV3=γV1+γW1∘γ7", then("g3", "g2"), g["g1"].add(then("g7", "g1"))),
+        ("γ7∘γV3=γW3∘γ7", then("g3", "g7"), then("g7", "g3")),
+        ("γ6∘γV2=γW2∘γ7", then("g2", "g6"), then("g7", "g2")),
     ])
     failures = [name for name, lhs, rhs in ids if not lhs.eq(rhs)]
     return {"ok": not failures, "failures": failures, "identities": len(ids)}

@@ -176,6 +176,45 @@ class LocalizedElement:
                 d[w] = d.get(w, 0) + c
         return LocalizedElement(alg, alg.rs.normal_form(NCPoly(d)), m)
 
+    @staticmethod
+    def sum_of_products(alg, pairs):
+        """The sum of x*y over pairs (x, y) of localized elements of alg,
+        with one normal form.
+
+        Each product p D^-m * q D^-l is left unreduced as p sigma^-m(q) at
+        exponent m+l, padded to the largest exponent M, and the padded
+        products are added in one dict and normal-formed once; nf is linear
+        on words within the certified degree (diamond lemma) and the
+        representative is canonical, so the value is that of summing the
+        reduced products.  The sum is folded only when every padded product
+        word, counted before cancellation, is within the certified degree:
+        wt(p) + wt(q) + wt(D)(M-m-l) for each pair.  Otherwise each product
+        is reduced on its own first, so that the guard raises
+        ExceedsCertifiedDegree exactly where the per-product sum raises: the
+        order is weight-graded, so neither padding nor rewriting raises a
+        word's weight, and a folded sum never reduces a heavier word.
+        """
+        pairs = [(x, y) for x, y in pairs if x.num.d and y.num.d]
+        if not pairs:
+            return alg.zero()
+        m = max(x.exp + y.exp for x, y in pairs)
+        order, rs, loc = alg.order, alg.rs, alg.loc
+        wloc = order.weights[loc] if loc is not None else 0
+        for x, y in pairs:
+            if (x.num.weight(order) + y.num.weight(order) + wloc * (m - x.exp - y.exp)
+                    > rs.certified_degree):
+                return LocalizedElement.sum(alg, [x * y for x, y in pairs])
+        d = {}
+        for x, y in pairs:
+            # (p D^-e)(q D^-f) = p sigma^-e(q) D^-(e+f)
+            q = alg.sigma_poly(y.num, -x.exp) if x.exp else y.num
+            pad = (loc,) * (m - x.exp - y.exp)
+            for w, c in x.num.d.items():
+                for v, cc in q.d.items():
+                    k = w + v + pad
+                    d[k] = d.get(k, 0) + c * cc
+        return LocalizedElement(alg, rs.normal_form(NCPoly(d)), m)
+
     def __add__(self, other):
         assert self.alg is other.alg
         return LocalizedElement.sum(self.alg, (self, other))

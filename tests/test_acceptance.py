@@ -122,7 +122,7 @@ def test_criterion_4_bialgebra_cohomology():
     coh = bialgebra_cohomology(H, C)
     assert coh["dims"] == [1, 1, 0, 1, 1]
     assert coh["ranks"] == [0, 1, 1, 0]
-    gs = gs_dimension_report(glq, coh)
+    gs = gs_dimension_report(coh)
     assert gs["upper"] == 4 and gs["lower"] == 4
     assert gs["verdict"] == "cd_GS = 4"
     print(PASS % (4, "cohomology", time.monotonic() - t0))

@@ -52,15 +52,15 @@ def test_broken_resolution_is_unexpected(glq8, glq8_hopf, s, match):
         bialgebra_cohomology(glq8_hopf, Complex(glq8, C.side, maps, C.augmentation))
 
 
-def test_gs_dimension(glq8, coh):
-    gs = gs_dimension_report(glq8, coh)
+def test_gs_dimension(coh):
+    gs = gs_dimension_report(coh)
     assert gs["upper"] == 4 and gs["lower"] == 4
     assert gs["verdict"] == "cd_GS = 4"
 
 
-def test_gs_inconclusive_branch(glq8):
+def test_gs_inconclusive_branch():
     fake = {"dims": [1, 1, 0, 1, 0]}
-    gs = gs_dimension_report(glq8, fake)
+    gs = gs_dimension_report(fake)
     assert gs["upper"] == 4 and gs["lower"] == 3
     assert gs["verdict"] == "inconclusive (lower<upper)"
 
@@ -73,7 +73,7 @@ def test_conjugated_pair_same_cohomology(conj_pair):
     coh = bialgebra_cohomology(H, res)
     assert coh["dims"] == [1, 1, 0, 1, 1]
     assert coh["ranks"] == [0, 1, 1, 0]
-    gs = gs_dimension_report(alg, coh)
+    gs = gs_dimension_report(coh)
     assert gs["upper"] == gs["lower"] == 4
 
 

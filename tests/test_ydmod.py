@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcheck.errors import IdentityFailed
 from hopfcheck.foundation import NCPoly
-from hopfcheck.hopf import AlgebraMap, HopfStructure, LocalizedElement, TensorElt
+from hopfcheck.hopf import AlgebraMap, DeltaMap, HopfStructure, LocalizedElement, TensorElt
 from hopfcheck.complexes import FreeModuleMap, build_yd_resolution, gamma_maps
 from hopfcheck.ydmod import (
     Comodule,
+    _tensor_coassoc_failures,
     boxtimes_coact,
     boxtimes_counit_contract,
     build_comodule,
@@ -204,3 +206,98 @@ def test_broken_comodule_raises_identity_failed(monkeypatch):
     (entry,) = report["checks"]
     assert code == 1 and entry["status"] == "fail"
     assert entry["witnesses"][0].startswith("IdentityFailed: comodule axioms failed")
+
+
+# -- the tensor product's coassociativity, from its factors --------------------
+
+def _dual_and_fund(H):
+    return build_comodule("dual_fundamental", H), build_comodule("fundamental", H)
+
+
+def test_tensor_verdict_agrees_with_entrywise_check(glq8_hopf, n3_hopf):
+    """V*⊗V and V⊗V* are built on the factors' axioms and a multiplicative Δ;
+    the entry-by-entry check agrees on GL_q(2), the seeded n = 3 G(A,B) and
+    the seeded n = 2 G(A,B), whose σ is not the identity."""
+    from hopfcheck.hopf import build_gab, hopf_structure, seeded_pair
+    gab2 = hopf_structure(build_gab(*seeded_pair(1, n=2), 6, name="G(A2,B2)"))
+    for H in (glq8_hopf, n3_hopf, gab2):
+        dual, fund = _dual_and_fund(H)
+        for parts in ([dual, fund], [fund, dual]):
+            assert _tensor_coassoc_failures(H, parts) == []
+            vxv = build_comodule("tensor", H, parts=parts)
+            assert vxv.verify()["ok"]
+
+
+def test_tensor_counit_is_checked_entrywise(glq8, glq8_hopf, monkeypatch):
+    """Both factors and Δ are sound, but the tensor's coaction has entry
+    (0, 0) doubled: only its counit can see it."""
+    import hopfcheck.ydmod as ydmod
+    dual, fund = _dual_and_fund(glq8_hopf)
+
+    class Doubled(Comodule):
+        def __init__(self, hopf, c, **kw):
+            c[0][0] = 2 * c[0][0]
+            super().__init__(hopf, c, **kw)
+
+    monkeypatch.setattr(ydmod, "Comodule", Doubled)
+    with pytest.raises(IdentityFailed, match=r"comodule axioms failed: \[\('counit', \(0, 0\)\)\]"):
+        build_comodule("tensor", glq8_hopf, parts=[dual, fund])
+
+
+def test_tensor_rejects_a_part_that_is_no_comodule(glq8, glq8_hopf):
+    """u_12 + (u_11 - 1) in place of u_12 keeps every counit (ε(u_11 - 1) = 0),
+    so the tensor's counit passes, but the part is not coassociative."""
+    dual, fund = _dual_and_fund(glq8_hopf)
+    c = [list(row) for row in fund.c]
+    c[0][1] = c[0][1] + glq8.u_elt(0, 0) - glq8.one()
+    bad = Comodule(glq8_hopf, c, labels=fund.labels, name="V'")
+    assert {f[0] for f in bad.verify()["failures"]} == {"coassoc"}
+    with pytest.raises(IdentityFailed, match=r"\('part_axioms', \"V'\""):
+        build_comodule("tensor", glq8_hopf, parts=[dual, bad])
+    # the entry-by-entry check of the tensor fails as well
+    idx = [(k, l) for k in range(2) for l in range(2)]
+    tensor = Comodule(glq8_hopf, [[dual.c[k][i] * bad.c[l][j] for i, j in idx] for k, l in idx])
+    assert not tensor._counit_failures() and not tensor.verify()["ok"]
+
+
+def test_tensor_rejects_a_part_over_another_structure(glq8, glq8_hopf):
+    dual, _ = _dual_and_fund(glq8_hopf)
+    other = HopfStructure(glq8, glq8_hopf.delta, glq8_hopf.eps, glq8_hopf.antipode)
+    fund = build_comodule("fundamental", other)
+    with pytest.raises(IdentityFailed, match=r"\('part_hopf', 'V'\)"):
+        build_comodule("tensor", glq8_hopf, parts=[dual, fund])
+
+
+def test_tensor_rejects_a_delta_that_breaks_the_relations(glq8_hopf, monkeypatch):
+    dual, fund = _dual_and_fund(glq8_hopf)
+    monkeypatch.setattr(glq8_hopf.delta, "respects_relations",
+                        lambda: {"ok": False, "failures": [0]})
+    with pytest.raises(IdentityFailed, match=r"\('delta_relations', \[0\]\)"):
+        build_comodule("tensor", glq8_hopf, parts=[dual, fund])
+
+
+def test_tensor_rejects_a_delta_with_d_not_grouplike(glq8, glq8_hopf):
+    """Δ(D) = 2 D⊗D leaves Δ on the letters a..d, and so both factors,
+    alone; apply_loc still sends D^-1 to D^-1⊗D^-1, so Δ is no algebra map."""
+    H = glq8_hopf
+    images = list(H.delta.images)
+    images[glq8.loc] = 2 * images[glq8.loc]
+    bad = HopfStructure(glq8, DeltaMap(glq8, (glq8, glq8), images, name="Δ'"), H.eps, H.antipode)
+    dual, fund = _dual_and_fund(bad)
+    with pytest.raises(IdentityFailed, match="delta_grouplike"):
+        build_comodule("tensor", bad, parts=[dual, fund])
+
+
+def test_cohomology_fails_when_delta_breaks_the_relations(monkeypatch):
+    """A run whose Δ fails the relations cannot build V*⊗V: the cohomology
+    check reports fail, with the premise that broke."""
+    import hopfcheck.hopf as hopf
+    from hopfcheck.cli import run_config
+    monkeypatch.setattr(hopf.DeltaMap, "respects_relations",
+                        lambda self: {"ok": False, "failures": [0]})
+    report, code = run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
+                               "checks": ["cohomology"]})
+    (entry,) = report["checks"]
+    assert code == 1 and entry["status"] == "fail"
+    assert entry["witnesses"][0].startswith("IdentityFailed: comodule axioms failed")
+    assert "delta_relations" in entry["witnesses"][0]
