@@ -10,7 +10,7 @@ and is what Complex.is_complex() uses on consecutive differentials.
 from fractions import Fraction
 
 from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
-from .foundation import Mat, NCPoly, matrix_invariants
+from .foundation import Mat, NCPoly, combine, matrix_invariants
 from .hopf import LocalizedElement, glq_slq_laurent_iso, nakayama_nu, sandwich
 from .linalg import certified_lifts, kernel_basis
 
@@ -209,8 +209,8 @@ def gamma_maps(alg):
     g2 = FreeModuleMap(alg, "right",
                        [[alg.u_elt(i, j)] for i in range(n) for j in range(n)],
                        vv, k, name="γ2")
-    g3 = _vv_map(alg, lambda i, j, kk, ll: Binv[j, kk] * alg.elt(sandwich(I, Bt, i, ll)),
-                 "γ3")
+    g3u = {(i, ll): alg.elt(sandwich(I, Bt, i, ll)) for i in range(n) for ll in range(n)}
+    g3 = _vv_map(alg, lambda i, j, kk, ll: Binv[j, kk] * g3u[i, ll], "γ3")
     g4 = FreeModuleMap(alg, "right",
                        [[alg.elt(NCPoly.term((), AtB[i, j])) for i in range(n) for j in range(n)]],
                        k, vv, name="γ4")
@@ -246,11 +246,11 @@ def left_gamma_maps(g):
     pairs = [(i, j) for i in range(n) for j in range(n)]
     vv = _vv_labels(n)
     g7 = g["g7"].entries
+    g3u = {(l, i): alg.elt(sandwich(At, I, l, i)) for l in range(n) for i in range(n)}
     return {
         "g1": g["g1"],
         "g2": FreeModuleMap(alg, "right", [[alg.u_elt(j, i)] for i, j in pairs], vv, ["k"]),
-        "g3": _vv_map(alg, lambda i, j, k, l: Ainv[k, j] * alg.elt(sandwich(At, I, l, i)),
-                      "γ3'"),
+        "g3": _vv_map(alg, lambda i, j, k, l: Ainv[k, j] * g3u[l, i], "γ3'"),
         "g4": FreeModuleMap(alg, "right", [[alg.elt(NCPoly.term((), ABt[j, i])) for i, j in pairs]],
                             ["k"], vv),
         "g5": FreeModuleMap(alg, "right", [[alg.elt(sandwich(At, B, j, i)) for i, j in pairs]],
@@ -735,26 +735,22 @@ def _image_columns(C):
     key_of = alg.order.key
     products, images, keys, columns = {}, {}, {}, {}
     ids = {}  # entry content -> entry id, so equal entries share their images
-    entry_rows = [[[(u, e, ids.setdefault((tuple(e.num.d.items()), e.exp), len(ids)))
+    entry_rows = [[[(u, e, ids.setdefault((tuple(e.num.c.items()), e.num.den, e.exp), len(ids)))
                     for u, e in enumerate(row) if not e.is_zero()]
                    for row in f.entries] for f in C.maps]
 
     def product(v, k, w):
         hit = products.get((v, k, w))
         if hit is None:
-            hit = products[(v, k, w)] = alg.rs.normal_form(
-                NCPoly.term(v) * alg.sigma_word(w, -k)).d
+            p = alg.rs.normal_form(NCPoly.term(v) * alg.sigma_word(w, -k))
+            hit = products[(v, k, w)] = (p.c, p.den)
         return hit
 
     def image(e, eid, w):
         hit = images.get((eid, w))
         if hit is None:
-            acc = {}
-            for v, c in e.num.terms():
-                for x, d in product(v, e.exp, w).items():
-                    old = acc.get(x)
-                    acc[x] = c * d if old is None else old + c * d
-            hit = images[(eid, w)] = [(x, c) for x, c in acc.items() if c]
+            c, den = combine(e.num.den, [(n, product(v, e.exp, w)) for v, n in e.num.c.items()])
+            hit = images[(eid, w)] = [(x, Fraction(n, den)) for x, n in c.items()]
         return hit
 
     def canonical(x, exp):

@@ -6,8 +6,10 @@ rationals, matrices with exact inverses, words in a weighted alphabet
 combinations of words.
 """
 
-import math
+import itertools
+import operator
 from fractions import Fraction
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (
     LambdaNotSquare,
@@ -41,7 +43,7 @@ def rational_sqrt(x):
     if x < 0:
         return None
     n, d = x.numerator, x.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
+    rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
@@ -291,101 +293,172 @@ class MonomialOrder:
 
 
 # ---------------------------------------------------------------------------
-# noncommutative polynomials
+# the integer form: nonzero integer numerators c over one denominator den > 0,
+# gcd(den, *c) = 1, zero being ({}, 1).  The reducer works in it, arithmetic
+# is fraction-free (Bareiss 1968), and only the .d view makes Fractions.  A
+# stored c is never mutated.
 
 
-class NCPoly:
-    """Finitely supported map word -> rational; zero coefficients dropped."""
+def _ratio(x):
+    """(numerator, denominator) of an int or Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise TypeError(f"not an exact rational: {x!r}")
 
-    __slots__ = ("d",)
 
-    def __init__(self, d=None):
-        self.d = {w: c for w, c in (d or {}).items() if c != 0}
+def _int_form(d):
+    """A rational dict as (c, den), zeros dropped; over the lcm of reduced
+    denominators the numerators are already in lowest terms."""
+    pairs = [(k, _ratio(x)) for k, x in d.items()]
+    den = lcm(*(q for _, (_, q) in pairs))
+    return {k: p * (den // q) for k, (p, q) in pairs if p}, den
 
-    @classmethod
-    def zero(cls):
-        return cls()
 
-    @classmethod
-    def one(cls):
-        return cls({(): ONE})
+def lowest_terms(c, den):
+    """(c, den), nonzero integers c over den > 0, divided by gcd(den, *c)."""
+    if den != 1:
+        g = gcd(den, *c.values())
+        if g != 1:
+            return {k: x // g for k, x in c.items()}, den // g
+    return c, den
 
-    @classmethod
-    def term(cls, word, coeff=ONE):
-        return cls({tuple(word): frac(coeff)})
 
-    @classmethod
-    def gen(cls, g):
-        return cls({(g,): ONE})
-
-    def is_zero(self):
-        return not self.d
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self.d == other.d
-
-    def __hash__(self):
-        return hash(frozenset(self.d.items()))
-
-    def __add__(self, other):
-        d = dict(self.d)
-        for w, c in other.d.items():
-            nc = d.get(w, ZERO) + c
-            if nc:
-                d[w] = nc
+def combine(den, parts):
+    """The sum of n/den * c/d over parts [(n, (c, d)), ...], c a dict of
+    nonzero integers and d > 0, in integer form.  Keys come in the order
+    that summing the terms as Fractions gives, a cancelled key deleted."""
+    if len(parts) == 1 and den == 1 and parts[0][0] == 1:
+        return lowest_terms(*parts[0][1])
+    common = 1
+    for _, (_, d) in parts:
+        if d != 1:
+            common = lcm(common, d)
+    out = {}
+    for n, (c, d) in parts:
+        f = n * (common // d)
+        for k, x in c.items():
+            nx = out.get(k, 0) + f * x
+            if nx:
+                out[k] = nx
             else:
-                d.pop(w, None)
-        return NCPoly(d)
+                del out[k]
+    return lowest_terms(out, den * common)
 
-    def __sub__(self, other):
-        return self + (-1) * other
 
-    def __neg__(self):
-        return (-1) * self
+class _IntForm:
+    """NCPoly's and TensorPoly's arithmetic; a subclass gives _like(c, den),
+    its element of that form, and _join(k1, k2), the key of a product."""
 
-    def __rmul__(self, c):
-        c = frac(c)
-        if c == 0:
-            return NCPoly()
-        return NCPoly({w: c * x for w, x in self.d.items()})
+    __slots__ = ("c", "den")
 
-    def __mul__(self, other):
-        if not isinstance(other, NCPoly):
-            return frac(other) * self
-        d = {}
-        for w1, c1 in self.d.items():
-            for w2, c2 in other.d.items():
-                w = w1 + w2
-                nc = d.get(w, ZERO) + c1 * c2
-                if nc:
-                    d[w] = nc
-                else:
-                    del d[w]
-        return NCPoly(d)
+    @property
+    def d(self):
+        """A fresh {key: Fraction} dict of the coefficients."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.c.items()}
 
     def terms(self):
         return self.d.items()
 
+    def is_zero(self):
+        return not self.c
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.den == other.den and self.c == other.c
+
+    def __hash__(self):
+        return hash((frozenset(self.c.items()), self.den))
+
+    def __add__(self, other):
+        return self._like(*combine(1, [(1, (self.c, self.den)), (1, (other.c, other.den))]))
+
+    def __sub__(self, other):
+        return self._like(*combine(1, [(1, (self.c, self.den)), (-1, (other.c, other.den))]))
+
+    def __neg__(self):
+        return self._like({k: -n for k, n in self.c.items()}, self.den)
+
+    def __rmul__(self, x):
+        p, q = _ratio(x)
+        return self._like(*lowest_terms({k: p * n for k, n in self.c.items()} if p else {},
+                                        self.den * q))
+
+    def __mul__(self, other):
+        if not isinstance(other, _IntForm):
+            return self.__rmul__(other)
+        join, out = self._join, {}
+        for k1, x1 in self.c.items():
+            for k2, x2 in other.c.items():
+                k = join(k1, k2)
+                nx = out.get(k, 0) + x1 * x2
+                if nx:
+                    out[k] = nx
+                else:
+                    del out[k]
+        return self._like(*lowest_terms(out, self.den * other.den))
+
+
+# ---------------------------------------------------------------------------
+# noncommutative polynomials
+
+
+class NCPoly(_IntForm):
+    """Finitely supported map word -> rational, in integer form (c, den);
+    NCPoly(d) takes a dict of ints and Fractions."""
+
+    __slots__ = ()
+    _join = operator.add
+
+    def __init__(self, d=None):
+        self.c, self.den = _int_form(d) if d else ({}, 1)
+
+    @classmethod
+    def of(cls, c, den=1):
+        """The polynomial of (c, den), which must be in integer form."""
+        p = object.__new__(cls)
+        p.c, p.den = c, den
+        return p
+
+    def _like(self, c, den):
+        return NCPoly.of(c, den)
+
+    @classmethod
+    def zero(cls):
+        return cls.of({})
+
+    @classmethod
+    def one(cls):
+        return cls.of({(): 1})
+
+    @classmethod
+    def term(cls, word, coeff=1):
+        p, q = _ratio(coeff)
+        return cls.of({tuple(word): p}, q) if p else cls.of({})
+
+    @classmethod
+    def gen(cls, g):
+        return cls.of({(g,): 1})
+
     def max_word(self, order):
-        return max(self.d, key=order.key)
+        return max(self.c, key=order.key)
 
     def weight(self, order):
         """Largest word weight in the support (0 for the zero polynomial)."""
-        if not self.d:
+        if not self.c:
             return 0
-        return max(order.weight(w) for w in self.d)
+        return max(order.weight(w) for w in self.c)
 
     def coeff(self, word):
-        return self.d.get(tuple(word), ZERO)
+        return Fraction(self.c.get(tuple(word), 0), self.den)
 
     def pretty(self, names):
-        if not self.d:
+        if not self.c:
             return "0"
+        d = self.d
         bits = []
-        for w in sorted(self.d, key=lambda w: (len(w), w)):
-            c = self.d[w]
+        for w in sorted(d, key=lambda w: (len(w), w)):
             mono = "*".join(names[g] for g in w) if w else "1"
-            bits.append(f"({c})*{mono}" if w else f"({c})")
+            bits.append(f"({d[w]})*{mono}" if w else f"({d[w]})")
         return " + ".join(bits)
 
 
@@ -393,74 +466,62 @@ class NCPoly:
 # componentwise tensor polynomials
 
 
-class TensorPoly:
-    """Finitely supported map (word, ..., word) -> rational, fixed arity.
+class TensorPoly(_IntForm):
+    """Finitely supported map (word, ..., word) -> rational, fixed arity, in
+    integer form (c, den); TensorPoly(arity, d) takes a rational dict.
 
     Multiplication is componentwise concatenation; this is the free tensor
     power of the free algebra.  Reduction modulo relations happens upstream.
     """
 
-    __slots__ = ("arity", "d")
+    __slots__ = ("arity",)
 
     def __init__(self, arity, d=None):
         self.arity = arity
-        self.d = {k: c for k, c in (d or {}).items() if c != 0}
-        for k in self.d:
+        self.c, self.den = _int_form(d) if d else ({}, 1)
+        for k in self.c:
             assert len(k) == arity
 
     @classmethod
-    def unit(cls, arity):
-        return cls(arity, {((),) * arity: ONE})
+    def of(cls, arity, c, den=1):
+        """The tensor of (c, den), which must be in integer form."""
+        t = object.__new__(cls)
+        t.arity, t.c, t.den = arity, c, den
+        return t
+
+    def _like(self, c, den):
+        return TensorPoly.of(self.arity, c, den)
+
+    @staticmethod
+    def _join(k1, k2):
+        return tuple(w1 + w2 for w1, w2 in zip(k1, k2))
 
     @classmethod
-    def term(cls, words, coeff=ONE):
-        words = tuple(tuple(w) for w in words)
-        return cls(len(words), {words: frac(coeff)})
+    def unit(cls, arity):
+        return cls.of(arity, {((),) * arity: 1})
 
-    def is_zero(self):
-        return not self.d
+    @classmethod
+    def term(cls, words, coeff=1):
+        words = tuple(tuple(w) for w in words)
+        return cls(len(words), {words: coeff})
+
+    @classmethod
+    def outer(cls, polys):
+        """p_0 (x) ... (x) p_{k-1} of NCPolys."""
+        c = {tuple(w for w, _ in combo): prod(n for _, n in combo)
+             for combo in itertools.product(*(p.c.items() for p in polys))}
+        return cls.of(len(polys), *lowest_terms(c, prod(p.den for p in polys)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TensorPoly)
-            and self.arity == other.arity
-            and self.d == other.d
-        )
+        return super().__eq__(other) and self.arity == other.arity
 
-    def __add__(self, other):
-        assert self.arity == other.arity
-        d = dict(self.d)
-        for k, c in other.d.items():
-            nc = d.get(k, ZERO) + c
-            if nc:
-                d[k] = nc
-            else:
-                del d[k]
-        return TensorPoly(self.arity, d)
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = frac(c)
-        if c == 0:
-            return TensorPoly(self.arity)
-        return TensorPoly(self.arity, {k: c * x for k, x in self.d.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, TensorPoly):
-            return frac(other) * self
-        assert self.arity == other.arity
-        d = {}
-        for k1, c1 in self.d.items():
-            for k2, c2 in other.d.items():
-                k = tuple(w1 + w2 for w1, w2 in zip(k1, k2))
-                nc = d.get(k, ZERO) + c1 * c2
-                if nc:
-                    d[k] = nc
-                else:
-                    del d[k]
-        return TensorPoly(self.arity, d)
-
-    def terms(self):
-        return self.d.items()
+    def map_slot(self, i, f):
+        """The image under f, a linear map of NCPolys, applied to slot i: the
+        terms are grouped by their other slots and f maps each group once."""
+        groups = {}
+        for ks, n in self.c.items():
+            groups.setdefault(ks[:i] + ks[i + 1 :], {})[ks[i]] = n
+        images = [(rest, f(NCPoly.of(*lowest_terms(c, self.den)))) for rest, c in groups.items()]
+        return TensorPoly.of(self.arity, *combine(1, [
+            (1, ({rest[:i] + (w,) + rest[i:]: x for w, x in p.c.items()}, p.den))
+            for rest, p in images]))

@@ -6,70 +6,45 @@ increases weight, so the resulting system certifies normal forms and ideal
 membership for all inputs within that weight.
 
 Completion is fraction-free (Bareiss 1968) from end to end: S-polynomials,
-their normal forms and the polynomials waiting to become rules are dicts
-of integer coefficients over one positive denominator, and ``Fraction``
-coefficients are made only for the tail of a new rule and by
-``_Reducer.reduce``.  The rule leads are indexed in a trie (the goto
-function of Aho & Corasick 1975), which one completion keeps up to date as
-it appends, replaces and drops rules.
+normal forms, pending polynomials and rule tails are all in foundation's
+integer form.  The rule leads are indexed in a trie (the goto function of
+Aho & Corasick 1975), which one completion keeps up to date as it appends,
+replaces and drops rules.
 """
 
 import hashlib
 import json
 from bisect import insort
-from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
 
 from .errors import ExceedsCertifiedDegree, NoRelations, UnitCollapse
-from .foundation import MonomialOrder, NCPoly, frac, frac_str
+from .foundation import MonomialOrder, NCPoly, combine, frac, frac_str, lowest_terms
 
 # trie key under which a node lists the serials of the leads ending there;
 # letters are generator indices, so never negative
 _END = -1
-_ZERO_NF = ({}, 1)
 
 
 class RewriteRule:
     """lead -> tail, with lead the order-maximal monomial and tail below it."""
 
-    __slots__ = ("lead", "tail", "_sig", "_int_tail")
+    __slots__ = ("lead", "tail", "_sig")
 
     def __init__(self, lead, tail):
         self.lead = tuple(lead)
         self.tail = tail
         self._sig = None
-        self._int_tail = None
 
     def poly(self):
         return NCPoly.term(self.lead) - self.tail
 
     def signature(self):
         if self._sig is None:
-            self._sig = (self.lead, frozenset(self.tail.d.items()))
+            self._sig = (self.lead, frozenset(self.tail.c.items()), self.tail.den)
         return self._sig
-
-    def int_tail(self):
-        """(den, [(word, n), ...]): the tail is the sum of n/den * word, den > 0."""
-        if self._int_tail is None:
-            coeffs, den = _int_poly(self.tail)
-            self._int_tail = (den, list(coeffs.items()))
-        return self._int_tail
 
     def __repr__(self):
         return f"RewriteRule({self.lead} -> {self.tail.d})"
-
-
-def _int_poly(p):
-    """p as (integer coefficients, positive denominator)."""
-    den = lcm(*(c.denominator for c in p.d.values()))
-    return {w: c.numerator * (den // c.denominator) for w, c in p.d.items()}, den
-
-
-def _fraction_poly(nf):
-    """The NCPoly of a normal form (coefficients, denominator)."""
-    coeffs, den = nf
-    return NCPoly({w: Fraction(c, den) for w, c in coeffs.items()})
 
 
 def _monic_rule(nf, keys):
@@ -79,8 +54,9 @@ def _monic_rule(nf, keys):
     coeffs, _ = nf
     lead = max(coeffs, key=keys.__getitem__)
     c = coeffs[lead]
-    return RewriteRule(lead, NCPoly({w: Fraction(-n, c) for w, n in coeffs.items()
-                                     if w != lead}))
+    s = -1 if c > 0 else 1
+    return RewriteRule(lead, NCPoly.of(*lowest_terms(
+        {w: s * n for w, n in coeffs.items() if w != lead}, abs(c))))
 
 
 class _Keys(dict):
@@ -95,38 +71,6 @@ class _Keys(dict):
     def __missing__(self, word):
         key = self[word] = self.order.key(word)
         return key
-
-
-def _combine(den, parts):
-    """The sum of n/den * nf over parts [(n, nf), ...], each nf a normal form
-    (coefficients, denominator), as a normal form in lowest terms.
-
-    Terms are summed in the order of parts and of each nf, and a word whose
-    running coefficient cancels is deleted, so the keys come out in the
-    order that summing the same terms as Fractions gives.
-    """
-    common = 1
-    for _, (_, d) in parts:
-        if d != 1:
-            common = lcm(common, d)
-    out = {}
-    for n, (coeffs, d) in parts:
-        f = n * (common // d)
-        for w, c in coeffs.items():
-            nc = out.get(w, 0) + f * c
-            if nc:
-                out[w] = nc
-            else:
-                del out[w]
-    if not out:
-        return _ZERO_NF
-    den *= common
-    if den != 1:
-        g = gcd(den, *out.values())
-        if g != 1:
-            den //= g
-            out = {w: c // g for w, c in out.items()}
-    return out, den
 
 
 class _Reducer:
@@ -221,7 +165,7 @@ class _Reducer:
     def nf_word(self, word):
         """Normal form of a single word, as (coefficients, denominator)."""
         if self.empty:
-            return _ZERO_NF
+            return {}, 1
         cache = self.cache
         hit = cache.get(word)
         if hit is not None:
@@ -235,7 +179,7 @@ class _Reducer:
             w, x, children = stack[-1]
             if children is not None:
                 stack.pop()
-                cache[w] = _combine(x, [(n, cache[cw]) for cw, n in children])
+                cache[w] = combine(x, [(n, cache[cw]) for cw, n in children])
                 continue
             if w in cache:
                 stack.pop()
@@ -247,10 +191,9 @@ class _Reducer:
                 continue
             pos, seq = red
             rule = rules[seq]
-            den, tail = rule.int_tail()
             pre, post = w[:pos], w[pos + len(rule.lead) :]
-            children = [(pre + tw + post, n) for tw, n in tail]
-            stack[-1] = (w, den, children)
+            children = [(pre + tw + post, n) for tw, n in rule.tail.c.items()]
+            stack[-1] = (w, rule.tail.den, children)
             # w[:pos] holds no redex, so one in a child ends past pos
             start = max(0, pos + 1 - self.maxlen)
             stack.extend((cw, start, None) for cw, _ in children if cw not in cache)
@@ -258,22 +201,11 @@ class _Reducer:
 
     def nf(self, coeffs, den):
         """Normal form of the sum of n/den * word over coeffs {word: n}."""
-        return _combine(den, [(n, self.nf_word(w)) for w, n in coeffs.items()])
+        return combine(den, [(n, self.nf_word(w)) for w, n in coeffs.items()])
 
     def reduce(self, p):
-        """Normal form of p, with Fraction coefficients."""
-        if len(p.d) == 1:
-            # most calls reduce one term, which is only scaled
-            ((w, c),) = p.d.items()
-            coeffs, den = self.nf_word(w)
-            num, den = c.numerator, c.denominator * den
-            return NCPoly({rw: Fraction(num * n, den) for rw, n in coeffs.items()})
-        # _int_poly(p), without the dict it would build
-        den = lcm(*(c.denominator for c in p.d.values()))
-        return _fraction_poly(_combine(den, [
-            (c.numerator * (den // c.denominator), self.nf_word(w))
-            for w, c in p.d.items()
-        ]))
+        """Normal form of the NCPoly p."""
+        return NCPoly.of(*self.nf(p.c, p.den))
 
 
 def _overlaps(r1, r2):
@@ -301,31 +233,20 @@ def _ambiguity_word(r1, r2, kind, pos):
 
 def _spoly(r1, r2, kind, pos):
     """Difference left - right of the two one-step reductions of the ambiguity
-    word, r1's minus r2's, as (integer coefficients, positive denominator).
+    word, r1's minus r2's, in integer form.
 
-    The denominator is the lcm of the rules' and need not be the least.
     r1's words come first, then r2's, and a word whose coefficient cancels
     is deleted, so the keys come out in the order of the Fraction
     difference.
     """
-    den1, tail1 = r1.int_tail()
-    den2, tail2 = r2.int_tail()
     L1 = r1.lead
     if kind == "olap":
         post1, pre2, post2 = r2.lead[pos:], L1[: len(L1) - pos], ()
     else:
         post1, pre2, post2 = (), L1[:pos], L1[pos + len(r2.lead) :]
-    den = lcm(den1, den2)
-    f1, f2 = den // den1, -(den // den2)
-    out = {w + post1: f1 * n for w, n in tail1}
-    for w, n in tail2:
-        w = pre2 + w + post2
-        c = out.get(w, 0) + f2 * n
-        if c:
-            out[w] = c
-        else:
-            del out[w]
-    return out, den
+    t1, t2 = r1.tail, r2.tail
+    return combine(1, [(1, ({w + post1: n for w, n in t1.c.items()}, t1.den)),
+                       (-1, ({pre2 + w + post2: n for w, n in t2.c.items()}, t2.den))])
 
 
 def _text(word):
@@ -368,7 +289,7 @@ class RewriteSystem:
 
     def nonzero_witness(self):
         """Certified degree up to which the algebra is provably nonzero."""
-        if self.collapsed or not self.reduce(NCPoly.one()).d:
+        if self.collapsed or self.reduce(NCPoly.one()).is_zero():
             raise UnitCollapse("1 reduces to 0")
         return {"nonzero_up_to": self.certified_degree}
 
@@ -412,7 +333,7 @@ class RewriteSystem:
                     checked += 1
                     nf = self._reducer.nf(*_spoly(r1, r2, kind, pos))
                     if nf[0]:
-                        failures.append((word, _fraction_poly(nf)))
+                        failures.append((word, NCPoly.of(*nf)))
         return {"overlaps_checked": checked, "failures": failures}
 
     # -- serialization --------------------------------------------------------
@@ -469,12 +390,12 @@ def _interreduce(reducer, keys):
         queued.discard(seq)
         rule = rules[seq]
         reducer.unlink(seq)
-        if all(reducer.find_redex(w) is None for w in (rule.lead, *rule.tail.d)):
+        if all(reducer.find_redex(w) is None for w in (rule.lead, *rule.tail.c)):
             reducer.link(seq)
             continue
-        den, tail = rule.int_tail()
+        den = rule.tail.den
         coeffs = {rule.lead: den}
-        coeffs.update((w, -n) for w, n in tail)
+        coeffs.update((w, -n) for w, n in rule.tail.c.items())
         nf = reducer.nf(coeffs, den)
         if not nf[0]:
             del rules[seq]
@@ -484,7 +405,7 @@ def _interreduce(reducer, keys):
         lead = _text(rule.lead)
         for s, r in rules.items():
             if s not in queued and s != seq and any(
-                    lead in _text(w) for w in (r.lead, *r.tail.d)):
+                    lead in _text(w) for w in (r.lead, *r.tail.c)):
                 heappush(heap, s)
                 queued.add(s)
 
@@ -549,7 +470,7 @@ def complete_truncated(relations, order, degree_bound):
 
     reducer = _Reducer([])
     keys = _Keys(order)
-    pending = [_int_poly(p) for p in relations]
+    pending = [(p.c, p.den) for p in relations]
     seen = set()
     # the rules of the last round: every overlap between two of them is seen
     done = set()

@@ -19,7 +19,8 @@ ONE = Fraction(1)
 
 
 class Comodule:
-    """Coaction matrix c over hopf.alg with rho(v_i) = sum_k v_k (x) c[k][i]."""
+    """Coaction matrix c over hopf.alg with rho(v_i) = sum_k v_k (x) c[k][i];
+    it never changes, so verify keeps its verdict."""
 
     def __init__(self, hopf, c, labels=None, name=""):
         self.hopf = hopf
@@ -28,11 +29,14 @@ class Comodule:
         self.dim = len(c)
         self.labels = labels or [f"v{i}" for i in range(self.dim)]
         self.name = name
+        self._report = None
 
     def verify(self):
         """Counit and coassociativity of the coaction matrix, entry by entry."""
-        failures = self._counit_failures() + self._coassoc_failures()
-        return {"ok": not failures, "failures": failures}
+        if self._report is None:
+            failures = self._counit_failures() + self._coassoc_failures()
+            self._report = {"ok": not failures, "failures": failures}
+        return self._report
 
     def _counit_failures(self):
         eps = self.hopf.eps
@@ -251,12 +255,7 @@ def hom_to_trivial(V):
             if k == i:
                 unit = alg.rs.normal_form(NCPoly.term((loc,) * Ms[i] if loc is not None else ()))
                 p = p - unit
-            for w, c in p.terms():
-                key = (i,) + order.key(w)
-                nc = vec.get(key, 0) + c
-                if nc:
-                    vec[key] = nc
-                else:
-                    del vec[key]
+            # distinct (i, word) give distinct keys
+            vec.update(((i,) + order.key(w), c) for w, c in p.terms())
         columns.append((k, vec))
     return [[v.get(k, Fraction(0)) for k in range(V.dim)] for v in kernel_basis(columns)]

@@ -20,7 +20,6 @@ from hopfcheck.hopf import (
 from hopfcheck.rewrite import (
     RewriteRule,
     RewriteSystem,
-    _fraction_poly,
     _overlaps,
     _Reducer,
     _spoly,
@@ -461,6 +460,12 @@ def _rule_pairs(draw):
     tail = st.dictionaries(word, _SPOLY_COEFFS, max_size=4).map(NCPoly)
     lead = st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple)
     return [RewriteRule(draw(lead), draw(tail)) for _ in range(2)]
+
+
+def _fraction_poly(nf):
+    """The NCPoly of an integer form (coefficients, denominator)."""
+    coeffs, den = nf
+    return NCPoly({w: Fraction(c, den) for w, c in coeffs.items()})
 
 
 def _assert_spolys_agree(rules):

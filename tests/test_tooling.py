@@ -227,3 +227,12 @@ def test_no_unused_imports_or_locals():
                           if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
                           and not m.name.startswith("__") and m.name not in read_or_tested]
     assert not found, "\n".join(found)
+
+
+def test_rewrite_imports_no_fractions():
+    """The reducer and completion work in foundation's integer form only."""
+    tree = _parse(os.path.join(ROOT, "src", "hopfcheck", "rewrite.py"))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not any(m and m.split(".")[0] == "fractions" for m in modules)
