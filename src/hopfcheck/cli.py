@@ -193,11 +193,16 @@ def _load_config(path):
 
 
 def validate_config(cfg):
-    """cfg itself if it names a valid run, else ConfigInvalid.
+    """cfg itself if it names a valid run, else ConfigInvalid."""
+    _checked_instance(cfg)
+    return cfg
 
-    Besides the keys, checks the types and ranges of q, the matrices (each
-    pair must satisfy B^t A^t B A = lambda I), the check list and the probe
-    parameters.
+
+def _checked_instance(cfg):
+    """_instance_matrices(cfg) and the "invariants" of each pair, if cfg
+    names a valid run, else ConfigInvalid.  Besides the keys, it checks the
+    types and ranges of q, the matrices (each pair must satisfy
+    B^t A^t B A = lambda I), the check list and the probe parameters.
     """
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config must be an object")
@@ -254,12 +259,11 @@ def validate_config(cfg):
         raise ConfigInvalid(f"{sorted(needs_q)} require a GLq instance")
     try:
         mats = _instance_matrices(cfg)
-        for X, Y in (("A", "B"), ("C", "D")):
-            if X in mats:
-                matrix_invariants(mats[X], mats[Y])
+        mats["invariants"] = [matrix_invariants(mats[X], mats[Y])
+                              for X, Y in (("A", "B"), ("C", "D")) if X in mats]
     except (NotInvertible, NotScalarMultiple, NotSquare) as e:
         raise ConfigInvalid(f"{type(e).__name__}: {e}") from e
-    return cfg
+    return mats
 
 
 def _instance_matrices(cfg):
@@ -303,15 +307,16 @@ class _Run:
     The cogroupoid's objects are (A,B) and, where the config gives one,
     (C,D).  ``C(x, y)`` is G(A_x,B_x|A_y,B_y), built on first use; C(x,x) is
     G(A_x,B_x), and C(0,0) is ``alg``.  An object equal to an earlier one
-    shares its algebras, so a presentation is built once per run.
+    shares its algebras, so a presentation is built once per run, and each
+    takes its invariants from ``mats`` (``_checked_instance``).
     ``hopf(alg)`` builds a Hopf algebra's structure once, so every check
     shares its Δ, ε and S and their word caches.
     ``presentations`` builds what a run of given checks reads, for
     ``verify gb``.
     """
 
-    def __init__(self, cfg, cache):
-        self.mats = m = _instance_matrices(cfg)
+    def __init__(self, cfg, mats, cache):
+        self.mats = m = mats
         self.objects = [(m["A"], m["B"])] + ([(m["C"], m["D"])] if "C" in m else [])
         self.bound = cfg["degree_bound"]
         probe = cfg.get("probe", {})
@@ -332,6 +337,7 @@ class _Run:
             else:
                 alg = build_gabcd(*self.objects[x], *self.objects[y], self.bound,
                                   cache=self.cache)
+            alg.invariants = self.mats["invariants"][x]
             self._cogroupoid[(x, y)] = alg
         return alg
 
@@ -402,7 +408,7 @@ def _first_failing(reps):
 
 def _check_invariants(run):
     A, B, q = run.mats["A"], run.mats["B"], run.mats["q"]
-    inv = matrix_invariants(A, B)
+    inv = run.mats["invariants"][0]
     extras = {"lambda": frac_str(inv["lambda"]), "trace": frac_str(inv["trace"])}
     if q is not None and inv["lambda"] == 1:
         try:
@@ -522,8 +528,8 @@ CHECKS = {
 CHECK_ORDER = list(CHECKS)
 
 
-def _run_checks(cfg, cache):
-    run = _Run(cfg, cache)
+def _run_checks(cfg, mats, cache):
+    run = _Run(cfg, mats, cache)
     results = []
     timings = {}
     for name, check in CHECKS.items():
@@ -559,10 +565,10 @@ def exit_code_of(statuses):
 def run_config(cfg_or_path):
     """Execute a config; returns (report, exit_code)."""
     cfg = _load_config(cfg_or_path) if isinstance(cfg_or_path, str) else cfg_or_path
-    cfg = validate_config(cfg)
+    mats = _checked_instance(cfg)
     cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
     cache = GBCache(cache_dir) if cache_dir else None
-    checks, timings = _run_checks(cfg, cache)
+    checks, timings = _run_checks(cfg, mats, cache)
     statuses = [c["status"] for c in checks]
     code = exit_code_of(statuses)
     report = {
@@ -638,13 +644,14 @@ def _main_run(args):
 
 
 def _main_gb(args):
-    cfg = validate_config(_load_config(args.config))
+    cfg = _load_config(args.config)
+    mats = _checked_instance(cfg)
     cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
     if not cache_dir:
         raise ConfigInvalid("gb prebuild needs cache_dir or HOPFCHECK_CACHE")
     cache = Refill(GBCache(cache_dir))
     try:
-        algs = _Run(cfg, cache).presentations(cfg["checks"])
+        algs = _Run(cfg, mats, cache).presentations(cfg["checks"])
     except ExceedsCertifiedDegree as e:
         sys.stdout.write(f"uncertified: {e}\n")
         return 2

@@ -10,9 +10,9 @@ and is what Complex.is_complex() uses on consecutive differentials.
 from fractions import Fraction
 
 from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
-from .foundation import Mat, NCPoly, combine, matrix_invariants
+from .foundation import Mat, NCPoly, combine
 from .hopf import LocalizedElement, glq_slq_laurent_iso, nakayama_nu, sandwich
-from .linalg import certified_lifts, kernel_basis
+from .linalg import kernel_and_lifts, kernel_basis, residues
 
 ONE = Fraction(1)
 
@@ -122,6 +122,7 @@ class Complex:
         self.ranks = [maps[0].src_rank] + [m.tgt_rank for m in maps]
         self.augmentation = augmentation
         self.name = name
+        self._verdict = None
         for i in range(len(maps) - 1):
             if maps[i].tgt_rank != maps[i + 1].src_rank:
                 raise IdentityFailed(
@@ -129,6 +130,9 @@ class Complex:
                     f"map {i + 1} source rank {maps[i + 1].src_rank}")
 
     def is_complex(self):
+        """d∘d = 0 and ε∘d = 0, computed once: the maps never change."""
+        if self._verdict is not None:
+            return self._verdict
         failures = []
         for i in range(len(self.maps) - 1):
             comp = self.maps[i].compose(self.maps[i + 1])
@@ -144,7 +148,8 @@ class Complex:
                 v = eps.apply_loc(last.entries[s][0])
                 if v:
                     failures.append(("augmentation", (s, str(v))))
-        return {"ok": not failures, "failures": failures}
+        self._verdict = {"ok": not failures, "failures": failures}
+        return self._verdict
 
 
 class ChainMap:
@@ -193,7 +198,7 @@ def gamma_maps(alg):
     """The comodule-level building blocks of the resolution, as module maps."""
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
-    lam = matrix_invariants(A, B)["lambda"]
+    lam = alg.invariants["lambda"]
     I = Mat.identity(n)
     Bt = B.transpose()
     Binv = B.inverse()
@@ -709,31 +714,21 @@ def complex_manifest(C):
 # truncated exactness probe
 
 
-def _canonical_pair(alg, word, m):
-    """Strip trailing copies of the localized letter against the exponent."""
-    loc = alg.loc
-    while m > 0 and word and word[-1] == loc:
-        word = word[:-1]
-        m -= 1
-    return word, m
-
-
 def _image_columns(C):
-    """column(j, t, w, m): the image of e_t * w D^-m under C.maps[j], in
-    canonical (slot, exp, order key) coordinates.
+    """column(j, t, w, m): the image of e_t * w D^-m under C.maps[j], as
+    Fractions keyed (slot, exp, order key); .form gives it in integer form,
+    .residues mod P (None if P divides a denominator), both keyed by
+    .key(slot, word, exp): the canonical (word, exp) pairs numbered newest
+    first, so that a column's pivot is the newest word it meets, near its
+    leading word.  Any numbering gives the same kernels and lifts.
 
-    Normal words are a basis (Bergman's diamond lemma), so nf is linear: an
-    entry e = sum_v c_v v D^-k sends w D^-m to
-    sum_v c_v nf(v sigma^-k(w)) D^-(k+m).  Each product nf(v sigma^-k(w)) is
-    computed once, each distinct entry is combined with them once per w, and
-    a column only re-keys the images of its row's entries with the exponent
-    k + m.  Within a slot distinct words keep distinct keys, so re-keying
-    never merges terms.  Columns are kept, so the kernel columns of one
-    position are the lift columns of the position before.
+    nf is linear on normal words (Bergman), so an entry sum_v c_v v D^-k
+    sends w D^-m to sum_v c_v nf(v sigma^-k(w)) D^-(k+m): each product is
+    computed once and each entry's image reduced mod P once per w.
     """
     alg = C.alg
-    key_of = alg.order.key
-    products, images, keys, columns = {}, {}, {}, {}
+    slots = max(C.ranks)
+    products, images, keys, inverses, pairs = {}, {}, {}, {}, []
     ids = {}  # entry content -> entry id, so equal entries share their images
     entry_rows = [[[(u, e, ids.setdefault((tuple(e.num.c.items()), e.num.den, e.exp), len(ids)))
                     for u, e in enumerate(row) if not e.is_zero()]
@@ -746,28 +741,50 @@ def _image_columns(C):
             hit = products[(v, k, w)] = (p.c, p.den)
         return hit
 
-    def image(e, eid, w):
-        hit = images.get((eid, w))
-        if hit is None:
-            c, den = combine(e.num.den, [(n, product(v, e.exp, w)) for v, n in e.num.c.items()])
-            hit = images[(eid, w)] = [(x, Fraction(n, den)) for x, n in c.items()]
-        return hit
+    def image(e, w):
+        return combine(e.num.den, [(n, product(v, e.exp, w)) for v, n in e.num.c.items()])
 
-    def canonical(x, exp):
+    def key(u, x, exp):
         hit = keys.get((x, exp))
         if hit is None:
-            x2, m2 = _canonical_pair(alg, x, exp)
-            hit = keys[(x, exp)] = (m2, key_of(x2))
-        return hit
+            y, m = x, exp  # x D^-exp with trailing D cancelled
+            while m and y[-1:] == (alg.loc,):
+                y, m = y[:-1], m - 1
+            pair = (y, m)
+            if pair not in keys:
+                keys[pair] = -slots * len(pairs)
+                pairs.append(pair)
+            hit = keys[(x, exp)] = keys[pair]
+        return u + hit
+
+    def column_residues(j, t, w, m):
+        out = {}
+        for u, e, eid in entry_rows[j][t]:
+            if (eid, w) not in images:
+                images[(eid, w)] = residues(*image(e, w), inverses)
+            res = images[(eid, w)]
+            if res is None:
+                return None
+            for x, r in res.items():
+                out[key(u, x, e.exp + m)] = r
+        return out
+
+    def form(j, t, w, m):
+        parts = []
+        for u, e, _ in entry_rows[j][t]:
+            c, den = image(e, w)
+            parts.append((1, ({key(u, x, e.exp + m): n for x, n in c.items()}, den)))
+        return combine(1, parts)
 
     def column(j, t, w, m):
-        hit = columns.get((j, t, w, m))
-        if hit is None:
-            hit = columns[(j, t, w, m)] = {(u, *canonical(x, e.exp + m)): c
-                                           for u, e, eid in entry_rows[j][t]
-                                           for x, c in image(e, eid, w)}
-        return hit
+        c, den = form(j, t, w, m)
+        out = {}
+        for k, n in c.items():
+            x, exp = pairs[-(k // slots)]
+            out[(k % slots, exp, alg.order.key(x))] = Fraction(n, den)
+        return out
 
+    column.residues, column.form, column.key = column_residues, form, key
     return column
 
 
@@ -779,8 +796,8 @@ def probe_exactness(C, N, slack, window=2):
     deg(w * D^-m) = weight(w) + m*weight(D) <= N - slack with m <= window,
     then lifts every kernel vector through the incoming differential with
     preimages of degree <= N.  Reports cycles_found / cycles_lifted per
-    position.  Lifts come from linalg.certified_lifts: searched modulo a
-    prime, and each one verified exactly before it counts.
+    position.  One linalg.kernel_and_lifts per map finds the lifts through
+    it and the next position's kernel modulo a prime, each checked exactly.
     """
     alg = C.alg
     if C.side != "right" or alg.loc is None:
@@ -821,40 +838,30 @@ def probe_exactness(C, N, slack, window=2):
 
     column = _image_columns(C)
     L = len(C.ranks) - 1
+    # position 0: the kernel of the augmentation, by exact elimination
+    columns = []
+    for (t, w, m) in filtration_basis(C.ranks[L], N - slack, window):
+        v = C.augmentation.apply_loc(LocalizedElement(alg, NCPoly.term(w), m))
+        columns.append(((t, w, m), {0: v} if v else {}))
+    cycles = kernel_basis(columns)
     positions = []
-    all_ok = True
     for p in range(L + 1):
         j = L - p  # complex level carrying the cycles
-        dom = filtration_basis(C.ranks[j], N - slack, window)
-        if j < L:
-            columns = [((t, w, m), column(j, t, w, m)) for (t, w, m) in dom]
-        else:
-            columns = []
-            eps = C.augmentation
-            for (t, w, m) in dom:
-                v = eps.apply_loc(LocalizedElement(alg, NCPoly.term(w), m))
-                columns.append(((t, w, m), {0: v} if v else {}))
-        cycles = kernel_basis(columns)
-
-        lifted = 0
+        found, lifted = len(cycles), 0
         if j >= 1:
-            lift_dom = filtration_basis(C.ranks[j - 1], N, lift_window)
-            images = [((t, w, m), column(j - 1, t, w, m)) for (t, w, m) in lift_dom]
-            # a filtration word with m > 0 never ends in D, so each basis
-            # vector is its own canonical coordinate
-            targets = [{(t, m, order.key(w)): c for (t, w, m), c in cyc.items()}
+            # map j-1's kernel domain (the next position's) first, then the rest
+            dom = filtration_basis(C.ranks[j - 1], N - slack, window)
+            seen = set(dom)
+            labels = dom + [x for x in filtration_basis(C.ranks[j - 1], N, lift_window)
+                            if x not in seen]
+            targets = [{column.key(t, w, m): c for (t, w, m), c in cyc.items()}
                        for cyc in cycles]
-            lifted = sum(beta is not None for beta in certified_lifts(images, targets))
-        found = len(cycles)
-        ok = (lifted == found) if j >= 1 else (found == 0)
-        if not ok:
-            all_ok = False
-        positions.append({
-            "position": p,
-            "cycles_found": found,
-            "cycles_lifted": lifted,
-            "ok": ok,
-            "unlifted": found - lifted,
-        })
-    return {"ok": all_ok, "positions": positions, "N": N, "slack": slack,
-            "window": window, "lift_window": lift_window}
+            cycles, lifts = kernel_and_lifts(labels, len(dom),
+                                             lambda x: column.residues(j - 1, *x),
+                                             lambda x: column.form(j - 1, *x), targets)
+            lifted = sum(beta is not None for beta in lifts)
+        # at the left end (j = 0) nothing lifts, so a cycle there fails
+        positions.append({"position": p, "cycles_found": found, "cycles_lifted": lifted,
+                          "ok": lifted == found, "unlifted": found - lifted})
+    return {"ok": all(p["ok"] for p in positions), "positions": positions, "N": N,
+            "slack": slack, "window": window, "lift_window": lift_window}

@@ -16,6 +16,7 @@ extends to words, polynomials and p * D^-m the same way, and
 
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import HopfcheckError, IdentityFailed, UnitCollapse
 from .foundation import Mat, MonomialOrder, NCPoly, TensorPoly, combine, frac, matrix_invariants
@@ -55,6 +56,11 @@ class PresentedAlgebra:
         self.sigma_inv_images = sigma_inv_images
         self.mats = mats or {}
         self._sigma_cache = {}
+
+    @cached_property
+    def invariants(self):
+        """matrix_invariants(A, B), unless a run has set it."""
+        return matrix_invariants(self.mats["A"], self.mats["B"])
 
     # -- generator bookkeeping ------------------------------------------------
 
@@ -184,7 +190,8 @@ class LocalizedElement:
         is reduced on its own first, so that the guard raises
         ExceedsCertifiedDegree exactly where the per-product sum raises: the
         order is weight-graded, so neither padding nor rewriting raises a
-        word's weight, and a folded sum never reduces a heavier word.
+        word's weight, and a folded sum never reduces a heavier word, so it
+        is reduced unguarded.
         """
         pairs = [(x, y) for x, y in pairs if x.num.c and y.num.c]
         if not pairs:
@@ -203,7 +210,7 @@ class LocalizedElement:
             pad, den = (loc,) * (m - x.exp - y.exp), x.num.den * q.den
             forms.extend((c, ({w + v + pad: cc for v, cc in q.c.items()}, den))
                          for w, c in x.num.c.items())
-        return LocalizedElement(alg, rs.normal_form(NCPoly.of(*combine(1, forms))), m)
+        return LocalizedElement(alg, rs.reduce(NCPoly.of(*combine(1, forms))), m)
 
     def __add__(self, other):
         assert self.alg is other.alg
@@ -810,7 +817,7 @@ def antipode_squared_sovereign(H):
     sovereign convolution."""
     alg = H.alg
     A, B = alg.mats["A"], alg.mats["B"]
-    lam = matrix_invariants(A, B)["lambda"]
+    lam = alg.invariants["lambda"]
     S = H.antipode
     S2 = S.then(S)
     n = alg.n

@@ -5,17 +5,18 @@ RowSpace keeps an incremental echelon basis and can express any vector it
 absorbs as an exact combination of the originally inserted vectors, which
 is what kernel extraction and boundary lifting both need.
 
-certified_lifts finds preimages by the same elimination modulo the prime
-P = 2^127 - 1, rebuilds their rationals by rational reconstruction, and
-returns only preimages that an exact rational mat-vec confirms; where the
-prime gives no confirmed answer it falls back to an exact RowSpace.
+kernel_and_lifts runs it once modulo P = 2^127 - 1 for both; each answer is
+rebuilt by rational reconstruction and confirmed by exact integer mat-vecs.
 """
 
 import heapq
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+
+from .foundation import combine
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 P = 2**127 - 1
 # rational reconstruction returns n/d with |n|, d <= RR_BOUND, which makes it unique
 RR_BOUND = isqrt(P // 2)
@@ -82,7 +83,7 @@ class RowSpace:
         piv = min(rem)
         p = rem[piv]
         row = {k: x / p for k, x in rem.items()}
-        rowcombo = vec_add({label: Fraction(1)}, combo, -1)
+        rowcombo = vec_add({label: ONE}, combo, -1)
         rowcombo = {k: x / p for k, x in rowcombo.items()}
         self.pivots[piv] = len(self.rows)
         self.rows.append(row)
@@ -97,19 +98,21 @@ class RowSpace:
         return combo
 
 
-def _residues(vec, inverses):
-    """vec mod P (zeros kept), or None if a denominator is divisible by P;
-    ``inverses`` caches the inverses of the denominators met."""
-    out = {}
-    for k, x in vec.items():
-        d = x.denominator
-        inv = inverses.get(d)
-        if inv is None:
-            if d % P == 0:
-                return None
-            inv = inverses[d] = pow(d, -1, P)
-        out[k] = x.numerator * inv % P
-    return out
+def int_form(vec):
+    """A Fraction vector as (integer numerators, least common denominator)."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
+
+
+def residues(c, den, inverses):
+    """c/den mod P (zeros kept), or None if P divides den; ``inverses``
+    caches the inverses of the denominators met."""
+    inv = inverses.get(den)
+    if inv is None:
+        if den % P == 0:
+            return None
+        inv = inverses[den] = pow(den, -1, P)
+    return {k: n * inv % P for k, n in c.items()}
 
 
 def _reduce_mod(vec, tails, combos, pivots):
@@ -154,24 +157,57 @@ def rational_reconstruction(a):
     return Fraction(r1, t1)
 
 
-def _modular_lifts(columns, targets):
-    """Candidate preimages of the targets, by RowSpace's elimination mod P.
+def _reconstruct(combo, rationals):
+    """combo's residues as small rationals (cached in ``rationals``), or None."""
+    out = {}
+    for lab, a in combo.items():
+        if a not in rationals:
+            rationals[a] = rational_reconstruction(a)
+        if rationals[a] is None:
+            return None
+        out[lab] = rationals[a]
+    return out
 
-    Inserts the columns in order with the same min-key pivots as RowSpace,
-    so where every coefficient reduces mod P and the rank does not drop,
-    each candidate is RowSpace.express's answer.  An entry is None where
-    its target does not reduce mod P, is outside the span mod P, or needs a
-    coefficient with no small rational; every entry is None when a column
-    does not reduce mod P.
+
+def kernel_and_lifts(labels, split, residues_of, form_of, targets):
+    """(kernel of the first ``split`` columns, preimage of each target) from
+    one elimination mod P; residues_of(label) is a column as ``residues``
+    gives it, form_of(label) its integer form.
+
+    A kernel column reducing to zero gives e_l minus its reconstructed
+    dependency, checked exactly.  These are triangular, so k checked ones
+    give dim_Q >= k = dim_P >= dim_Q on every prefix: the pivots and unique
+    vectors of kernel_basis, which answers if a check fails.  A lift beta
+    has sum beta[l] * column l == target exactly (None outside the span);
+    RowSpace.express, built once, answers where the echelon has no checked
+    beta.
     """
-    inverses = {}
-    tails, combos, pivots = [], [], {}
-    for label, vec in columns:
-        res = _residues(vec, inverses)
+    forms = {}
+
+    def form(lab):
+        if lab not in forms:
+            forms[lab] = form_of(lab)
+        return forms[lab]
+
+    def combination(beta):
+        c, den = int_form(beta)
+        return combine(den, [(n, form(lab)) for lab, n in c.items()])
+
+    def exact(lab):
+        c, den = form(lab)
+        return {k: Fraction(n, den) for k, n in c.items()}
+
+    tails, combos, pivots = echelon = [], [], {}
+    deps = []
+    for i, label in enumerate(labels):
+        res = residues_of(label)
         if res is None:
-            return [None] * len(targets)
-        rem, combo = _reduce_mod(res, tails, combos, pivots)
+            echelon, deps = None, []
+            break
+        rem, combo = _reduce_mod(res, *echelon)
         if not rem:
+            if i < split:
+                deps.append((label, combo))
             continue
         piv = min(rem)
         inv = pow(rem.pop(piv), -1, P)
@@ -180,59 +216,33 @@ def _modular_lifts(columns, targets):
         pivots[piv] = len(tails)
         tails.append({k: x * inv % P for k, x in rem.items()})
         combos.append(combo)
-    rationals = {}
-    out = []
+    kernel, rationals = [], {}
+    for label, dep in deps:
+        vec = _reconstruct({k: -x % P for k, x in dep.items()}, rationals)
+        if vec is None or combination({label: ONE} | vec)[0]:
+            break
+        kernel.append({label: ONE} | vec)
+    if not echelon or len(kernel) < len(deps):
+        kernel = kernel_basis([(lab, exact(lab)) for lab in labels[:split]])
+
+    inverses, space, lifts = {}, None, []
     for target in targets:
-        res = _residues(target, inverses)
-        if res is None:
-            out.append(None)
-            continue
-        rem, combo = _reduce_mod(res, tails, combos, pivots)
+        want = int_form(target)
         beta = None
-        if not rem:
-            beta = {}
-            for lab, a in combo.items():
-                if a not in rationals:
-                    rationals[a] = rational_reconstruction(a)
-                beta[lab] = rationals[a]
-            if None in beta.values():
+        res = residues(*want, inverses) if echelon else None
+        if res is not None:
+            rem, combo = _reduce_mod(res, *echelon)
+            beta = None if rem else _reconstruct(combo, rationals)
+        if beta is None or combination(beta) != want:
+            if space is None:
+                space = RowSpace()
+                for lab in labels:
+                    space.insert(exact(lab), lab)
+            beta = space.express(target)
+            if beta is not None and combination(beta) != want:
                 beta = None
-        out.append(beta)
-    return out
-
-
-def _reproduces(images, beta, target):
-    """Whether sum of beta[l] * images[l] equals target, exactly."""
-    out = {}
-    for lab, c in beta.items():
-        _add_into(out, images[lab], c)
-    return out == target
-
-
-def certified_lifts(columns, targets):
-    """Exact preimages of the targets under the map label -> columns[label].
-
-    columns: list of (label, vec) in a fixed order.  Returns, per target, a
-    combination beta of labels with sum beta[l] * vec_l == target exactly,
-    or None when the target is outside the span.  Candidates come from
-    _modular_lifts; a target it gives no candidate for, or whose candidate
-    fails the exact check, is answered by RowSpace.express over the same
-    columns, built at most once per call, and checked the same way.
-    """
-    images = dict(columns)
-    exact = None
-    out = []
-    for target, beta in zip(targets, _modular_lifts(columns, targets)):
-        if beta is None or not _reproduces(images, beta, target):
-            if exact is None:
-                exact = RowSpace()
-                for label, vec in columns:
-                    exact.insert(vec, label)
-            beta = exact.express(target)
-            if beta is not None and not _reproduces(images, beta, target):
-                beta = None
-        out.append(beta)
-    return out
+        lifts.append(beta)
+    return kernel, lifts
 
 
 def kernel_basis(columns):
@@ -246,7 +256,7 @@ def kernel_basis(columns):
     for label, vec in columns:
         dep = space.insert(vec, label)
         if dep is not None:
-            kernel.append(vec_add({label: Fraction(1)}, dep, -1))
+            kernel.append(vec_add({label: ONE}, dep, -1))
     return kernel
 
 

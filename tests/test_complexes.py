@@ -347,18 +347,19 @@ def test_probe_lifts_glq9_without_exact_fallback(glq9_hopf, monkeypatch):
 
 
 def test_probe_counts_a_wrong_lift_as_unlifted(glq9_hopf, monkeypatch):
-    """Both candidate sources of certified_lifts, modular and exact, give a
-    doubled beta; the exact recheck turns each down."""
+    """Both candidate sources of kernel_and_lifts, modular (its rational
+    reconstruction) and exact, give a doubled beta; the exact recheck turns
+    each down."""
     import hopfcheck.linalg as linalg
     from hopfcheck.linalg import RowSpace
-    express, modular = RowSpace.express, linalg._modular_lifts
+    express, reconstruct = RowSpace.express, linalg._reconstruct
 
     def doubled(beta):
         return None if beta is None else {k: 2 * c for k, c in beta.items()}
 
     monkeypatch.setattr(RowSpace, "express", lambda self, vec: doubled(express(self, vec)))
-    monkeypatch.setattr(linalg, "_modular_lifts",
-                        lambda columns, targets: [doubled(b) for b in modular(columns, targets)])
+    monkeypatch.setattr(linalg, "_reconstruct",
+                        lambda combo, rationals: doubled(reconstruct(combo, rationals)))
     rep = probe_exactness(psi(glq9_hopf), N=4, slack=2, window=1)
     assert not rep["ok"]
     lifting = [p for p in rep["positions"][:-1] if p["cycles_found"]]
@@ -366,6 +367,66 @@ def test_probe_counts_a_wrong_lift_as_unlifted(glq9_hopf, monkeypatch):
     for p in lifting:
         assert not p["ok"] and p["cycles_lifted"] == 0
         assert p["unlifted"] == p["cycles_found"]
+
+
+@pytest.mark.parametrize("which", ["glq9 psi", "slql8 cone"])
+def test_probe_kernels_match_exact_elimination(which, request, monkeypatch):
+    """Each probe echelon's kernel is kernel_basis of its kernel domain's
+    exact columns, vector for vector and in order, with no exact fallback."""
+    import hopfcheck.complexes as complexes
+    import hopfcheck.linalg as linalg
+    from hopfcheck.linalg import kernel_basis
+    if which == "slql8 cone":
+        C, N, window = laurent_cone(request.getfixturevalue("slql8_hopf"))["cone"], 5, 2
+    else:
+        C, N, window = psi(request.getfixturevalue("glq9_hopf")), 4, 1
+    echelon, kernels = complexes.kernel_and_lifts, []
+
+    def checked(labels, split, residues_of, form_of, targets):
+        kernel, lifts = echelon(labels, split, residues_of, form_of, targets)
+        columns = []
+        for x in labels[:split]:
+            c, den = form_of(x)
+            columns.append((x, {k: Fraction(n, den) for k, n in c.items()}))
+        assert kernel == kernel_basis(columns)
+        kernels.append(kernel)
+        return kernel, lifts
+
+    monkeypatch.setattr(complexes, "kernel_and_lifts", checked)
+    fallbacks = []
+    monkeypatch.setattr(linalg, "kernel_basis", lambda columns: fallbacks.append(columns))
+    rep = probe_exactness(C, N=N, slack=2, window=window)
+    assert rep["ok"] and not fallbacks
+    assert [len(k) for k in kernels] == [p["cycles_found"] for p in rep["positions"][1:]]
+    assert sum(map(len, kernels)) > 0
+
+
+def test_probe_builds_no_fraction_per_column_entry(glq9_hopf, monkeypatch):
+    """The probe's echelons take residues from the integer form and check
+    exactly on it: the only Fractions they build are kernel and lift
+    coefficients, far fewer than the column entries they reduce."""
+    import hopfcheck.complexes as complexes
+    echelon, new = complexes.kernel_and_lifts, Fraction.__new__
+    built, entries, coefficients = [0], [0], [0]
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting(labels, split, residues_of, form_of, targets):
+        Fraction.__new__ = counted
+        try:
+            kernel, lifts = echelon(labels, split, residues_of, form_of, targets)
+        finally:
+            Fraction.__new__ = new
+        entries[0] += sum(len(residues_of(x)) for x in labels)
+        coefficients[0] += sum(map(len, kernel)) + sum(len(b) for b in lifts if b)
+        return kernel, lifts
+
+    monkeypatch.setattr(complexes, "kernel_and_lifts", counting)
+    assert probe_exactness(psi(glq9_hopf), N=4, slack=2, window=1)["ok"]
+    assert 0 < built[0] <= coefficients[0]
+    assert entries[0] > 10 * coefficients[0]
 
 
 def _coords_of_elt(alg, slot, le, out):

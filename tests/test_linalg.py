@@ -1,4 +1,5 @@
-"""certified_lifts against exact elimination: same membership, exact preimages."""
+"""kernel_and_lifts against exact elimination: the same kernel, the same
+membership, exact preimages."""
 
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcheck.linalg as linalg
-from hopfcheck.linalg import P, RR_BOUND, RowSpace, certified_lifts, rational_reconstruction
+from hopfcheck.linalg import (P, RR_BOUND, RowSpace, int_form, kernel_and_lifts, kernel_basis,
+                              rational_reconstruction, residues)
 
 # dyadic denominators, as the powers of q in the probe, and odd ones
 DENOMINATORS = [1, 2, 4, 8, 1024, 3, 5, 7, 9, 2**40 * 3]
@@ -36,7 +38,15 @@ def lift_problems(draw):
         else:
             target = draw(sparse_vectors(keys, 5))
         targets.append(target)
-    return columns, targets
+    return columns, draw(st.integers(0, n)), targets
+
+
+def echelon(columns, targets, split=0):
+    """kernel_and_lifts over Fraction columns, whose residues and integer
+    forms are taken here."""
+    forms = {label: int_form(vec) for label, vec in columns}
+    return kernel_and_lifts([label for label, _ in columns], split,
+                            lambda label: residues(*forms[label], {}), forms.__getitem__, targets)
 
 
 def exact_answers(columns, targets):
@@ -64,19 +74,22 @@ def assert_same_as_exact(columns, targets, answers):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lift_problems())
 def test_certified_lifts_agree_with_exact(problem):
-    columns, targets = problem
-    assert_same_as_exact(columns, targets, certified_lifts(columns, targets))
+    columns, split, targets = problem
+    kernel, lifts = echelon(columns, targets, split)
+    assert kernel == kernel_basis(columns[:split])
+    assert_same_as_exact(columns, targets, lifts)
 
 
-def counting_express(monkeypatch):
+def counting(monkeypatch, owner, name):
+    """Record the first argument of each call of owner.name."""
     calls = []
-    express = RowSpace.express
+    fn = getattr(owner, name)
 
-    def counted(self, vec):
-        calls.append(vec)
-        return express(self, vec)
+    def counted(*args):
+        calls.append(args[1] if owner is RowSpace else args[0])
+        return fn(*args)
 
-    monkeypatch.setattr(RowSpace, "express", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -88,57 +101,96 @@ TARGETS = [{0: Fraction(1), 1: Fraction(7), 2: Fraction(-3, 8)},  # 2a + 3b
            {2: Fraction(1)},                                      # outside the span
            {3: Fraction(1)},                                      # 7/5 d
            {}]
+KERNEL = [{"c": Fraction(1), "a": Fraction(-2)}]
 
 
 def test_modular_answers_need_no_fallback(monkeypatch):
-    calls = counting_express(monkeypatch)
-    answers = certified_lifts(COLUMNS, TARGETS)
+    calls = counting(monkeypatch, RowSpace, "express")
+    exact_kernels = counting(monkeypatch, linalg, "kernel_basis")
+    kernel, answers = echelon(COLUMNS, TARGETS, split=4)
     # only the target outside the span is asked of the exact space
     assert calls == [TARGETS[1]]
     assert_same_as_exact(COLUMNS, TARGETS, answers)
+    assert kernel == KERNEL and not exact_kernels
 
 
 def test_failed_reconstruction_falls_back_to_exact(monkeypatch):
-    calls = counting_express(monkeypatch)
+    calls = counting(monkeypatch, RowSpace, "express")
+    exact_kernels = counting(monkeypatch, linalg, "kernel_basis")
     monkeypatch.setattr(linalg, "rational_reconstruction", lambda a: None)
-    answers = certified_lifts(COLUMNS, TARGETS)
+    kernel, answers = echelon(COLUMNS, TARGETS, split=4)
     # {} needs no coefficient, so it still lifts mod P
     assert len(calls) == 3
+    assert_same_as_exact(COLUMNS, TARGETS, answers)
+    assert kernel == KERNEL and len(exact_kernels) == 1
+
+
+def test_corrupted_kernel_candidate_is_rejected(monkeypatch):
+    """A kernel candidate with one doubled entry fails the exact check and
+    the kernel comes from exact elimination; so do the lifts."""
+    calls = counting(monkeypatch, RowSpace, "express")
+    exact_kernels = counting(monkeypatch, linalg, "kernel_basis")
+    reconstruct = linalg._reconstruct
+
+    def doubled(combo, rationals):
+        out = reconstruct(combo, rationals)
+        if out:
+            k = next(iter(out))
+            out[k] = 2 * out[k]
+        return out
+
+    monkeypatch.setattr(linalg, "_reconstruct", doubled)
+    kernel, answers = echelon(COLUMNS, TARGETS, split=4)
+    assert len(calls) == 3  # every target with a nonempty lift
+    assert kernel == KERNEL and len(exact_kernels) == 1
     assert_same_as_exact(COLUMNS, TARGETS, answers)
 
 
 def test_large_coefficient_falls_back_to_exact(monkeypatch):
     """beta = 2^100/3^70 is past the reconstruction bound."""
-    calls = counting_express(monkeypatch)
+    calls = counting(monkeypatch, RowSpace, "express")
     beta = Fraction(2**100, 3**70)
     columns = [("x", {0: Fraction(1), 1: Fraction(1, 2)})]
     targets = [{0: beta, 1: beta / 2}]
-    assert certified_lifts(columns, targets) == [{"x": beta}]
+    assert echelon(columns, targets) == ([], [{"x": beta}])
     assert len(calls) == 1
+    # a kernel entry past the bound: y = beta * x
+    columns.append(("y", {0: beta, 1: beta / 2}))
+    assert echelon(columns, [], split=2) == ([{"y": Fraction(1), "x": -beta}], [])
 
 
 def test_denominator_divisible_by_p_falls_back_to_exact(monkeypatch):
-    calls = counting_express(monkeypatch)
-    # in a column: nothing is reduced mod P, every target is answered exactly
+    calls = counting(monkeypatch, RowSpace, "express")
+    exact_kernels = counting(monkeypatch, linalg, "kernel_basis")
+    # in a column: nothing is reduced mod P, every question is answered exactly
     columns = COLUMNS + [("e", {4: Fraction(1, P)})]
     targets = TARGETS + [{4: Fraction(3)}]
-    answers = certified_lifts(columns, targets)
+    kernel, answers = echelon(columns, targets, split=5)
     assert len(calls) == len(targets)
     assert_same_as_exact(columns, targets, answers)
     assert answers[-1] == {"e": Fraction(3 * P)}
+    assert kernel == KERNEL and len(exact_kernels) == 1
     # in a target only: that target alone
     calls.clear()
     targets = [TARGETS[0], {0: Fraction(1, 2 * P), 1: Fraction(3, P)}]  # a / P
-    answers = certified_lifts(COLUMNS, targets)
+    kernel, answers = echelon(COLUMNS, targets, split=4)
     assert calls == [targets[1]]
     assert_same_as_exact(COLUMNS, targets, answers)
     assert answers[1] is not None
+    assert kernel == KERNEL and len(exact_kernels) == 1
 
 
-def test_rank_drop_mod_p_is_answered_exactly():
+def test_rank_drop_mod_p_is_answered_exactly(monkeypatch):
     """The column P vanishes mod P, yet 1 = (1/P) * P over the rationals."""
-    assert certified_lifts([("x", {0: Fraction(P)})], [{0: Fraction(1)}]) == [
-        {"x": Fraction(1, P)}]
+    assert echelon([("x", {0: Fraction(P)})], [{0: Fraction(1)}]) == ([], [
+        {"x": Fraction(1, P)}])
+    # x reduces to zero mod P, a kernel candidate that the exact check
+    # rejects: the kernel y - x/P comes from exact elimination
+    exact_kernels = counting(monkeypatch, linalg, "kernel_basis")
+    columns = [("x", {0: Fraction(P)}), ("y", {0: Fraction(1)})]
+    kernel, _ = echelon(columns, [], split=2)
+    assert kernel == [{"y": Fraction(1), "x": Fraction(-1, P)}] == kernel_basis(columns)
+    assert len(exact_kernels) == 1
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1), Fraction(-7, 2**43),
