@@ -407,12 +407,12 @@ def _first_failing(reps):
 
 
 def _check_invariants(run):
-    A, B, q = run.mats["A"], run.mats["B"], run.mats["q"]
+    q = run.mats["q"]
     inv = run.mats["invariants"][0]
     extras = {"lambda": frac_str(inv["lambda"]), "trace": frac_str(inv["trace"])}
     if q is not None and inv["lambda"] == 1:
         try:
-            gen = genericity_check(A, B, q)
+            gen = genericity_check(inv, q)
         except NeedsFieldExtension as e:
             extras["generic"] = None
             return "pass", [f"irrational roots: {e}"], extras

@@ -798,6 +798,9 @@ def probe_exactness(C, N, slack, window=2):
     preimages of degree <= N.  Reports cycles_found / cycles_lifted per
     position.  One linalg.kernel_and_lifts per map finds the lifts through
     it and the next position's kernel modulo a prime, each checked exactly.
+    It eliminates all of that kernel's domain, but the rest of the lift
+    domain only until every cycle has a lift, so the columns past that
+    point are never built.
     """
     alg = C.alg
     if C.side != "right" or alg.loc is None:

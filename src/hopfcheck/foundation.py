@@ -196,14 +196,14 @@ def normalize_pair(A, B):
     return s * A, B
 
 
-def genericity_check(A, B, q):
-    """Rational-root genericity report for X^2 - tr(AB^t)X + 1.
+def genericity_check(inv, q):
+    """Rational-root genericity report for X^2 - tr(AB^t)X + 1, from the
+    matrix_invariants ``inv`` of (A, B).
 
     The source also uses the sign variant X^2 + tr(AB^t)X + 1 in one place;
     both are reported.  "generic" means no rational root is a root of unity,
     and 1, -1 are the only rational roots of unity.  Requires lambda = 1.
     """
-    inv = matrix_invariants(A, B)
     if inv["lambda"] != 1:
         raise NotNormalized("genericity check requires lambda = 1")
     t = inv["trace"]

@@ -1075,8 +1075,7 @@ def nakayama_galois(alg, alg_op):
     failures = []
     warnings = []
     try:
-        iab = matrix_invariants(A, B)
-        icd = matrix_invariants(C, D)
+        iab, icd = alg.invariants, alg_op.invariants
         if iab["lambda"] != icd["lambda"] or iab["trace"] != icd["trace"]:
             warnings.append("invariants of (A,B) and (C,D) differ")
     except HopfcheckError as e:

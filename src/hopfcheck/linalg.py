@@ -174,6 +174,14 @@ def kernel_and_lifts(labels, split, residues_of, form_of, targets):
     one elimination mod P; residues_of(label) is a column as ``residues``
     gives it, form_of(label) its integer form.
 
+    The first ``split`` columns are all eliminated, as the kernel needs each
+    of them.  Later ones follow in label order only while some target has a
+    nonzero remainder mod P, so no label past the last one a lift needs is
+    asked for.  A lift on a prefix of the columns is a lift on all of them,
+    and each row's pivot is its minimum key, so a target in a prefix's span
+    reduces on that prefix's rows alone: its beta is the one full
+    elimination gives.
+
     A kernel column reducing to zero gives e_l minus its reconstructed
     dependency, checked exactly.  These are triangular, so k checked ones
     give dim_Q >= k = dim_P >= dim_Q on every prefix: the pivots and unique
@@ -197,42 +205,80 @@ def kernel_and_lifts(labels, split, residues_of, form_of, targets):
         c, den = form(lab)
         return {k: Fraction(n, den) for k, n in c.items()}
 
-    tails, combos, pivots = echelon = [], [], {}
-    deps = []
-    for i, label in enumerate(labels):
-        res = residues_of(label)
-        if res is None:
-            echelon, deps = None, []
-            break
-        rem, combo = _reduce_mod(res, *echelon)
+    tails, combos, pivots = [], [], {}
+    pending, solved = {}, {}  # target index -> (remainder, combination); -> combination
+
+    def insert(label, res):
+        """Eliminate one column: its dependency if it reduces to zero, else
+        None with the new row applied to each pending target.  The row's tail
+        holds no earlier pivot, so one row operation keeps a remainder fully
+        reduced."""
+        rem, combo = _reduce_mod(res, tails, combos, pivots)
         if not rem:
-            if i < split:
-                deps.append((label, combo))
-            continue
+            return combo
         piv = min(rem)
         inv = pow(rem.pop(piv), -1, P)
+        tail = {k: x * inv % P for k, x in rem.items()}
         combo = {k: -x * inv % P for k, x in combo.items()}
         combo[label] = inv
         pivots[piv] = len(tails)
-        tails.append({k: x * inv % P for k, x in rem.items()})
+        tails.append(tail)
         combos.append(combo)
+        for i, (trem, tcombo) in list(pending.items()):
+            c = trem.pop(piv, None)
+            if c is None:
+                continue
+            for k, x in tail.items():
+                if y := (trem.get(k, 0) - c * x) % P:
+                    trem[k] = y
+                else:
+                    del trem[k]
+            for lab, x in combo.items():
+                tcombo[lab] = tcombo.get(lab, 0) + c * x
+            if not trem:
+                del pending[i]
+                solved[i] = {lab: y for lab, x in tcombo.items() if (y := x % P)}
+        return None
+
+    modular, deps = True, []
+    for label in labels[:split]:
+        res = residues_of(label)
+        if res is None:
+            modular, deps = False, []
+            break
+        dep = insert(label, res)
+        if dep is not None:
+            deps.append((label, dep))
     kernel, rationals = [], {}
     for label, dep in deps:
         vec = _reconstruct({k: -x % P for k, x in dep.items()}, rationals)
         if vec is None or combination({label: ONE} | vec)[0]:
             break
         kernel.append({label: ONE} | vec)
-    if not echelon or len(kernel) < len(deps):
+    if not modular or len(kernel) < len(deps):
         kernel = kernel_basis([(lab, exact(lab)) for lab in labels[:split]])
 
-    inverses, space, lifts = {}, None, []
-    for target in targets:
-        want = int_form(target)
-        beta = None
-        res = residues(*want, inverses) if echelon else None
+    inverses, wants = {}, [int_form(target) for target in targets]
+    for i, want in enumerate(wants):
+        # a target with P in a denominator is left to the exact fallback
+        res = residues(*want, inverses) if modular else None
         if res is not None:
-            rem, combo = _reduce_mod(res, *echelon)
-            beta = None if rem else _reconstruct(combo, rationals)
+            rem, combo = _reduce_mod(res, tails, combos, pivots)
+            if rem:
+                pending[i] = (rem, combo)
+            else:
+                solved[i] = combo
+    for label in labels[split:]:
+        if not pending:
+            break
+        res = residues_of(label)
+        if res is None:
+            break
+        insert(label, res)
+
+    space, lifts = None, []
+    for i, (target, want) in enumerate(zip(targets, wants)):
+        beta = _reconstruct(solved[i], rationals) if i in solved else None
         if beta is None or combination(beta) != want:
             if space is None:
                 space = RowSpace()

@@ -90,7 +90,7 @@ def test_normalize_pair():
 
 def test_genericity_q2():
     A = a_q_matrix(2)
-    rep = genericity_check(A, A.inverse(), 2)
+    rep = genericity_check(matrix_invariants(A, A.inverse()), 2)
     assert rep["roots"] == [Fraction(-2), Fraction(-1, 2)]
     assert rep["generic"] is True
     # q itself solves the sign-flipped variant, not the first form
@@ -100,7 +100,7 @@ def test_genericity_q2():
 
 def test_genericity_q1_not_generic():
     A = a_q_matrix(1)
-    rep = genericity_check(A, A.inverse(), 1)
+    rep = genericity_check(matrix_invariants(A, A.inverse()), 1)
     assert rep["roots"] == [Fraction(-1)]
     assert rep["generic"] is False
 
@@ -108,7 +108,7 @@ def test_genericity_q1_not_generic():
 def test_genericity_trace3_needs_extension():
     A = Mat([[2, 0, 1], [0, 1, 0], [1, 0, 1]])
     with pytest.raises(NeedsFieldExtension):
-        genericity_check(A, A.transpose().inverse(), 2)
+        genericity_check(matrix_invariants(A, A.transpose().inverse()), 2)
 
 
 def test_rational_sqrt():

@@ -450,13 +450,14 @@ def test_nakayama_galois_lets_programming_errors_through(glq8, monkeypatch):
     from hopfcheck.errors import NotScalarMultiple
 
     def raising(exc):
-        def invariants(A, B):
+        # a property on the class shadows the value cached on the instance
+        def invariants(alg):
             raise exc
-        return invariants
+        return property(invariants)
 
-    monkeypatch.setattr(hopf, "matrix_invariants", raising(NotScalarMultiple("x")))
+    monkeypatch.setattr(hopf.PresentedAlgebra, "invariants", raising(NotScalarMultiple("x")))
     ng = nakayama_galois(glq8, glq8)
     assert ng["report"]["warnings"] == ["invariant check failed: x"]
-    monkeypatch.setattr(hopf, "matrix_invariants", raising(KeyError("A")))
+    monkeypatch.setattr(hopf.PresentedAlgebra, "invariants", raising(KeyError("A")))
     with pytest.raises(KeyError):
         nakayama_galois(glq8, glq8)

@@ -27,11 +27,12 @@ def lift_problems(draw):
     n = draw(st.integers(0, 10))
     columns = [(("c", i), draw(sparse_vectors(keys, 4))) for i in range(n)]
     targets = []
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(0, 5))):
         if columns and draw(st.booleans()):
-            # a combination of the columns: always in the span
+            # a combination of a prefix of the columns: always in the span,
+            # and its lift may need columns past the split
             target = {}
-            for label, vec in columns:
+            for label, vec in columns[:draw(st.integers(1, n))]:
                 c = draw(coefficients)
                 if c:
                     target = linalg.vec_add(target, vec, c)
@@ -41,12 +42,19 @@ def lift_problems(draw):
     return columns, draw(st.integers(0, n)), targets
 
 
-def echelon(columns, targets, split=0):
+def echelon(columns, targets, split=0, asked=None):
     """kernel_and_lifts over Fraction columns, whose residues and integer
-    forms are taken here."""
+    forms are taken here; ``asked`` records the labels whose residues are
+    requested, in order."""
     forms = {label: int_form(vec) for label, vec in columns}
-    return kernel_and_lifts([label for label, _ in columns], split,
-                            lambda label: residues(*forms[label], {}), forms.__getitem__, targets)
+    asked = [] if asked is None else asked
+
+    def residues_of(label):
+        asked.append(label)
+        return residues(*forms[label], {})
+
+    return kernel_and_lifts([label for label, _ in columns], split, residues_of,
+                            forms.__getitem__, targets)
 
 
 def exact_answers(columns, targets):
@@ -71,13 +79,29 @@ def assert_same_as_exact(columns, targets, answers):
             assert image(columns, beta) == target
 
 
+def columns_needed(columns, target):
+    """The length of the shortest prefix of columns whose span holds target,
+    or None."""
+    space = RowSpace()
+    for i, (label, vec) in enumerate(columns):
+        if space.express(target) is not None:
+            return i
+        space.insert(vec, label)
+    return None if space.express(target) is None else len(columns)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lift_problems())
 def test_certified_lifts_agree_with_exact(problem):
     columns, split, targets = problem
-    kernel, lifts = echelon(columns, targets, split)
+    asked = []
+    kernel, lifts = echelon(columns, targets, split, asked)
     assert kernel == kernel_basis(columns[:split])
     assert_same_as_exact(columns, targets, lifts)
+    # columns are asked for in order until the last lift is found
+    needed = [columns_needed(columns, t) for t in targets]
+    stop = len(columns) if None in needed else max([split] + needed)
+    assert asked == [label for label, _ in columns[:stop]]
 
 
 def counting(monkeypatch, owner, name):
@@ -170,6 +194,16 @@ def test_denominator_divisible_by_p_falls_back_to_exact(monkeypatch):
     assert_same_as_exact(columns, targets, answers)
     assert answers[-1] == {"e": Fraction(3 * P)}
     assert kernel == KERNEL and len(exact_kernels) == 1
+    # in a column past the kernel domain: the targets still without a lift
+    # there are answered exactly
+    calls.clear()
+    columns = COLUMNS + [("e", {4: Fraction(1, P)}), ("f", {5: Fraction(1)})]
+    targets = [TARGETS[0], {5: Fraction(2)}]
+    asked = []
+    kernel, answers = echelon(columns, targets, 4, asked)
+    assert asked == ["a", "b", "c", "d", "e"] and calls == [targets[1]]
+    assert answers == [{"a": 2, "b": 3}, {"f": 2}]
+    assert kernel == KERNEL and len(exact_kernels) == 1
     # in a target only: that target alone
     calls.clear()
     targets = [TARGETS[0], {0: Fraction(1, 2 * P), 1: Fraction(3, P)}]  # a / P
@@ -191,6 +225,60 @@ def test_rank_drop_mod_p_is_answered_exactly(monkeypatch):
     kernel, _ = echelon(columns, [], split=2)
     assert kernel == [{"y": Fraction(1), "x": Fraction(-1, P)}] == kernel_basis(columns)
     assert len(exact_kernels) == 1
+
+
+# a, b: the kernel domain of the examples below; d and f are needed late
+LATE = [("a", {0: Fraction(1, 2), 1: Fraction(3)}),
+        ("b", {1: Fraction(1, 3), 2: Fraction(-1, 8)}),
+        ("c", {0: Fraction(1), 1: Fraction(6)}),  # 2a
+        ("d", {2: Fraction(1), 3: Fraction(5, 7)}),
+        ("e", {4: Fraction(1)}),
+        ("f", {3: Fraction(1)}),
+        ("g", {5: Fraction(1)})]
+LABELS = [label for label, _ in LATE]
+
+
+def test_lifts_in_the_kernel_domain_ask_for_no_later_column():
+    asked = []
+    targets = [{0: Fraction(1), 1: Fraction(7), 2: Fraction(-3, 8)}, {}]  # 2a + 3b, 0
+    kernel, lifts = echelon(LATE, targets, 2, asked)
+    assert asked == LABELS[:2]
+    assert kernel == [] and lifts == [{"a": 2, "b": 3}, {}]
+
+
+@pytest.mark.parametrize("target, needed, beta", [
+    ({0: Fraction(1, 2), 1: Fraction(3), 2: Fraction(1), 3: Fraction(5, 7)}, 4, {"a": 1, "d": 1}),
+    ({1: Fraction(1, 3), 2: Fraction(-1, 8), 3: Fraction(1)}, 6, {"b": 1, "f": 1})])
+def test_a_late_lift_stops_at_its_column(target, needed, beta, monkeypatch):
+    """The lift of a target past the kernel domain is the one elimination
+    of every column gives, found mod P, and no column after the one it
+    needs is asked for."""
+    calls = counting(monkeypatch, RowSpace, "express")
+    asked = []
+    kernel, lifts = echelon(LATE, [target], 2, asked)
+    assert asked == LABELS[:needed] and not calls
+    assert lifts == [beta] == exact_answers(LATE, [target])
+    # a lift found before the kernel domain is complete waits for it
+    asked.clear()
+    calls.clear()
+    kernel, lifts = echelon(LATE, [target], 5, asked)
+    assert asked == LABELS[:max(needed, 5)] and not calls
+    assert kernel == kernel_basis(LATE[:5]) and lifts == [beta]
+
+
+def test_a_target_outside_the_span_asks_for_every_column():
+    asked = []
+    kernel, lifts = echelon(LATE, [{4: Fraction(2)}, {6: Fraction(1)}], 2, asked)
+    assert asked == LABELS
+    assert lifts == [{"e": 2}, None]
+
+
+def test_no_targets_ask_only_for_the_kernel_domain():
+    for split in (0, 2, 4):
+        asked = []
+        kernel, lifts = echelon(LATE, [], split, asked)
+        assert asked == LABELS[:split]
+        assert kernel == kernel_basis(LATE[:split]) and lifts == []
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1), Fraction(-7, 2**43),

@@ -126,6 +126,28 @@ def test_report_bodies_match_pins():
         assert digest == pin, cfg
 
 
+# sha256 of the report body of configs/n3seed.json run with the probe alone
+# at N = 4, as computed when the probe eliminated every lift column
+N3_PROBE_N4_SHA256 = "6ef11cfad590781a688b24b4904cb1cb60f0321dc49b370f41c842c81c88af90"
+
+
+def test_n3_probe_at_n4_lifts_every_cycle():
+    """The exactness probe of the n = 3 seed at N = 4 through verify run:
+    every cycle lifts at every position, and the report body is pinned."""
+    gate = _load_perfbench("gate")
+    with open(os.path.join(ROOT, "configs", "n3seed.json")) as fh:
+        cfg = json.load(fh)
+    cfg["checks"] = ["probe"]
+    cfg["probe"] = {"N": 4}
+    report, code = run_config(cfg)
+    assert code == 0
+    positions = report["checks"][0]["details"]["positions"]
+    assert [p["cycles_found"] for p in positions] == [75, 161, 19, 1, 0]
+    assert all(p["cycles_lifted"] == p["cycles_found"] for p in positions)
+    digest = hashlib.sha256(gate.report_body(report_json(report)).encode()).hexdigest()
+    assert digest == N3_PROBE_N4_SHA256
+
+
 def _unused_imports(tree):
     """Module-level imports whose name is never loaded in the module."""
     bound = {}
