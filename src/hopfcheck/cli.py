@@ -242,6 +242,8 @@ def _checked_instance(cfg):
     bad = [c for c in checks if c not in CHECK_ORDER]
     if bad:
         raise ConfigInvalid(f"unknown checks: {bad}")
+    if not isinstance(cfg.get("cache_dir", ""), str):
+        raise ConfigInvalid("cache_dir must be a string")
     probe = cfg.get("probe", {})
     if not isinstance(probe, dict):
         raise ConfigInvalid("probe must be an object")
@@ -562,13 +564,24 @@ def exit_code_of(statuses):
     return 0
 
 
+def _cache_of(cfg):
+    """The GBCache in HOPFCHECK_CACHE or else the config's cache_dir, its
+    directory created if missing; None if neither is set.  A path that
+    cannot be a directory is ConfigInvalid."""
+    directory = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
+    if not directory:
+        return None
+    try:
+        return GBCache(directory)
+    except OSError as e:
+        raise ConfigInvalid(f"cache directory {directory}: {type(e).__name__}: {e}") from e
+
+
 def run_config(cfg_or_path):
     """Execute a config; returns (report, exit_code)."""
     cfg = _load_config(cfg_or_path) if isinstance(cfg_or_path, str) else cfg_or_path
     mats = _checked_instance(cfg)
-    cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
-    cache = GBCache(cache_dir) if cache_dir else None
-    checks, timings = _run_checks(cfg, mats, cache)
+    checks, timings = _run_checks(cfg, mats, _cache_of(cfg))
     statuses = [c["status"] for c in checks]
     code = exit_code_of(statuses)
     report = {
@@ -646,10 +659,10 @@ def _main_run(args):
 def _main_gb(args):
     cfg = _load_config(args.config)
     mats = _checked_instance(cfg)
-    cache_dir = os.environ.get("HOPFCHECK_CACHE") or cfg.get("cache_dir")
-    if not cache_dir:
+    cache = _cache_of(cfg)
+    if cache is None:
         raise ConfigInvalid("gb prebuild needs cache_dir or HOPFCHECK_CACHE")
-    cache = Refill(GBCache(cache_dir))
+    cache = Refill(cache)
     try:
         algs = _Run(cfg, mats, cache).presentations(cfg["checks"])
     except ExceedsCertifiedDegree as e:

@@ -8,8 +8,10 @@ and is what Complex.is_complex() uses on consecutive differentials.
 """
 
 from fractions import Fraction
+from itertools import count
 
-from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
+from .errors import (ExceedsCertifiedDegree, IdentityFailed, NotInvertible, NotSquare,
+                     ProbeInvalid)
 from .foundation import Mat, NCPoly, combine
 from .hopf import LocalizedElement, glq_slq_laurent_iso, nakayama_nu, sandwich
 from .linalg import kernel_and_lifts, kernel_basis, residues
@@ -444,20 +446,15 @@ def build_twist_chainmap(dual, left, H):
     report = cm.verify_squares()
     failures = list(report["failures"])
 
-    # bijectivity: exhibit scalar inverses and check both composites
-    inverses = []
+    # bijectivity: a matrix of scalars is bijective iff its scalar matrix is invertible
     for f in cm.verticals:
-        rows = [[f.entries[s][t].num.coeff(()) for t in range(f.tgt_rank)]
-                for s in range(f.src_rank)]
-        Minv = Mat(rows).inverse()
-        inv = FreeModuleMap(alg, "left", [
-            [alg.elt(NCPoly.term((), Minv[s, t])) if Minv[s, t] else alg.zero()
-             for t in range(f.src_rank)] for s in range(f.tgt_rank)
-        ], name=f.name + "^-1")
-        ident = identity_map(alg, "left", f.src_rank)
-        if not f.compose(inv).eq(ident) or not inv.compose(f).eq(ident):
+        if any(e.exp or set(e.num.c) - {()} for row in f.entries for e in row):
+            failures.append((f.name, "not scalar"))
+            continue
+        try:
+            Mat([[e.num.coeff(()) for e in row] for row in f.entries]).inverse()
+        except (NotInvertible, NotSquare):
             failures.append((f.name, "inverse"))
-        inverses.append(inv)
 
     # eta = eps∘nu is the printed character
     H = A.inverse() * A.transpose() * B * B.transpose().inverse()
@@ -465,7 +462,7 @@ def build_twist_chainmap(dual, left, H):
             [H[i, j] for i in range(n) for j in range(n)]:
         failures.append(("eta_matrix", None))
 
-    return {"chainmap": cm, "inverses": inverses, "nu": nu, "eta": eta,
+    return {"chainmap": cm, "nu": nu, "eta": eta,
             "report": {"ok": not failures, "failures": failures}}
 
 
@@ -715,10 +712,10 @@ def complex_manifest(C):
 
 
 def _image_columns(C):
-    """column(j, t, w, m): the image of e_t * w D^-m under C.maps[j], as
-    Fractions keyed (slot, exp, order key); .form gives it in integer form,
-    .residues mod P (None if P divides a denominator), both keyed by
-    .key(slot, word, exp): the canonical (word, exp) pairs numbered newest
+    """(residues, form, key): residues(j, t, w, m) is the image of
+    e_t * w D^-m under C.maps[j] mod P (None if P divides a denominator),
+    form(j, t, w, m) the same image in integer form, both keyed by
+    key(slot, word, exp): the canonical (word, exp) pairs numbered newest
     first, so that a column's pivot is the newest word it meets, near its
     leading word.  Any numbering gives the same kernels and lifts.
 
@@ -728,7 +725,7 @@ def _image_columns(C):
     """
     alg = C.alg
     slots = max(C.ranks)
-    products, images, keys, inverses, pairs = {}, {}, {}, {}, []
+    products, images, keys, inverses, fresh = {}, {}, {}, {}, count()
     ids = {}  # entry content -> entry id, so equal entries share their images
     entry_rows = [[[(u, e, ids.setdefault((tuple(e.num.c.items()), e.num.den, e.exp), len(ids)))
                     for u, e in enumerate(row) if not e.is_zero()]
@@ -750,11 +747,9 @@ def _image_columns(C):
             y, m = x, exp  # x D^-exp with trailing D cancelled
             while m and y[-1:] == (alg.loc,):
                 y, m = y[:-1], m - 1
-            pair = (y, m)
-            if pair not in keys:
-                keys[pair] = -slots * len(pairs)
-                pairs.append(pair)
-            hit = keys[(x, exp)] = keys[pair]
+            if (y, m) not in keys:
+                keys[(y, m)] = -slots * next(fresh)
+            hit = keys[(x, exp)] = keys[(y, m)]
         return u + hit
 
     def column_residues(j, t, w, m):
@@ -776,16 +771,7 @@ def _image_columns(C):
             parts.append((1, ({key(u, x, e.exp + m): n for x, n in c.items()}, den)))
         return combine(1, parts)
 
-    def column(j, t, w, m):
-        c, den = form(j, t, w, m)
-        out = {}
-        for k, n in c.items():
-            x, exp = pairs[-(k // slots)]
-            out[(k % slots, exp, alg.order.key(x))] = Fraction(n, den)
-        return out
-
-    column.residues, column.form, column.key = column_residues, form, key
-    return column
+    return column_residues, form, key
 
 
 def probe_exactness(C, N, slack, window=2):
@@ -796,16 +782,20 @@ def probe_exactness(C, N, slack, window=2):
     deg(w * D^-m) = weight(w) + m*weight(D) <= N - slack with m <= window,
     then lifts every kernel vector through the incoming differential with
     preimages of degree <= N.  Reports cycles_found / cycles_lifted per
-    position.  One linalg.kernel_and_lifts per map finds the lifts through
-    it and the next position's kernel modulo a prime, each checked exactly.
-    It eliminates all of that kernel's domain, but the rest of the lift
+    position.  The normal words are enumerated once per probe; the kernel
+    domain and the rest of the lift domain are two predicates over them.
+    One linalg.kernel_and_lifts per map finds the lifts through it and the
+    next position's kernel modulo a prime, each checked exactly.  It
+    eliminates all of that kernel's domain, but draws the rest of the lift
     domain only until every cycle has a lift, so the columns past that
     point are never built.
     """
     alg = C.alg
-    if C.side != "right" or alg.loc is None:
-        raise ProbeInvalid(f"needs a right complex over a localized algebra, "
-                           f"got side {C.side!r} over {alg.name}")
+    if C.side != "right" or alg.loc is None or C.augmentation is None:
+        raise ProbeInvalid(f"needs a right complex with an augmentation over a localized "
+                           f"algebra, got side {C.side!r} over {alg.name}")
+    if slack < 0:
+        raise ProbeInvalid(f"slack {slack} < 0")
     order = alg.order
     wloc = order.weights[alg.loc]
     rep = C.is_complex()
@@ -819,33 +809,28 @@ def probe_exactness(C, N, slack, window=2):
     if N + entry_weight > alg.rs.certified_degree:
         raise ExceedsCertifiedDegree(
             f"probe needs certified degree >= {N + entry_weight}")
-    words_cache = {}
+    kernel_words, lift_words = [], []  # (w, m) in the kernel domain; in the rest
+    for w in alg.rs.enumerate_normal_words(min(N, alg.rs.certified_degree)):
+        for m in range(lift_window + 1):
+            weight = order.weight(w) + m * wloc
+            if weight > N:
+                break
+            if m > 0 and w and w[-1] == alg.loc:
+                continue
+            if m > 0 and not alg.rs.is_normal_word(w + (alg.loc,) * m):
+                raise ProbeInvalid("normal word times D^k reduced; "
+                                   "probe basis would be dependent")
+            in_kernel = weight <= N - slack and m <= window
+            (kernel_words if in_kernel else lift_words).append((w, m))
 
-    def filtration_basis(rank, bound, win):
-        key = (bound, win)
-        words = words_cache.get(key)
-        if words is None:
-            words = []
-            for w in alg.rs.enumerate_normal_words(min(bound, alg.rs.certified_degree)):
-                for m in range(win + 1):
-                    if order.weight(w) + m * wloc > bound:
-                        break
-                    if m > 0 and w and w[-1] == alg.loc:
-                        continue
-                    if m > 0 and not alg.rs.is_normal_word(w + (alg.loc,) * m):
-                        raise ProbeInvalid("normal word times D^k reduced; "
-                                           "probe basis would be dependent")
-                    words.append((w, m))
-            words_cache[key] = words
-        return [(t, w, m) for t in range(rank) for (w, m) in words]
-
-    column = _image_columns(C)
+    residues_of, form_of, key = _image_columns(C)
     L = len(C.ranks) - 1
     # position 0: the kernel of the augmentation, by exact elimination
     columns = []
-    for (t, w, m) in filtration_basis(C.ranks[L], N - slack, window):
-        v = C.augmentation.apply_loc(LocalizedElement(alg, NCPoly.term(w), m))
-        columns.append(((t, w, m), {0: v} if v else {}))
+    for t in range(C.ranks[L]):
+        for w, m in kernel_words:
+            v = C.augmentation.apply_loc(LocalizedElement(alg, NCPoly.term(w), m))
+            columns.append(((t, w, m), {0: v} if v else {}))
     cycles = kernel_basis(columns)
     positions = []
     for p in range(L + 1):
@@ -853,15 +838,12 @@ def probe_exactness(C, N, slack, window=2):
         found, lifted = len(cycles), 0
         if j >= 1:
             # map j-1's kernel domain (the next position's) first, then the rest
-            dom = filtration_basis(C.ranks[j - 1], N - slack, window)
-            seen = set(dom)
-            labels = dom + [x for x in filtration_basis(C.ranks[j - 1], N, lift_window)
-                            if x not in seen]
-            targets = [{column.key(t, w, m): c for (t, w, m), c in cyc.items()}
-                       for cyc in cycles]
-            cycles, lifts = kernel_and_lifts(labels, len(dom),
-                                             lambda x: column.residues(j - 1, *x),
-                                             lambda x: column.form(j - 1, *x), targets)
+            rank = C.ranks[j - 1]
+            dom = [(t, w, m) for t in range(rank) for w, m in kernel_words]
+            rest = ((t, w, m) for t in range(rank) for w, m in lift_words)
+            targets = [{key(t, w, m): c for (t, w, m), c in cyc.items()} for cyc in cycles]
+            cycles, lifts = kernel_and_lifts(dom, rest, lambda x: residues_of(j - 1, *x),
+                                             lambda x: form_of(j - 1, *x), targets)
             lifted = sum(beta is not None for beta in lifts)
         # at the left end (j = 0) nothing lifts, so a cycle there fails
         positions.append({"position": p, "cycles_found": found, "cycles_lifted": lifted,

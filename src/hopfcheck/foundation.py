@@ -306,7 +306,7 @@ def _ratio(x):
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _int_form(d):
+def int_form(d):
     """A rational dict as (c, den), zeros dropped; over the lcm of reduced
     denominators the numerators are already in lowest terms."""
     pairs = [(k, _ratio(x)) for k, x in d.items()]
@@ -410,7 +410,7 @@ class NCPoly(_IntForm):
     _join = operator.add
 
     def __init__(self, d=None):
-        self.c, self.den = _int_form(d) if d else ({}, 1)
+        self.c, self.den = int_form(d) if d else ({}, 1)
 
     @classmethod
     def of(cls, c, den=1):
@@ -478,7 +478,7 @@ class TensorPoly(_IntForm):
 
     def __init__(self, arity, d=None):
         self.arity = arity
-        self.c, self.den = _int_form(d) if d else ({}, 1)
+        self.c, self.den = int_form(d) if d else ({}, 1)
         for k in self.c:
             assert len(k) == arity
 

@@ -1,49 +1,35 @@
-"""Exact sparse linear algebra over the rationals.
+"""Sparse linear algebra, exact over the rationals and modulo P.
 
-Vectors are dicts mapping orderable column keys to nonzero Fractions.
-RowSpace keeps an incremental echelon basis and can express any vector it
-absorbs as an exact combination of the originally inserted vectors, which
-is what kernel extraction and boundary lifting both need.
+Vectors are dicts mapping orderable column keys to nonzero values.
+RowSpace keeps an incremental echelon basis over Q and can express any
+vector it absorbs as an exact combination of the originally inserted
+vectors, which is what kernel extraction and boundary lifting both need.
+RowSpaceModP is the same echelon over the integers mod P = 2^127 - 1.
 
-kernel_and_lifts runs it once modulo P = 2^127 - 1 for both; each answer is
-rebuilt by rational reconstruction and confirmed by exact integer mat-vecs.
+kernel_and_lifts runs RowSpaceModP once for both; each answer is rebuilt
+by rational reconstruction and confirmed by exact integer mat-vecs.
 """
 
 import heapq
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import chain
+from math import gcd, isqrt
 
-from .foundation import combine
+from .foundation import combine, int_form
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 P = 2**127 - 1
 # rational reconstruction returns n/d with |n|, d <= RR_BOUND, which makes it unique
 RR_BOUND = isqrt(P // 2)
 
 
-def _add_into(v, w, c):
-    """v += c*w in place, sparse."""
-    for k, x in w.items():
-        nx = v.get(k, ZERO) + c * x
-        if nx:
-            v[k] = nx
-        else:
-            del v[k]
-
-
-def vec_add(v, w, c=1):
-    """v + c*w, sparse."""
-    out = dict(v)
-    _add_into(out, w, c)
-    return out
-
-
 class RowSpace:
-    """Sparse echelon row space with preimage tracking.
+    """Sparse echelon row space with preimage tracking, over Q.
 
-    Each stored row is monic at its pivot (the smallest column key present)
-    and remembers how it was assembled from the inserted vectors.
+    Row r is 1 at its pivot (the smallest key it held) plus the tail
+    rows[r] at larger keys, and combos[r] assembles it from the inserted
+    vectors.  Labels are distinct.  A subclass changes the field through
+    _norm, a value's canonical form, and _inv, a nonzero value's inverse.
     """
 
     def __init__(self):
@@ -51,25 +37,46 @@ class RowSpace:
         self.combos = []
         self.pivots = {}  # col key -> row index
 
+    @staticmethod
+    def _norm(x):
+        return x
+
+    @staticmethod
+    def _inv(x):
+        return ONE / x
+
     def rank(self):
         return len(self.rows)
 
     def _reduce(self, vec):
-        """Remainder of vec modulo the stored rows plus the used combination."""
+        """(remainder of vec modulo the stored rows, combination used).
+
+        A row's tail lies past its pivot, so the pivots present are cleared
+        in increasing key order, each once, from a heap; values are only
+        normalised when a pivot is cleared and at the end.
+        """
+        norm, pivots = self._norm, self.pivots
         vec = dict(vec)
         combo = {}
-        while True:
-            hit = None
-            for k in vec:
-                r = self.pivots.get(k)
-                if r is not None and (hit is None or k < hit[0]):
-                    hit = (k, r)
-            if hit is None:
-                return vec, combo
-            k, r = hit
-            c = vec[k]
-            _add_into(vec, self.rows[r], -c)
-            _add_into(combo, self.combos[r], c)
+        heap = [k for k in vec if k in pivots]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            c = norm(vec.pop(k))
+            if not c:
+                continue
+            r = pivots[k]
+            for key, x in self.rows[r].items():
+                if key in vec:
+                    vec[key] -= c * x
+                else:
+                    vec[key] = -c * x
+                    if key in pivots:
+                        heapq.heappush(heap, key)
+            for lab, x in self.combos[r].items():
+                combo[lab] = combo.get(lab, 0) + c * x
+        rem = {k: y for k, x in vec.items() if (y := norm(x))}
+        return rem, {lab: y for lab, x in combo.items() if (y := norm(x))}
 
     def insert(self, vec, label):
         """Insert a labeled vector.
@@ -80,14 +87,13 @@ class RowSpace:
         rem, combo = self._reduce(vec)
         if not rem:
             return combo
-        piv = min(rem)
-        p = rem[piv]
-        row = {k: x / p for k, x in rem.items()}
-        rowcombo = vec_add({label: ONE}, combo, -1)
-        rowcombo = {k: x / p for k, x in rowcombo.items()}
+        norm, piv = self._norm, min(rem)
+        inv = self._inv(rem.pop(piv))
+        combo = {lab: norm(-x * inv) for lab, x in combo.items()}
+        combo[label] = inv
         self.pivots[piv] = len(self.rows)
-        self.rows.append(row)
-        self.combos.append(rowcombo)
+        self.rows.append({k: norm(x * inv) for k, x in rem.items()})
+        self.combos.append(combo)
         return None
 
     def express(self, vec):
@@ -98,10 +104,16 @@ class RowSpace:
         return combo
 
 
-def int_form(vec):
-    """A Fraction vector as (integer numerators, least common denominator)."""
-    den = lcm(*(x.denominator for x in vec.values()))
-    return {k: x.numerator * (den // x.denominator) for k, x in vec.items()}, den
+class RowSpaceModP(RowSpace):
+    """RowSpace over the integers mod P: vectors of residues in [0, P)."""
+
+    @staticmethod
+    def _norm(x):
+        return x % P
+
+    @staticmethod
+    def _inv(x):
+        return pow(x, -1, P)
 
 
 def residues(c, den, inverses):
@@ -113,36 +125,6 @@ def residues(c, den, inverses):
             return None
         inv = inverses[den] = pow(den, -1, P)
     return {k: n * inv % P for k, n in c.items()}
-
-
-def _reduce_mod(vec, tails, combos, pivots):
-    """RowSpace._reduce mod P: (remainder, combination used), both reduced.
-
-    Row r is 1 at its pivot plus tails[r] at larger keys, so pivots are
-    cleared in increasing key order, each once, and residues are only taken
-    when a pivot is cleared and at the end.
-    """
-    vec = dict(vec)
-    combo = {}
-    heap = [k for k in vec if k in pivots]
-    heapq.heapify(heap)
-    while heap:
-        k = heapq.heappop(heap)
-        c = vec.pop(k) % P
-        if not c:
-            continue
-        r = pivots[k]
-        for key, x in tails[r].items():
-            if key in vec:
-                vec[key] -= c * x
-            else:
-                vec[key] = -c * x
-                if key in pivots:
-                    heapq.heappush(heap, key)
-        for lab, x in combos[r].items():
-            combo[lab] = combo.get(lab, 0) + c * x
-    rem = {k: y for k, x in vec.items() if (y := x % P)}
-    return rem, {lab: y for lab, x in combo.items() if (y := x % P)}
 
 
 def rational_reconstruction(a):
@@ -169,26 +151,26 @@ def _reconstruct(combo, rationals):
     return out
 
 
-def kernel_and_lifts(labels, split, residues_of, form_of, targets):
-    """(kernel of the first ``split`` columns, preimage of each target) from
-    one elimination mod P; residues_of(label) is a column as ``residues``
-    gives it, form_of(label) its integer form.
+def kernel_and_lifts(dom, rest, residues_of, form_of, targets):
+    """(kernel of the columns ``dom``, preimage of each target through the
+    columns ``dom`` then ``rest``) from one RowSpaceModP; residues_of(label)
+    is a column as ``residues`` gives it, form_of(label) its integer form.
 
-    The first ``split`` columns are all eliminated, as the kernel needs each
-    of them.  Later ones follow in label order only while some target has a
-    nonzero remainder mod P, so no label past the last one a lift needs is
-    asked for.  A lift on a prefix of the columns is a lift on all of them,
-    and each row's pivot is its minimum key, so a target in a prefix's span
-    reduces on that prefix's rows alone: its beta is the one full
-    elimination gives.
+    Every column of ``dom`` is eliminated, as the kernel needs each of
+    them.  Labels are drawn from the iterable ``rest`` only while some
+    target has a nonzero remainder mod P, so no label past the last one a
+    lift needs is drawn.  A lift on a prefix of the columns is a lift on
+    all of them, and each row's pivot is its minimum key, so a target in a
+    prefix's span reduces on that prefix's rows alone: its beta is the one
+    full elimination gives.
 
     A kernel column reducing to zero gives e_l minus its reconstructed
     dependency, checked exactly.  These are triangular, so k checked ones
     give dim_Q >= k = dim_P >= dim_Q on every prefix: the pivots and unique
     vectors of kernel_basis, which answers if a check fails.  A lift beta
     has sum beta[l] * column l == target exactly (None outside the span);
-    RowSpace.express, built once, answers where the echelon has no checked
-    beta.
+    RowSpace.express over ``dom``, the labels drawn and the rest of
+    ``rest``, built once, answers where the echelon has no checked beta.
     """
     forms = {}
 
@@ -205,7 +187,7 @@ def kernel_and_lifts(labels, split, residues_of, form_of, targets):
         c, den = form(lab)
         return {k: Fraction(n, den) for k, n in c.items()}
 
-    tails, combos, pivots = [], [], {}
+    space = RowSpaceModP()
     pending, solved = {}, {}  # target index -> (remainder, combination); -> combination
 
     def insert(label, res):
@@ -213,17 +195,10 @@ def kernel_and_lifts(labels, split, residues_of, form_of, targets):
         None with the new row applied to each pending target.  The row's tail
         holds no earlier pivot, so one row operation keeps a remainder fully
         reduced."""
-        rem, combo = _reduce_mod(res, tails, combos, pivots)
-        if not rem:
-            return combo
-        piv = min(rem)
-        inv = pow(rem.pop(piv), -1, P)
-        tail = {k: x * inv % P for k, x in rem.items()}
-        combo = {k: -x * inv % P for k, x in combo.items()}
-        combo[label] = inv
-        pivots[piv] = len(tails)
-        tails.append(tail)
-        combos.append(combo)
+        dep = space.insert(res, label)
+        if dep is not None:
+            return dep
+        piv, tail, combo = next(reversed(space.pivots)), space.rows[-1], space.combos[-1]
         for i, (trem, tcombo) in list(pending.items()):
             c = trem.pop(piv, None)
             if c is None:
@@ -241,7 +216,7 @@ def kernel_and_lifts(labels, split, residues_of, form_of, targets):
         return None
 
     modular, deps = True, []
-    for label in labels[:split]:
+    for label in dom:
         res = residues_of(label)
         if res is None:
             modular, deps = False, []
@@ -256,35 +231,38 @@ def kernel_and_lifts(labels, split, residues_of, form_of, targets):
             break
         kernel.append({label: ONE} | vec)
     if not modular or len(kernel) < len(deps):
-        kernel = kernel_basis([(lab, exact(lab)) for lab in labels[:split]])
+        kernel = kernel_basis([(lab, exact(lab)) for lab in dom])
 
     inverses, wants = {}, [int_form(target) for target in targets]
     for i, want in enumerate(wants):
         # a target with P in a denominator is left to the exact fallback
         res = residues(*want, inverses) if modular else None
         if res is not None:
-            rem, combo = _reduce_mod(res, tails, combos, pivots)
+            rem, combo = space._reduce(res)
             if rem:
                 pending[i] = (rem, combo)
             else:
                 solved[i] = combo
-    for label in labels[split:]:
-        if not pending:
-            break
-        res = residues_of(label)
-        if res is None:
-            break
-        insert(label, res)
+    rest, drawn = iter(rest), []
+    if pending:
+        for label in rest:
+            drawn.append(label)
+            res = residues_of(label)
+            if res is None:
+                break
+            insert(label, res)
+            if not pending:
+                break
 
-    space, lifts = None, []
+    exact_space, lifts = None, []
     for i, (target, want) in enumerate(zip(targets, wants)):
         beta = _reconstruct(solved[i], rationals) if i in solved else None
         if beta is None or combination(beta) != want:
-            if space is None:
-                space = RowSpace()
-                for lab in labels:
-                    space.insert(exact(lab), lab)
-            beta = space.express(target)
+            if exact_space is None:
+                exact_space = RowSpace()
+                for lab in chain(dom, drawn, rest):
+                    exact_space.insert(exact(lab), lab)
+            beta = exact_space.express(target)
             if beta is not None and combination(beta) != want:
                 beta = None
         lifts.append(beta)
@@ -302,7 +280,7 @@ def kernel_basis(columns):
     for label, vec in columns:
         dep = space.insert(vec, label)
         if dep is not None:
-            kernel.append(vec_add({label: ONE}, dep, -1))
+            kernel.append({label: ONE} | {k: -x for k, x in dep.items()})
     return kernel
 
 

@@ -567,6 +567,7 @@ INVALID_CONFIGS = {
     "string_probe_N": (small_config(probe={"N": "6"}), "probe N must be an integer"),
     "checks_string": (small_config(checks="hopf"), "checks must be a list"),
     "probe_not_object": (small_config(probe=6), "probe must be an object"),
+    "cache_dir_number": (small_config(cache_dir=5), "cache_dir must be a string"),
     "string_n": (small_config(instance={"kind": "GAB", "n": "3"}, seed=1), "n must be"),
     "list_seed": (small_config(instance={"kind": "GAB", "n": 3}, seed=[1]), "seed must be"),
     "A_without_B": (small_config(instance={"kind": "GAB", "A": [["1", "0"], ["0", "1"]]}),
@@ -590,6 +591,28 @@ def test_invalid_config_exits_3(cmd, tmp_path, monkeypatch, capsys):
     cfg_path.write_text(json.dumps(_glq(q="0")))
     assert cli.main([cmd, str(cfg_path)]) == 3
     assert capsys.readouterr().err == "invalid config: q must be nonzero\n"
+
+
+@pytest.mark.parametrize("cmd", ["run", "gb"])
+@pytest.mark.parametrize("via", ["env", "config"])
+def test_cache_path_that_is_a_file_exits_3(cmd, via, tmp_path, monkeypatch, capsys):
+    """HOPFCHECK_CACHE or cache_dir naming a file is an invalid config, not
+    a FileExistsError traceback from creating the directory."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    cfg = small_config(checks=["invariants"])
+    if via == "env":
+        monkeypatch.setenv("HOPFCHECK_CACHE", str(blocker))
+    else:
+        monkeypatch.delenv("HOPFCHECK_CACHE", raising=False)
+        cfg["cache_dir"] = str(blocker)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main([cmd, str(cfg_path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"invalid config: cache directory {blocker}: FileExistsError: ")
+    with pytest.raises(ConfigInvalid, match="cache directory"):
+        run_config(cfg)
 
 
 @pytest.mark.parametrize("content", [None, "{not json"])

@@ -313,6 +313,34 @@ def test_glq_complexes_single_square(glq8_hopf, slql8_hopf):
     assert lhs.add(rhs.scale(-1)).is_zero()
 
 
+@pytest.mark.parametrize("entry, witness", [("zero", "('f4', 'inverse')"),
+                                             ("a", "('f4', 'not scalar')")])
+def test_twist_fails_on_a_singular_or_non_scalar_vertical(entry, witness, monkeypatch):
+    """f4 replaced by the 1 x 1 map 0 (singular) or a (not a scalar): the
+    twist check is a fail with that witness, with the squares left passing
+    so that the bijectivity check alone decides."""
+    import hopfcheck.cli as cli
+    import hopfcheck.complexes as complexes
+    real = complexes.ChainMap
+
+    class Replaced(real):
+        def __init__(self, top, bottom, verticals, twist=None, name=""):
+            alg = top.alg
+            value = alg.zero() if entry == "zero" else alg.gen_elt(0)
+            f4 = FreeModuleMap(alg, "left", [[value]], name="f4")
+            super().__init__(top, bottom, [f4] + verticals[1:], twist, name)
+
+        def verify_squares(self):
+            return {"ok": True, "failures": []}
+
+    monkeypatch.setattr(complexes, "ChainMap", Replaced)
+    rep, code = cli.run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
+                                "checks": ["twist"]})
+    (check,) = rep["checks"]
+    assert code == 1 and check["status"] == "fail"
+    assert check["witnesses"] == [witness]
+
+
 def test_probe_trivial_witnesses(glq9, glq9_hopf):
     C = psi(glq9_hopf)
     psi1 = C.maps[3]
@@ -333,6 +361,21 @@ def test_probe_small(glq9_hopf):
     rep = probe_exactness(C, N=4, slack=2, window=1)
     assert rep["ok"], rep["positions"]
     assert all(p["cycles_found"] == p["cycles_lifted"] for p in rep["positions"][:-1])
+
+
+def test_probe_enumerates_its_normal_words_once(glq9_hopf, monkeypatch):
+    """One enumerate_normal_words call per probe: the kernel domain and the
+    rest of the lift domain are two predicates over one list."""
+    from hopfcheck.rewrite import RewriteSystem
+    calls, enumerate_words = [], RewriteSystem.enumerate_normal_words
+
+    def counted(self, max_weight):
+        calls.append(max_weight)
+        return enumerate_words(self, max_weight)
+
+    monkeypatch.setattr(RewriteSystem, "enumerate_normal_words", counted)
+    assert probe_exactness(psi(glq9_hopf), N=4, slack=2, window=1)["ok"]
+    assert calls == [4]
 
 
 def test_probe_lifts_glq9_without_exact_fallback(glq9_hopf, monkeypatch):
@@ -382,10 +425,10 @@ def test_probe_kernels_match_exact_elimination(which, request, monkeypatch):
         C, N, window = psi(request.getfixturevalue("glq9_hopf")), 4, 1
     echelon, kernels = complexes.kernel_and_lifts, []
 
-    def checked(labels, split, residues_of, form_of, targets):
-        kernel, lifts = echelon(labels, split, residues_of, form_of, targets)
+    def checked(dom, rest, residues_of, form_of, targets):
+        kernel, lifts = echelon(dom, rest, residues_of, form_of, targets)
         columns = []
-        for x in labels[:split]:
+        for x in dom:
             c, den = form_of(x)
             columns.append((x, {k: Fraction(n, den) for k, n in c.items()}))
         assert kernel == kernel_basis(columns)
@@ -413,13 +456,14 @@ def test_probe_builds_no_fraction_per_column_entry(glq9_hopf, monkeypatch):
         built[0] += 1
         return new(cls, *args, **kwargs)
 
-    def counting(labels, split, residues_of, form_of, targets):
+    def counting(dom, rest, residues_of, form_of, targets):
+        rest = list(rest)
         Fraction.__new__ = counted
         try:
-            kernel, lifts = echelon(labels, split, residues_of, form_of, targets)
+            kernel, lifts = echelon(dom, iter(rest), residues_of, form_of, targets)
         finally:
             Fraction.__new__ = new
-        entries[0] += sum(len(residues_of(x)) for x in labels)
+        entries[0] += sum(len(residues_of(x)) for x in dom + rest)
         coefficients[0] += sum(map(len, kernel)) + sum(len(b) for b in lifts if b)
         return kernel, lifts
 
@@ -429,30 +473,19 @@ def test_probe_builds_no_fraction_per_column_entry(glq9_hopf, monkeypatch):
     assert entries[0] > 10 * coefficients[0]
 
 
-def _coords_of_elt(alg, slot, le, out):
-    """Add le, in slot ``slot``, to out in canonical (slot, exp, order key)
-    coordinates: each word drops trailing D against the exponent."""
-    for w, c in le.num.terms():
-        m = le.exp
-        while m > 0 and w and w[-1] == alg.loc:
-            w, m = w[:-1], m - 1
-        key = (slot, m, alg.order.key(w))
-        nc = out.get(key, 0) + c
-        if nc:
-            out[key] = nc
-        else:
-            del out[key]
-
-
-def reference_column(fmap, t, w, m):
+def reference_column(fmap, t, w, m, key):
     """The probe column of e_t * w D^-m, built the direct way: each entry
-    times w D^-m as a LocalizedElement product, normalized as a whole."""
+    times w D^-m as a LocalizedElement product, normalized as a whole, and
+    keyed as the probe keys slot u's word x D^-exp, by key(u, x, exp)."""
     alg = fmap.alg
     out = {}
     for u, e in enumerate(fmap.entries[t]):
         if not e.is_zero():
-            _coords_of_elt(alg, u, e * LocalizedElement(alg, NCPoly.term(w), m), out)
-    return out
+            le = e * LocalizedElement(alg, NCPoly.term(w), m)
+            for x, c in le.num.terms():
+                k = key(u, x, le.exp)
+                out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 @pytest.mark.parametrize("which, bound, window", [("glq9 psi", 4, 1), ("slql8 cone", 5, 2),
@@ -478,11 +511,13 @@ def test_probe_columns_match_products(which, bound, window, request):
                and not (m and w and w[-1] == alg.loc)]
     assert any(m for _, m in vectors)
     assert (max(f.max_entry_exp() for f in C.maps) > 0) == which.endswith("D^-1")
-    column = _image_columns(C)
+    _, form, key = _image_columns(C)
     for j, fmap in enumerate(C.maps):
         for t in range(fmap.src_rank):
             for w, m in vectors:
-                assert column(j, t, w, m) == reference_column(fmap, t, w, m), (j, t, w, m)
+                c, den = form(j, t, w, m)
+                assert {k: Fraction(n, den) for k, n in c.items()} == \
+                    reference_column(fmap, t, w, m, key), (j, t, w, m)
 
 
 def broken_resolution(g, eps):
@@ -506,6 +541,13 @@ def test_probe_rejects_a_non_complex(glq9, glq9_hopf):
     left = Complex(glq9, "left", C.maps, C.augmentation)
     with pytest.raises(ProbeInvalid, match="right complex"):
         probe_exactness(left, N=4, slack=2, window=1)
+    # no augmentation: position 0 has no kernel to start from
+    import hopfcheck
+    bare = Complex(glq9, "right", C.maps)
+    with pytest.raises(ProbeInvalid, match="augmentation"):
+        hopfcheck.probe_exactness(bare, N=4, slack=2, window=1)
+    with pytest.raises(ProbeInvalid, match="slack"):
+        probe_exactness(C, N=4, slack=-1, window=1)
 
 
 def test_probe_on_a_non_complex_is_a_failed_check(monkeypatch):

@@ -1,5 +1,5 @@
-"""kernel_and_lifts against exact elimination: the same kernel, the same
-membership, exact preimages."""
+"""RowSpaceModP and kernel_and_lifts against exact elimination: the same
+echelon mod P, the same kernel, the same membership, exact preimages."""
 
 from fractions import Fraction
 
@@ -8,12 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcheck.linalg as linalg
-from hopfcheck.linalg import (P, RR_BOUND, RowSpace, int_form, kernel_and_lifts, kernel_basis,
+from hopfcheck.foundation import int_form
+from hopfcheck.linalg import (P, RR_BOUND, RowSpace, RowSpaceModP, kernel_and_lifts, kernel_basis,
                               rational_reconstruction, residues)
 
 # dyadic denominators, as the powers of q in the probe, and odd ones
 DENOMINATORS = [1, 2, 4, 8, 1024, 3, 5, 7, 9, 2**40 * 3]
 coefficients = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(DENOMINATORS))
+
+
+def vec_add(v, w, c):
+    """v + c*w, sparse."""
+    out = dict(v)
+    for k, x in w.items():
+        out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def sparse_vectors(keys, max_size):
@@ -35,26 +44,28 @@ def lift_problems(draw):
             for label, vec in columns[:draw(st.integers(1, n))]:
                 c = draw(coefficients)
                 if c:
-                    target = linalg.vec_add(target, vec, c)
+                    target = vec_add(target, vec, c)
         else:
             target = draw(sparse_vectors(keys, 5))
         targets.append(target)
     return columns, draw(st.integers(0, n)), targets
 
 
-def echelon(columns, targets, split=0, asked=None):
+def echelon(columns, targets, split=0, asked=None, rest=None):
     """kernel_and_lifts over Fraction columns, whose residues and integer
-    forms are taken here; ``asked`` records the labels whose residues are
-    requested, in order."""
+    forms are taken here, the first ``split`` of them the kernel domain;
+    ``asked`` records the labels whose residues are requested, in order,
+    and ``rest`` replaces the iterable of the other labels."""
     forms = {label: int_form(vec) for label, vec in columns}
+    labels = [label for label, _ in columns]
     asked = [] if asked is None else asked
 
     def residues_of(label):
         asked.append(label)
         return residues(*forms[label], {})
 
-    return kernel_and_lifts([label for label, _ in columns], split, residues_of,
-                            forms.__getitem__, targets)
+    return kernel_and_lifts(labels[:split], iter(labels[split:]) if rest is None else rest,
+                            residues_of, forms.__getitem__, targets)
 
 
 def exact_answers(columns, targets):
@@ -68,7 +79,7 @@ def image(columns, beta):
     images = dict(columns)
     out = {}
     for label, c in beta.items():
-        out = linalg.vec_add(out, images[label], c)
+        out = vec_add(out, images[label], c)
     return out
 
 
@@ -102,6 +113,29 @@ def test_certified_lifts_agree_with_exact(problem):
     needed = [columns_needed(columns, t) for t in targets]
     stop = len(columns) if None in needed else max([split] + needed)
     assert asked == [label for label, _ in columns[:stop]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lift_problems())
+def test_modular_echelon_is_the_residue_of_the_exact_one(problem):
+    """Fed the same columns (denominators prime to P), RowSpace and
+    RowSpaceModP choose the same pivots, and each stored tail, combination
+    and dependency of the modular echelon is the residue of the exact one."""
+    columns, _, _ = problem
+
+    def mod_p(vec):
+        return residues(*int_form(vec), {})
+
+    exact, modular = RowSpace(), RowSpaceModP()
+    for label, vec in columns:
+        dep = exact.insert(vec, label)
+        mod_dep = modular.insert(mod_p(vec), label)
+        assert (mod_dep is None) == (dep is None)
+        if dep is not None:
+            assert mod_dep == mod_p(dep)
+    assert modular.pivots == exact.pivots
+    assert modular.rows == [mod_p(row) for row in exact.rows]
+    assert modular.combos == [mod_p(combo) for combo in exact.combos]
 
 
 def counting(monkeypatch, owner, name):
@@ -303,3 +337,35 @@ def test_rational_reconstruction_is_small_or_none(a):
     if x is not None:
         assert abs(x.numerator) <= RR_BOUND and x.denominator <= RR_BOUND
         assert x.numerator * pow(x.denominator, -1, P) % P == a
+
+
+class Recording:
+    """An iterator over labels that records each label drawn from it."""
+
+    def __init__(self, labels):
+        self.labels, self.drawn = iter(labels), []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        label = next(self.labels)
+        self.drawn.append(label)
+        return label
+
+
+def test_rest_is_drawn_lazily_and_drained_by_the_fallback(monkeypatch):
+    """No label past the last one a lift needs is drawn from ``rest``; the
+    exact fallback reads the labels drawn and drains the rest."""
+    late = {0: Fraction(1, 2), 1: Fraction(3), 2: Fraction(1), 3: Fraction(5, 7)}  # a + d
+    rest = Recording(LABELS[2:])
+    kernel, lifts = echelon(LATE, [late], 2, rest=rest)
+    assert rest.drawn == LABELS[2:4] and lifts == [{"a": 1, "d": 1}]
+    # a / P has no residues, so it goes to the exact fallback
+    calls = counting(monkeypatch, RowSpace, "express")
+    asked, rest = [], Recording(LABELS[2:])
+    by_p = {0: Fraction(1, 2 * P), 1: Fraction(3, P)}
+    kernel, lifts = echelon(LATE, [late, by_p], 2, asked, rest=rest)
+    assert asked == LABELS[:4] and rest.drawn == LABELS[2:]
+    assert calls == [by_p]
+    assert lifts == [{"a": 1, "d": 1}, {"a": Fraction(1, P)}] == exact_answers(LATE, [late, by_p])
