@@ -477,23 +477,30 @@ def _check_slq(run):
     return _verdict(_first_failing(reps), {})
 
 
+def _probe_verdict(pr, failure, extras):
+    """(status, witnesses, details) of a probe report; one that found no
+    cycle (e.g. N - slack < 0: no kernel domain) is uncertified."""
+    if not any(p["cycles_found"] for p in pr["positions"]):
+        return "uncertified", [f"no cycle checked: no position found a cycle of degree "
+                               f"<= N - slack = {pr['N'] - pr['slack']}"], extras
+    if not pr["ok"]:
+        return "fail", [failure], extras
+    return "pass", [], extras
+
+
 def _check_cone(run):
     lc = laurent_cone(run.hopf(run.slql))
     rep = lc["cone"].is_complex()
     if not lc["report"]["ok"] or not rep["ok"]:
         return "fail", _fails_to_witnesses(rep["failures"]), {}
     pr = probe_exactness(lc["cone"], N=min(run.N, 5), slack=run.slack, window=run.window)
-    if not pr["ok"]:
-        return "fail", ["cone probe lift failure"], {"probe": pr["positions"]}
-    return "pass", [], {"probe": pr["positions"]}
+    return _probe_verdict(pr, "cone probe lift failure", {"probe": pr["positions"]})
 
 
 def _check_probe(run):
     pr = probe_exactness(run.resolution, N=run.N, slack=run.slack, window=run.window)
-    extras = {"positions": pr["positions"], "lift_window": pr["lift_window"]}
-    if not pr["ok"]:
-        return "fail", ["lift failure; see positions"], extras
-    return "pass", [], extras
+    return _probe_verdict(pr, "lift failure; see positions",
+                          {"positions": pr["positions"], "lift_window": pr["lift_window"]})
 
 
 def _check_cohomology(run):

@@ -13,7 +13,7 @@ from itertools import count
 from .errors import (ExceedsCertifiedDegree, IdentityFailed, NotInvertible, NotSquare,
                      ProbeInvalid)
 from .foundation import Mat, NCPoly, combine
-from .hopf import LocalizedElement, glq_slq_laurent_iso, nakayama_nu, sandwich
+from .hopf import LocalizedElement, glq_slq_laurent_iso, sandwich
 from .linalg import kernel_and_lifts, kernel_basis, residues
 
 ONE = Fraction(1)
@@ -211,7 +211,7 @@ def gamma_maps(alg):
     k = ["k"]
 
     g1 = FreeModuleMap(alg, "right",
-                       [[alg.elt(NCPoly.one() if i == j else NCPoly.zero())]
+                       [[alg.one() if i == j else alg.zero()]
                         for i in range(n) for j in range(n)], vv, k, name="γ1")
     g2 = FreeModuleMap(alg, "right",
                        [[alg.u_elt(i, j)] for i in range(n) for j in range(n)],
@@ -219,7 +219,7 @@ def gamma_maps(alg):
     g3u = {(i, ll): alg.elt(sandwich(I, Bt, i, ll)) for i in range(n) for ll in range(n)}
     g3 = _vv_map(alg, lambda i, j, kk, ll: Binv[j, kk] * g3u[i, ll], "γ3")
     g4 = FreeModuleMap(alg, "right",
-                       [[alg.elt(NCPoly.term((), AtB[i, j])) for i in range(n) for j in range(n)]],
+                       [[AtB[i, j] * alg.one() for i in range(n) for j in range(n)]],
                        k, vv, name="γ4")
     g5 = FreeModuleMap(alg, "right",
                        [[alg.elt(sandwich(A, Bt, i, j)) for i in range(n) for j in range(n)]],
@@ -258,7 +258,7 @@ def left_gamma_maps(g):
         "g1": g["g1"],
         "g2": FreeModuleMap(alg, "right", [[alg.u_elt(j, i)] for i, j in pairs], vv, ["k"]),
         "g3": _vv_map(alg, lambda i, j, k, l: Ainv[k, j] * g3u[l, i], "γ3'"),
-        "g4": FreeModuleMap(alg, "right", [[alg.elt(NCPoly.term((), ABt[j, i])) for i, j in pairs]],
+        "g4": FreeModuleMap(alg, "right", [[ABt[j, i] * alg.one() for i, j in pairs]],
                             ["k"], vv),
         "g5": FreeModuleMap(alg, "right", [[alg.elt(sandwich(At, B, j, i)) for i, j in pairs]],
                             ["k"], vv),
@@ -422,14 +422,14 @@ def build_twist_chainmap(dual, left, H):
     alg = dual.alg
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
-    nu, eta = nakayama_nu(H)
+    nu, eta = H.nakayama_nu
+    one = alg.one()
 
     def scalar(c):
-        return [[alg.elt(NCPoly.term((), c))]]
+        return [[c * one]]
 
     def block(sgn):  # e_ij -> sgn * sum_pq B_pi A_qj e_pq
-        return [[alg.elt(NCPoly.term((), sgn * B[p, i] * A[q, j]))
-                 for p in range(n) for q in range(n)]
+        return [[(sgn * B[p, i] * A[q, j]) * one for p in range(n) for q in range(n)]
                 for i in range(n) for j in range(n)]
 
     Q = _DUAL_LAYOUTS
@@ -440,7 +440,7 @@ def build_twist_chainmap(dual, left, H):
                     Q[2], Q[2], "f2")
     f1 = _block_map(alg, "left", {("k", "k"): scalar(ONE), ("vv", "vv"): block(ONE)},
                     Q[3], Q[3], "f1")
-    f0 = identity_map(alg, "left", 1)
+    f0 = FreeModuleMap(alg, "left", scalar(ONE), name="f0")
 
     cm = ChainMap(dual, left, [f4, f3, f2, f1, f0], twist=nu, name="f")
     report = cm.verify_squares()

@@ -56,6 +56,7 @@ class PresentedAlgebra:
         self.sigma_inv_images = sigma_inv_images
         self.mats = mats or {}
         self._sigma_cache = {}
+        self._normal_nums = {}  # generator, or None for 1 -> its normal form
 
     @cached_property
     def invariants(self):
@@ -102,16 +103,24 @@ class PresentedAlgebra:
     # -- element constructors --------------------------------------------------
 
     def elt(self, p, exp=0):
-        return LocalizedElement(self, self.rs.normal_form(p), exp)
+        return LocalizedElement(self, self.rs.normal_form(p), exp, normal=True)
+
+    def _normal_num(self, g):
+        """The normal form of generator g, or of 1 for g None, taken once."""
+        hit = self._normal_nums.get(g)
+        if hit is None:
+            hit = self._normal_nums[g] = self.rs.normal_form(
+                NCPoly.one() if g is None else NCPoly.gen(g))
+        return hit
 
     def one(self):
-        return self.elt(NCPoly.one())
+        return LocalizedElement(self, self._normal_num(None), 0, normal=True)
 
     def zero(self):
         return LocalizedElement(self, NCPoly.zero(), 0)
 
     def gen_elt(self, g):
-        return self.elt(NCPoly.gen(g))
+        return LocalizedElement(self, self._normal_num(g), 0, normal=True)
 
     def u_elt(self, i, j):
         return self.gen_elt(self.u_idx(i, j))
@@ -126,11 +135,15 @@ class PresentedAlgebra:
 
 
 class LocalizedElement:
-    """p * D^-m with p in normal form over the D-positive subalgebra."""
+    """p * D^-m with p in normal form over the D-positive subalgebra.
 
-    __slots__ = ("alg", "num", "exp")
+    ``normal``: num came out of a normal form (or is a multiple of one that
+    did); unset on an element built from a raw polynomial.
+    """
 
-    def __init__(self, alg, num, exp):
+    __slots__ = ("alg", "num", "exp", "normal")
+
+    def __init__(self, alg, num, exp, normal=False):
         assert exp >= 0
         if alg.loc is None:
             assert exp == 0
@@ -144,6 +157,7 @@ class LocalizedElement:
         self.alg = alg
         self.num = num
         self.exp = exp
+        self.normal = normal
 
     def is_zero(self):
         return self.num.is_zero()
@@ -155,7 +169,7 @@ class LocalizedElement:
     @staticmethod
     def combine(alg, den, parts):
         """The sum of n/den * t over parts [(n, t), ...] of localized
-        elements of alg, with one normal form.
+        elements of alg, with at most one normal form.
 
         Every nonzero term is padded to the largest exponent m (p D^-e =
         p D^(m-e) D^-m), the padded numerators are combined and the sum is
@@ -163,16 +177,21 @@ class LocalizedElement:
         after the addition: a word whose coefficient cancels is not guarded,
         which is sound because the addition is exact in the free algebra,
         so the cancelled word is no part of what is reduced.
+
+        Known-normal terms that need no padding sum to a combination of
+        normal words, their own normal form, so none is taken.
         """
         parts = [(n, t) for n, t in parts if t.num.c]
         if not parts:
             return alg.zero()
         m = max(t.exp for _, t in parts)
-        forms = []
-        for n, t in parts:
-            pad = (alg.loc,) * (m - t.exp)
-            forms.append((n, ({w + pad: x for w, x in t.num.c.items()}, t.num.den)))
-        return LocalizedElement(alg, alg.rs.normal_form(NCPoly.of(*combine(den, forms))), m)
+        forms = [(n, (t.num.c, t.num.den) if t.exp == m else
+                  ({w + (alg.loc,) * (m - t.exp): x for w, x in t.num.c.items()}, t.num.den))
+                 for n, t in parts]
+        p = NCPoly.of(*combine(den, forms))
+        if not all(t.normal and t.exp == m for _, t in parts):
+            p = alg.rs.normal_form(p)
+        return LocalizedElement(alg, p, m, normal=True)
 
     @staticmethod
     def sum_of_products(alg, pairs):
@@ -210,7 +229,7 @@ class LocalizedElement:
             pad, den = (loc,) * (m - x.exp - y.exp), x.num.den * q.den
             forms.extend((c, ({w + v + pad: cc for v, cc in q.c.items()}, den))
                          for w, c in x.num.c.items())
-        return LocalizedElement(alg, rs.reduce(NCPoly.of(*combine(1, forms))), m)
+        return LocalizedElement(alg, rs.reduce(NCPoly.of(*combine(1, forms))), m, normal=True)
 
     def __add__(self, other):
         assert self.alg is other.alg
@@ -220,10 +239,10 @@ class LocalizedElement:
         return self + (-1) * other
 
     def __neg__(self):
-        return LocalizedElement(self.alg, -self.num, self.exp)
+        return LocalizedElement(self.alg, -self.num, self.exp, self.normal)
 
     def __rmul__(self, c):
-        return LocalizedElement(self.alg, c * self.num, self.exp)
+        return LocalizedElement(self.alg, c * self.num, self.exp, self.normal)
 
     def __mul__(self, other):
         if not isinstance(other, LocalizedElement):
@@ -232,7 +251,8 @@ class LocalizedElement:
         alg = self.alg
         # (p D^-m)(q D^-l) = p sigma^-m(q) D^-(m+l)
         q = alg.sigma_poly(other.num, -self.exp) if self.exp else other.num
-        return LocalizedElement(alg, alg.rs.normal_form(self.num * q), self.exp + other.exp)
+        return LocalizedElement(alg, alg.rs.normal_form(self.num * q), self.exp + other.exp,
+                                normal=True)
 
     def __pow__(self, k):
         assert k >= 0
@@ -368,7 +388,7 @@ class TensorElt:
         assert self.arity() == 1
         alg = self.algs[0]
         p = NCPoly.of({ws[0]: n for ws, n in self.tp.c.items()}, self.tp.den)
-        return LocalizedElement(alg, alg.rs.normal_form(p), self.exps[0])
+        return LocalizedElement(alg, alg.rs.normal_form(p), self.exps[0], normal=True)
 
     def mul_slots(self):
         """Multiply the two slots of an arity-2 tensor over one algebra.
@@ -383,7 +403,7 @@ class TensorElt:
         images = [(n, w1, alg.sigma_word(w2, -e)) for (w1, w2), n in self.tp.c.items()]
         p = NCPoly.of(*combine(self.tp.den, [
             (n, ({w1 + v: x for v, x in s.c.items()}, s.den)) for n, w1, s in images]))
-        return LocalizedElement(alg, alg.rs.normal_form(p), e + self.exps[1])
+        return LocalizedElement(alg, alg.rs.normal_form(p), e + self.exps[1], normal=True)
 
 
 def apply_slot(te, slot, f):
@@ -418,9 +438,10 @@ def apply_slot(te, slot, f):
 class _GeneratorMap:
     """A map given by its images of the source's generators.
 
-    apply_word multiplies the images (in reverse order when variance is -1)
-    starting from the subclass's unit, apply_poly extends linearly with one
-    sum.  A subclass gives its unit, its _combine, apply_loc (the image of
+    apply_word multiplies the images (in reverse order when variance is -1),
+    from _first(first letter), or the unit for the empty word; apply_poly
+    scales a word's image or extends linearly with one sum.
+    A subclass gives its unit, its _combine, apply_loc (the image of
     p * D^-m) and the witness respects_relations reports for a relation it
     does not kill.  A map never changes, so its verdict is kept.
     """
@@ -438,13 +459,22 @@ class _GeneratorMap:
     def apply_word(self, word):
         hit = self._word_cache.get(word)
         if hit is None:
-            hit = self._unit()
-            for g in (reversed(word) if self.variance < 0 else word):
+            letters = word[::-1] if self.variance < 0 else word
+            hit = self._first(letters[0]) if letters else self._unit()
+            for g in letters[1:]:
                 hit = hit * self.images[g]
             self._word_cache[word] = hit
         return hit
 
+    def _first(self, g):
+        """unit * images[g], which is images[g] itself for a scalar or a tensor."""
+        return self.images[g]
+
     def apply_poly(self, p):
+        if len(p.c) == 1:
+            (w, n), = p.c.items()
+            c = n if p.den == 1 else Fraction(n, p.den)
+            return self.apply_word(w) if c == 1 else c * self.apply_word(w)
         return self._combine(p.den, [(n, self.apply_word(w)) for w, n in p.c.items()])
 
     def respects_relations(self):
@@ -508,6 +538,10 @@ class AlgebraMap(_GeneratorMap):
     def _unit(self):
         return self.targets[0].one()
 
+    def _first(self, g):
+        img = self.images[g]
+        return img if img.normal else self._unit() * img
+
     def _combine(self, den, parts):
         return LocalizedElement.combine(self.targets[0], den, parts)
 
@@ -561,13 +595,24 @@ class DeltaMap(_GeneratorMap):
 
 
 class HopfStructure:
-    """Δ, ε and S of the Hopf algebra alg, which does not point back at them."""
+    """Δ, ε and S of the Hopf algebra alg, which does not point back at them,
+    and the maps derived from them, each built once on first use."""
 
     def __init__(self, alg, delta, eps, antipode):
         self.alg = alg
         self.delta = delta
         self.eps = eps
         self.antipode = antipode
+
+    @cached_property
+    def antipode_squared(self):
+        """S∘S."""
+        return self.antipode.then(self.antipode)
+
+    @cached_property
+    def nakayama_nu(self):
+        """(ν, η) of nakayama_nu, for a G(A,B) structure."""
+        return nakayama_nu(self)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +864,7 @@ def antipode_squared_sovereign(H):
     A, B = alg.mats["A"], alg.mats["B"]
     lam = alg.invariants["lambda"]
     S = H.antipode
-    S2 = S.then(S)
+    S2 = H.antipode_squared
     n = alg.n
     failures = []
 
@@ -893,11 +938,11 @@ def nakayama_G(H):
     Q = B.transpose() * B.inverse()
     eps = H.eps
     S = H.antipode
-    S2 = S.then(S)
+    S2 = H.antipode_squared
 
     mu = conj_map(alg, P, Q, "μ")
     mu_inv = conj_map(alg, P.inverse(), Q.inverse(), "μ^-1")
-    nu, eta = nakayama_nu(H)
+    nu, eta = H.nakayama_nu
 
     failures = []
     for m_, label in ((mu, "mu"), (mu_inv, "mu_inv"), (nu, "nu")):

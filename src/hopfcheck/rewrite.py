@@ -16,9 +16,10 @@ import hashlib
 import json
 from bisect import insort
 from heapq import heappop, heappush
+from math import lcm
 
 from .errors import ExceedsCertifiedDegree, NoRelations, UnitCollapse
-from .foundation import MonomialOrder, NCPoly, combine, frac, frac_str, lowest_terms
+from .foundation import MonomialOrder, NCPoly, combine, frac_str, lowest_terms
 
 # trie key under which a node lists the serials of the leads ending there;
 # letters are generator indices, so never negative
@@ -360,15 +361,28 @@ class RewriteSystem:
 
     @classmethod
     def from_dict(cls, d):
+        """The system of a to_dict payload; ValueError or TypeError on a
+        coefficient that is not a string "p/q" with q > 0."""
         order = MonomialOrder.from_dict(d["order"])
-        rules = [
-            RewriteRule(
-                tuple(r["lead"]),
-                NCPoly({tuple(t["word"]): frac(t["coeff"]) for t in r["tail"]}),
-            )
-            for r in d["rules"]
-        ]
+        rules = [RewriteRule(tuple(r["lead"]), _parse_tail(r["tail"])) for r in d["rules"]]
         return cls(order, rules, d["certified_degree"], d.get("collapsed", False))
+
+
+def _parse_tail(terms):
+    """The NCPoly of [{"word": w, "coeff": "p/q"}, ...], in integer form
+    over the lcm of the q, built with int alone."""
+    parsed = []
+    for t in terms:
+        coeff = t["coeff"]
+        if not isinstance(coeff, str):
+            raise TypeError(f"coefficient {coeff!r} is not a string")
+        p, q = coeff.split("/")
+        p, q = int(p), int(q)
+        if q <= 0:
+            raise ValueError(f"coefficient {coeff!r} has a denominator <= 0")
+        parsed.append((tuple(t["word"]), p, q))
+    den = lcm(*(q for _, _, q in parsed))
+    return NCPoly.of(*lowest_terms({w: p * (den // q) for w, p, q in parsed if p}, den))
 
 
 def _interreduce(reducer, keys):

@@ -150,6 +150,26 @@ def test_cache_version_mismatch(tmp_path, slq6):
         cache.load(key, relations)
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "-3/-1", "1/2/3", "one/2", "1.5/2", "3", "", 3, None])
+def test_malformed_cache_coefficient_is_a_bad_payload(tmp_path, slq6, coeff):
+    """An entry whose hash matches but whose coefficient is not a string
+    "p/q" with integers p and q > 0 is CacheCorrupt, as a bad payload, not a
+    traceback."""
+    from hopfcheck.rewrite import content_hash
+    cache = GBCache(str(tmp_path))
+    relations = [r.poly() for r in slq6.rs.rules]
+    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
+    path = cache.store(key, slq6.rs, relations)
+    with open(path) as fh:
+        blob = json.load(fh)
+    blob["payload"]["rules"][0]["tail"][0]["coeff"] = coeff
+    blob["hash"] = content_hash(blob["payload"])
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    with pytest.raises(CacheCorrupt, match="bad payload"):
+        cache.load(key, relations)
+
+
 def test_cached_run_matches_fresh(tmp_path):
     cfg = small_config(checks=["invariants", "resolution"],
                        cache_dir=str(tmp_path))
@@ -426,6 +446,49 @@ def test_n3seed_run_builds_one_hopf_structure(monkeypatch):
     assert eps is H.eps
 
 
+# the check list of perfbench's n3-warm workload
+N3_WARM_CHECKS = ["invariants", "hopf", "nakayama", "resolution", "gamma", "dual", "twist",
+                  "cohomology"]
+
+
+def _n3_warm():
+    with open(os.path.join(CONFIGS, "n3seed.json")) as fh:
+        return json.load(fh) | {"checks": N3_WARM_CHECKS}
+
+
+def test_run_reduces_each_sum_once(monkeypatch):
+    """The n3-warm check list on seed 12345 takes no normal form of what is
+    known to be normal: sums of known-normal elements at one exponent, 1,
+    the generators and one-term images skip it.  It makes at most 2,700
+    RewriteSystem.reduce calls, against 4,845 when every sum was reduced."""
+    calls = _recording(monkeypatch, rewrite.RewriteSystem, "reduce")
+    _, code = run_config(_n3_warm())
+    assert code == 0
+    assert len(calls) <= 2700
+
+
+def test_hopf_structure_builds_each_derived_map_once(monkeypatch):
+    """S∘S and (ν, η) live on the Hopf structure: an n3-warm run composes S
+    with itself once and builds ν once, although hopf, nakayama and twist
+    all read them."""
+    import hopfcheck.hopf as hopf
+    composed = []
+    real_then = hopf.AlgebraMap.then
+
+    def then(self, outer):
+        composed.append((self, outer))
+        return real_then(self, outer)
+
+    monkeypatch.setattr(hopf.AlgebraMap, "then", then)
+    nus = _recording(monkeypatch, hopf, "nakayama_nu")
+    structures = _recording(monkeypatch, cli, "hopf_structure")
+    _, code = run_config(_n3_warm())
+    assert code == 0
+    (_, H), = structures
+    assert [(s, o) for s, o in composed if s is o] == [(H.antipode, H.antipode)]
+    assert len(nus) == 1 and nus[0][0] == (H,)
+
+
 def test_equal_objects_share_one_algebra(monkeypatch):
     """A conjugator that fixes (A,B) makes (C,D) = (A,B): the four C(x,y) are
     one presentation, built and completed once."""
@@ -503,6 +566,23 @@ def test_gb_below_the_relation_weight_is_uncertified(tmp_path, capsys):
     assert os.listdir(tmp_path / "cache") == []
     rep, code = run_config(cfg)
     assert code == 2 and [c["status"] for c in rep["checks"]] == ["uncertified"]
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_probe_of_no_cycle_is_uncertified(N):
+    """GL_q(2), q = 2, at degree 6 with slack 2: at N = 1 the kernel domain
+    (degree <= N - slack) is empty, and at N = 2 it holds no cycle, so every
+    position of probe and cone finds 0 cycles.  Neither checked anything, so
+    both are uncertified, with a witness that says so, not pass."""
+    rep, code = run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
+                            "probe": {"N": N, "slack": 2}, "checks": ["cone", "probe"]})
+    assert code == 2
+    for check in rep["checks"]:
+        assert check["status"] == "uncertified"
+        assert check["witnesses"] == [f"no cycle checked: no position found a cycle of "
+                                      f"degree <= N - slack = {N - 2}"]
+        positions = check["details"].get("positions") or check["details"]["probe"]
+        assert [p["cycles_found"] for p in positions] == [0] * 5
 
 
 def test_run_leaves_no_cyclic_garbage():

@@ -341,6 +341,33 @@ def test_twist_fails_on_a_singular_or_non_scalar_vertical(entry, witness, monkey
     assert check["witnesses"] == [witness]
 
 
+@pytest.mark.parametrize("entry, witness", [("zero", "('f0', 'inverse')"),
+                                             ("a", "('f0', 'not scalar')")])
+def test_twist_names_f0_in_its_failures(entry, witness, monkeypatch):
+    """f0, the last vertical, replaced as f4 is above: its bijectivity
+    failure is named f0, not id."""
+    import hopfcheck.cli as cli
+    import hopfcheck.complexes as complexes
+    real = complexes.ChainMap
+
+    class Replaced(real):
+        def __init__(self, top, bottom, verticals, twist=None, name=""):
+            alg = top.alg
+            value = alg.zero() if entry == "zero" else alg.gen_elt(0)
+            f0 = FreeModuleMap(alg, "left", [[value]], name=verticals[-1].name)
+            super().__init__(top, bottom, verticals[:-1] + [f0], twist, name)
+
+        def verify_squares(self):
+            return {"ok": True, "failures": []}
+
+    monkeypatch.setattr(complexes, "ChainMap", Replaced)
+    rep, code = cli.run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
+                                "checks": ["twist"]})
+    (check,) = rep["checks"]
+    assert code == 1 and check["status"] == "fail"
+    assert check["witnesses"] == [witness]
+
+
 def test_probe_trivial_witnesses(glq9, glq9_hopf):
     C = psi(glq9_hopf)
     psi1 = C.maps[3]

@@ -1,0 +1,209 @@
+"""Known-normal elements against the full normal-form path.
+
+An element whose numerator came out of a normal form carries the
+``normal`` bit, and the Hopf layer then skips the normal forms it would
+only repeat: sums of such elements at one exponent, the memoized 1 and
+generators, one-term images under a generator map and the first letter of
+a word's image.  Each shortcut must give what the normal form gives: the
+same numerator, coefficient for coefficient and key for key in the same
+order, and the same exponent.  The references below are the code paths
+that take every normal form.
+"""
+
+import functools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hopfcheck.foundation import NCPoly, combine
+from hopfcheck.hopf import (
+    AlgebraMap,
+    LocalizedElement,
+    TensorElt,
+    apply_slot,
+    build_gab,
+    build_glq,
+    build_slq_laurent,
+    hopf_structure,
+    seeded_pair,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _alg(name):
+    """GL_q(2) at degree 6, the seeded n = 2 G(A,B) at degree 6 (σ not the
+    identity) and O(SL_q(2))[z^±1] at degree 8."""
+    if name == "glq":
+        return build_glq(2, 6)
+    if name == "gab2":
+        return build_gab(*seeded_pair(1, n=2), 6, name="G(A2,B2)")
+    return build_slq_laurent(2, 8)
+
+
+@functools.lru_cache(maxsize=None)
+def _hopf(name):
+    return hopf_structure(_alg(name))
+
+
+ALGS = ["glq", "gab2", "slql8"]
+COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+                          Fraction(1, 2), Fraction(-2, 3)])
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+
+def _words(alg, max_weight):
+    return st.lists(st.integers(0, alg.ngens() - 1), max_size=max_weight).map(tuple).filter(
+        lambda w: alg.order.weight(w) <= max_weight)
+
+
+def _raw(alg, max_weight, max_exp):
+    """An element built from a random, mostly unreduced numerator."""
+    return st.builds(lambda d, e: LocalizedElement(alg, NCPoly(d), e),
+                     st.dictionaries(_words(alg, max_weight), COEFFS, max_size=4),
+                     st.integers(0, max_exp))
+
+
+# -- the full normal-form references ---------------------------------------------
+
+def _ref_combine(alg, den, parts):
+    """LocalizedElement.combine as it was, with a normal form on every sum."""
+    parts = [(n, t) for n, t in parts if t.num.c]
+    if not parts:
+        return alg.zero()
+    m = max(t.exp for _, t in parts)
+    forms = [(n, ({w + (alg.loc,) * (m - t.exp): x for w, x in t.num.c.items()}, t.num.den))
+             for n, t in parts]
+    return LocalizedElement(alg, alg.rs.normal_form(NCPoly.of(*combine(den, forms))), m)
+
+
+def _ref_word(f, word):
+    """The image of word under a generator map: the unit times every image."""
+    acc = f._unit()
+    for g in (reversed(word) if f.variance < 0 else word):
+        acc = acc * f.images[g]
+    return acc
+
+
+def _ref_poly(f, p):
+    parts = [(n, _ref_word(f, w)) for w, n in p.c.items()]
+    if isinstance(f, AlgebraMap):
+        return _ref_combine(f.targets[0], p.den, parts)
+    return f._combine(p.den, parts)
+
+
+def _same(got, want):
+    """Equal representations, key order included."""
+    if isinstance(want, LocalizedElement):
+        assert (list(got.num.c.items()), got.num.den, got.exp) == \
+            (list(want.num.c.items()), want.num.den, want.exp)
+    elif isinstance(want, TensorElt):
+        assert (got.algs, got.exps, list(got.tp.c.items()), got.tp.den) == \
+            (want.algs, want.exps, list(want.tp.c.items()), want.tp.den)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def _is_normal_form(le):
+    """le is 0 or carries the bit, and its numerator is its own normal form."""
+    assert le.normal or le.is_zero()
+    _same(le, LocalizedElement(le.alg, le.alg.rs.normal_form(le.num), le.exp))
+
+
+# -- the shortcuts -----------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ALGS)
+def test_memoized_one_and_generators_are_their_normal_forms(name):
+    alg = _alg(name)
+    for le, p in [(alg.one(), NCPoly.one())] + [(alg.gen_elt(g), NCPoly.gen(g))
+                                                for g in range(alg.ngens())]:
+        _same(le, LocalizedElement(alg, alg.rs.normal_form(p), 0))
+        _is_normal_form(le)
+    assert alg.one().num is alg.one().num
+
+
+@pytest.mark.parametrize("name", ALGS)
+@SETTINGS
+@given(data=st.data())
+def test_sums_of_known_normal_terms_match_the_normal_form(name, data):
+    """Known-normal terms at one exponent are added without a normal form,
+    mixed exponents and raw terms take one; every sum is the reference's."""
+    alg = _alg(name)
+    e = data.draw(st.integers(0, 2))
+    nums = data.draw(st.lists(st.dictionaries(_words(alg, 2), COEFFS, max_size=4),
+                              min_size=1, max_size=5))
+    terms = [alg.elt(NCPoly(d), e) for d in nums]
+    coeffs = data.draw(st.lists(st.sampled_from([1, -1, 2, -3]), min_size=len(terms),
+                                max_size=len(terms)))
+    den = data.draw(st.integers(1, 4))
+    parts = list(zip(coeffs, terms))
+    got = LocalizedElement.combine(alg, den, parts)
+    _same(got, _ref_combine(alg, den, parts))
+    _is_normal_form(got)
+    raw = data.draw(_raw(alg, 2, 2))
+    _same(LocalizedElement.combine(alg, den, parts + [(1, raw)]),
+          _ref_combine(alg, den, parts + [(1, raw)]))
+    a, b = terms[0], terms[-1]
+    for got, want in [(a + b, _ref_combine(alg, 1, [(1, a), (1, b)])),
+                      (a - b, _ref_combine(alg, 1, [(1, a), (-1, b)])),
+                      (-a, _ref_combine(alg, 1, [(-1, a)])),
+                      (Fraction(-2, 3) * a, _ref_combine(alg, 3, [(-2, a)]))]:
+        _same(got, want)
+        _is_normal_form(got)
+
+
+@pytest.mark.parametrize("name", ALGS)
+@SETTINGS
+@given(data=st.data())
+def test_generator_map_images_match_the_normal_form(name, data):
+    """apply_word from the first image and apply_poly of one term, for S, ε
+    and Δ, against the unit times every image and the full sum."""
+    alg = _alg(name)
+    H = _hopf(name)
+    word = data.draw(_words(alg, 3))
+    c = data.draw(COEFFS)
+    for f in (H.antipode, H.eps, H.delta):
+        _same(f.apply_word(word), _ref_word(f, word))
+        p = NCPoly.term(word, c)
+        _same(f.apply_poly(p), _ref_poly(f, p))
+        q = NCPoly({word: c, (): Fraction(1, 2)})
+        _same(f.apply_poly(q), _ref_poly(f, q))
+    _is_normal_form(H.antipode.apply_word(word))
+    _is_normal_form(H.antipode.apply_poly(NCPoly.term(word, c)))
+
+
+@pytest.mark.parametrize("name", ALGS)
+@SETTINGS
+@given(data=st.data())
+def test_raw_built_elements_never_carry_the_bit(name, data):
+    """An element built from a raw polynomial, and its multiples and
+    negation, has the bit unset; a map whose images are raw normal-forms
+    its first image."""
+    alg = _alg(name)
+    raw = data.draw(_raw(alg, 3, 2))
+    for le in (raw, -raw, 2 * raw, alg.loc_inv_elt()):
+        assert not le.normal
+    # the generators with unreduced numerators: lead - tail of a rule added
+    rule = alg.rs.rules[0].poly()
+    images = [LocalizedElement(alg, NCPoly.gen(g) + rule, 0) for g in range(alg.ngens())]
+    assert not any(img.normal for img in images)
+    f = AlgebraMap(alg, alg, images, 1, alg.loc_inv_elt(), name="raw id")
+    word = data.draw(_words(alg, 3))
+    got = f.apply_word(word)
+    _same(got, _ref_word(f, word))
+    _same(got, alg.elt(NCPoly.term(word)))
+    _is_normal_form(got)
+
+
+@pytest.mark.parametrize("name", ALGS)
+def test_tensor_exits_and_products_are_known_normal(name):
+    alg = _alg(name)
+    H = _hopf(name)
+    for g in range(alg.ngens()):
+        te = H.delta.images[g]
+        _is_normal_form(apply_slot(te, 1, H.eps).to_loc())
+        _is_normal_form(apply_slot(te, 0, H.antipode).mul_slots())
+        _is_normal_form(alg.gen_elt(g) * alg.gen_elt(g))
+        _is_normal_form(LocalizedElement.sum_of_products(
+            alg, [(alg.gen_elt(g), alg.one()), (alg.one(), alg.gen_elt(g))]))

@@ -178,6 +178,31 @@ def test_serialization_roundtrip_and_determinism(slq6):
     assert blob1 == blob2
 
 
+_TAILS = st.lists(st.tuples(st.lists(st.integers(0, 3), max_size=3).map(tuple),
+                            st.integers(-50, 50), st.integers(1, 60)),
+                  max_size=6, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tails=st.lists(_TAILS, min_size=1, max_size=3))
+def test_from_dict_parses_coefficients_as_fraction_does(tails):
+    """Each "p/q" is parsed with int into the tail's integer form over the
+    lcm of the q, in lowest terms: the coefficients, their key order and the
+    denominator are those of parsing every coefficient as a Fraction, also
+    for a p/q not in lowest terms and for a zero coefficient."""
+    payload = {
+        "version": 1, "order": MonomialOrder([1, 1, 1, 1]).to_dict(), "certified_degree": 4,
+        "collapsed": False,
+        "rules": [{"lead": [3, 3, 3, i], "tail": [{"word": list(w), "coeff": f"{p}/{q}"}
+                                               for w, p, q in tail]}
+                  for i, tail in enumerate(tails)],
+    }
+    rs = RewriteSystem.from_dict(payload)
+    for rule, r in zip(rs.rules, payload["rules"]):
+        want = NCPoly({tuple(t["word"]): Fraction(t["coeff"]) for t in r["tail"]})
+        assert (list(rule.tail.c.items()), rule.tail.den) == (list(want.c.items()), want.den)
+
+
 def test_all_zero_relations_raise():
     order = MonomialOrder([1, 1])
     with pytest.raises(NoRelations):
