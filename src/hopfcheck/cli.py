@@ -492,7 +492,8 @@ def _check_cone(run):
     lc = laurent_cone(run.hopf(run.slql))
     rep = lc["cone"].is_complex()
     if not lc["report"]["ok"] or not rep["ok"]:
-        return "fail", _fails_to_witnesses(rep["failures"]), {}
+        return "fail", _fails_to_witnesses(lc["report"]["squares"]["failures"]
+                                           + rep["failures"]), {}
     pr = probe_exactness(lc["cone"], N=min(run.N, 5), slack=run.slack, window=run.window)
     return _probe_verdict(pr, "cone probe lift failure", {"probe": pr["positions"]})
 

@@ -277,9 +277,6 @@ class MonomialOrder:
             ranks,
         )
 
-    def greater(self, w1, w2):
-        return self.key(w1) > self.key(w2)
-
     def to_dict(self):
         return {
             "weights": list(self.weights),
@@ -438,9 +435,6 @@ class NCPoly(_IntForm):
     @classmethod
     def gen(cls, g):
         return cls.of({(g,): 1})
-
-    def max_word(self, order):
-        return max(self.c, key=order.key)
 
     def weight(self, order):
         """Largest word weight in the support (0 for the zero polynomial)."""

@@ -71,9 +71,6 @@ class PresentedAlgebra:
     def ngens(self):
         return len(self.names)
 
-    def nf(self, p):
-        return self.rs.normal_form(p)
-
     def pretty(self, p):
         return p.pretty(self.names)
 

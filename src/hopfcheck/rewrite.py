@@ -29,20 +29,21 @@ _END = -1
 class RewriteRule:
     """lead -> tail, with lead the order-maximal monomial and tail below it."""
 
-    __slots__ = ("lead", "tail", "_sig")
+    __slots__ = ("lead", "tail", "_spelt")
 
     def __init__(self, lead, tail):
         self.lead = tuple(lead)
         self.tail = tail
-        self._sig = None
+        self._spelt = None
 
     def poly(self):
         return NCPoly.term(self.lead) - self.tail
 
-    def signature(self):
-        if self._sig is None:
-            self._sig = (self.lead, frozenset(self.tail.c.items()), self.tail.den)
-        return self._sig
+    def text(self):
+        """The lead and tail words as one _text, spelt on first use."""
+        if self._spelt is None:
+            self._spelt = _text((self.lead, *self.tail.c))
+        return self._spelt
 
     def __repr__(self):
         return f"RewriteRule({self.lead} -> {self.tail.d})"
@@ -209,6 +210,21 @@ class _Reducer:
         return NCPoly.of(*self.nf(p.c, p.den))
 
 
+def _resolve_overlaps(reducer, rules, fresh, order, bound):
+    """(ambiguity word, normal form of its S-polynomial) for every overlap
+    of weight <= bound between two of rules, at least one of them in fresh,
+    in the order of rules."""
+    for r1 in rules:
+        old1 = r1 not in fresh
+        for r2 in rules:
+            if old1 and r2 not in fresh:
+                continue
+            for kind, pos in _overlaps(r1, r2):
+                word = r1.lead + r2.lead[pos:] if kind == "olap" else r1.lead
+                if order.weight(word) <= bound:
+                    yield word, reducer.nf(*_spoly(r1, r2, kind, pos))
+
+
 def _overlaps(r1, r2):
     """Overlap descriptors between the leads of r1 (left) and r2 (right).
 
@@ -225,11 +241,6 @@ def _overlaps(r1, r2):
         for i in range(n1 - n2 + 1):
             if L1[i : i + n2] == L2:
                 yield ("incl", i)
-
-
-def _ambiguity_word(r1, r2, kind, pos):
-    """The word on which the two leads of an overlap descriptor meet."""
-    return r1.lead + r2.lead[pos:] if kind == "olap" else r1.lead
 
 
 def _spoly(r1, r2, kind, pos):
@@ -250,9 +261,11 @@ def _spoly(r1, r2, kind, pos):
                        (-1, ({pre2 + w + post2: n for w, n in t2.c.items()}, t2.den))])
 
 
-def _text(word):
-    """word spelt with one character per letter, for substring search."""
-    return "".join(map(chr, word))
+def _text(words):
+    """words spelt for substring search: letter g as chr(g + 1), the words
+    joined by chr(0), which is no letter, so a lead's _text occurs in it
+    only inside a word."""
+    return "\0".join(["".join([chr(g + 1) for g in w]) for w in words])
 
 
 class RewriteSystem:
@@ -283,11 +296,6 @@ class RewriteSystem:
     def is_normal_word(self, word):
         return not self.collapsed and self._reducer.find_redex(word) is None
 
-    def ideal_member(self, p):
-        if p.weight(self.order) > self.certified_degree:
-            return "uncertified"
-        return "yes" if self.reduce(p).is_zero() else "no"
-
     def nonzero_witness(self):
         """Certified degree up to which the algebra is provably nonzero."""
         if self.collapsed or self.reduce(NCPoly.one()).is_zero():
@@ -302,40 +310,31 @@ class RewriteSystem:
         if self.collapsed:
             return []
         out = [()]
-        frontier = [()]
-        ngens = len(self.order.weights)
+        frontier = [((), 0)]  # (normal word, its weight)
+        letters = list(enumerate(self.order.weights))
         find_redex = self._reducer.find_redex
         maxlen = self._reducer.maxlen
         while frontier:
             new = []
-            for w in frontier:
-                for g in range(ngens):
-                    w2 = w + (g,)
-                    if self.order.weight(w2) > max_weight:
+            for w, weight in frontier:
+                for g, x in letters:
+                    if weight + x > max_weight:
                         continue
+                    w2 = w + (g,)
                     # w is normal, so only a suffix of w2 can be a redex
                     if find_redex(w2, max(0, len(w2) - maxlen)) is None:
-                        new.append(w2)
-            out.extend(new)
+                        new.append((w2, weight + x))
+            out.extend(w for w, _ in new)
             frontier = new
         out.sort(key=self.order.key)
         return out
 
     def verify_confluence(self):
         """Recheck that every in-bound overlap of the final rules resolves."""
-        checked = 0
-        failures = []
-        for r1 in self.rules:
-            for r2 in self.rules:
-                for kind, pos in _overlaps(r1, r2):
-                    word = _ambiguity_word(r1, r2, kind, pos)
-                    if self.order.weight(word) > self.certified_degree:
-                        continue
-                    checked += 1
-                    nf = self._reducer.nf(*_spoly(r1, r2, kind, pos))
-                    if nf[0]:
-                        failures.append((word, NCPoly.of(*nf)))
-        return {"overlaps_checked": checked, "failures": failures}
+        resolved = list(_resolve_overlaps(self._reducer, self.rules, set(self.rules),
+                                          self.order, self.certified_degree))
+        return {"overlaps_checked": len(resolved),
+                "failures": [(word, NCPoly.of(*nf)) for word, nf in resolved if nf[0]]}
 
     # -- serialization --------------------------------------------------------
 
@@ -362,13 +361,25 @@ class RewriteSystem:
     @classmethod
     def from_dict(cls, d):
         """The system of a to_dict payload; ValueError or TypeError on a
-        coefficient that is not a string "p/q" with q > 0."""
+        coefficient that is not a string "p/q" with q > 0, ValueError on a
+        letter that is not an int in range(len(order.weights))."""
         order = MonomialOrder.from_dict(d["order"])
-        rules = [RewriteRule(tuple(r["lead"]), _parse_tail(r["tail"])) for r in d["rules"]]
+        ngens = len(order.weights)
+        rules = [RewriteRule(_parse_word(r["lead"], ngens), _parse_tail(r["tail"], ngens))
+                 for r in d["rules"]]
         return cls(order, rules, d["certified_degree"], d.get("collapsed", False))
 
 
-def _parse_tail(terms):
+def _parse_word(letters, ngens):
+    """The word of a list of letters, each an int (not a bool) in range(ngens)."""
+    word = tuple(letters)
+    for g in word:
+        if type(g) is not int or not 0 <= g < ngens:
+            raise ValueError(f"letter {g!r} is not one of the {ngens} generators")
+    return word
+
+
+def _parse_tail(terms, ngens):
     """The NCPoly of [{"word": w, "coeff": "p/q"}, ...], in integer form
     over the lcm of the q, built with int alone."""
     parsed = []
@@ -380,7 +391,7 @@ def _parse_tail(terms):
         p, q = int(p), int(q)
         if q <= 0:
             raise ValueError(f"coefficient {coeff!r} has a denominator <= 0")
-        parsed.append((tuple(t["word"]), p, q))
+        parsed.append((_parse_word(t["word"], ngens), p, q))
     den = lcm(*(q for _, _, q in parsed))
     return NCPoly.of(*lowest_terms({w: p * (den // q) for w, p, q in parsed if p}, den))
 
@@ -394,7 +405,7 @@ def _interreduce(reducer, keys):
     that normal form, or dropped if it is zero.  Every rule is tested once;
     after that a rule is tested again only when a lead it contains has been
     linked since its last test, since dropping a lead makes no rule
-    reducible.
+    reducible.  Whether a rule contains a lead is one search of its text().
     """
     rules = reducer.rules
     heap = list(rules)
@@ -416,10 +427,9 @@ def _interreduce(reducer, keys):
             continue
         rule = rules[seq] = _monic_rule(nf, keys)
         reducer.link(seq)
-        lead = _text(rule.lead)
+        lead = _text((rule.lead,))
         for s, r in rules.items():
-            if s not in queued and s != seq and any(
-                    lead in _text(w) for w in (r.lead, *r.tail.c)):
+            if s not in queued and s != seq and lead in r.text():
                 heappush(heap, s)
                 queued.add(s)
 
@@ -435,23 +445,20 @@ def _absorb(reducer, pending, keys):
     The others keep their polynomial and key, and the stable sort sees the
     same list as a full re-reduction would give.
 
-    The containment test is one string search per polynomial: its words
-    are spelt as text, one character per letter, joined by a character
-    that is no letter.  The lead index would answer it only by a trie walk
-    at every position of every word.
+    The containment test is one search of the polynomial's words spelt as
+    one _text.  The lead index would answer it only by a trie walk at every
+    position of every word.
     """
-    sep = chr(len(keys.order.weights))
-
     def item(nf):
         coeffs = nf[0]
-        return max(map(keys.__getitem__, coeffs)), nf, sep.join(map(_text, coeffs))
+        return max(map(keys.__getitem__, coeffs)), nf, _text(coeffs)
 
     items = [item(nf) for nf in pending]
     while items:
         items.sort(key=lambda t: t[0])
         rule = _monic_rule(items[0][1], keys)
         reducer.append(rule)
-        lead = _text(rule.lead)
+        lead = _text((rule.lead,))
         rest = []
         for it in items[1:]:
             if lead in it[2]:
@@ -485,32 +492,17 @@ def complete_truncated(relations, order, degree_bound):
     reducer = _Reducer([])
     keys = _Keys(order)
     pending = [(p.c, p.den) for p in relations]
-    seen = set()
-    # the rules of the last round: every overlap between two of them is seen
+    # the rules of the last round: every overlap between two of them is resolved
     done = set()
     while True:
         _absorb(reducer, pending, keys)
         _interreduce(reducer, keys)
         rules = list(reducer.rules.values())
-        new = []
-        for r1 in rules:
-            old1 = r1 in done
-            for r2 in rules:
-                if old1 and r2 in done:
-                    continue
-                for kind, pos in _overlaps(r1, r2):
-                    key = (r1.signature(), r2.signature(), kind, pos)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if order.weight(_ambiguity_word(r1, r2, kind, pos)) > degree_bound:
-                        continue
-                    nf = reducer.nf(*_spoly(r1, r2, kind, pos))
-                    if nf[0]:
-                        new.append(nf)
-        if not new:
+        fresh = {r for r in rules if r not in done}
+        pending = [nf for _, nf in _resolve_overlaps(reducer, rules, fresh, order, degree_bound)
+                   if nf[0]]
+        if not pending:
             break
-        pending = new
         done = set(rules)
 
     collapsed = any(not r.lead for r in rules)

@@ -4,6 +4,7 @@ Each test prints one pass/fail line; run with `pytest -s tests/test_acceptance.p
 to see them.
 """
 
+import hashlib
 import json
 import os
 import time
@@ -183,9 +184,18 @@ def test_criterion_7_glq_slq_machinery(glq8, glq8_hopf, slq6_hopf, slql8, slql8_
     print(PASS % (7, "machinery", time.monotonic() - t0))
 
 
+# sha256 of each shipped config's report body (perfbench/gate.report_body),
+# ROADMAP's standing byte-identity pins; perfbench/pins.json holds the
+# benchmark configs' pins
+REPORT_BODY_SHA256 = {
+    "glq2.json": "830c93f18bd5755ef81862d89e646ee9b4db988c1788ef6c4f4ce4c623e88097",
+    "n3seed.json": "57ce49705f892e1d85972a5459693f038d9f0cfd3cede3077eb9b63bb88039b0",
+}
+
+
 def test_criterion_8_determinism():
     t0 = time.monotonic()
-    for cfg_name in ("glq2.json", "n3seed.json"):
+    for cfg_name, pin in REPORT_BODY_SHA256.items():
         cfg_path = os.path.join(CONFIG_DIR, cfg_name)
         rep1, code1 = run_config(cfg_path)
         rep2, code2 = run_config(cfg_path)
@@ -195,4 +205,5 @@ def test_criterion_8_determinism():
         body2 = json.dumps({k: v for k, v in rep2.items() if k != "timings"},
                            sort_keys=True, indent=1)
         assert body1.encode() == body2.encode(), f"{cfg_path} not byte-identical"
+        assert hashlib.sha256(body1.encode()).hexdigest() == pin, cfg_path
     print(PASS % (8, "determinism", time.monotonic() - t0))

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 import hopfcheck.cli as cli
+import hopfcheck.complexes as complexes
 import hopfcheck.rewrite as rewrite
 from hopfcheck.cli import (
     GBCache,
@@ -305,12 +306,15 @@ def test_gb_replaces_a_bad_cache_entry(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("field, error", [("certified_degree", "is not its key's"),
                                           ("weights", "is not its key's"),
-                                          ("precedence", "bad payload")])
+                                          ("precedence", "bad payload"),
+                                          ("lead 99", "bad payload"),
+                                          ("lead -1", "bad payload")])
 def test_cache_entry_claiming_another_order_or_degree_rejected(tmp_path, field, error, capsys):
     """An entry whose payload claims a certified degree of 40, other weights,
-    or a precedence that orders no words, with its hash recomputed, is not
-    its key's: the checks that read it fail, and `verify gb` replaces it
-    with a good one."""
+    a precedence that orders no words, or a rule lead with a letter that is
+    no generator (99, or -1, the lead trie's end key), with its hash
+    recomputed, is not its key's: the checks that read it fail, and `verify
+    gb` replaces it with a good one."""
     cfg = small_config(degree_bound=4, checks=["invariants", "hopf"],
                        cache_dir=str(tmp_path / "cache"))
     cfg_path = tmp_path / "cfg.json"
@@ -324,8 +328,10 @@ def test_cache_entry_claiming_another_order_or_degree_rejected(tmp_path, field, 
         blob["payload"]["certified_degree"] = 40
     elif field == "weights":
         blob["payload"]["order"]["weights"][0] = 3
-    else:
+    elif field == "precedence":
         blob["payload"]["order"]["precedence"][0] = 1
+    else:
+        blob["payload"]["rules"][0]["lead"][0] = int(field.split()[1])
     blob["hash"] = rewrite.content_hash(blob["payload"])
     path.write_text(json.dumps(blob))
     rep, code = run_config(cfg)
@@ -568,6 +574,19 @@ def test_gb_below_the_relation_weight_is_uncertified(tmp_path, capsys):
     assert code == 2 and [c["status"] for c in rep["checks"]] == ["uncertified"]
 
 
+def test_cone_square_failure_has_a_witness(monkeypatch):
+    """A (z-1) square that fails on a cone that is still a complex: cone
+    fails, and its witness names the square."""
+    monkeypatch.setattr(complexes.ChainMap, "verify_squares",
+                        lambda self: {"ok": False, "failures": [("square1", ["w"])]})
+    rep, code = run_config({"instance": {"kind": "GLq", "q": "2"}, "degree_bound": 6,
+                            "probe": {"N": 3, "slack": 2}, "checks": ["cone"]})
+    assert code == 1
+    (cone,) = rep["checks"]
+    assert cone["status"] == "fail"
+    assert cone["witnesses"] == [str(("square1", ["w"]))]
+
+
 @pytest.mark.parametrize("N", [1, 2])
 def test_probe_of_no_cycle_is_uncertified(N):
     """GL_q(2), q = 2, at degree 6 with slack 2: at N = 1 the kernel domain
@@ -612,7 +631,6 @@ def test_run_leaves_no_cyclic_garbage():
 def test_run_builds_the_gamma_blocks_once(monkeypatch):
     """The seeded n=3 instance with resolution, gamma and twist: ψ, the γ
     identities and φ share one gamma_maps(G(A,B)) per run."""
-    import hopfcheck.complexes as complexes
     real = complexes.gamma_maps
     calls = []
 

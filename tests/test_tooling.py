@@ -106,19 +106,13 @@ def _load_perfbench(name):
     return module
 
 
-# sha256 of configs/n3seed.json's report body, one of ROADMAP's standing
-# byte-identity pins; perfbench/pins.json holds the benchmark configs' pins
-N3SEED_SHA256 = "57ce49705f892e1d85972a5459693f038d9f0cfd3cede3077eb9b63bb88039b0"
-
-
 def test_report_bodies_match_pins():
     """The report body (perfbench/gate.report_body) of each perfbench/pins.json
-    config and of configs/n3seed.json hashes to its pin."""
+    config hashes to its pin; test_criterion_8_determinism pins the shipped
+    configs'."""
     gate = _load_perfbench("gate")
     with open(os.path.join(ROOT, "perfbench", "pins.json")) as fh:
         pins = [(p["config"], p["sha256"]) for p in json.load(fh)]
-    with open(os.path.join(ROOT, "configs", "n3seed.json")) as fh:
-        pins.append((json.load(fh), N3SEED_SHA256))
     for cfg, pin in pins:
         report, code = run_config(cfg)
         assert code == 0
@@ -249,6 +243,28 @@ def test_no_unused_imports_or_locals():
                           if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
                           and not m.name.startswith("__") and m.name not in read_or_tested]
     assert not found, "\n".join(found)
+
+
+def test_one_overlap_pass():
+    """_overlaps and _spoly are named in one place in the package, the overlap
+    pass that completion and the confluence recheck share."""
+    names = {"_overlaps", "_spoly"}
+
+    def named(nodes):
+        return sorted(n.id if isinstance(n, ast.Name) else n.attr for n in nodes
+                      if getattr(n, "id", getattr(n, "attr", None)) in names)
+
+    everywhere, in_functions = [], []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py"))):
+        tree = _parse(path)
+        mod = os.path.basename(path)
+        everywhere += [(mod, name) for name in named(ast.walk(tree))]
+        in_functions += [(mod, fn.name, name) for fn in ast.walk(tree)
+                         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         for name in named(_own_scope(fn))]
+    assert everywhere == [("rewrite.py", "_overlaps"), ("rewrite.py", "_spoly")]
+    assert in_functions == [("rewrite.py", "_resolve_overlaps", "_overlaps"),
+                            ("rewrite.py", "_resolve_overlaps", "_spoly")]
 
 
 def test_rewrite_imports_no_fractions():
