@@ -114,7 +114,10 @@ class GBCache:
         return rs
 
     def store(self, key, rs, relations):
-        """Write the entry to a temp file beside it, then rename it into place."""
+        """Write the entry to a temp file beside it, then rename it into place.
+
+        The text is compact, with sorted keys, so that it comes from the C
+        encoder and its bytes are deterministic; load reads any layout."""
         payload = rs.to_dict()
         blob = {
             "version": self.FORMAT_VERSION,
@@ -124,10 +127,11 @@ class GBCache:
             "payload": payload,
         }
         path = self._path(key)
+        text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(prefix=".gb-", suffix=".tmp", dir=self.directory)
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(blob, fh, sort_keys=True, indent=1)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

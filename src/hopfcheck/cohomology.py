@@ -85,8 +85,9 @@ def bialgebra_cohomology(hopf, resolution):
     for i in range(4):
         # d^i: C^i -> C^{i+1} induced by psi_{i+1}: level 3-i -> level 4-i
         psi = resolution.maps[3 - i]
-        E = [[eps.apply_loc(psi.entries[s][t]) for t in range(psi.tgt_rank)]
-             for s in range(psi.src_rank)]
+        # the counits of the nonzero entries, as (t, value) per source row
+        E = [[(t, eps.apply_loc(e)) for t, e in enumerate(row) if e.num.c]
+             for row in psi.entries]
         src_basis, tgt_basis = bases[i + 1], bases[i]
         # the induced functionals are expressed in the source level's hom basis
         space = RowSpace()
@@ -94,8 +95,7 @@ def bialgebra_cohomology(hopf, resolution):
             space.insert({k: v for k, v in enumerate(vec) if v}, lbl)
         rows = []
         for F in tgt_basis:
-            G = [sum((E[s][t] * F[t] for t in range(len(F))), ZERO)
-                 for s in range(psi.src_rank)]
+            G = [sum((v * F[t] for t, v in row), ZERO) for row in E]
             combo = space.express({k: v for k, v in enumerate(G) if v})
             if combo is None:
                 raise UnexpectedHomDimension(

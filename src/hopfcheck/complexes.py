@@ -5,6 +5,9 @@ an entries[src][tgt] matrix of localized elements.  For right-module maps
 entries multiply coordinates on the left (image coord_t = sum_s M[s][t] x_s),
 for left-module maps on the right.  Composition is written first-then-second
 and is what Complex.is_complex() uses on consecutive differentials.
+Entries stay a dense matrix, but compose, add, scale and block assembly
+touch only the nonzero ones; a sum of scalars times known-normal entries
+(the ``normal`` bit) takes no normal form.
 """
 
 from fractions import Fraction
@@ -30,24 +33,37 @@ class FreeModuleMap:
         self.tgt_labels = tgt_labels
         self.name = name
 
+    def _check_like(self, other, op):
+        if self.alg is not other.alg or self.side != other.side:
+            raise IdentityFailed(f"cannot {op} {self.name} ({self.side}, {self.alg.name}) "
+                                 f"with {other.name} ({other.side}, {other.alg.name})")
+
     def compose(self, then, twist=None):
         """self followed by then; with a twist (an algebra map), the
-        coordinates self produces pass through it before then acts."""
-        if self.alg is not then.alg or self.side != then.side:
-            raise IdentityFailed(f"cannot compose {self.name} ({self.side}, {self.alg.name}) "
-                                 f"with {then.name} ({then.side}, {then.alg.name})")
+        coordinates self produces pass through it before then acts.
+
+        Only nonzero pairs are multiplied: each nonzero entry (s, k) of self
+        meets the nonzero entries of then's row k, so an output entry sees
+        its pairs in the order of k, as the dense sum would."""
+        self._check_like(then, "compose")
         if self.tgt_rank != then.src_rank:
             raise IdentityFailed(f"cannot compose {self.name} (target rank {self.tgt_rank}) "
                                  f"with {then.name} (source rank {then.src_rank})")
-        first = self.entries
-        if twist is not None:
-            first = [[a if a.is_zero() else twist.apply_loc(a) for a in row] for row in first]
         right = self.side == "right"
-        out = [[LocalizedElement.sum_of_products(self.alg, [
-                    (b, a) if right else (a, b)
-                    for a, b in zip(row, (then_row[u] for then_row in then.entries))])
-                for u in range(then.tgt_rank)]
-               for row in first]
+        then_rows = [[(u, b) for u, b in enumerate(row) if b.num.c] for row in then.entries]
+        zero = self.alg.zero()
+        out = []
+        for row in self.entries:
+            pairs = [[] for _ in range(then.tgt_rank)]
+            for k, a in enumerate(row):
+                if not a.num.c or not then_rows[k]:
+                    continue
+                if twist is not None:
+                    a = twist.apply_loc(a)
+                for u, b in then_rows[k]:
+                    pairs[u].append((b, a) if right else (a, b))
+            out.append([LocalizedElement.sum_of_products(self.alg, p) if p else zero
+                        for p in pairs])
         return FreeModuleMap(self.alg, self.side, out,
                              self.src_labels, then.tgt_labels,
                              name=f"{self.name};{then.name}")
@@ -67,23 +83,25 @@ class FreeModuleMap:
         return all(e.is_zero() for row in self.entries for e in row)
 
     def eq(self, other):
-        if (self.src_rank, self.tgt_rank) != (other.src_rank, other.tgt_rank):
+        if (self.alg is not other.alg or self.side != other.side
+                or (self.src_rank, self.tgt_rank) != (other.src_rank, other.tgt_rank)):
             return False
-        for s in range(self.src_rank):
-            for t in range(self.tgt_rank):
-                if self.entries[s][t] != other.entries[s][t]:
-                    return False
-        return True
+        return all(a == b for row, other_row in zip(self.entries, other.entries)
+                   for a, b in zip(row, other_row))
 
     def add(self, other):
+        self._check_like(other, "add")
+        if (self.src_rank, self.tgt_rank) != (other.src_rank, other.tgt_rank):
+            raise IdentityFailed(f"cannot add {self.name} ({self.src_rank}x{self.tgt_rank}) "
+                                 f"to {other.name} ({other.src_rank}x{other.tgt_rank})")
         return FreeModuleMap(self.alg, self.side, [
-            [self.entries[s][t] + other.entries[s][t] for t in range(self.tgt_rank)]
-            for s in range(self.src_rank)
+            [_entry_sum(self.alg, (a, b)) for a, b in zip(row, other_row)]
+            for row, other_row in zip(self.entries, other.entries)
         ], self.src_labels, self.tgt_labels)
 
     def scale(self, c):
         return FreeModuleMap(self.alg, self.side, [
-            [c * e for e in row] for row in self.entries
+            [c * e if e.num.c else e for e in row] for row in self.entries
         ], self.src_labels, self.tgt_labels)
 
     def max_entry_exp(self):
@@ -101,6 +119,15 @@ class FreeModuleMap:
                     if len(out) == 3:
                         return out
         return out
+
+
+def _entry_sum(alg, terms):
+    """The sum of the entries terms; zeros are dropped, and a single
+    known-normal entry left over is the sum itself."""
+    terms = [t for t in terms if t.num.c]
+    if len(terms) == 1 and terms[0].normal:
+        return terms[0]
+    return LocalizedElement.sum(alg, terms)
 
 
 def zero_entries(alg, r, c):
@@ -339,7 +366,7 @@ def _block_map(alg, side, blocks, src_layout, tgt_layout, name):
         for s, row in enumerate(entries):
             for t, val in enumerate(row):
                 parts[src_off[sb] + s][tgt_off[tb] + t].append(val)
-    e = [[LocalizedElement.sum(alg, vals) for vals in row] for row in parts]
+    e = [[_entry_sum(alg, vals) for vals in row] for row in parts]
     return FreeModuleMap(alg, side, e, _block_labels(n, src_layout),
                          _block_labels(n, tgt_layout), name=name)
 
@@ -353,7 +380,9 @@ def _assemble_resolution(alg, side, blocks, layouts, v, w, eps):
     """
     g = blocks
     neg = lambda m: m.scale(-1)
-    idm = identity_map(alg, side, alg.n * alg.n)
+    # φ's blocks, like ψ's, are right maps; only their entries go into the
+    # differentials, so the identity block is built on their side
+    idm = identity_map(alg, g["g3"].side, alg.n * alg.n)
     differentials = [
         {("k", v): g["g4"].add(neg(g["g5"])), ("k", "k"): g["g6"]},
         {(v, v): idm.add(g["g3"]), (v, w): g["g7"], ("k", v): g["g4"],
@@ -423,13 +452,16 @@ def build_twist_chainmap(dual, left, H):
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
     nu, eta = H.nakayama_nu
-    one = alg.one()
+    one, zero = alg.one(), alg.zero()
 
     def scalar(c):
         return [[c * one]]
 
+    def entry(c):
+        return c * one if c else zero
+
     def block(sgn):  # e_ij -> sgn * sum_pq B_pi A_qj e_pq
-        return [[(sgn * B[p, i] * A[q, j]) * one for p in range(n) for q in range(n)]
+        return [[entry(sgn * B[p, i] * A[q, j]) for p in range(n) for q in range(n)]
                 for i in range(n) for j in range(n)]
 
     Q = _DUAL_LAYOUTS

@@ -159,6 +159,10 @@ class LocalizedElement:
     def is_zero(self):
         return self.num.is_zero()
 
+    def is_scalar(self):
+        """A nonzero constant at exponent 0."""
+        return not self.exp and self.num.c.keys() == {()}
+
     @staticmethod
     def sum(alg, terms):
         return LocalizedElement.combine(alg, 1, [(1, t) for t in terms])
@@ -208,6 +212,10 @@ class LocalizedElement:
         order is weight-graded, so neither padding nor rewriting raises a
         word's weight, and a folded sum never reduces a heavier word, so it
         is reduced unguarded.
+
+        When every product is a scalar (a constant at exponent 0) times a
+        known-normal element, all at one exponent, the sum is a combination
+        of normal words, its own normal form, so none is taken.
         """
         pairs = [(x, y) for x, y in pairs if x.num.c and y.num.c]
         if not pairs:
@@ -226,7 +234,11 @@ class LocalizedElement:
             pad, den = (loc,) * (m - x.exp - y.exp), x.num.den * q.den
             forms.extend((c, ({w + v + pad: cc for v, cc in q.c.items()}, den))
                          for w, c in x.num.c.items())
-        return LocalizedElement(alg, rs.reduce(NCPoly.of(*combine(1, forms))), m, normal=True)
+        p = NCPoly.of(*combine(1, forms))
+        if not all(x.exp + y.exp == m and (x.normal and y.is_scalar() or y.normal and x.is_scalar())
+                   for x, y in pairs):
+            p = rs.reduce(p)
+        return LocalizedElement(alg, p, m, normal=True)
 
     def __add__(self, other):
         assert self.alg is other.alg

@@ -648,3 +648,19 @@ def test_cone_with_wrong_ranks_raises_identity_failed(slql8_hopf, monkeypatch):
     (entry,) = report["checks"]
     assert code == 1 and entry["status"] == "fail"
     assert entry["witnesses"][0] == "IdentityFailed: cone ranks [1, 5, 8, 5] != [1, 5, 8, 5, 1]"
+
+
+def test_add_and_eq_check_what_they_combine(glq8, slq6):
+    """add raises IdentityFailed on a rank, side or algebra mismatch, as
+    compose does; eq is False across sides or algebras."""
+    from hopfcheck.errors import IdentityFailed
+    one = glq8.one()
+    m11 = FreeModuleMap(glq8, "right", [[one]], name="a")
+    for other, match in [(FreeModuleMap(glq8, "right", [[one, one]]), "1x2"),
+                         (FreeModuleMap(glq8, "left", [[one]]), "left"),
+                         (FreeModuleMap(slq6, "right", [[slq6.one()]]), "SLq")]:
+        with pytest.raises(IdentityFailed, match=match):
+            m11.add(other)
+        assert not m11.eq(other)
+    assert m11.eq(FreeModuleMap(glq8, "right", [[one]]))
+    assert m11.add(m11.scale(-1)).is_zero()

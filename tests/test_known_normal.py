@@ -29,6 +29,7 @@ from hopfcheck.hopf import (
     hopf_structure,
     seeded_pair,
 )
+from hopfcheck.rewrite import RewriteSystem
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,6 +152,68 @@ def test_sums_of_known_normal_terms_match_the_normal_form(name, data):
                       (Fraction(-2, 3) * a, _ref_combine(alg, 3, [(-2, a)]))]:
         _same(got, want)
         _is_normal_form(got)
+
+
+def _reduces(f, *args):
+    """f(*args) and the number of RewriteSystem.reduce calls it made."""
+    calls = []
+    real = RewriteSystem.reduce
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RewriteSystem, "reduce", lambda rs, p: calls.append(p) or real(rs, p))
+        out = f(*args)
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("name", ALGS)
+@SETTINGS
+@given(data=st.data())
+def test_scalar_times_known_normal_sums_take_no_normal_form(name, data):
+    """Scalars times known-normal elements at one exponent, the scalar on
+    either side, sum without a normal form to the sum of the reduced
+    products; a product of operands with their bits unset, or one at a
+    higher exponent, takes the normal form again, with the same value."""
+    alg = _alg(name)
+    e = data.draw(st.integers(0, 2))
+    nums = data.draw(st.lists(st.dictionaries(_words(alg, 2), COEFFS, min_size=1, max_size=4),
+                              min_size=1, max_size=4))
+    pairs = []
+    for d in nums:
+        x, y = data.draw(COEFFS) * alg.one(), alg.elt(NCPoly(d), e)
+        if y.num.c:
+            pairs.append((x, y) if data.draw(st.booleans()) else (y, x))
+    if not pairs:
+        return
+    want = _ref_combine(alg, 1, [(1, x * y) for x, y in pairs])
+    got, calls = _reduces(LocalizedElement.sum_of_products, alg, pairs)
+    # a numerator ending in D cancels it, so its element may sit below e
+    exps = {x.exp + y.exp for x, y in pairs}
+    assert calls == (0 if len(exps) == 1 else 1)
+    _same(got, want)
+    _is_normal_form(got)
+    i = data.draw(st.integers(0, len(pairs) - 1))
+    x, y = pairs[i]
+    raw = pairs[:i] + [(LocalizedElement(alg, x.num, x.exp),
+                        LocalizedElement(alg, y.num, y.exp))] + pairs[i + 1:]
+    higher = LocalizedElement(alg, alg.gen_elt(0).num, max(exps) + 1, normal=True)
+    for others in (raw, pairs + [(2 * alg.one(), higher)]):
+        got, calls = _reduces(LocalizedElement.sum_of_products, alg, others)
+        assert calls == 1
+        assert got == _ref_combine(alg, 1, [(1, x * y) for x, y in others])
+
+
+@pytest.mark.parametrize("name", ALGS)
+def test_one_raw_operand_forces_the_normal_form(name):
+    """2 times a generator takes no normal form when the generator carries
+    the bit, and one when the same generator is built raw; a constant's own
+    bit does not matter."""
+    alg = _alg(name)
+    two, g = 2 * alg.one(), alg.gen_elt(0)
+    raw_g, raw_two = LocalizedElement(alg, g.num, 0), LocalizedElement(alg, two.num, 0)
+    for pairs, want in [([(two, g)], 0), ([(g, raw_two)], 0), ([(two, raw_g)], 1),
+                        ([(raw_g, two), (g, two)], 1)]:
+        got, calls = _reduces(LocalizedElement.sum_of_products, alg, pairs)
+        assert calls == want
+        _same(got, _ref_combine(alg, 1, [(1, x * y) for x, y in pairs]))
 
 
 @pytest.mark.parametrize("name", ALGS)

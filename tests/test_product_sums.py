@@ -190,3 +190,70 @@ def test_inhomogeneous_product_below_the_degree():
     assert got.exp == want.exp and got.num.d == want.num.d
     assert LocalizedElement.sum_of_products(alg, []).is_zero()
     assert LocalizedElement.sum_of_products(alg, [(alg.zero(), a)]).is_zero()
+
+
+# -- zero-skipping compose against the dense sum ---------------------------------
+
+def _dense_compose(f, then, twist=None):
+    """FreeModuleMap.compose as it was: every (row, k, column) pair, zeros
+    included, into one sum_of_products per output entry."""
+    first = f.entries
+    if twist is not None:
+        first = [[a if a.is_zero() else twist.apply_loc(a) for a in row] for row in first]
+    right = f.side == "right"
+    return [[LocalizedElement.sum_of_products(f.alg, [
+                (b, a) if right else (a, b)
+                for a, b in zip(row, (then_row[u] for then_row in then.entries))])
+             for u in range(then.tgt_rank)]
+            for row in first]
+
+
+def _sparse_entry(alg):
+    """Mostly zero; else a scalar, a normal-formed element or one built from
+    a raw numerator (its normal bit unset), of weight <= 2 at exponent <= 1."""
+    numerators = st.dictionaries(_words(alg, 2), COEFFS, min_size=1, max_size=3)
+    return st.one_of(
+        st.just(alg.zero()), st.just(alg.zero()), st.just(alg.zero()),
+        COEFFS.map(lambda c: c * alg.one()),
+        st.builds(lambda d, e: alg.elt(NCPoly(d), e), numerators, st.integers(0, 1)),
+        st.builds(lambda d, e: LocalizedElement(alg, NCPoly(d), e), numerators,
+                  st.integers(0, 1)))
+
+
+def _sparse_map(alg, side, rows, cols):
+    return st.lists(st.lists(_sparse_entry(alg), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(lambda e: FreeModuleMap(alg, side, e))
+
+
+def _compose_matches_dense(alg, hopf, data):
+    side = data.draw(st.sampled_from(["right", "left"]))
+    twist = hopf.nakayama_nu[0] if data.draw(st.booleans()) else None
+    r, k, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    f, g = data.draw(_sparse_map(alg, side, r, k)), data.draw(_sparse_map(alg, side, k, c))
+    try:
+        want = _dense_compose(f, g, twist)
+    except ExceedsCertifiedDegree:
+        with pytest.raises(ExceedsCertifiedDegree):
+            f.compose(g, twist)
+        return
+    got = f.compose(g, twist).entries
+    assert [[(list(e.num.c.items()), e.num.den, e.exp) for e in row] for row in got] == \
+        [[(list(e.num.c.items()), e.num.den, e.exp) for e in row] for row in want]
+    assert all(e.normal or e.is_zero() for row in got for e in row)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_sparse_compose_matches_dense_glq8(glq8, glq8_hopf, data):
+    """Random maps over GL_q(2) at degree 8, either side, with or without
+    the Nakayama twist: the same entries as the dense sum, key order
+    included."""
+    _compose_matches_dense(glq8, glq8_hopf, data)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_sparse_compose_matches_dense_n3(n3, n3_hopf, data):
+    """The same over the seeded n = 3 G(A,B) at degree 6, where a padded
+    word can pass the certified degree: both raise, or both agree."""
+    _compose_matches_dense(n3, n3_hopf, data)
