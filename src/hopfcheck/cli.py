@@ -57,7 +57,7 @@ from .hopf import (
     seeded_pair,
     verify_hopf_axioms,
 )
-from .rewrite import RewriteSystem, content_hash, relations_digest, system_cache_key
+from .rewrite import RewriteSystem, canonical_json, text_hash
 
 _INSTANCE_KEYS = {"kind", "A", "B", "C", "D", "q", "n", "conjugator"}
 _PROBE_KEYS = {"N", "slack", "laurent_window"}
@@ -68,15 +68,19 @@ _TOP_KEYS = {"instance", "degree_bound", "probe", "checks", "cache_dir",
 class GBCache:
     """Content-addressed store of completed rewrite systems.
 
-    An entry records the key it was stored under and a digest of the
-    relations it was completed from; ``load`` checks both against the
-    request, and recomputes the key from the relations and the loaded
-    system's order and certified degree.  So an entry copied under another
-    key, answering other relations, or claiming another order or degree,
-    raises ``CacheCorrupt`` instead of being trusted.
+    An entry is one JSON object: the format version, the key it was stored
+    under, and the canonical text of the system's ``to_dict`` with the
+    sha256 of that text.  ``load`` binds the entry to the request by three
+    facts: the stored key is the requested one, the text has its hash, and
+    the parsed system has the requested order and certified degree.  So an
+    entry copied under another key, edited, or claiming another order or
+    degree raises ``CacheCorrupt`` instead of being trusted, as does a file
+    that cannot be read or written.  An entry of another format version
+    (version 2 stored the parsed payload and a relations digest) raises
+    ``VersionMismatch``; ``verify gb`` replaces it.
     """
 
-    FORMAT_VERSION = 2
+    FORMAT_VERSION = 3
 
     def __init__(self, directory):
         self.directory = directory
@@ -85,80 +89,74 @@ class GBCache:
     def _path(self, key):
         return os.path.join(self.directory, f"gb-{key}.json")
 
-    def load(self, key, relations):
+    def load(self, key, order, degree_bound):
+        """The system stored under key, checked against the request; None on a miss."""
         path = self._path(key)
         if not os.path.exists(path):
             return None
         try:
             with open(path) as fh:
                 blob = json.load(fh)
-        except ValueError as e:
-            raise CacheCorrupt(f"{path}: unreadable ({e})") from e
+        except (OSError, ValueError) as e:
+            raise CacheCorrupt(f"{path}: unreadable ({type(e).__name__}: {e})") from e
         if not isinstance(blob, dict):
             raise CacheCorrupt(f"{path}: not a cache entry")
         if blob.get("version") != self.FORMAT_VERSION:
             raise VersionMismatch(f"cache format {blob.get('version')}")
         if blob.get("key") != key:
             raise CacheCorrupt(f"{path}: stored under key {blob.get('key')}")
-        if blob.get("relations") != relations_digest(relations):
-            raise CacheCorrupt(f"{path}: completed from other relations")
-        payload = blob.get("payload")
-        if content_hash(payload) != blob.get("hash"):
-            raise CacheCorrupt(path)
+        text = blob.get("payload")
+        if not isinstance(text, str) or text_hash(text) != blob.get("hash"):
+            raise CacheCorrupt(f"{path}: payload does not match its hash")
         try:
-            rs = RewriteSystem.from_dict(payload)
+            rs = RewriteSystem.from_dict(json.loads(text))
         except (KeyError, TypeError, ValueError) as e:
             raise CacheCorrupt(f"{path}: bad payload ({e})") from e
-        if system_cache_key(relations, rs.order, rs.certified_degree) != key:
+        # repr, not ==, so that a degree of 4.0 or True is not read as 4
+        if repr((rs.order.to_dict(), rs.certified_degree)) != \
+                repr((order.to_dict(), degree_bound)):
             raise CacheCorrupt(f"{path}: order or certified degree is not its key's")
         return rs
 
-    def store(self, key, rs, relations):
-        """Write the entry to a temp file beside it, then rename it into place.
-
-        The text is compact, with sorted keys, so that it comes from the C
-        encoder and its bytes are deterministic; load reads any layout."""
-        payload = rs.to_dict()
-        blob = {
-            "version": self.FORMAT_VERSION,
-            "key": key,
-            "relations": relations_digest(relations),
-            "hash": content_hash(payload),
-            "payload": payload,
-        }
+    def store(self, key, rs):
+        """Write the entry to a temp file beside it, then rename it into place;
+        its path.  The payload is serialized once, as canonical text, so the
+        entry's bytes are deterministic."""
+        text = canonical_json(rs.to_dict())
+        entry = {"version": self.FORMAT_VERSION, "key": key,
+                 "hash": text_hash(text), "payload": text}
         path = self._path(key)
-        text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
-        fd, tmp = tempfile.mkstemp(prefix=".gb-", suffix=".tmp", dir=self.directory)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(prefix=".gb-", suffix=".tmp", dir=self.directory)
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write(json.dumps(entry))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as e:
+            raise CacheCorrupt(f"{path}: unwritable ({type(e).__name__}: {e})") from e
         return path
 
 
-class Refill:
-    """A ``GBCache`` read as a miss where its entry is corrupt or of another version.
+class Refill(GBCache):
+    """A ``GBCache`` that reads an entry that is corrupt or of another version as a miss.
 
     ``verify gb`` completes through it, so the following ``store`` replaces
     a bad entry atomically; ``replaced`` names the errors read as misses.
     """
 
-    def __init__(self, cache):
-        self.cache = cache
+    def __init__(self, directory):
+        super().__init__(directory)
         self.replaced = []
 
-    def load(self, key, relations):
+    def load(self, key, order, degree_bound):
         try:
-            return self.cache.load(key, relations)
+            return super().load(key, order, degree_bound)
         except (CacheCorrupt, VersionMismatch) as e:
             self.replaced.append(f"{type(e).__name__}: {e}")
             return None
-
-    def store(self, key, rs, relations):
-        self.cache.store(key, rs, relations)
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +672,14 @@ def _main_gb(args):
     cache = _cache_of(cfg)
     if cache is None:
         raise ConfigInvalid("gb prebuild needs cache_dir or HOPFCHECK_CACHE")
-    cache = Refill(cache)
+    cache = Refill(cache.directory)
     try:
         algs = _Run(cfg, mats, cache).presentations(cfg["checks"])
     except ExceedsCertifiedDegree as e:
         sys.stdout.write(f"uncertified: {e}\n")
         return 2
+    except CacheCorrupt as e:  # only a store raises it through Refill
+        raise ConfigInvalid(f"cache entry {e}") from e
     for err in cache.replaced:
         sys.stdout.write(f"replaced corrupt cache entry ({err})\n")
     for label, alg in algs.items():

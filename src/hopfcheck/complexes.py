@@ -13,11 +13,10 @@ touch only the nonzero ones; a sum of scalars times known-normal entries
 from fractions import Fraction
 from itertools import count
 
-from .errors import (ExceedsCertifiedDegree, IdentityFailed, NotInvertible, NotSquare,
-                     ProbeInvalid)
+from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
 from .foundation import Mat, NCPoly, combine
 from .hopf import LocalizedElement, glq_slq_laurent_iso, sandwich
-from .linalg import kernel_and_lifts, kernel_basis, residues
+from .linalg import kernel_and_lifts, kernel_basis, mat_rank, residues
 
 ONE = Fraction(1)
 
@@ -478,14 +477,13 @@ def build_twist_chainmap(dual, left, H):
     report = cm.verify_squares()
     failures = list(report["failures"])
 
-    # bijectivity: a matrix of scalars is bijective iff its scalar matrix is invertible
+    # bijectivity: a matrix of scalars is bijective iff it is square of full rank
     for f in cm.verticals:
         if any(e.exp or set(e.num.c) - {()} for row in f.entries for e in row):
             failures.append((f.name, "not scalar"))
             continue
-        try:
-            Mat([[e.num.coeff(()) for e in row] for row in f.entries]).inverse()
-        except (NotInvertible, NotSquare):
+        rows = [[e.num.coeff(()) for e in row] for row in f.entries]
+        if any(len(row) != len(rows) for row in rows) or mat_rank(rows) != len(rows):
             failures.append((f.name, "inverse"))
 
     # eta = eps∘nu is the printed character

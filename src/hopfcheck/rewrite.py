@@ -273,11 +273,12 @@ class RewriteSystem:
 
     FORMAT_VERSION = 1
 
-    def __init__(self, order, rules, certified_degree, collapsed=False):
+    def __init__(self, order, rules, certified_degree):
         self.order = order
         self.rules = sorted(rules, key=lambda r: order.key(r.lead))
         self.certified_degree = certified_degree
-        self.collapsed = collapsed
+        # 1 reduces to 0 iff some rule has the empty lead
+        self.collapsed = any(not r.lead for r in self.rules)
         self._reducer = _Reducer(self.rules)
 
     # -- queries ------------------------------------------------------------
@@ -344,30 +345,24 @@ class RewriteSystem:
             "order": self.order.to_dict(),
             "certified_degree": self.certified_degree,
             "collapsed": self.collapsed,
-            "rules": [
-                {
-                    "lead": list(r.lead),
-                    "tail": [
-                        {"word": list(w), "coeff": frac_str(c)}
-                        for w, c in sorted(
-                            r.tail.d.items(), key=lambda t: self.order.key(t[0])
-                        )
-                    ],
-                }
-                for r in self.rules
-            ],
+            "rules": [{"lead": list(r.lead), "tail": _poly_payload(r.tail, self.order)}
+                      for r in self.rules],
         }
 
     @classmethod
     def from_dict(cls, d):
         """The system of a to_dict payload; ValueError or TypeError on a
         coefficient that is not a string "p/q" with q > 0, ValueError on a
-        letter that is not an int in range(len(order.weights))."""
+        letter that is not an int in range(len(order.weights)) and on a
+        "collapsed" flag that is not the bool the rules decide."""
         order = MonomialOrder.from_dict(d["order"])
         ngens = len(order.weights)
         rules = [RewriteRule(_parse_word(r["lead"], ngens), _parse_tail(r["tail"], ngens))
                  for r in d["rules"]]
-        return cls(order, rules, d["certified_degree"], d.get("collapsed", False))
+        rs = cls(order, rules, d["certified_degree"])
+        if d.get("collapsed") is not rs.collapsed:
+            raise ValueError(f"collapsed flag {d.get('collapsed')!r} is not {rs.collapsed}")
+        return rs
 
 
 def _parse_word(letters, ngens):
@@ -505,24 +500,28 @@ def complete_truncated(relations, order, degree_bound):
             break
         done = set(rules)
 
-    collapsed = any(not r.lead for r in rules)
-    return RewriteSystem(order, rules, degree_bound, collapsed)
+    return RewriteSystem(order, rules, degree_bound)
+
+
+def _poly_payload(p, order):
+    """The terms of p as [{"word": w, "coeff": "p/q"}, ...], words sorted by order.key."""
+    return [{"word": list(w), "coeff": frac_str(c)}
+            for w, c in sorted(p.d.items(), key=lambda t: order.key(t[0]))]
+
+
+def canonical_json(payload):
+    """The canonical text of payload: sorted keys, no spaces (the C encoder)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def text_hash(text):
+    """sha256 of a text, also of one with a lone surrogate read from a tampered file."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def content_hash(payload):
     """sha256 of the canonical JSON of payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _relations_payload(relations):
-    return [
-        sorted(
-            ([list(w), frac_str(c)] for w, c in p.d.items()),
-            key=lambda t: (len(t[0]), t[0], t[1]),
-        )
-        for p in relations
-    ]
+    return text_hash(canonical_json(payload))
 
 
 def system_cache_key(relations, order, degree_bound):
@@ -530,27 +529,25 @@ def system_cache_key(relations, order, degree_bound):
     return content_hash({
         "order": order.to_dict(),
         "bound": degree_bound,
-        "relations": _relations_payload(relations),
+        "relations": [_poly_payload(p, order) for p in relations],
     })
-
-
-def relations_digest(relations):
-    """Content hash of the relations alone; a cache entry stores it to be
-    checked against the request on load."""
-    return content_hash(_relations_payload(relations))
 
 
 def complete_with_cache(relations, order, degree_bound, cache=None):
     """complete_truncated behind an optional cache (see cli.GBCache and cli.Refill).
 
-    A cache has ``load(key, relations)``, which returns a stored system or
-    None, and ``store(key, rs, relations)``; the key is ``system_cache_key``.
+    The key, ``system_cache_key``, is computed here once per build and names
+    the request: relations, order and bound.  A cache has ``load(key, order,
+    degree_bound)``, which returns a stored system or None, and ``store(key,
+    rs)``; it binds an entry to the request by the key, the hash of the
+    stored text, and the order and certified degree of the stored system,
+    and never sees the relations.
     """
     if cache is None:
         return complete_truncated(relations, order, degree_bound)
     key = system_cache_key(relations, order, degree_bound)
-    rs = cache.load(key, relations)
+    rs = cache.load(key, order, degree_bound)
     if rs is None:
         rs = complete_truncated(relations, order, degree_bound)
-        cache.store(key, rs, relations)
+        cache.store(key, rs)
     return rs

@@ -124,32 +124,52 @@ def test_exit_code_contract_synthetic():
                 assert got == 0
 
 
-def test_cache_tamper_detected(tmp_path, slq6):
+def _stored_slq6(tmp_path, slq6):
+    """A GBCache in tmp_path holding slq6's system; (cache, key, entry path)."""
     cache = GBCache(str(tmp_path))
-    relations = [r.poly() for r in slq6.rs.rules]
-    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
-    path = cache.store(key, slq6.rs, relations)
+    rs = slq6.rs
+    key = system_cache_key([r.poly() for r in rs.rules], rs.order, rs.certified_degree)
+    return cache, key, cache.store(key, rs)
+
+
+def _load_slq6(cache, key, slq6):
+    return cache.load(key, slq6.rs.order, slq6.rs.certified_degree)
+
+
+def _edit_payload(path, edit, rehash=True):
+    """Apply edit to the parsed payload of the cache entry at path and store
+    its canonical text back, with the hash recomputed unless rehash is False,
+    so that only the edit can break the hash."""
     with open(path) as fh:
         blob = json.load(fh)
-    blob["payload"]["rules"][0]["tail"][0]["coeff"] = "9/1"
+    payload = json.loads(blob["payload"])
+    edit(payload)
+    blob["payload"] = rewrite.canonical_json(payload)
+    if rehash:
+        blob["hash"] = rewrite.text_hash(blob["payload"])
     with open(path, "w") as fh:
         json.dump(blob, fh)
-    with pytest.raises(CacheCorrupt):
-        cache.load(key, relations)
+
+
+def test_cache_tamper_detected(tmp_path, slq6):
+    cache, key, path = _stored_slq6(tmp_path, slq6)
+
+    def tamper(payload):
+        payload["rules"][0]["tail"][0]["coeff"] = "9/1"
+    _edit_payload(path, tamper, rehash=False)
+    with pytest.raises(CacheCorrupt, match="does not match its hash"):
+        _load_slq6(cache, key, slq6)
 
 
 def test_cache_version_mismatch(tmp_path, slq6):
-    cache = GBCache(str(tmp_path))
-    relations = [r.poly() for r in slq6.rs.rules]
-    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
-    path = cache.store(key, slq6.rs, relations)
+    cache, key, path = _stored_slq6(tmp_path, slq6)
     with open(path) as fh:
         blob = json.load(fh)
     blob["version"] = 0
     with open(path, "w") as fh:
         json.dump(blob, fh)
     with pytest.raises(VersionMismatch):
-        cache.load(key, relations)
+        _load_slq6(cache, key, slq6)
 
 
 @pytest.mark.parametrize("coeff", ["1/0", "-3/-1", "1/2/3", "one/2", "1.5/2", "3", "", 3, None])
@@ -157,19 +177,13 @@ def test_malformed_cache_coefficient_is_a_bad_payload(tmp_path, slq6, coeff):
     """An entry whose hash matches but whose coefficient is not a string
     "p/q" with integers p and q > 0 is CacheCorrupt, as a bad payload, not a
     traceback."""
-    from hopfcheck.rewrite import content_hash
-    cache = GBCache(str(tmp_path))
-    relations = [r.poly() for r in slq6.rs.rules]
-    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
-    path = cache.store(key, slq6.rs, relations)
-    with open(path) as fh:
-        blob = json.load(fh)
-    blob["payload"]["rules"][0]["tail"][0]["coeff"] = coeff
-    blob["hash"] = content_hash(blob["payload"])
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    cache, key, path = _stored_slq6(tmp_path, slq6)
+
+    def malform(payload):
+        payload["rules"][0]["tail"][0]["coeff"] = coeff
+    _edit_payload(path, malform)
     with pytest.raises(CacheCorrupt, match="bad payload"):
-        cache.load(key, relations)
+        _load_slq6(cache, key, slq6)
 
 
 def test_cached_run_matches_fresh(tmp_path):
@@ -230,26 +244,26 @@ def test_cache_entry_under_other_key_rejected(tmp_path):
 
 
 def test_cache_entry_for_other_relations_rejected(tmp_path, slq6):
-    cache = GBCache(str(tmp_path))
-    relations = [r.poly() for r in slq6.rs.rules]
-    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
-    cache.store(key, slq6.rs, relations)
-    assert cache.load(key, relations) is not None
-    with pytest.raises(CacheCorrupt):
-        cache.load(key, relations[1:])
+    """The key names the relations: under the key of other relations the
+    entry is a miss, and a copy of it placed under that key is not its key's."""
+    cache, key, path = _stored_slq6(tmp_path, slq6)
+    rs = slq6.rs
+    other = system_cache_key([r.poly() for r in rs.rules[1:]], rs.order, rs.certified_degree)
+    assert _load_slq6(cache, key, slq6) is not None
+    assert _load_slq6(cache, other, slq6) is None
+    shutil.copy(path, os.path.join(tmp_path, f"gb-{other}.json"))
+    with pytest.raises(CacheCorrupt, match="stored under key"):
+        _load_slq6(cache, other, slq6)
 
 
 def test_half_written_cache_entry_is_corrupt(tmp_path, slq6):
-    cache = GBCache(str(tmp_path))
-    relations = [r.poly() for r in slq6.rs.rules]
-    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
-    path = cache.store(key, slq6.rs, relations)
+    cache, key, path = _stored_slq6(tmp_path, slq6)
     with open(path) as fh:
         text = fh.read()
     with open(path, "w") as fh:
         fh.write(text[: len(text) // 2])
     with pytest.raises(CacheCorrupt):
-        cache.load(key, relations)
+        _load_slq6(cache, key, slq6)
 
 
 def test_bad_cache_entry_is_a_failed_check(tmp_path):
@@ -287,9 +301,13 @@ def test_gb_replaces_a_bad_cache_entry(tmp_path, monkeypatch, capsys):
     path = tmp_path / "cache" / entry
     good = path.read_text()
     blob = json.loads(good)
+    # a version-2 entry: the parsed payload, a relations digest, no text
+    v2 = {"version": 2, "key": blob["key"], "relations": "0" * 64, "hash": blob["hash"],
+          "payload": json.loads(blob["payload"])}
     blob["version"] = 0
     for bad, error in [(good[: len(good) // 2], "CacheCorrupt"),
-                       (json.dumps(blob), "VersionMismatch")]:
+                       (json.dumps(blob), "VersionMismatch"),
+                       (json.dumps(v2), "VersionMismatch")]:
         path.write_text(bad)
         capsys.readouterr()
         assert cli.main(["gb", str(cfg_path)]) == 0
@@ -309,13 +327,16 @@ def test_gb_replaces_a_bad_cache_entry(tmp_path, monkeypatch, capsys):
                                           ("weights", "is not its key's"),
                                           ("precedence", "bad payload"),
                                           ("lead 99", "bad payload"),
-                                          ("lead -1", "bad payload")])
+                                          ("lead -1", "bad payload"),
+                                          ("collapsed true", "bad payload"),
+                                          ("collapsed no", "bad payload")])
 def test_cache_entry_claiming_another_order_or_degree_rejected(tmp_path, field, error, capsys):
     """An entry whose payload claims a certified degree of 40, other weights,
-    a precedence that orders no words, or a rule lead with a letter that is
-    no generator (99, or -1, the lead trie's end key), with its hash
-    recomputed, is not its key's: the checks that read it fail, and `verify
-    gb` replaces it with a good one."""
+    a precedence that orders no words, a rule lead with a letter that is
+    no generator (99, or -1, the lead trie's end key), or a collapsed flag
+    that is not the False its rules decide (true, or the string "no"), with
+    its hash recomputed, is not its key's: the checks that read it fail,
+    and `verify gb` replaces it with a good one."""
     cfg = small_config(degree_bound=4, checks=["invariants", "hopf"],
                        cache_dir=str(tmp_path / "cache"))
     cfg_path = tmp_path / "cfg.json"
@@ -324,17 +345,19 @@ def test_cache_entry_claiming_another_order_or_degree_rejected(tmp_path, field, 
     (entry,) = os.listdir(tmp_path / "cache")
     path = tmp_path / "cache" / entry
     good = path.read_text()
-    blob = json.loads(good)
-    if field == "certified_degree":
-        blob["payload"]["certified_degree"] = 40
-    elif field == "weights":
-        blob["payload"]["order"]["weights"][0] = 3
-    elif field == "precedence":
-        blob["payload"]["order"]["precedence"][0] = 1
-    else:
-        blob["payload"]["rules"][0]["lead"][0] = int(field.split()[1])
-    blob["hash"] = rewrite.content_hash(blob["payload"])
-    path.write_text(json.dumps(blob))
+
+    def claim(payload):
+        if field == "certified_degree":
+            payload["certified_degree"] = 40
+        elif field == "weights":
+            payload["order"]["weights"][0] = 3
+        elif field == "precedence":
+            payload["order"]["precedence"][0] = 1
+        elif field.startswith("collapsed"):
+            payload["collapsed"] = True if field == "collapsed true" else "no"
+        else:
+            payload["rules"][0]["lead"][0] = int(field.split()[1])
+    _edit_payload(path, claim)
     rep, code = run_config(cfg)
     assert code == 1
     inv, hopf = rep["checks"]
@@ -349,11 +372,9 @@ def test_cache_entry_claiming_another_order_or_degree_rejected(tmp_path, field, 
 
 
 def test_cache_store_is_atomic(tmp_path, slq6, monkeypatch):
-    """A store that dies mid-write leaves the previous entry whole and no temp file."""
-    cache = GBCache(str(tmp_path))
-    relations = [r.poly() for r in slq6.rs.rules]
-    key = system_cache_key(relations, slq6.rs.order, slq6.rs.certified_degree)
-    path = cache.store(key, slq6.rs, relations)
+    """A store that dies mid-write leaves the previous entry whole and no
+    temp file, and raises CacheCorrupt naming the entry."""
+    cache, key, path = _stored_slq6(tmp_path, slq6)
     with open(path) as fh:
         before = fh.read()
 
@@ -374,13 +395,49 @@ def test_cache_store_is_atomic(tmp_path, slq6, monkeypatch):
             raise OSError("disk full")
 
     monkeypatch.setattr(cli.os, "fdopen", DiesMidWrite)
-    with pytest.raises(OSError):
-        cache.store(key, slq6.rs, relations)
+    with pytest.raises(CacheCorrupt, match="unwritable"):
+        cache.store(key, slq6.rs)
     monkeypatch.undo()
     assert os.listdir(tmp_path) == [os.path.basename(path)]
     with open(path) as fh:
         assert fh.read() == before
-    assert cache.load(key, relations).to_dict() == slq6.rs.to_dict()
+    assert _load_slq6(cache, key, slq6).to_dict() == slq6.rs.to_dict()
+
+
+def test_cache_entry_that_is_a_directory(tmp_path, capsys):
+    """An entry path that is a directory can be neither read nor replaced:
+    a run fails the check that reads it with CacheCorrupt naming the path,
+    and `verify gb` exits 3 with an invalid config, not a traceback."""
+    cfg = small_config(degree_bound=4, checks=["invariants", "hopf"],
+                       cache_dir=str(tmp_path / "cache"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["gb", str(cfg_path)]) == 0
+    (entry,) = os.listdir(tmp_path / "cache")
+    path = tmp_path / "cache" / entry
+    path.unlink()
+    path.mkdir()
+    rep, code = run_config(cfg)
+    assert code == 1
+    assert [c["status"] for c in rep["checks"]] == ["pass", "fail"]
+    assert rep["checks"][1]["witnesses"][0].startswith(f"CacheCorrupt: {path}: unreadable")
+    capsys.readouterr()
+    assert cli.main(["gb", str(cfg_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"invalid config: cache entry {path}: unwritable")
+    assert os.listdir(tmp_path / "cache") == [entry]
+
+
+def test_warm_build_hashes_once(tmp_path, n3, monkeypatch):
+    """A warm build of the n=3 G(A,B) computes its key once and its load
+    serializes nothing: one content_hash, one json.dumps, no completion."""
+    cache = GBCache(str(tmp_path))
+    cache.store(system_cache_key(n3.relations, n3.order, 6), n3.rs)
+    hashes = _recording(monkeypatch, rewrite, "content_hash")
+    dumps = _recording(monkeypatch, json, "dumps")
+    completed = _recording(monkeypatch, rewrite, "complete_truncated")
+    warm = hopf.build_gab(n3.mats["A"], n3.mats["B"], 6, cache=cache)
+    assert len(hashes) == len(dumps) == 1 and not completed
+    assert warm.rs.to_dict() == n3.rs.to_dict()
 
 
 def _glq2(degree_bound, **instance):

@@ -455,8 +455,7 @@ def _reference_complete(relations, order, degree_bound):
         if not new:
             break
         pending = new
-    collapsed = any(not r.lead for r in rules)
-    return RewriteSystem(order, rules, degree_bound, collapsed)
+    return RewriteSystem(order, rules, degree_bound)
 
 
 @st.composite
