@@ -15,7 +15,6 @@ from .foundation import (
     frac_str,
     genericity_check,
     matrix_invariants,
-    normalize_pair,
 )
 from .rewrite import RewriteSystem, complete_truncated
 from .hopf import (

@@ -244,8 +244,9 @@ def _checked_instance(cfg):
     bad = [c for c in checks if c not in CHECK_ORDER]
     if bad:
         raise ConfigInvalid(f"unknown checks: {bad}")
-    if not isinstance(cfg.get("cache_dir", ""), str):
-        raise ConfigInvalid("cache_dir must be a string")
+    for key in ("cache_dir", "report_path"):
+        if not isinstance(cfg.get(key, ""), str):
+            raise ConfigInvalid(f"{key} must be a string")
     probe = cfg.get("probe", {})
     if not isinstance(probe, dict):
         raise ConfigInvalid("probe must be an object")
@@ -658,10 +659,13 @@ def emit_report(report, fmt="json", path=None):
 def _main_run(args):
     report, code = run_config(args.config)
     target = args.report or report["config"].get("report_path")
-    if target:
-        emit_report(report, "json", target)
-    if args.md:
-        emit_report(report, "markdown", args.md)
+    for fmt, path in (("json", target), ("markdown", args.md)):
+        if path:
+            try:
+                emit_report(report, fmt, path)
+            except OSError as e:
+                sys.stderr.write(f"cannot write report: {path}: {type(e).__name__}: {e}\n")
+                return 3
     sys.stdout.write(report_markdown(report))
     return code
 

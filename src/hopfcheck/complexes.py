@@ -15,7 +15,7 @@ from itertools import count
 
 from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
 from .foundation import Mat, NCPoly, combine
-from .hopf import LocalizedElement, glq_slq_laurent_iso, sandwich
+from .hopf import LocalizedElement, a_q_matrix, glq_slq_laurent_iso, sandwich
 from .linalg import kernel_and_lifts, kernel_basis, mat_rank, residues
 
 ONE = Fraction(1)
@@ -222,36 +222,47 @@ def _vv_map(alg, fn, name):
                          vv, vv, name=name)
 
 
-def gamma_maps(alg):
-    """The comodule-level building blocks of the resolution, as module maps."""
-    A, B = alg.mats["A"], alg.mats["B"]
+def _u_blocks(alg, A, B, transpose=False):
+    """γ1–γ5, the blocks that do not involve D, for the matrix pair (A, B):
+    γ1 = δ_ij, γ2 = u_ij, γ3 = (B^-1)_jk (u B^t)_il, γ4 = (A^t B)_ij and
+    γ5 = (A u B^t)_ij, with u read as u^t when ``transpose`` is set."""
     n = alg.n
-    lam = alg.invariants["lambda"]
     I = Mat.identity(n)
     Bt = B.transpose()
     Binv = B.inverse()
     AtB = A.transpose() * B
-    BtAt = B.transpose() * A.transpose()
-    BA = B * A
     vv = _vv_labels(n)
     k = ["k"]
+    u = (lambda i, j: alg.u_elt(j, i)) if transpose else alg.u_elt
 
     g1 = FreeModuleMap(alg, "right",
                        [[alg.one() if i == j else alg.zero()]
                         for i in range(n) for j in range(n)], vv, k, name="γ1")
-    g2 = FreeModuleMap(alg, "right",
-                       [[alg.u_elt(i, j)] for i in range(n) for j in range(n)],
+    g2 = FreeModuleMap(alg, "right", [[u(i, j)] for i in range(n) for j in range(n)],
                        vv, k, name="γ2")
-    g3u = {(i, ll): alg.elt(sandwich(I, Bt, i, ll)) for i in range(n) for ll in range(n)}
+    g3u = {(i, ll): alg.elt(sandwich(I, Bt, i, ll, transpose))
+           for i in range(n) for ll in range(n)}
     g3 = _vv_map(alg, lambda i, j, kk, ll: Binv[j, kk] * g3u[i, ll], "γ3")
     g4 = FreeModuleMap(alg, "right",
                        [[AtB[i, j] * alg.one() for i in range(n) for j in range(n)]],
                        k, vv, name="γ4")
     g5 = FreeModuleMap(alg, "right",
-                       [[alg.elt(sandwich(A, Bt, i, j)) for i in range(n) for j in range(n)]],
+                       [[alg.elt(sandwich(A, Bt, i, j, transpose))
+                         for i in range(n) for j in range(n)]],
                        k, vv, name="γ5")
-    g6 = FreeModuleMap(alg, "right",
-                       [[alg.elt(NCPoly.gen(alg.loc) - NCPoly.one())]], k, k, name="γ6")
+    return {"g1": g1, "g2": g2, "g3": g3, "g4": g4, "g5": g5}
+
+
+def gamma_maps(alg):
+    """The comodule-level building blocks of psi, as module maps: γ1–γ5 of
+    _u_blocks at G(A,B)'s (A, B), and γ6, γ7, which involve D."""
+    A, B = alg.mats["A"], alg.mats["B"]
+    lam = alg.invariants["lambda"]
+    BtAt = B.transpose() * A.transpose()
+    BA = B * A
+    g = _u_blocks(alg, A, B)
+    g["g6"] = FreeModuleMap(alg, "right", [[alg.elt(NCPoly.gen(alg.loc) - NCPoly.one())]],
+                            ["k"], ["k"], name="γ6")
 
     def g7fn(i, j, kk, ll):
         coeff = BtAt[i, kk] * BA[ll, j] / lam
@@ -260,37 +271,20 @@ def gamma_maps(alg):
             p = p - NCPoly.one()
         return alg.elt(p)
 
-    g7 = _vv_map(alg, g7fn, "γ7")
-    return {"g1": g1, "g2": g2, "g3": g3, "g4": g4, "g5": g5, "g6": g6, "g7": g7}
+    g["g7"] = _vv_map(alg, g7fn, "γ7")
+    return g
 
 
 def left_gamma_maps(g):
-    """The blocks of the left-module resolution phi, in gamma_maps' shape.
-
-    γ1 and γ6 are psi's (from ``g``, psi's blocks) and γ7' is γ7's transpose;
-    the others are phi's own: γ2' = u_ji, γ3' = (A^-1)_kj (A^t u)_li,
-    γ4' = (AB^t)_ji, γ5' = (A^t u B)_ji.
-    """
+    """The blocks of the left-module resolution phi, in gamma_maps' shape:
+    γ1–γ5 of _u_blocks at (B^t, A^t) with u read as u^t, psi's γ6 (from
+    ``g``, psi's blocks) and γ7's transpose."""
     alg = g["g1"].alg
     A, B = alg.mats["A"], alg.mats["B"]
     n = alg.n
-    At, Ainv, ABt = A.transpose(), A.inverse(), A * B.transpose()
-    I = Mat.identity(n)
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    vv = _vv_labels(n)
     g7 = g["g7"].entries
-    g3u = {(l, i): alg.elt(sandwich(At, I, l, i)) for l in range(n) for i in range(n)}
-    return {
-        "g1": g["g1"],
-        "g2": FreeModuleMap(alg, "right", [[alg.u_elt(j, i)] for i, j in pairs], vv, ["k"]),
-        "g3": _vv_map(alg, lambda i, j, k, l: Ainv[k, j] * g3u[l, i], "γ3'"),
-        "g4": FreeModuleMap(alg, "right", [[ABt[j, i] * alg.one() for i, j in pairs]],
-                            ["k"], vv),
-        "g5": FreeModuleMap(alg, "right", [[alg.elt(sandwich(At, B, j, i)) for i, j in pairs]],
-                            ["k"], vv),
-        "g6": g["g6"],
-        "g7": _vv_map(alg, lambda i, j, k, l: g7[k * n + l][i * n + j], "γ7'"),
-    }
+    return {**_u_blocks(alg, B.transpose(), A.transpose(), transpose=True), "g6": g["g6"],
+            "g7": _vv_map(alg, lambda i, j, k, l: g7[k * n + l][i * n + j], "γ7'")}
 
 
 def gamma_identity_suite(g):
@@ -501,29 +495,19 @@ def build_twist_chainmap(dual, left, H):
 
 
 def _slq_resolution_maps(alg):
-    """phi_3, phi_2, phi_1 of the SL_q(2) resolution over alg (SLq or Laurent)."""
-    q = alg.mats["q"]
-    a, b, c, d = (NCPoly.gen(i) for i in range(4))
-    one = NCPoly.one()
-    vv = ["v1*v1", "v1*v2", "v2*v1", "v2*v2"]
+    """phi_3, phi_2, phi_1 of the SL_q(2) resolution over alg (SLq or Laurent).
 
-    def E(p):
-        return alg.elt(p)
-
-    phi3 = FreeModuleMap(alg, "right", [[
-        E(-q * one + (1 / q) * d), E(-c), E(-b), E((-1 / q) * one + q * a),
-    ]], ["k"], vv, name="φ3")
-    rows = [
-        [E(one), alg.zero(), E((-1 / q) * b), E(a)],
-        [E(b), E(one - q * a), alg.zero(), alg.zero()],
-        [alg.zero(), alg.zero(), E(one - (1 / q) * d), E(c)],
-        [E(d), E(-q * c), alg.zero(), E(one)],
-    ]
-    phi2 = FreeModuleMap(alg, "right", rows, vv, vv, name="φ2")
-    phi1 = FreeModuleMap(alg, "right", [
-        [E(a - one)], [E(b)], [E(c)], [E(d - one)],
-    ], vv, ["k"], name="φ1")
-    return [phi3, phi2, phi1]
+    This is the length-3 resolution of B(E) at E = A_q, that is psi's middle
+    at D = 1: γ4-γ5, 1+γ3 and γ2-γ1 of _u_blocks at (A_q, A_q^-1).
+    """
+    Aq = a_q_matrix(alg.mats["q"])
+    g = _u_blocks(alg, Aq, Aq.inverse())
+    maps = [g["g4"].add(g["g5"].scale(-1)),
+            identity_map(alg, "right", 4, _vv_labels(2)).add(g["g3"]),
+            g["g2"].add(g["g1"].scale(-1))]
+    for m, name in zip(maps, ("φ3", "φ2", "φ1")):
+        m.name = name
+    return maps
 
 
 def build_slq_resolution(H):

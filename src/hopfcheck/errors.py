@@ -17,12 +17,8 @@ class NotScalarMultiple(HopfcheckError):
     """B^t A^t B A is not a scalar multiple of the identity."""
 
 
-class LambdaNotSquare(HopfcheckError):
-    """sqrt(lambda) is irrational, so the pair cannot be normalized."""
-
-
 class NotNormalized(HopfcheckError):
-    """Operation requires lambda = 1 (run normalize_pair first)."""
+    """Operation requires lambda = 1."""
 
 
 class NeedsFieldExtension(HopfcheckError):

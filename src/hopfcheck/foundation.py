@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .errors import (
-    LambdaNotSquare,
     NeedsFieldExtension,
     NotInvertible,
     NotNormalized,
@@ -183,17 +182,6 @@ def matrix_invariants(A, B):
     if M2.scalar_of_identity() != lam:
         raise NotScalarMultiple("A^t B^t A B != lambda*I")
     return {"lambda": lam, "trace": (A * B.transpose()).trace()}
-
-
-def normalize_pair(A, B):
-    """Rescale A by sqrt(1/lambda) so the new pair has lambda = 1."""
-    lam = matrix_invariants(A, B)["lambda"]
-    if lam == 1:
-        return A, B
-    s = rational_sqrt(1 / lam)
-    if s is None:
-        raise LambdaNotSquare(f"sqrt(1/lambda) irrational for lambda={lam}")
-    return s * A, B
 
 
 def genericity_check(inv, q):

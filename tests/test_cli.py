@@ -702,6 +702,19 @@ def test_run_leaves_no_cyclic_garbage():
     assert found == [0, 0, 0]
 
 
+def test_pair_with_lambda_four_passes():
+    """BᵗAᵗBA = 4·I: ψ, the γ identities and the dual run γ7's division by
+    λ, and φ is read from (Bᵗ, Aᵗ), away from λ = 1."""
+    cfg = {"instance": {"kind": "GAB", "A": [["0", "1"], ["-2", "0"]],
+                        "B": [["0", "-1"], ["2", "0"]]},
+           "degree_bound": 6, "checks": ["invariants", "resolution", "gamma", "dual", "twist"]}
+    rep, code = run_config(cfg)
+    assert code == 0
+    assert rep["checks"][0]["details"]["lambda"] == "4/1"
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [
+        (name, "pass") for name in cfg["checks"]]
+
+
 def test_run_builds_the_gamma_blocks_once(monkeypatch):
     """The seeded n=3 instance with resolution, gamma and twist: ψ, the γ
     identities and φ share one gamma_maps(G(A,B)) per run."""
@@ -740,6 +753,9 @@ INVALID_CONFIGS = {
     "checks_string": (small_config(checks="hopf"), "checks must be a list"),
     "probe_not_object": (small_config(probe=6), "probe must be an object"),
     "cache_dir_number": (small_config(cache_dir=5), "cache_dir must be a string"),
+    "report_path_true": (small_config(report_path=True), "report_path must be a string"),
+    "report_path_number": (small_config(report_path=5), "report_path must be a string"),
+    "report_path_list": (small_config(report_path=["r.json"]), "report_path must be a string"),
     "string_n": (small_config(instance={"kind": "GAB", "n": "3"}, seed=1), "n must be"),
     "list_seed": (small_config(instance={"kind": "GAB", "n": 3}, seed=[1]), "seed must be"),
     "A_without_B": (small_config(instance={"kind": "GAB", "A": [["1", "0"], ["0", "1"]]}),
@@ -785,6 +801,38 @@ def test_cache_path_that_is_a_file_exits_3(cmd, via, tmp_path, monkeypatch, caps
         f"invalid config: cache directory {blocker}: FileExistsError: ")
     with pytest.raises(ConfigInvalid, match="cache directory"):
         run_config(cfg)
+
+
+def test_report_path_true_exits_3(tmp_path, capsys):
+    """report_path true is an invalid config: nothing runs, and the report
+    does not go to file descriptor 1."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(checks=["invariants"], report_path=True)))
+    assert cli.main(["run", str(cfg_path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "invalid config: report_path must be a string\n"
+
+
+@pytest.mark.parametrize("via", ["report_path", "--report", "--md"])
+def test_unwritable_report_exits_3(via, tmp_path, capsys):
+    """A report that cannot be written prints one line and exits 3, although
+    every check passed."""
+    blocker = tmp_path / "a-directory"
+    blocker.mkdir()
+    cfg = small_config(checks=["invariants"])
+    flags = []
+    if via == "report_path":
+        cfg["report_path"] = str(blocker)
+    else:
+        flags = [via, str(blocker)]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(cfg_path)] + flags) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"cannot write report: {blocker}: IsADirectoryError: ")
+    assert out.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("content", [None, "{not json"])

@@ -21,6 +21,7 @@ from hopfcheck.complexes import (
     mapping_cone,
     probe_exactness,
     _image_columns,
+    _slq_resolution_maps,
 )
 from hopfcheck.hopf import LocalizedElement, hopf_structure
 
@@ -228,10 +229,30 @@ def test_slq_resolution(slq6, slq6_hopf):
     assert S.ranks == [1, 4, 4, 1]
     rep = S.is_complex()
     assert rep["ok"], rep["failures"]
-    # phi_3 first entry and phi_1 on v1* v2
+
+
+@pytest.mark.parametrize("fixture", ["slq6", "slql8"])
+def test_slq_resolution_table(fixture, request):
+    """The printed SL_q(2) resolution φ3, φ2, φ1, entry by entry, over
+    O(SL_q(2)) and O(SL_q(2))[z^±1]."""
+    alg = request.getfixturevalue(fixture)
     a, b, c, d = (NCPoly.gen(i) for i in range(4))
-    assert S.maps[0].entries[0][0] == slq6.elt(-Q * NCPoly.one() + (1 / Q) * d)
-    assert S.maps[2].entries[1][0] == slq6.elt(b)
+    one, zero, q = NCPoly.one(), NCPoly.zero(), Q
+    table = [
+        [[-q * one + (1 / q) * d, -c, -b, (-1 / q) * one + q * a]],
+        [[one, zero, (-1 / q) * b, a],
+         [b, one - q * a, zero, zero],
+         [zero, zero, one - (1 / q) * d, c],
+         [d, -q * c, zero, one]],
+        [[a - one], [b], [c], [d - one]],
+    ]
+    maps = _slq_resolution_maps(alg)
+    assert [m.name for m in maps] == ["φ3", "φ2", "φ1"]
+    for m, rows in zip(maps, table):
+        assert (m.src_rank, m.tgt_rank) == (len(rows), len(rows[0]))
+        for s, row in enumerate(rows):
+            for t, p in enumerate(row):
+                assert m.entries[s][t] == alg.elt(p), (m.name, s, t)
 
 
 def test_laurent_cone(slql8, slql8_hopf):

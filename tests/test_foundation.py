@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck.errors import (
-    LambdaNotSquare,
     NeedsFieldExtension,
     NotInvertible,
     NotScalarMultiple,
@@ -19,7 +18,6 @@ from hopfcheck.foundation import (
     frac_str,
     genericity_check,
     matrix_invariants,
-    normalize_pair,
     rational_sqrt,
 )
 from hopfcheck.hopf import a_q_matrix
@@ -51,6 +49,8 @@ def test_matrix_invariants_glq():
 def test_matrix_invariants_identity():
     inv = matrix_invariants(Mat.identity(2), Mat.identity(2))
     assert inv["lambda"] == 1 and inv["trace"] == 2
+    # lambda need not be 1, nor a rational square
+    assert matrix_invariants(Mat.identity(2), Mat([[1, 1], [-1, 1]]))["lambda"] == 2
 
 
 def test_matrix_invariants_transpose_inverse_family():
@@ -73,19 +73,6 @@ def test_matrix_invariants_rejects_bad_pairs():
         matrix_invariants(Mat.identity(2), Mat([[1, 0], [0, 2]]))
     with pytest.raises(NotSquare):
         matrix_invariants(Mat([[1]]), Mat([[1]]))
-
-
-def test_normalize_pair():
-    A = a_q_matrix(2)
-    assert normalize_pair(A, A.inverse()) == (A, A.inverse())
-    A2, B2 = normalize_pair(Mat.identity(2), 2 * Mat.identity(2))
-    assert A2 == Fraction(1, 2) * Mat.identity(2)
-    assert matrix_invariants(A2, B2)["lambda"] == 1
-    # lambda = 2 has an irrational square root
-    B = Mat([[1, 1], [-1, 1]])
-    assert matrix_invariants(Mat.identity(2), B)["lambda"] == 2
-    with pytest.raises(LambdaNotSquare):
-        normalize_pair(Mat.identity(2), B)
 
 
 def test_genericity_q2():
