@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .complexes import _PSI_LAYOUTS, _block_offsets
 from .errors import UnexpectedHomDimension
+from .foundation import ratio, ratios_form
 from .linalg import RowSpace, mat_rank
 from .ydmod import build_comodule, hom_to_trivial
 
@@ -85,9 +86,11 @@ def bialgebra_cohomology(hopf, resolution):
     for i in range(4):
         # d^i: C^i -> C^{i+1} induced by psi_{i+1}: level 3-i -> level 4-i
         psi = resolution.maps[3 - i]
-        # the counits of the nonzero entries, as (t, value) per source row
-        E = [[(t, eps.apply_loc(e)) for t, e in enumerate(row) if e.num.c]
-             for row in psi.entries]
+        # per source row: its nonzero entries t and their counits in integer form
+        E = []
+        for row in psi.entries:
+            ts = [t for t, e in enumerate(row) if e.num.c]
+            E.append((ts, *ratios_form(eps.apply_loc(row[t]) for t in ts)))
         src_basis, tgt_basis = bases[i + 1], bases[i]
         # the induced functionals are expressed in the source level's hom basis
         space = RowSpace()
@@ -95,8 +98,9 @@ def bialgebra_cohomology(hopf, resolution):
             space.insert({k: v for k, v in enumerate(vec) if v}, lbl)
         rows = []
         for F in tgt_basis:
-            G = [sum((v * F[t] for t, v in row), ZERO) for row in E]
-            combo = space.express({k: v for k, v in enumerate(G) if v})
+            Fc, Fden = ratios_form(map(ratio, F))
+            G = [(sum(x * Fc[t] for t, x in zip(ts, c)), den * Fden) for ts, c, den in E]
+            combo = space.express({k: Fraction(x, d) for k, (x, d) in enumerate(G) if x})
             if combo is None:
                 raise UnexpectedHomDimension(
                     f"d^{i} of a functional is not a comodule map")

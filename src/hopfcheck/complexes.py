@@ -12,13 +12,12 @@ touch only the nonzero ones; a sum of scalars times known-normal entries
 
 from fractions import Fraction
 from itertools import count
+from math import lcm
 
 from .errors import ExceedsCertifiedDegree, IdentityFailed, ProbeInvalid
-from .foundation import Mat, NCPoly, combine
+from .foundation import Mat, NCPoly, combine, lowest_ratio, lowest_terms
 from .hopf import LocalizedElement, a_q_matrix, glq_slq_laurent_iso, sandwich
 from .linalg import kernel_and_lifts, kernel_basis, mat_rank, residues
-
-ONE = Fraction(1)
 
 
 class FreeModuleMap:
@@ -173,9 +172,9 @@ class Complex:
                 raise IdentityFailed(f"{self.name or 'complex'}: the augmentation needs "
                                      f"a last target rank of 1, not {last.tgt_rank}")
             for s in range(last.src_rank):
-                v = eps.apply_loc(last.entries[s][0])
-                if v:
-                    failures.append(("augmentation", (s, str(v))))
+                n, d = eps.apply_loc(last.entries[s][0])
+                if n:
+                    failures.append(("augmentation", (s, str(Fraction(n, d)))))
         self._verdict = {"ok": not failures, "failures": failures}
         return self._verdict
 
@@ -242,9 +241,9 @@ def _u_blocks(alg, A, B, transpose=False):
                        vv, k, name="γ2")
     g3u = {(i, ll): alg.elt(sandwich(I, Bt, i, ll, transpose))
            for i in range(n) for ll in range(n)}
-    g3 = _vv_map(alg, lambda i, j, kk, ll: Binv[j, kk] * g3u[i, ll], "γ3")
-    g4 = FreeModuleMap(alg, "right",
-                       [[AtB[i, j] * alg.one() for i in range(n) for j in range(n)]],
+    g3 = _vv_map(alg, lambda i, j, kk, ll: g3u[i, ll].scale(Binv.c[j][kk], Binv.den), "γ3")
+    one = alg.one()
+    g4 = FreeModuleMap(alg, "right", [[one.scale(x, AtB.den) for row in AtB.c for x in row]],
                        k, vv, name="γ4")
     g5 = FreeModuleMap(alg, "right",
                        [[alg.elt(sandwich(A, Bt, i, j, transpose))
@@ -263,13 +262,14 @@ def gamma_maps(alg):
     g = _u_blocks(alg, A, B)
     g["g6"] = FreeModuleMap(alg, "right", [[alg.elt(NCPoly.gen(alg.loc) - NCPoly.one())]],
                             ["k"], ["k"], name="γ6")
+    top, den = lowest_ratio(lam.denominator, BtAt.den * BA.den * lam.numerator)
 
     def g7fn(i, j, kk, ll):
-        coeff = BtAt[i, kk] * BA[ll, j] / lam
-        p = NCPoly.term((alg.loc,), coeff)
+        x = BtAt.c[i][kk] * BA.c[ll][j]
+        c = {(alg.loc,): x * top} if x else {}
         if (i, j) == (kk, ll):
-            p = p - NCPoly.one()
-        return alg.elt(p)
+            c[()] = -den
+        return alg.elt(NCPoly.of(*lowest_terms(c, den)))
 
     g["g7"] = _vv_map(alg, g7fn, "γ7")
     return g
@@ -450,22 +450,20 @@ def build_twist_chainmap(dual, left, H):
     def scalar(c):
         return [[c * one]]
 
-    def entry(c):
-        return c * one if c else zero
-
     def block(sgn):  # e_ij -> sgn * sum_pq B_pi A_qj e_pq
-        return [[entry(sgn * B[p, i] * A[q, j]) for p in range(n) for q in range(n)]
+        return [[one.scale(x, B.den * A.den) if (x := sgn * B.c[p][i] * A.c[q][j]) else zero
+                 for p in range(n) for q in range(n)]
                 for i in range(n) for j in range(n)]
 
     Q = _DUAL_LAYOUTS
-    f4 = FreeModuleMap(alg, "left", scalar(-ONE), name="f4")
-    f3 = _block_map(alg, "left", {("ww", "ww"): block(-ONE), ("k", "k"): scalar(-ONE)},
+    f4 = FreeModuleMap(alg, "left", scalar(-1), name="f4")
+    f3 = _block_map(alg, "left", {("ww", "ww"): block(-1), ("k", "k"): scalar(-1)},
                     Q[1], Q[1], "f3")
-    f2 = _block_map(alg, "left", {("ww", "ww"): block(ONE), ("vv", "vv"): block(-ONE)},
+    f2 = _block_map(alg, "left", {("ww", "ww"): block(1), ("vv", "vv"): block(-1)},
                     Q[2], Q[2], "f2")
-    f1 = _block_map(alg, "left", {("k", "k"): scalar(ONE), ("vv", "vv"): block(ONE)},
+    f1 = _block_map(alg, "left", {("k", "k"): scalar(1), ("vv", "vv"): block(1)},
                     Q[3], Q[3], "f1")
-    f0 = FreeModuleMap(alg, "left", scalar(ONE), name="f0")
+    f0 = FreeModuleMap(alg, "left", scalar(1), name="f0")
 
     cm = ChainMap(dual, left, [f4, f3, f2, f1, f0], twist=nu, name="f")
     report = cm.verify_squares()
@@ -476,14 +474,14 @@ def build_twist_chainmap(dual, left, H):
         if any(e.exp or set(e.num.c) - {()} for row in f.entries for e in row):
             failures.append((f.name, "not scalar"))
             continue
-        rows = [[e.num.coeff(()) for e in row] for row in f.entries]
+        den = lcm(*(e.num.den for row in f.entries for e in row))
+        rows = [[e.num.c.get((), 0) * (den // e.num.den) for e in row] for row in f.entries]
         if any(len(row) != len(rows) for row in rows) or mat_rank(rows) != len(rows):
             failures.append((f.name, "inverse"))
 
     # eta = eps∘nu is the printed character
     H = A.inverse() * A.transpose() * B * B.transpose().inverse()
-    if [eta.values[alg.u_idx(i, j)] for i in range(n) for j in range(n)] != \
-            [H[i, j] for i in range(n) for j in range(n)]:
+    if not eta.sends_u_to(H):
         failures.append(("eta_matrix", None))
 
     return {"chainmap": cm, "nu": nu, "eta": eta,
@@ -843,8 +841,8 @@ def probe_exactness(C, N, slack, window=2):
     columns = []
     for t in range(C.ranks[L]):
         for w, m in kernel_words:
-            v = C.augmentation.apply_loc(LocalizedElement(alg, NCPoly.term(w), m))
-            columns.append(((t, w, m), {0: v} if v else {}))
+            n, d = C.augmentation.apply_loc(LocalizedElement(alg, NCPoly.term(w), m))
+            columns.append(((t, w, m), {0: Fraction(n, d)} if n else {}))
     cycles = kernel_basis(columns)
     positions = []
     for p in range(L + 1):

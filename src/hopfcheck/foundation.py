@@ -19,10 +19,6 @@ from .errors import (
     NotSquare,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 def frac(x):
     """Coerce an int, Fraction or "p/q" string to an exact rational."""
     if isinstance(x, Fraction):
@@ -53,109 +49,97 @@ def rational_sqrt(x):
 
 
 class Mat:
-    """Immutable matrix of exact rationals."""
+    """Immutable matrix of exact rationals in integer form: integer rows c
+    over one denominator den > 0, gcd(den, *entries) = 1."""
 
-    __slots__ = ("rows", "cols", "a")
+    __slots__ = ("rows", "cols", "c", "den")
 
     def __init__(self, rows_of_entries):
-        a = tuple(tuple(frac(x) for x in row) for row in rows_of_entries)
-        self.a = a
-        self.rows = len(a)
-        self.cols = len(a[0]) if a else 0
-        for row in a:
+        ratios = [[ratio(x) for x in row] for row in rows_of_entries]
+        den = lcm(*(q for row in ratios for _, q in row))
+        m = Mat.of([[p * (den // q) for p, q in row] for row in ratios], den)
+        self.c, self.den, self.rows, self.cols = m.c, m.den, m.rows, m.cols
+        for row in self.c:
             assert len(row) == self.cols, "ragged matrix"
 
     @classmethod
+    def of(cls, c, den=1):
+        """The matrix c/den of integer rows c and den > 0, in lowest terms."""
+        g = gcd(den, *itertools.chain.from_iterable(c))
+        m = object.__new__(cls)
+        m.c = tuple(tuple(x // g for x in row) for row in c)
+        m.den, m.rows, m.cols = den // g, len(m.c), len(m.c[0]) if m.c else 0
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls.of([[int(i == j) for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.a[i][j]
+        return Fraction(self.c[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.a == other.a
+        return isinstance(other, Mat) and self.den == other.den and self.c == other.c
 
     def __hash__(self):
-        return hash(self.a)
+        return hash((self.c, self.den))
 
     def __repr__(self):
-        return f"Mat({[[str(x) for x in row] for row in self.a]})"
+        return f"Mat({[[str(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]})"
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            return Mat(
-                [
-                    [
-                        sum((self.a[i][k] * other.a[k][j] for k in range(self.cols)), ZERO)
-                        for j in range(other.cols)
-                    ]
-                    for i in range(self.rows)
-                ]
-            )
-        c = frac(other)
-        return Mat([[c * x for x in row] for row in self.a])
-
-    def __rmul__(self, other):
-        c = frac(other)
-        return Mat([[c * x for x in row] for row in self.a])
-
-    def __add__(self, other):
-        return Mat(
-            [
-                [self.a[i][j] + other.a[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
+        if not isinstance(other, Mat):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        cols = list(zip(*other.c))
+        return Mat.of([[sum(map(operator.mul, row, col)) for col in cols] for row in self.c],
+                      self.den * other.den)
 
     def transpose(self):
-        return Mat([[self.a[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Mat.of(list(zip(*self.c)), self.den)
 
     def trace(self):
         if self.rows != self.cols:
             raise NotSquare("trace of a non-square matrix")
-        return sum((self.a[i][i] for i in range(self.rows)), ZERO)
+        return Fraction(sum(self.c[i][i] for i in range(self.rows)), self.den)
 
     def inverse(self):
+        """Fraction-free Gauss-Jordan (Bareiss 1968): [c | I] ends as
+        [p*I | p*c^-1], p the last pivot, and (c/den)^-1 = den*(p*c^-1)/p."""
         if self.rows != self.cols:
             raise NotSquare("inverse of a non-square matrix")
         n = self.rows
-        work = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-                for i, row in enumerate(self.a)]
+        work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.c)]
+        prev = 1
         for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+            piv = next((r for r in range(col, n) if work[r][col]), None)
             if piv is None:
                 raise NotInvertible("singular matrix")
             work[col], work[piv] = work[piv], work[col]
-            p = work[col][col]
-            work[col] = [x / p for x in work[col]]
+            top = work[col]
+            p = top[col]
             for r in range(n):
-                if r != col and work[r][col] != 0:
+                if r != col:
                     f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return Mat([row[n:] for row in work])
+                    work[r] = [(p * x - f * y) // prev for x, y in zip(work[r], top)]
+            prev = p
+        scale = self.den if prev > 0 else -self.den
+        return Mat.of([[scale * x for x in row[n:]] for row in work], abs(prev))
 
     def scalar_of_identity(self):
         """The scalar c with self = c*I, or None."""
         if self.rows != self.cols:
             return None
-        c = self.a[0][0]
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.a[i][j] != (c if i == j else 0):
-                    return None
-        return c
+        x = self.c[0][0]
+        if any(v != (x if i == j else 0)
+               for i, row in enumerate(self.c) for j, v in enumerate(row)):
+            return None
+        return Fraction(x, self.den)
 
     def to_lists(self):
-        return [[frac_str(x) for x in row] for row in self.a]
+        return [[frac_str(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +236,7 @@ class MonomialOrder:
         self.heavy = frozenset(heavy)
 
     def weight(self, word):
-        return sum(self.weights[g] for g in word)
+        return sum(map(self.weights.__getitem__, word))
 
     def key(self, word):
         ranks = tuple(self.rank[g] for g in word)
@@ -284,19 +268,37 @@ class MonomialOrder:
 # stored c is never mutated.
 
 
-def _ratio(x):
+def ratio(x):
     """(numerator, denominator) of an int or Fraction."""
     if isinstance(x, (int, Fraction)):
         return x.numerator, x.denominator
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def lowest_ratio(n, d):
+    """n/d, d != 0, as (p, q) in lowest terms with q > 0."""
+    if not d:
+        raise ZeroDivisionError(f"{n}/0")
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def ratios_form(ratios):
+    """Integer ratios (p, q), q > 0, as a list of numerators over one
+    denominator, in lowest terms."""
+    ratios = list(ratios)
+    den = lcm(*(q for _, q in ratios))
+    c = [p * (den // q) for p, q in ratios]
+    g = gcd(den, *c)
+    return [x // g for x in c] if g != 1 else c, den // g
+
+
 def int_form(d):
-    """A rational dict as (c, den), zeros dropped; over the lcm of reduced
-    denominators the numerators are already in lowest terms."""
-    pairs = [(k, _ratio(x)) for k, x in d.items()]
-    den = lcm(*(q for _, (_, q) in pairs))
-    return {k: p * (den // q) for k, (p, q) in pairs if p}, den
+    """A rational dict as (c, den), zeros dropped."""
+    c, den = ratios_form(map(ratio, d.values()))
+    return {k: x for k, x in zip(d, c) if x}, den
 
 
 def lowest_terms(c, den):
@@ -363,10 +365,13 @@ class _IntForm:
     def __neg__(self):
         return self._like({k: -n for k, n in self.c.items()}, self.den)
 
-    def __rmul__(self, x):
-        p, q = _ratio(x)
+    def scale(self, p, q=1):
+        """p/q times self, for integers p and q > 0."""
         return self._like(*lowest_terms({k: p * n for k, n in self.c.items()} if p else {},
                                         self.den * q))
+
+    def __rmul__(self, x):
+        return self.scale(*ratio(x))
 
     def __mul__(self, other):
         if not isinstance(other, _IntForm):
@@ -417,7 +422,7 @@ class NCPoly(_IntForm):
 
     @classmethod
     def term(cls, word, coeff=1):
-        p, q = _ratio(coeff)
+        p, q = ratio(coeff)
         return cls.of({tuple(word): p}, q) if p else cls.of({})
 
     @classmethod
@@ -426,12 +431,7 @@ class NCPoly(_IntForm):
 
     def weight(self, order):
         """Largest word weight in the support (0 for the zero polynomial)."""
-        if not self.c:
-            return 0
-        return max(order.weight(w) for w in self.c)
-
-    def coeff(self, word):
-        return Fraction(self.c.get(tuple(word), 0), self.den)
+        return max(map(order.weight, self.c), default=0)
 
     def pretty(self, names):
         if not self.c:

@@ -19,10 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import HopfcheckError, IdentityFailed, UnitCollapse
-from .foundation import Mat, MonomialOrder, NCPoly, TensorPoly, combine, frac, matrix_invariants
+from .foundation import (Mat, MonomialOrder, NCPoly, TensorPoly, combine, frac, lowest_ratio,
+                         lowest_terms, matrix_invariants, ratio, ratios_form)
 from .rewrite import complete_with_cache
-
-ONE = Fraction(1)
 
 
 def a_q_matrix(q):
@@ -33,8 +32,10 @@ def a_q_matrix(q):
 def sandwich(L, R, i, j, transpose=False):
     """(L u R)_ij as a polynomial in the letters u_kl = k*m + l, m = R.rows;
     with transpose=True, u is replaced by u^t (and m = L.cols)."""
-    return NCPoly({((l * L.cols + k if transpose else k * R.rows + l),): L[i, k] * R[l, j]
-                   for k in range(L.cols) for l in range(R.rows)})
+    col = [r[j] for r in R.c]
+    c = {((l * L.cols + k) if transpose else (k * R.rows + l),): a * b
+         for k, a in enumerate(L.c[i]) if a for l, b in enumerate(col) if b}
+    return NCPoly.of(*lowest_terms(c, L.den * R.den))
 
 
 class PresentedAlgebra:
@@ -250,8 +251,12 @@ class LocalizedElement:
     def __neg__(self):
         return LocalizedElement(self.alg, -self.num, self.exp, self.normal)
 
+    def scale(self, p, q=1):
+        """p/q times self, for integers p and q > 0."""
+        return LocalizedElement(self.alg, self.num.scale(p, q), self.exp, self.normal)
+
     def __rmul__(self, c):
-        return LocalizedElement(self.alg, c * self.num, self.exp, self.normal)
+        return self.scale(*ratio(c))
 
     def __mul__(self, other):
         if not isinstance(other, LocalizedElement):
@@ -356,7 +361,7 @@ class TensorElt:
         return self + (-1) * other
 
     def __rmul__(self, c):
-        return TensorElt(self.algs, self.exps, c * self.tp)
+        return TensorElt(self.algs, self.exps, self.tp.__rmul__(c))
 
     def __mul__(self, other):
         if not isinstance(other, TensorElt):
@@ -432,7 +437,8 @@ def apply_slot(te, slot, f):
         elif arity == 1:
             exps, c, den = (img.exp,), {(w,): x for w, x in img.num.c.items()}, img.num.den
         else:
-            exps, c, den = (), {(): img.numerator} if img else {}, img.denominator
+            (x, den), exps = img, ()
+            c = {(): x} if x else {}
         pre, post = ws[:slot], ws[slot + 1 :]
         parts.setdefault(te.exps[:slot] + exps + te.exps[slot + 1 :], []).append(
             (n, ({pre + vs + post: x for vs, x in c.items()}, den)))
@@ -482,8 +488,8 @@ class _GeneratorMap:
     def apply_poly(self, p):
         if len(p.c) == 1:
             (w, n), = p.c.items()
-            c = n if p.den == 1 else Fraction(n, p.den)
-            return self.apply_word(w) if c == 1 else c * self.apply_word(w)
+            img = self.apply_word(w)
+            return img if n == p.den == 1 else self._combine(p.den, [(n, img)])
         return self._combine(p.den, [(n, self.apply_word(w)) for w, n in p.c.items()])
 
     def respects_relations(self):
@@ -496,38 +502,61 @@ class _GeneratorMap:
 
 
 class Character(_GeneratorMap):
-    """Multiplicative unital functional, given by its generator values."""
+    """Multiplicative unital functional sending generator g to images[g]/den,
+    so apply_word gives a word's value times den^len(word); apply_poly and
+    apply_loc give (numerator, denominator) in lowest terms."""
 
     def __init__(self, alg, values, name=""):
-        super().__init__(alg, (), [frac(v) for v in values], name)
+        c, self.den = ratios_form(map(ratio, values))
+        super().__init__(alg, (), c, name)
+
+    @classmethod
+    def of(cls, alg, ratios, name=""):
+        """The character sending generator g to p/q, (p, q) = ratios[g]."""
+        chi = cls(alg, (), name)
+        chi.images, chi.den = ratios_form(ratios)
+        return chi
 
     @property
     def values(self):
-        return self.images
+        return [Fraction(n, self.den) for n in self.images]
 
     def _unit(self):
-        return ONE
+        return 1
 
-    def _combine(self, den, parts):
-        return sum((n * v for n, v in parts), Fraction(0)) / den
+    def apply_poly(self, p):
+        den = self.den
+        top = max(map(len, p.c), default=0)
+        return lowest_ratio(sum(n * self.apply_word(w) * den ** (top - len(w))
+                                for w, n in p.c.items()), p.den * den ** top)
 
     def _witness(self, i, v):
-        return (i, v) if v else None
+        return (i, Fraction(*v)) if v[0] else None
 
     def loc_value(self):
-        return self.images[self.source.loc] if self.source.loc is not None else ONE
+        loc = self.source.loc
+        return lowest_ratio(self.images[loc], self.den) if loc is not None else (1, 1)
 
     def apply_loc(self, le):
-        v = self.apply_poly(le.num)
-        return v / self.loc_value() ** le.exp if le.exp else v
+        (n, d), e = self.apply_poly(le.num), le.exp
+        if not e:
+            return n, d
+        ln, ld = self.loc_value()
+        return lowest_ratio(n * ld ** e, d * ln ** e)
 
     def compose_map(self, f):
         """The character x -> self(f(x)) on f's source."""
         vals = [self.apply_loc(f.images[g]) for g in range(f.source.ngens())]
-        return Character(f.source, vals, name=f"{self.name}∘{f.name}")
+        return Character.of(f.source, vals, name=f"{self.name}∘{f.name}")
 
     def eq(self, other):
-        return self.images == other.images
+        return self.den == other.den and self.images == other.images
+
+    def sends_u_to(self, M):
+        """Whether every u_ij goes to M_ij."""
+        alg = self.source
+        return all(self.images[alg.u_idx(i, j)] * M.den == x * self.den
+                   for i, row in enumerate(M.c) for j, x in enumerate(row))
 
 
 class AlgebraMap(_GeneratorMap):
@@ -854,16 +883,16 @@ def winding(H, chi, side):
     alg = H.alg
     slot = 0 if side == "left" else 1
     images = [apply_slot(te, slot, chi).to_loc() for te in H.delta.images]
-    v = chi.loc_value()
-    inv = (1 / v) * alg.loc_inv_elt() if alg.loc is not None else None
+    ln, ld = chi.loc_value()
+    inv = Fraction(ld, ln) * alg.loc_inv_elt() if alg.loc is not None else None
     return AlgebraMap(alg, alg, images, 1, inv, name=f"[{chi.name}]^{side[0]}")
 
 
 def convolve_chars(H, chi1, chi2):
     """(chi1 * chi2)(x) = chi1(x_(1)) chi2(x_(2)) via the comultiplication of H."""
-    values = [apply_slot(apply_slot(te, 1, chi2), 0, chi1).tp.d.get((), 0)
-              for te in H.delta.images]
-    return Character(H.alg, values, name=f"{chi1.name}*{chi2.name}")
+    tps = [apply_slot(apply_slot(te, 1, chi2), 0, chi1).tp for te in H.delta.images]
+    return Character.of(H.alg, [(tp.c.get((), 0), tp.den) for tp in tps],
+                        name=f"{chi1.name}*{chi2.name}")
 
 
 def antipode_squared_sovereign(H):
@@ -896,14 +925,13 @@ def antipode_squared_sovereign(H):
         failures.append(("S2_Dinv", None))
 
     # sovereign character
-    phi_vals = [BAt[i, j] for i in range(n) for j in range(n)] + [lam]
-    phi = Character(alg, phi_vals, name="Φ")
+    phi = Character.of(alg, [(x, BAt.den) for row in BAt.c for x in row]
+                       + [(lam.numerator, lam.denominator)], name="Φ")
     r = phi.respects_relations()
     if not r["ok"]:
         failures.append(("phi_character", r["failures"]))
     phi_inv = phi.compose_map(S)
-    if not all(v == 0 for v in (convolve_chars(H, phi, phi_inv).values[g] -
-                                H.eps.values[g] for g in range(alg.ngens()))):
+    if not convolve_chars(H, phi, phi_inv).eq(H.eps):
         failures.append(("phi_convolution_inverse", None))
     # S^2 = Φ * id * Φ^{-1}, the sovereign identity, checked on generators
     delta = H.delta
@@ -942,7 +970,6 @@ def nakayama_G(H):
     """Nakayama data for G(A,B) = H.alg: mu, xi, eta, and the identities tying them."""
     alg = H.alg
     A, B = alg.mats["A"], alg.mats["B"]
-    n = alg.n
     P = A.transpose().inverse() * A
     Q = B.transpose() * B.inverse()
     eps = H.eps
@@ -963,8 +990,7 @@ def nakayama_G(H):
 
     xi = eps.compose_map(mu)
     PQ = P * Q
-    if [xi.values[alg.u_idx(i, j)] for i in range(n) for j in range(n)] != \
-            [PQ[i, j] for i in range(n) for j in range(n)]:
+    if not xi.sends_u_to(PQ):
         failures.append(("xi_matrix", None))
     if not eps.compose_map(mu_inv).eq(eta):
         failures.append(("eta_is_eps_mu_inv", None))
@@ -1091,14 +1117,14 @@ def cogroupoid_suite(algs, hopfs):
             algxx = algs[(x, x)]
             for g in range(algxx.ngens()):
                 te = deltas[(x, x, y)].images[g]
-                unit = counits[x].values[g]
+                unit = (counits[x].images[g], counits[x].den)
                 lhs = apply_slot(te, 0, antipodes[(x, y)]).mul_slots()
                 checks += 1
-                if lhs != unit * algs[(y, x)].one():
+                if lhs != algs[(y, x)].one().scale(*unit):
                     failures.append(("antipode_square_left", (x, y), algxx.names[g]))
                 rhs = apply_slot(te, 1, antipodes[(y, x)]).mul_slots()
                 checks += 1
-                if rhs != unit * algs[(x, y)].one():
+                if rhs != algs[(x, y)].one().scale(*unit):
                     failures.append(("antipode_square_right", (x, y), algxx.names[g]))
     # Δ∘S identity: Δ^Z_{X,Y}(S_{Y,X}(a)) = S_{Z,X}(a_2) (x) S_{Y,Z}(a_1)
     for x in objs:

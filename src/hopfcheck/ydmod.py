@@ -15,8 +15,6 @@ from .foundation import NCPoly
 from .hopf import TensorElt, apply_slot
 from .linalg import kernel_basis
 
-ONE = Fraction(1)
-
 
 class Comodule:
     """Coaction matrix c over hopf.alg with rho(v_i) = sum_k v_k (x) c[k][i];
@@ -41,7 +39,7 @@ class Comodule:
     def _counit_failures(self):
         eps = self.hopf.eps
         return [("counit", (k, i)) for k in range(self.dim) for i in range(self.dim)
-                if eps.apply_loc(self.c[k][i]) != (ONE if k == i else 0)]
+                if eps.apply_loc(self.c[k][i]) != (int(k == i), 1)]
 
     def _coassoc_failures(self):
         alg = self.alg

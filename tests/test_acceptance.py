@@ -81,7 +81,7 @@ def test_criterion_2_resolution_complex():
     assert rep["ok"] and rep["failures"] == []
     # eps . psi_1 = 0 stands on its own as well
     for s in range(C.maps[-1].src_rank):
-        assert eps.apply_loc(C.maps[-1].entries[s][0]) == 0
+        assert eps.apply_loc(C.maps[-1].entries[s][0]) == (0, 1)
     gam = gamma_identity_suite(gamma_maps(glq))
     assert gam["ok"] and gam["identities"] == 15
     t_n2 = time.monotonic() - t0

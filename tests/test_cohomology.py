@@ -98,7 +98,7 @@ def test_dims_invariant_under_basis_change(coh):
     for i, mat in enumerate(sc.mats):
         M = Mat(mat) if mat else None
         conj = Ps[i].inverse() * M * Ps[i + 1]
-        new_mats.append([list(row) for row in conj.a])
+        new_mats.append([[conj[r, c] for c in range(conj.cols)] for r in range(conj.rows)])
     sc2 = ScalarComplex(sc.dims, new_mats)
     assert sc2.check_complex()["ok"]
     assert sc2.homology_dims() == sc.homology_dims()

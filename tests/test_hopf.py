@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -142,10 +143,11 @@ def _ref_char_slot(te, slot, chi):
     k = te.arity()
     algs = te.algs[:slot] + te.algs[slot + 1 :]
     exps = te.exps[:slot] + te.exps[slot + 1 :]
-    scale = chi.loc_value() ** -te.exps[slot] if te.exps[slot] else Fraction(1)
+    vals = chi.values
+    scale = vals[te.algs[slot].loc] ** -te.exps[slot] if te.exps[slot] else Fraction(1)
     d = {}
     for ws, c in te.tp.terms():
-        v = chi.apply_word(ws[slot])
+        v = prod((vals[g] for g in ws[slot]), start=Fraction(1))
         if not v:
             continue
         key = ws[:slot] + ws[slot + 1 :]

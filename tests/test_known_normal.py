@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hopfcheck.foundation import NCPoly, combine
 from hopfcheck.hopf import (
     AlgebraMap,
+    Character,
     LocalizedElement,
     TensorElt,
     apply_slot,
@@ -88,6 +89,10 @@ def _ref_word(f, word):
 
 
 def _ref_poly(f, p):
+    if isinstance(f, Character):
+        # a word's image is its value times den^len(word)
+        v = sum(Fraction(n * _ref_word(f, w), p.den * f.den ** len(w)) for w, n in p.c.items())
+        return v.numerator, v.denominator
     parts = [(n, _ref_word(f, w)) for w, n in p.c.items()]
     if isinstance(f, AlgebraMap):
         return _ref_combine(f.targets[0], p.den, parts)
