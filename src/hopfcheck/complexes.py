@@ -394,7 +394,8 @@ def build_yd_resolution(g, eps):
     """The free Yetter-Drinfeld resolution psi of the trivial module over
     G(A,B), assembled from its blocks ``g`` = gamma_maps(G(A,B)), with counit eps."""
     alg = g["g1"].alg
-    assert alg.kind == "GAB", "YD resolution is defined over G(A,B)"
+    if alg.kind != "GAB":
+        raise ValueError("not G(A,B)")
     if alg.rs.certified_degree < 6:
         raise ExceedsCertifiedDegree("YD resolution needs certified degree >= 6")
     return _assemble_resolution(alg, "right", g, _PSI_LAYOUTS, "vv", "ww", eps)
@@ -405,7 +406,8 @@ def build_left_resolution(g, eps):
     assembly over phi's own blocks (built on psi's blocks ``g``), with the
     parts of vv and ww exchanged, augmented by the counit eps."""
     alg = g["g1"].alg
-    assert alg.kind == "GAB"
+    if alg.kind != "GAB":
+        raise ValueError("not G(A,B)")
     return _assemble_resolution(alg, "left", left_gamma_maps(g), _DUAL_LAYOUTS, "ww", "vv", eps)
 
 
@@ -511,7 +513,8 @@ def _slq_resolution_maps(alg):
 def build_slq_resolution(H):
     """The rank (1,4,4,1) free resolution of the trivial module over H.alg = O(SL_q(2))."""
     alg = H.alg
-    assert alg.kind == "SLq"
+    if alg.kind != "SLq":
+        raise ValueError("not O(SL_q(2))")
     return Complex(alg, "right", _slq_resolution_maps(alg),
                    augmentation=H.eps, name="slq_resolution")
 
@@ -555,7 +558,8 @@ def mapping_cone(chainmap, augmentation=None):
 def laurent_cone(H):
     """Mapping cone of right multiplication by (z-1) on the complex over H.alg."""
     alg = H.alg
-    assert alg.kind == "SLqLaurent"
+    if alg.kind != "SLqLaurent":
+        raise ValueError("not O(SL_q(2))[z^±1]")
     maps = _slq_resolution_maps(alg)  # levels C3 -> C2 -> C1 -> C0
     C = Complex(alg, "right", maps, name="slq_res_z")
     z1 = alg.elt(NCPoly.gen(4) - NCPoly.one())
@@ -581,7 +585,8 @@ def build_glq_complexes(H, slql):
     blocks of level 3 in the printed order ww|k instead of the cone's k|vv.
     """
     alg = H.alg
-    assert alg.kind == "GAB" and alg.n == 2
+    if alg.kind != "GAB" or alg.n != 2:
+        raise ValueError("not O(GL_q(2))")
     if alg.rs.certified_degree < 8:
         raise ExceedsCertifiedDegree("glq complexes need certified degree >= 8")
     q = slql.alg.mats["q"]

@@ -59,8 +59,8 @@ class Mat:
         den = lcm(*(q for row in ratios for _, q in row))
         m = Mat.of([[p * (den // q) for p, q in row] for row in ratios], den)
         self.c, self.den, self.rows, self.cols = m.c, m.den, m.rows, m.cols
-        for row in self.c:
-            assert len(row) == self.cols, "ragged matrix"
+        if any(len(row) != self.cols for row in self.c):
+            raise ValueError("ragged matrix")
 
     @classmethod
     def of(cls, c, den=1):
@@ -149,7 +149,7 @@ class Mat:
 def matrix_invariants(A, B):
     """lambda with B^t A^t B A = lambda*I, and tr(A B^t).
 
-    Also asserts the transposed identity A^t B^t A B = lambda*I, which holds
+    Also checks the transposed identity A^t B^t A B = lambda*I, which holds
     whenever the first does.
     """
     if A.rows != A.cols or B.rows != B.cols:
@@ -461,8 +461,8 @@ class TensorPoly(_IntForm):
     def __init__(self, arity, d=None):
         self.arity = arity
         self.c, self.den = int_form(d) if d else ({}, 1)
-        for k in self.c:
-            assert len(k) == arity
+        if any(len(k) != arity for k in self.c):
+            raise ValueError("arity mismatch")
 
     @classmethod
     def of(cls, arity, c, den=1):

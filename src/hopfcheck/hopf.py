@@ -124,11 +124,11 @@ class PresentedAlgebra:
         return self.gen_elt(self.u_idx(i, j))
 
     def loc_elt(self):
-        assert self.loc is not None
+        if self.loc is None:
+            raise ValueError(f"{self.name} has no D")
         return self.gen_elt(self.loc)
 
     def loc_inv_elt(self):
-        assert self.loc is not None
         return LocalizedElement(self, NCPoly.one(), 1)
 
 
@@ -142,9 +142,8 @@ class LocalizedElement:
     __slots__ = ("alg", "num", "exp", "normal")
 
     def __init__(self, alg, num, exp, normal=False):
-        assert exp >= 0
-        if alg.loc is None:
-            assert exp == 0
+        if exp < 0 or exp and alg.loc is None:
+            raise ValueError(f"D^-{exp} in {alg.name}")
         # cancel trailing D common to every word of the numerator
         loc = alg.loc
         while exp > 0 and num.c and all(w and w[-1] == loc for w in num.c):
@@ -242,7 +241,8 @@ class LocalizedElement:
         return LocalizedElement(alg, p, m, normal=True)
 
     def __add__(self, other):
-        assert self.alg is other.alg
+        if self.alg is not other.alg:
+            raise ValueError("elements of two algebras")
         return LocalizedElement.sum(self.alg, (self, other))
 
     def __sub__(self, other):
@@ -261,7 +261,8 @@ class LocalizedElement:
     def __mul__(self, other):
         if not isinstance(other, LocalizedElement):
             return self.__rmul__(other)
-        assert self.alg is other.alg
+        if self.alg is not other.alg:
+            raise ValueError("elements of two algebras")
         alg = self.alg
         # (p D^-m)(q D^-l) = p sigma^-m(q) D^-(m+l)
         q = alg.sigma_poly(other.num, -self.exp) if self.exp else other.num
@@ -269,7 +270,8 @@ class LocalizedElement:
                                 normal=True)
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"negative power {k}")
         out = self.alg.one()
         for _ in range(k):
             out = out * self
@@ -310,7 +312,8 @@ class TensorElt:
         self.algs = tuple(algs)
         self.exps = tuple(exps)
         self.tp = tp
-        assert tp.arity == len(self.algs)
+        if tp.arity != len(self.algs):
+            raise ValueError("arity mismatch")
 
     @classmethod
     def zero(cls, algs):
@@ -354,7 +357,8 @@ class TensorElt:
         return cls(algs, exps, TensorPoly.of(len(algs), *combine(den, forms)))
 
     def __add__(self, other):
-        assert self.algs == other.algs
+        if self.algs != other.algs:
+            raise ValueError("elements of two algebras")
         return TensorElt.sum(self.algs, (self, other))
 
     def __sub__(self, other):
@@ -366,7 +370,8 @@ class TensorElt:
     def __mul__(self, other):
         if not isinstance(other, TensorElt):
             return self.__rmul__(other)
-        assert self.algs == other.algs
+        if self.algs != other.algs:
+            raise ValueError("elements of two algebras")
         exps = tuple(e + f for e, f in zip(self.exps, other.exps))
         # slot i: (w D^-e)(v D^-f) = w sigma^-e(v) D^-(e+f), so other's slots
         # are shifted once, only where e != 0, and then words concatenate
@@ -399,7 +404,8 @@ class TensorElt:
         return isinstance(other, TensorElt) and (self - other).is_zero()
 
     def to_loc(self):
-        assert self.arity() == 1
+        if self.arity() != 1:
+            raise ValueError("arity mismatch")
         alg = self.algs[0]
         p = NCPoly.of({ws[0]: n for ws, n in self.tp.c.items()}, self.tp.den)
         return LocalizedElement(alg, alg.rs.normal_form(p), self.exps[0], normal=True)
@@ -411,7 +417,8 @@ class TensorElt:
         w1 sigma^-e(w2) D^-(e+f), so the products are combined and
         normal-formed once.
         """
-        assert self.arity() == 2 and self.algs[0] is self.algs[1]
+        if self.arity() != 2 or self.algs[0] is not self.algs[1]:
+            raise ValueError("not in H (x) H")
         alg = self.algs[0]
         e = self.exps[0]
         images = [(n, w1, alg.sigma_word(w2, -e)) for (w1, w2), n in self.tp.c.items()]
@@ -678,7 +685,8 @@ def _gabcd_relations(A, B, C, D, sigma_images):
 def build_gabcd(A, B, C, D, degree_bound, name=None, cache=None):
     """The bi-Galois-object algebra G(A,B|C,D); equals G(A,B) when (C,D)=(A,B)."""
     n, m = A.rows, C.rows
-    assert B.rows == n and D.rows == m
+    if B.rows != n or D.rows != m:
+        raise ValueError("size mismatch")
     BA = B * A
     DC = D * C
     BAi = BA.inverse()
@@ -1047,7 +1055,8 @@ def galois_s_map(src, tgt):
 def cocomposition(src, left, right):
     """Δ^{XY}: C(X,Y)-style cocomposition into left (x) right."""
     p = left.m
-    assert right.n == p and src.n == left.n and src.m == right.m
+    if right.n != p or src.n != left.n or src.m != right.m:
+        raise ValueError("size mismatch")
     images = []
     for i in range(src.n):
         for j in range(src.m):

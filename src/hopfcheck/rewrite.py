@@ -6,10 +6,11 @@ increases weight, so the resulting system certifies normal forms and ideal
 membership for all inputs within that weight.
 
 Completion is fraction-free (Bareiss 1968) from end to end: S-polynomials,
-normal forms, pending polynomials and rule tails are all in foundation's
-integer form.  The rule leads are indexed in a trie (the goto function of
-Aho & Corasick 1975), which one completion keeps up to date as it appends,
-replaces and drops rules.
+normal forms and rule tails are all in foundation's integer form.  The
+rule leads are indexed in a trie (the goto function of Aho & Corasick
+1975), which finds redexes and overlap partners.  Completion adopts each
+new rule as soon as it is found, and keeps the trie up to date as it
+appends, replaces and drops rules.
 """
 
 import hashlib
@@ -82,11 +83,12 @@ class _Reducer:
     trie ``root`` indexes the leads of the linked rules.  Each word is
     rewritten at its leftmost redex, using the matching rule that comes
     first in list order, and the reduction recurses on the resulting words.
-    Normal forms are memoized per word, and every change to the index
-    clears the memo.
+    Normal forms are memoized per word.  An append makes the memo stale: a
+    stale form still equals its word modulo the rules, and is revalidated on
+    first use.  Linking and unlinking leave the memo alone.
     """
 
-    __slots__ = ("rules", "root", "empty", "maxlen", "cache", "_next")
+    __slots__ = ("rules", "root", "empty", "maxlen", "cache", "stale", "_next")
 
     def __init__(self, rules):
         self.rules = {}
@@ -94,6 +96,7 @@ class _Reducer:
         self.empty = []  # serials of linked rules with the empty lead
         self.maxlen = 0  # no linked lead is longer
         self.cache = {}
+        self.stale = {}
         self._next = 0
         for r in rules:
             self.append(r)
@@ -104,6 +107,12 @@ class _Reducer:
         self._next += 1
         self.rules[seq] = rule
         self.link(seq)
+        self.age()
+
+    def age(self):
+        """Make the memo stale, as linking a lead must."""
+        self.stale.update(self.cache)
+        self.cache.clear()
 
     def link(self, seq):
         """Index the lead of rule seq."""
@@ -116,7 +125,6 @@ class _Reducer:
             self.maxlen = max(self.maxlen, len(lead))
         else:
             insort(self.empty, seq)
-        self.cache.clear()
 
     def unlink(self, seq):
         """Take the lead of rule seq out of the index; the rule keeps its place."""
@@ -135,7 +143,28 @@ class _Reducer:
                     del path[i - 1][lead[i - 1]]
         else:
             self.empty.remove(seq)
-        self.cache.clear()
+
+    def partners(self, lead, weights, room):
+        """Serials of the linked leads that start inside lead and end inside
+        it or run past its end by letters of weight at most room (weights are
+        not negative): the rules that overlap lead or lie in it, and more."""
+        out = set(self.empty)
+        for i in range(len(lead)):
+            node = self.root
+            for g in lead[i:]:
+                node = node.get(g)
+                if node is None:
+                    break
+                out.update(node.get(_END, ()))
+            else:
+                below = [(node, 0)]
+                while below:
+                    node, w = below.pop()
+                    for g, v in node.items():
+                        if g != _END and w + weights[g] <= room:
+                            below.append((v, w + weights[g]))
+                            out.update(v.get(_END, ()))
+        return out
 
     def find_redex(self, word, start=0):
         """(position, serial) of the leftmost redex of word, by the first
@@ -173,6 +202,7 @@ class _Reducer:
         if hit is not None:
             return hit
         rules = self.rules
+        stale = self.stale
         # iterative post-order over the rewrite dag rooted at word; an entry
         # is (word, start, None) until its redex is found, then
         # (word, denominator, children)
@@ -185,6 +215,26 @@ class _Reducer:
                 continue
             if w in cache:
                 stack.pop()
+                continue
+            old = stale.get(w)
+            if old is not None and w not in old[0]:
+                # a stale form of a reducible word: current if its words
+                # are still normal, else one rewrite step to them
+                coeffs = old[0]
+                for cw in coeffs:
+                    hit = cache.get(cw)
+                    if hit is None:
+                        if self.find_redex(cw) is not None:
+                            break
+                        cache[cw] = ({cw: 1}, 1)
+                    elif cw not in hit[0]:
+                        break
+                else:
+                    cache[w] = old
+                    stack.pop()
+                    continue
+                stack[-1] = (w, old[1], list(coeffs.items()))
+                stack.extend((cw, 0, None) for cw in coeffs if cw not in cache)
                 continue
             red = self.find_redex(w, x)
             if red is None:
@@ -213,11 +263,21 @@ class _Reducer:
 def _resolve_overlaps(reducer, rules, fresh, order, bound):
     """(ambiguity word, normal form of its S-polynomial) for every overlap
     of weight <= bound between two of rules, at least one of them in fresh,
-    in the order of rules."""
-    for r1 in rules:
-        old1 = r1 not in fresh
-        for r2 in rules:
-            if old1 and r2 not in fresh:
+    in the order of rules, which maps serials to linked rules of reducer.
+    A lead trie names each rule's partners: the reducer's for a fresh rule,
+    which may grow meanwhile, and one of the fresh leads for the others.
+    """
+    index = _Reducer([])
+    for seq, r in rules.items():
+        if r in fresh:
+            index.rules[seq] = r
+            index.link(seq)
+    for r1 in rules.values():
+        trie = reducer if r1 in fresh else index
+        room = bound - order.weight(r1.lead)
+        for seq in sorted(trie.partners(r1.lead, order.weights, room)):
+            r2 = rules.get(seq)
+            if r2 is None:
                 continue
             for kind, pos in _overlaps(r1, r2):
                 word = r1.lead + r2.lead[pos:] if kind == "olap" else r1.lead
@@ -332,7 +392,7 @@ class RewriteSystem:
 
     def verify_confluence(self):
         """Recheck that every in-bound overlap of the final rules resolves."""
-        resolved = list(_resolve_overlaps(self._reducer, self.rules, set(self.rules),
+        resolved = list(_resolve_overlaps(self._reducer, self._reducer.rules, set(self.rules),
                                           self.order, self.certified_degree))
         return {"overlaps_checked": len(resolved),
                 "failures": [(word, NCPoly.of(*nf)) for word, nf in resolved if nf[0]]}
@@ -394,13 +454,12 @@ def _parse_tail(terms, ngens):
 def _interreduce(reducer, keys):
     """Reduce every rule against the others until stable; drop zeros.
 
-    Each step rewrites the first rule, in list order, with a word that
-    contains the lead of another rule: its lead minus tail is reduced with
-    its own lead unlinked, then the rule is replaced by the monic rule of
-    that normal form, or dropped if it is zero.  Every rule is tested once;
-    after that a rule is tested again only when a lead it contains has been
-    linked since its last test, since dropping a lead makes no rule
-    reducible.  Whether a rule contains a lead is one search of its text().
+    Each step takes the first rule, in list order, with a word that contains
+    another rule's lead, and reduces its lead minus tail with its own lead
+    unlinked and the memo emptied; the monic rule of that normal form
+    replaces it, or it is dropped if that is zero.  A rule is tested again
+    only when a lead it contains has been linked since its last test
+    (dropping a lead makes no rule reducible), by one search of its text().
     """
     rules = reducer.rules
     heap = list(rules)
@@ -416,12 +475,15 @@ def _interreduce(reducer, keys):
         den = rule.tail.den
         coeffs = {rule.lead: den}
         coeffs.update((w, -n) for w, n in rule.tail.c.items())
+        reducer.cache.clear()
+        reducer.stale.clear()
         nf = reducer.nf(coeffs, den)
         if not nf[0]:
             del rules[seq]
             continue
         rule = rules[seq] = _monic_rule(nf, keys)
         reducer.link(seq)
+        reducer.age()
         lead = _text((rule.lead,))
         for s, r in rules.items():
             if s not in queued and s != seq and lead in r.text():
@@ -429,49 +491,15 @@ def _interreduce(reducer, keys):
                 queued.add(s)
 
 
-def _absorb(reducer, pending, keys):
-    """Append rules made from pending polynomials, smallest lead first.
-
-    A pending polynomial is (integer coefficients, positive denominator),
-    and every one must be normal for the reducer's rules.  Each
-    new rule is made from the pending polynomial with the least leading
-    word; the rest are then normal for every rule but the new one, so only
-    those with a word containing its lead are re-reduced (and re-keyed).
-    The others keep their polynomial and key, and the stable sort sees the
-    same list as a full re-reduction would give.
-
-    The containment test is one search of the polynomial's words spelt as
-    one _text.  The lead index would answer it only by a trie walk at every
-    position of every word.
-    """
-    def item(nf):
-        coeffs = nf[0]
-        return max(map(keys.__getitem__, coeffs)), nf, _text(coeffs)
-
-    items = [item(nf) for nf in pending]
-    while items:
-        items.sort(key=lambda t: t[0])
-        rule = _monic_rule(items[0][1], keys)
-        reducer.append(rule)
-        lead = _text((rule.lead,))
-        rest = []
-        for it in items[1:]:
-            if lead in it[2]:
-                nf = reducer.nf(*it[1])
-                if not nf[0]:
-                    continue
-                it = item(nf)
-            rest.append(it)
-        items = rest
-
-
 def complete_truncated(relations, order, degree_bound):
     """Truncated two-sided completion of the given relation polynomials.
 
     Returns a RewriteSystem whose overlaps of weight <= degree_bound all
-    resolve to zero.  Deterministic for a fixed order and input sequence:
-    pending polynomials are absorbed in (weight, lead) ascending order and
-    the rule set is interreduced after every batch.
+    resolve to zero.  Each nonzero normal form of a relation, or of the
+    S-polynomial of an overlap of the rules a round starts with, becomes a
+    rule at once.  A round first interreduces; the first round that adds no
+    rule is the last.  The result is the interreduced, monic system of the
+    relations, order and bound, whatever the order of the work.
 
     A collapse of the algebra (1 reducible to 0) is recorded on the system,
     not raised.
@@ -486,21 +514,22 @@ def complete_truncated(relations, order, degree_bound):
 
     reducer = _Reducer([])
     keys = _Keys(order)
-    pending = [(p.c, p.den) for p in relations]
-    # the rules of the last round: every overlap between two of them is resolved
-    done = set()
+    forms = (reducer.nf(p.c, p.den) for p in relations)
+    rules = {}
     while True:
-        _absorb(reducer, pending, keys)
-        _interreduce(reducer, keys)
-        rules = list(reducer.rules.values())
-        fresh = {r for r in rules if r not in done}
-        pending = [nf for _, nf in _resolve_overlaps(reducer, rules, fresh, order, degree_bound)
-                   if nf[0]]
-        if not pending:
+        for nf in forms:
+            if nf[0]:
+                reducer.append(_monic_rule(nf, keys))
+        if len(reducer.rules) == len(rules):
             break
-        done = set(rules)
+        # every overlap between two of the last round's rules is resolved
+        done = set(rules.values())
+        _interreduce(reducer, keys)
+        rules = dict(reducer.rules)
+        fresh = {r for r in rules.values() if r not in done}
+        forms = (nf for _, nf in _resolve_overlaps(reducer, rules, fresh, order, degree_bound))
 
-    return RewriteSystem(order, rules, degree_bound)
+    return RewriteSystem(order, rules.values(), degree_bound)
 
 
 def _poly_payload(p, order):

@@ -39,6 +39,12 @@ def test_mat_inverse_exact():
         Mat([[1, 2, 3], [4, 5, 6]]).inverse()
 
 
+def test_ragged_matrix_raises():
+    """A ragged matrix is refused, also under python -O."""
+    with pytest.raises(ValueError, match="ragged"):
+        Mat([[1, 2], [3]])
+
+
 def test_matrix_invariants_glq():
     A = a_q_matrix(2)
     inv = matrix_invariants(A, A.inverse())

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -20,6 +21,8 @@ from hopfcheck.hopf import (
 from hopfcheck.rewrite import (
     RewriteRule,
     RewriteSystem,
+    _interreduce,
+    _Keys,
     _overlaps,
     _Reducer,
     _spoly,
@@ -238,6 +241,7 @@ RULE_SET_PINS = {
     "galois-op-d8": "de25745f13d09ec3c45b4d51e67a5fe7797ca502b43b0bd8952a71606b317fd2",
     "n3-d6": "62ad64c5ea73241c835d0c4af5c883b90cad6ee82098374c9b4e6395e176400f",
     "n3-diagonal-d6": "0e225a0168831cb0d4ce0a95648d50dab33003477133eb2b0cc40b16ba54fd82",
+    "n3-transposition-d6": "5f2e5920b6708208afc1a0ea4c499b810ab157f39e232f5e8c92e12295c1f638",
     "galois-k-3-d6": "16a5beb0a1664de17911503d37e15f0385f4a6eb702fe4d7192357a88f0e2561",
     "galois-op-k-3-d6": "88cd149bdbad2b7cc24badfb91bc7d03fb6512229040ace0b336b47452da8b07",
 }
@@ -268,6 +272,8 @@ def test_rule_sets_pinned(glq8, glq9, slq6, slql8, n3, conj_pair):
         "n3-d6": n3.rs,
         # seed 5 draws a diagonal signed permutation
         "n3-diagonal-d6": build_gab(*seeded_pair(5), 6).rs,
+        # seed 4 draws a transposition: 631 rules
+        "n3-transposition-d6": build_gab(*seeded_pair(4), 6).rs,
         "galois-k-3-d6": build_gabcd(A, B, C3, D3, 6).rs,
         "galois-op-k-3-d6": build_gabcd(C3, D3, A, B, 6).rs,
     }
@@ -601,3 +607,44 @@ def test_indexed_find_redex_matches_linear_scan(leads, word, unlinked):
     for seq in unlinked:
         reducer.link(seq)
     assert reducer.find_redex(word) == _FractionReducer(rules).find_redex(word)
+
+
+def test_memo_survives_an_append():
+    """Every word of length <= 3 over a, b, c is memoized under ba -> 2ab - c,
+    then bc -> a/3 is appended.  The two leads do not overlap, so normal
+    forms are unique, and the stale memo gives each word the normal form of
+    a fresh reducer over both rules, with the keys in the same order."""
+    r0 = RewriteRule((1, 0), NCPoly({(0, 1): 2, (2,): -1}))
+    r1 = RewriteRule((1, 2), NCPoly({(0,): Fraction(1, 3)}))
+    reducer = _Reducer([r0])
+    words = [w for k in range(4) for w in itertools.product(range(3), repeat=k)]
+    for w in words:
+        reducer.nf_word(w)
+    reducer.append(r1)
+    assert not reducer.cache and len(reducer.stale) >= len(words)
+    fresh = _Reducer([r0, r1])
+    for w in words:
+        got, want = reducer.nf_word(w), fresh.nf_word(w)
+        assert (list(got[0].items()), got[1]) == (list(want[0].items()), want[1]), w
+
+
+def test_stale_normal_word_is_reduced():
+    """ac is normal under ba -> ab, and its memoized form is itself; once
+    ac -> b is appended, that stale entry is recomputed, not followed."""
+    reducer = _Reducer([RewriteRule((1, 0), NCPoly.term((0, 1)))])
+    assert reducer.nf_word((0, 2)) == ({(0, 2): 1}, 1)
+    reducer.append(RewriteRule((0, 2), NCPoly.term((1,))))
+    assert reducer.stale[(0, 2)] == ({(0, 2): 1}, 1)
+    assert reducer.nf_word((0, 2)) == ({(1,): 1}, 1)
+
+
+def test_interreduce_keeps_a_rule_whose_lead_was_memoized():
+    """ba -> c and c -> a, with ba memoized as a through ba -> c: interreducing
+    ba -> c reduces ba - c with its own rule unlinked, so it becomes ba -> a
+    and is not dropped as ba - c = a - a."""
+    reducer = _Reducer([RewriteRule((1, 0), NCPoly.term((2,))),
+                        RewriteRule((2,), NCPoly.term((0,)))])
+    assert reducer.nf_word((1, 0)) == ({(0,): 1}, 1)
+    _interreduce(reducer, _Keys(MonomialOrder([1, 1, 1])))
+    assert [(r.lead, r.tail) for r in reducer.rules.values()] == [
+        ((1, 0), NCPoly.term((0,))), ((2,), NCPoly.term((0,)))]

@@ -245,6 +245,14 @@ def test_no_unused_imports_or_locals():
     assert not found, "\n".join(found)
 
 
+def test_package_has_no_assert():
+    """No verdict depends on an assert: python -O strips them."""
+    found = [f"{os.path.basename(path)}:{node.lineno}"
+             for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py")))
+             for node in ast.walk(_parse(path)) if isinstance(node, ast.Assert)]
+    assert not found
+
+
 def test_one_overlap_pass():
     """_overlaps and _spoly are named in one place in the package, the overlap
     pass that completion and the confluence recheck share."""
