@@ -69,15 +69,12 @@ class GBCache:
     """Content-addressed store of completed rewrite systems.
 
     An entry is one JSON object: the format version, the key it was stored
-    under, and the canonical text of the system's ``to_dict`` with the
-    sha256 of that text.  ``load`` binds the entry to the request by three
-    facts: the stored key is the requested one, the text has its hash, and
-    the parsed system has the requested order and certified degree.  So an
-    entry copied under another key, edited, or claiming another order or
-    degree raises ``CacheCorrupt`` instead of being trusted, as does a file
-    that cannot be read or written.  An entry of another format version
-    (version 2 stored the parsed payload and a relations digest) raises
-    ``VersionMismatch``; ``verify gb`` replaces it.
+    under, and the canonical text of the system's ``to_dict`` with its
+    sha256.  ``load`` binds the entry to the request: the stored key is the
+    requested one, the text has its hash, and the parsed system has the
+    requested order and certified degree, else ``CacheCorrupt``, as for a
+    file that cannot be read or written.  An entry of another format
+    version raises ``VersionMismatch``.
     """
 
     FORMAT_VERSION = 3
@@ -201,7 +198,7 @@ def validate_config(cfg):
 
 
 def _checked_instance(cfg):
-    """_instance_matrices(cfg) and the "invariants" of each pair, if cfg
+    """_instance_matrices(cfg) and the "pair_invariants" of each pair, if cfg
     names a valid run, else ConfigInvalid.  Besides the keys, it checks the
     types and ranges of q, the matrices (each pair must satisfy
     B^t A^t B A = lambda I), the check list and the probe parameters.
@@ -241,7 +238,7 @@ def _checked_instance(cfg):
     checks = cfg["checks"]
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigInvalid("checks must be a list of check names")
-    bad = [c for c in checks if c not in CHECK_ORDER]
+    bad = [c for c in checks if c not in CHECKS]
     if bad:
         raise ConfigInvalid(f"unknown checks: {bad}")
     for key in ("cache_dir", "report_path"):
@@ -256,16 +253,18 @@ def _checked_instance(cfg):
     for key, low in (("N", 1), ("slack", 0), ("laurent_window", 0)):
         if key in probe and (not _is_int(probe[key]) or probe[key] < low):
             raise ConfigInvalid(f"probe {key} must be an integer >= {low}")
-    needs_cd = {"galois", "cogroupoid"} & set(checks)
-    if needs_cd and kind != "GABCD" and "conjugator" not in inst and "C" not in inst:
-        raise ConfigInvalid(f"{sorted(needs_cd)} need (C,D) or a conjugator")
-    needs_q = {"slq", "cone", "glq_iso"} & set(checks)
+    reads = {c: CHECKS[c][0] for c in checks}
+    needs_cd = sorted(c for c, r in reads.items()
+                      if any(1 in xy for k in r for xy in _PAIRS.get(k, ())))
+    if needs_cd and "conjugator" not in inst and "C" not in inst:
+        raise ConfigInvalid(f"{needs_cd} need (C,D) or a conjugator")
+    needs_q = sorted(c for c, r in reads.items() if set(r) - set(_PAIRS))
     if needs_q and kind != "GLq":
-        raise ConfigInvalid(f"{sorted(needs_q)} require a GLq instance")
+        raise ConfigInvalid(f"{needs_q} require a GLq instance")
     try:
         mats = _instance_matrices(cfg)
-        mats["invariants"] = [matrix_invariants(mats[X], mats[Y])
-                              for X, Y in (("A", "B"), ("C", "D")) if X in mats]
+        mats["pair_invariants"] = [matrix_invariants(mats[X], mats[Y])
+                                   for X, Y in (("A", "B"), ("C", "D")) if X in mats]
     except (NotInvertible, NotScalarMultiple, NotSquare) as e:
         raise ConfigInvalid(f"{type(e).__name__}: {e}") from e
     return mats
@@ -274,7 +273,7 @@ def _checked_instance(cfg):
 def _instance_matrices(cfg):
     inst = cfg["instance"]
     kind = inst["kind"]
-    out = {"kind": kind, "q": _rational(inst["q"], "q") if "q" in inst else None}
+    out = {"q": _rational(inst["q"], "q") if "q" in inst else None}
     if out["q"] == 0:
         raise ConfigInvalid("q must be nonzero")
     if kind == "GLq":
@@ -285,9 +284,7 @@ def _instance_matrices(cfg):
     else:
         A, B = seeded_pair(cfg["seed"], inst.get("n", 3))
     out["A"], out["B"] = A, B
-    if kind == "GABCD":
-        out["C"], out["D"] = _matrix(inst["C"], "C"), _matrix(inst["D"], "D")
-    elif "conjugator" in inst:
+    if "conjugator" in inst and kind != "GABCD":
         F = _matrix(inst["conjugator"], "conjugator")
         if F.rows != A.rows:
             raise ConfigInvalid(f"conjugator must be {A.rows} x {A.rows}")
@@ -306,6 +303,13 @@ def _fails_to_witnesses(failures):
     return [str(f) for f in failures[:5]]
 
 
+# What a check reads, in the order `verify gb` builds it: C(x,y) for the
+# pairs of a key, then the _Run attributes slq and slql (GLq only).
+_PAIRS = {"C(0,0)": [(0, 0)], "C(x,y)": [(0, 0), (0, 1), (1, 0), (1, 1)],
+          "C(0,1)": [(0, 1)], "C(1,0)": [(1, 0)]}
+PRESENTATIONS = (*_PAIRS, "slq", "slql")
+
+
 class _Run:
     """The instance of one run, and the objects its checks share, each built once.
 
@@ -313,11 +317,9 @@ class _Run:
     (C,D).  ``C(x, y)`` is G(A_x,B_x|A_y,B_y), built on first use; C(x,x) is
     G(A_x,B_x), and C(0,0) is ``alg``.  An object equal to an earlier one
     shares its algebras, so a presentation is built once per run, and each
-    takes its invariants from ``mats`` (``_checked_instance``).
+    takes its invariants from ``mats``.
     ``hopf(alg)`` builds a Hopf algebra's structure once, so every check
     shares its Δ, ε and S and their word caches.
-    ``presentations`` builds what a run of given checks reads, for
-    ``verify gb``.
     """
 
     def __init__(self, cfg, mats, cache):
@@ -329,7 +331,6 @@ class _Run:
         self.slack = probe.get("slack", 2)
         self.window = probe.get("laurent_window", 2)
         self.cache = cache
-        self.generic = None  # set by the invariants check
         self._cogroupoid = {}
         self._hopf = {}
 
@@ -342,7 +343,7 @@ class _Run:
             else:
                 alg = build_gabcd(*self.objects[x], *self.objects[y], self.bound,
                                   cache=self.cache)
-            alg.invariants = self.mats["invariants"][x]
+            alg.invariants = self.mats["pair_invariants"][x]
             self._cogroupoid[(x, y)] = alg
         return alg
 
@@ -375,28 +376,34 @@ class _Run:
     def slql(self):
         return build_slq_laurent(self.mats["q"], self.bound, cache=self.cache)
 
+    @cached_property
+    def genericity(self):
+        """genericity_check of (A,B) at q, or its NeedsFieldExtension; None
+        unless q is given and lambda = 1."""
+        inv, q = self.mats["pair_invariants"][0], self.mats["q"]
+        if q is None or inv["lambda"] != 1:
+            return None
+        try:
+            return genericity_check(inv, q)
+        except NeedsFieldExtension as e:
+            return e
+
+    def read(self, key):
+        """[(label, algebra)] of a key of PRESENTATIONS."""
+        if key not in _PAIRS:
+            alg = getattr(self, key)
+            return [(alg.name, alg)]
+        return [(f"C({x},{y}) {self.C(x, y).name}", self.C(x, y)) for x, y in _PAIRS[key]]
+
     def presentations(self, checks):
-        """{label: algebra} of every presentation a run of checks reads, built
-        on first use; an object equal to an earlier one is read once."""
-        checks = set(checks)
-        objs = range(len(self.objects))
-        pairs = []
-        # every check but these reads run.alg = C(0,0)
-        if checks - {"invariants", "cogroupoid", "galois", "slq", "cone"}:
-            pairs.append((0, 0))
-        if "cogroupoid" in checks:
-            pairs += [(x, y) for x in objs for y in objs]
-        if "galois" in checks:
-            pairs += [(0, 1), (1, 0)]
+        """{label: algebra} of what a run of checks reads, in the order of
+        PRESENTATIONS; an object equal to an earlier one is read once."""
+        reads = {key for c in checks for key in CHECKS[c][0]}
         out = {}
-        for x, y in pairs:
-            alg = self.C(x, y)
-            if all(a is not alg for a in out.values()):
-                out[f"C({x},{y}) {alg.name}"] = alg
-        if "slq" in checks:
-            out[self.slq.name] = self.slq
-        if checks & {"cone", "glq_iso"}:
-            out[self.slql.name] = self.slql
+        for key in PRESENTATIONS:
+            for label, alg in self.read(key) if key in reads else ():
+                if all(a is not alg for a in out.values()):
+                    out[label] = alg
         return out
 
 
@@ -412,18 +419,14 @@ def _first_failing(reps):
 
 
 def _check_invariants(run):
-    q = run.mats["q"]
-    inv = run.mats["invariants"][0]
+    inv, gen = run.mats["pair_invariants"][0], run.genericity
     extras = {"lambda": frac_str(inv["lambda"]), "trace": frac_str(inv["trace"])}
-    if q is not None and inv["lambda"] == 1:
-        try:
-            gen = genericity_check(inv, q)
-        except NeedsFieldExtension as e:
-            extras["generic"] = None
-            return "pass", [f"irrational roots: {e}"], extras
+    if isinstance(gen, NeedsFieldExtension):
+        extras["generic"] = None
+        return "pass", [f"irrational roots: {gen}"], extras
+    if gen is not None:
         extras["generic"] = gen["generic"]
         extras["roots"] = [frac_str(r) for r in gen["roots"]]
-        run.generic = gen["generic"]
         if not gen["generic"]:
             return "fail", [f"non-generic roots {extras['roots']}"], extras
     return "pass", [], extras
@@ -446,9 +449,8 @@ def _check_nakayama(run):
 
 
 def _check_cogroupoid(run):
-    objs = range(len(run.objects))
-    rep = cogroupoid_suite({(x, y): run.C(x, y) for x in objs for y in objs},
-                           {x: run.hopf(run.C(x, x)) for x in objs})
+    rep = cogroupoid_suite({xy: run.C(*xy) for xy in _PAIRS["C(x,y)"]},
+                           {x: run.hopf(run.C(x, x)) for x in (0, 1)})
     return _verdict(rep, {"checks": rep["checks"]})
 
 
@@ -508,7 +510,7 @@ def _check_probe(run):
 
 
 def _check_cohomology(run):
-    if run.generic is False:
+    if isinstance(run.genericity, dict) and not run.genericity["generic"]:
         return "uncertified", ["skipped: genericity failed"], {}
     coh = bialgebra_cohomology(run.hopf(run.alg), run.resolution)
     gs = gs_dimension_report(coh)
@@ -520,32 +522,32 @@ def _check_cohomology(run):
     return "pass", [], extras
 
 
-# Every check, in the order a run executes them: name -> function of the run
-# returning (status, witnesses, details).
+# Every check, in the order a run executes them: name -> (the PRESENTATIONS
+# it reads, function of the run giving (status, witnesses, details)).
 CHECKS = {
-    "invariants": _check_invariants,
-    "hopf": _check_hopf,
-    "nakayama": _check_nakayama,
-    "cogroupoid": _check_cogroupoid,
-    "galois": _check_galois,
-    "resolution": lambda run: _verdict(run.resolution.is_complex(), {}),
-    "gamma": _check_gamma,
-    "dual": lambda run: _verdict(run.dual.is_complex(), {}),
-    "twist": _check_twist,
-    "slq": _check_slq,
-    "cone": _check_cone,
-    "glq_iso": lambda run: _verdict(glq_slq_laurent_iso(run.alg, run.slql)["report"], {}),
-    "probe": _check_probe,
-    "cohomology": _check_cohomology,
+    "invariants": ((), _check_invariants),
+    "hopf": (("C(0,0)",), _check_hopf),
+    "nakayama": (("C(0,0)",), _check_nakayama),
+    "cogroupoid": (("C(x,y)",), _check_cogroupoid),
+    "galois": (("C(0,1)", "C(1,0)"), _check_galois),
+    "resolution": (("C(0,0)",), lambda run: _verdict(run.resolution.is_complex(), {})),
+    "gamma": (("C(0,0)",), _check_gamma),
+    "dual": (("C(0,0)",), lambda run: _verdict(run.dual.is_complex(), {})),
+    "twist": (("C(0,0)",), _check_twist),
+    "slq": (("slq",), _check_slq),
+    "cone": (("slql",), _check_cone),
+    "glq_iso": (("C(0,0)", "slql"),
+                lambda run: _verdict(glq_slq_laurent_iso(run.alg, run.slql)["report"], {})),
+    "probe": (("C(0,0)",), _check_probe),
+    "cohomology": (("C(0,0)",), _check_cohomology),
 }
-CHECK_ORDER = list(CHECKS)
 
 
 def _run_checks(cfg, mats, cache):
     run = _Run(cfg, mats, cache)
     results = []
     timings = {}
-    for name, check in CHECKS.items():
+    for name, (_, check) in CHECKS.items():
         if name not in cfg["checks"]:
             continue
         t0 = time.monotonic()
@@ -617,33 +619,22 @@ def report_json(report):
 
 
 def report_markdown(report):
-    lines = ["# verification report", ""]
-    lines.append("| check | status | notes |")
-    lines.append("|---|---|---|")
-    for c in report["checks"]:
-        note = "; ".join(c["witnesses"]) if c["witnesses"] else ""
-        lines.append(f"| {c['name']} | {c['status']} | {note} |")
+    lines = ["# verification report", "", "| check | status | notes |", "|---|---|---|"]
+    lines += [f"| {c['name']} | {c['status']} | {'; '.join(c['witnesses'])} |"
+              for c in report["checks"]]
     for c in report["checks"]:
         d = c.get("details", {})
         if "H_b" in d:
-            lines.append("")
-            lines.append("## bialgebra cohomology")
-            lines.append("| n | 0 | 1 | 2 | 3 | 4 |")
-            lines.append("|---|---|---|---|---|---|")
-            lines.append("| H_b | " + " | ".join(str(x) for x in d["H_b"]) + " |")
-            lines.append("")
-            lines.append(f"H_b: {','.join(str(x) for x in d['H_b'])}")
+            dims = [str(x) for x in d["H_b"]]
+            lines += ["", "## bialgebra cohomology", "| n | 0 | 1 | 2 | 3 | 4 |",
+                      "|---|---|---|---|---|---|", f"| H_b | {' | '.join(dims)} |", "",
+                      f"H_b: {','.join(dims)}"]
             gs = d.get("gs")
             if gs:
-                lines.append(f"cd_GS: upper={gs['upper']} lower={gs['lower']}"
-                             f" -> {gs['verdict']}")
+                lines.append(f"cd_GS: upper={gs['upper']} lower={gs['lower']} -> {gs['verdict']}")
         if "mu" in d:
-            lines.append("")
-            lines.append("## Nakayama automorphism")
-            lines.append("| generator | mu |")
-            lines.append("|---|---|")
-            for g, img in d["mu"].items():
-                lines.append(f"| {g} | {img} |")
+            lines += ["", "## Nakayama automorphism", "| generator | mu |", "|---|---|"]
+            lines += [f"| {g} | {img} |" for g, img in d["mu"].items()]
     lines.append("")
     return "\n".join(lines)
 
@@ -758,7 +749,6 @@ def main(argv=None):
         report["timings"] = blob.get("timings", {})
         sys.stdout.write(report_markdown(report) if args.md
                          else report_json(report))
-        return 0
     return 0
 
 

@@ -675,10 +675,12 @@ def _gabcd_relations(A, B, C, D, sigma_images):
     D' = n*m, plus the normality rules D' u_g = sigma_images[g] D'."""
     n, m = A.rows, C.rows
     loc = NCPoly.gen(n * m)
-    return ([NCPoly({(k * m + i, l * m + j): A[k, l] for k in range(n) for l in range(n)})
-             - C[i, j] * loc for i in range(m) for j in range(m)]
-            + [NCPoly({(i * m + k, j * m + l): D[k, l] for k in range(m) for l in range(m)})
-               - B[i, j] * loc for i in range(n) for j in range(n)]
+    return ([NCPoly.of({(k * m + i, l * m + j): x for k, row in enumerate(A.c)
+                        for l, x in enumerate(row) if x}, A.den)
+             - loc.scale(C.c[i][j], C.den) for i in range(m) for j in range(m)]
+            + [NCPoly.of({(i * m + k, j * m + l): x for k, row in enumerate(D.c)
+                          for l, x in enumerate(row) if x}, D.den)
+               - loc.scale(B.c[i][j], B.den) for i in range(n) for j in range(n)]
             + [loc * NCPoly.gen(g) - sigma_images[g] * loc for g in range(n * m)])
 
 

@@ -240,9 +240,8 @@ def hom_to_trivial(V):
     loc = alg.loc
 
     def cleared(le, M):
+        # without D every exponent is 0, so pad is 0
         pad = M - le.exp
-        if pad and loc is None:
-            raise AssertionError("nonzero exponent over a non-localized algebra")
         p = le.num * NCPoly.term((loc,) * pad) if pad else le.num
         return alg.rs.normal_form(p)
 
@@ -251,7 +250,7 @@ def hom_to_trivial(V):
         for i in range(V.dim):
             p = cleared(V.c[k][i], Ms[i])
             if k == i:
-                unit = alg.rs.normal_form(NCPoly.term((loc,) * Ms[i] if loc is not None else ()))
+                unit = alg.rs.normal_form(NCPoly.term((loc,) * Ms[i]))
                 p = p - unit
             # distinct (i, word) give distinct keys
             vec.update(((i,) + order.key(w), c) for w, c in p.terms())

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shutil
@@ -70,16 +71,21 @@ def test_empty_checks_exit_zero():
     assert rep["checks"] == []
 
 
-def test_q1_genericity_fails_and_cohomology_skipped():
-    cfg = small_config(checks=["invariants", "cohomology"])
+@pytest.mark.parametrize("checks", [["invariants", "cohomology"], ["cohomology"]],
+                         ids=["after_invariants", "alone"])
+def test_q1_genericity_fails_and_cohomology_skipped(checks):
+    """q = 1 is not generic: cohomology is skipped with the same witness
+    whether or not the invariants check, which reports genericity, runs."""
+    cfg = small_config(checks=checks)
     cfg["instance"] = {"kind": "GLq", "q": "1"}
     rep, code = run_config(cfg)
-    assert code == 1
-    inv = next(c for c in rep["checks"] if c["name"] == "invariants")
-    assert inv["status"] == "fail"
+    assert code == (1 if "invariants" in checks else 2)
+    if "invariants" in checks:
+        inv = next(c for c in rep["checks"] if c["name"] == "invariants")
+        assert inv["status"] == "fail"
     coh = next(c for c in rep["checks"] if c["name"] == "cohomology")
     assert coh["status"] == "uncertified"
-    assert any("skipped" in w for w in coh["witnesses"])
+    assert coh["witnesses"] == ["skipped: genericity failed"]
 
 
 def test_low_degree_bound_is_uncertified():
@@ -623,22 +629,165 @@ def test_corrupt_galois_entry_fails_only_its_checks(tmp_path):
         assert entry["witnesses"][0].startswith("CacheCorrupt: ")
 
 
-@pytest.mark.parametrize("checks", [["hopf", "cogroupoid", "galois"], ["slq"], ["cone"],
-                                    ["glq_iso"]])
-def test_gb_prebuilds_every_presentation_a_run_reads(tmp_path, monkeypatch, capsys, checks):
-    """After `verify gb`, a run of the same config completes nothing: gb built
-    each presentation its checks read, one `cached` line and entry each."""
-    cfg = _glq2(5) | {"checks": checks, "cache_dir": str(tmp_path / "cache")}
+def _config_checks(name):
+    with open(os.path.join(CONFIGS, name)) as fh:
+        return json.load(fh)["checks"]
+
+
+# `verify gb`'s lines on glq2 at degree 6 (probe N = 3), as printed before
+# CHECKS declared what each check reads: for every single check, then for the
+# check lists of configs/glq2.json and configs/n3seed.json
+_C00, _C01, _C10, _C11 = ("cached C(0,0) GAB: 25 rules", "cached C(0,1) GABCD: 25 rules",
+                          "cached C(1,0) GABCD: 42 rules", "cached C(1,1) GAB: 42 rules")
+_SLQ, _SLQL = "cached SLq(2),q=2: 21 rules", "cached SLq(2)[z±1],q=2: 25 rules"
+GB_LINES = [
+    (["invariants"], []),
+    (["hopf"], [_C00]),
+    (["nakayama"], [_C00]),
+    (["cogroupoid"], [_C00, _C01, _C10, _C11]),
+    (["galois"], [_C01, _C10]),
+    (["resolution"], [_C00]),
+    (["gamma"], [_C00]),
+    (["dual"], [_C00]),
+    (["twist"], [_C00]),
+    (["slq"], [_SLQ]),
+    (["cone"], [_SLQL]),
+    (["glq_iso"], [_C00, _SLQL]),
+    (["probe"], [_C00]),
+    (["cohomology"], [_C00]),
+    (_config_checks("glq2.json"), [_C00, _C01, _C10, _C11, _SLQ, _SLQL]),
+    (_config_checks("n3seed.json"), [_C00]),
+]
+
+
+class _ReadsRecorder(cli._Run):
+    """A run that records the presentations each check reads: the pairs it
+    passes to C, and slq and slql.  Reading an object the run caches (the γ
+    blocks, ψ, its dual) reads what building it read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = [set()]
+        self.built = {}  # cached attribute -> (value, what building it read)
+
+    def C(self, x, y):
+        self.reads[-1].add((x, y))
+        return super().C(x, y)
+
+
+def _recorded(name, build):
+    """A property that builds the run's attribute name once, with build, and
+    adds what building it read (and name itself, for a presentation) to the
+    reads of every access."""
+    def get(self):
+        if name not in self.built:
+            self.reads.append({name} if name in cli.PRESENTATIONS else set())
+            try:
+                value = build(self)
+            finally:
+                read = self.reads.pop()
+            self.built[name] = value, read
+        value, read = self.built[name]
+        self.reads[-1] |= read
+        return value
+    return property(get)
+
+
+for _name, _attr in list(vars(cli._Run).items()):
+    if isinstance(_attr, functools.cached_property):
+        setattr(_ReadsRecorder, _name, _recorded(_name, _attr.func))
+
+
+@pytest.fixture(scope="session")
+def glq2_d6_run():
+    """glq2 at degree 6, probe N = 3, after a run of every check; its
+    by_check maps each check to its status and the presentations it read."""
+    cfg = _glq2(6)
+    run = _ReadsRecorder(cfg, cli._checked_instance(cfg), None)
+    run.by_check = {}
+    for name, (_, check) in cli.CHECKS.items():
+        run.reads = [set()]
+        status, _, _ = check(run)
+        run.by_check[name] = status, run.reads[0]
+    return run
+
+
+@pytest.fixture(scope="session")
+def gb_cache(glq2_d6_run, tmp_path_factory):
+    """A cache directory holding every glq2 presentation at degree 6, stored
+    from the session run's algebras, so that no GB_LINES case completes one."""
+    cache = GBCache(str(tmp_path_factory.mktemp("gb-cache")))
+    for alg in glq2_d6_run.presentations(cli.CHECKS).values():
+        cache.store(system_cache_key(alg.relations, alg.order, 6), alg.rs)
+    return cache.directory
+
+
+def test_checks_read_what_they_declare(glq2_d6_run):
+    """Each check of a glq2 run reads exactly the presentations its CHECKS
+    entry declares, and passes."""
+    for name, (reads, _) in cli.CHECKS.items():
+        declared = {xy for key in reads for xy in cli._PAIRS.get(key, [key])}
+        assert glq2_d6_run.by_check[name] == ("pass", declared), name
+
+
+# system_cache_key of the glq2 presentations at degree 6 and of the seeded
+# n=3 G(A,B) at degree 6, as computed when the quadrics were built from
+# Fraction entries
+CACHE_KEY_PINS = {
+    "C(0,0) GAB": "6baa393946b14a9f25f1dff9a049e2b37e6689b6a68b89c3cf30e2076d84cf92",
+    "C(0,1) GABCD": "cfde6c343c11a8a8c1fcf9e12a24f7fff15c2d5416da6923eaa39061ffbf7201",
+    "C(1,0) GABCD": "7224751959f2b3c310486065b0eb52f9e54efb4572b017cb442874a474d84a86",
+    "C(1,1) GAB": "2ba791b47a91fd90ccb7442cf13c09c15dcab386a647af85f02655a4d477dc02",
+    "SLq(2),q=2": "6a2a58a69a2e3226051e95cf6c04be2450b15576a97d6e65133da02ca3b4de43",
+    "SLq(2)[z±1],q=2": "6ef56d596d499d96389fc981312d5e51473401897aa06122050f6dbe7eaafcc7",
+    "n3seed G(A,B)": "ca6f4e4f4bfe68e8092548522490e0e7daa056028ed8d2b71f75f9ddb13ebfc7",
+}
+
+
+def test_relations_keep_their_cache_keys(glq2_d6_run, n3):
+    algs = glq2_d6_run.presentations(cli.CHECKS) | {"n3seed G(A,B)": n3}
+    assert {label: system_cache_key(alg.relations, alg.order, 6)
+            for label, alg in algs.items()} == CACHE_KEY_PINS
+
+
+def _gb_config(checks, tmp_path, cache_dir):
+    """glq2 at degree 6 with checks and cache_dir; (config, path of its file)."""
+    cfg = _glq2(6) | {"checks": checks, "cache_dir": cache_dir}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert cli.main(["gb", str(cfg_path)]) == 0
+    return cfg, str(cfg_path)
+
+
+@pytest.mark.parametrize("checks, lines", GB_LINES,
+                         ids=[checks[0] for checks, _ in GB_LINES[:-2]] + ["glq2.json",
+                                                                          "n3seed.json"])
+def test_gb_prints_the_frozen_lines(checks, lines, gb_cache, tmp_path, capsys):
+    """`verify gb` prints the presentations of each check list in the order
+    it printed them before CHECKS declared what each check reads."""
+    _, cfg_path = _gb_config(checks, tmp_path, gb_cache)
+    assert cli.main(["gb", cfg_path]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("checks", [checks for checks, _ in GB_LINES])
+def test_gb_prebuilds_every_presentation_a_run_reads(checks, gb_cache, tmp_path, monkeypatch,
+                                                    capsys):
+    """After `verify gb`, a run of the same config completes nothing and
+    loads only entries gb loaded: gb built each presentation its checks
+    read, one `cached` line and entry each."""
+    cfg, cfg_path = _gb_config(checks, tmp_path, gb_cache)
+    loads = _recording(monkeypatch, GBCache, "load")
+    assert cli.main(["gb", cfg_path]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert all(line.startswith("cached ") for line in lines)
-    assert len(lines) == len(os.listdir(tmp_path / "cache"))
+    prebuilt = {args[1] for args, _ in loads}
+    assert len(lines) == len(prebuilt) == len(loads)
+    loads.clear()
     completed = _recording(monkeypatch, rewrite, "complete_truncated")
     rep, code = run_config(cfg)
     assert code == 0, rep["checks"]
     assert not completed
+    assert {args[1] for args, _ in loads} <= prebuilt
 
 
 def test_gb_builds_only_gab_for_the_n3_checks(tmp_path, capsys):
@@ -783,6 +932,11 @@ INVALID_CONFIGS = {
                     "A and B must be given together"),
     "conjugator_3x3": (_glq(conjugator=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
                        "conjugator must be 2 x 2"),
+    "no_second_object": (small_config(checks=["galois", "hopf", "cogroupoid"]),
+                         r"^\['cogroupoid', 'galois'\] need \(C,D\) or a conjugator$"),
+    "slq_without_q": (_gab([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]])
+                      | {"checks": ["glq_iso", "hopf", "slq", "cone"]},
+                      r"^\['cone', 'glq_iso', 'slq'\] require a GLq instance$"),
 }
 
 
