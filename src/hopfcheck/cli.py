@@ -233,6 +233,8 @@ def _checked_instance(cfg):
             raise ConfigInvalid(f"{X} and {Y} must be given together")
     if kind == "GABCD" and not {"A", "C"} <= set(inst):
         raise ConfigInvalid("GABCD instance needs A, B, C and D")
+    if "conjugator" in inst and "C" in inst:
+        raise ConfigInvalid("give C and D or a conjugator, not both")
     if not _is_int(cfg["degree_bound"]) or cfg["degree_bound"] < 2:
         raise ConfigInvalid("degree_bound must be an integer >= 2")
     checks = cfg["checks"]
@@ -284,7 +286,7 @@ def _instance_matrices(cfg):
     else:
         A, B = seeded_pair(cfg["seed"], inst.get("n", 3))
     out["A"], out["B"] = A, B
-    if "conjugator" in inst and kind != "GABCD":
+    if "conjugator" in inst:
         F = _matrix(inst["conjugator"], "conjugator")
         if F.rows != A.rows:
             raise ConfigInvalid(f"conjugator must be {A.rows} x {A.rows}")

@@ -3,7 +3,8 @@
 Completion resolves every overlap ambiguity whose overlap word has weight
 at most the requested bound (diamond lemma, truncated).  Reduction never
 increases weight, so the resulting system certifies normal forms and ideal
-membership for all inputs within that weight.
+membership for all inputs within that weight.  Weight-homogeneous relations
+are completed weight by weight, as far as the queries read.
 
 Completion is fraction-free (Bareiss 1968) from end to end: S-polynomials,
 normal forms and rule tails are all in foundation's integer form.  The
@@ -260,12 +261,13 @@ class _Reducer:
         return NCPoly.of(*self.nf(p.c, p.den))
 
 
-def _resolve_overlaps(reducer, rules, fresh, order, bound):
+def _resolve_overlaps(reducer, rules, fresh, order, lo, hi):
     """(ambiguity word, normal form of its S-polynomial) for every overlap
-    of weight <= bound between two of rules, at least one of them in fresh,
-    in the order of rules, which maps serials to linked rules of reducer.
-    A lead trie names each rule's partners: the reducer's for a fresh rule,
-    which may grow meanwhile, and one of the fresh leads for the others.
+    of weight in the window (lo, hi] between two of rules, at least one of
+    them in fresh, in the order of rules, which maps serials to linked rules
+    of reducer.  A lead trie names each rule's partners: the reducer's for a
+    fresh rule, which may grow meanwhile, and one of the fresh leads for the
+    others.
     """
     index = _Reducer([])
     for seq, r in rules.items():
@@ -274,14 +276,14 @@ def _resolve_overlaps(reducer, rules, fresh, order, bound):
             index.link(seq)
     for r1 in rules.values():
         trie = reducer if r1 in fresh else index
-        room = bound - order.weight(r1.lead)
+        room = hi - order.weight(r1.lead)
         for seq in sorted(trie.partners(r1.lead, order.weights, room)):
             r2 = rules.get(seq)
             if r2 is None:
                 continue
             for kind, pos in _overlaps(r1, r2):
                 word = r1.lead + r2.lead[pos:] if kind == "olap" else r1.lead
-                if order.weight(word) <= bound:
+                if lo < order.weight(word) <= hi:
                     yield word, reducer.nf(*_spoly(r1, r2, kind, pos))
 
 
@@ -328,33 +330,118 @@ def _text(words):
     return "\0".join(["".join([chr(g + 1) for g in w]) for w in words])
 
 
+def _by_lead(rules, keys):
+    """rules sorted by the order's key of their leads, from the memo keys."""
+    return sorted(rules, key=lambda r: keys[r.lead])
+
+
 class RewriteSystem:
-    """A frozen, interreduced, degree-certified rewrite system."""
+    """An interreduced, degree-certified rewrite system.
+
+    A system of weight-homogeneous relations keeps its completion state and
+    is completed only as far as a query reads.  For such relations every
+    S-polynomial of an overlap of weight w is homogeneous of weight w, so
+    the rules and normal forms of weight <= w are those of the system
+    completed to any larger bound (Bergman 1978, truncated by degree).
+    normal_form, reduce, is_normal_word, enumerate_normal_words,
+    nonzero_witness and collapsed complete it to the weight they read;
+    rules, to_dict and verify_confluence complete it to the certified
+    degree.  Every other system is complete from the start.
+    """
 
     FORMAT_VERSION = 1
 
-    def __init__(self, order, rules, certified_degree):
+    def __init__(self, order, rules, certified_degree, relations=None):
+        """The system of rules, complete to certified_degree; or, given
+        relations, a system with no rules yet that completes them."""
         self.order = order
-        self.rules = sorted(rules, key=lambda r: order.key(r.lead))
         self.certified_degree = certified_degree
-        # 1 reduces to 0 iff some rule has the empty lead
-        self.collapsed = any(not r.lead for r in self.rules)
-        self._reducer = _Reducer(self.rules)
+        keys = _Keys(order)
+        self._rules = _by_lead(rules, keys)
+        self._reducer = _Reducer(self._rules)
+        # the relations still to complete and the keys of their words, None
+        # once complete; every relation and overlap of weight <= _done is
+        # resolved
+        self._relations = relations
+        self._keys = None if relations is None else keys
+        self._done = certified_degree if relations is None else -1
+        self._ready = None  # the polynomial normal_form has just completed for
+
+    def _complete_to(self, weight):
+        """Resolve every relation and overlap of weight in the window (done,
+        weight], weight capped at the certified degree.
+
+        Each nonzero normal form of a relation, or of the S-polynomial of an
+        overlap of the rules a round starts with, becomes a rule at once.  A
+        round first interreduces the rules of this window; the first round
+        that adds no rule is the last.  The rules below the window cannot
+        change, since the relations are homogeneous or the window starts
+        below every weight.  The queries' memo of normal forms, all of
+        weight <= done, stays valid and is set aside meanwhile.
+        """
+        if self._relations is None:
+            return
+        lo, hi = self._done, min(weight, self.certified_degree)
+        if hi <= lo:
+            return
+        reducer, keys, order = self._reducer, self._keys, self.order
+        memo = reducer.cache
+        reducer.cache, reducer.stale = {}, {}
+        start = reducer._next  # the serials of this window's rules
+        forms = (reducer.nf(p.c, p.den) for p in self._relations if lo < p.weight(order) <= hi)
+        rules = {}
+        while True:
+            for nf in forms:
+                if nf[0]:
+                    reducer.append(_monic_rule(nf, keys))
+            if len(reducer.rules) == len(rules):
+                break
+            # every overlap between two of the last round's rules is resolved
+            done = set(rules.values())
+            _interreduce(reducer, keys, start)
+            rules = dict(reducer.rules)
+            fresh = {r for r in rules.values() if r not in done}
+            forms = (nf for _, nf in _resolve_overlaps(reducer, rules, fresh, order, lo, hi))
+        reducer.cache, reducer.stale = memo, {}
+        reducer.maxlen = max((len(r.lead) for r in reducer.rules.values()), default=0)
+        self._done = hi
+        if hi == self.certified_degree:
+            self._rules = _by_lead(reducer.rules.values(), keys)
+            self._relations = self._keys = None
 
     # -- queries ------------------------------------------------------------
 
+    @property
+    def rules(self):
+        """Every rule, completed to the certified degree, sorted by lead."""
+        self._complete_to(self.certified_degree)
+        return self._rules
+
+    @property
+    def collapsed(self):
+        """1 reduces to 0: some rule has the empty lead."""
+        self._complete_to(0)
+        return bool(self._reducer.empty)
+
     def reduce(self, p):
         """Normal form without the certification guard (internal use)."""
+        if self._relations is not None and p is not self._ready:
+            self._complete_to(p.weight(self.order))
         return self._reducer.reduce(p)
 
     def normal_form(self, p):
-        if p.weight(self.order) > self.certified_degree:
+        weight = p.weight(self.order)
+        if weight > self.certified_degree:
             raise ExceedsCertifiedDegree(
-                f"weight {p.weight(self.order)} > certified {self.certified_degree}"
+                f"weight {weight} > certified {self.certified_degree}"
             )
+        self._complete_to(weight)
+        self._ready = p
         return self.reduce(p)
 
     def is_normal_word(self, word):
+        if self._relations is not None:
+            self._complete_to(self.order.weight(word))
         return not self.collapsed and self._reducer.find_redex(word) is None
 
     def nonzero_witness(self):
@@ -370,6 +457,7 @@ class RewriteSystem:
                 f"weight {max_weight} > certified {self.certified_degree}")
         if self.collapsed:
             return []
+        self._complete_to(max_weight)
         out = [()]
         frontier = [((), 0)]  # (normal word, its weight)
         letters = list(enumerate(self.order.weights))
@@ -393,7 +481,7 @@ class RewriteSystem:
     def verify_confluence(self):
         """Recheck that every in-bound overlap of the final rules resolves."""
         resolved = list(_resolve_overlaps(self._reducer, self._reducer.rules, set(self.rules),
-                                          self.order, self.certified_degree))
+                                          self.order, -1, self.certified_degree))
         return {"overlaps_checked": len(resolved),
                 "failures": [(word, NCPoly.of(*nf)) for word, nf in resolved if nf[0]]}
 
@@ -451,8 +539,9 @@ def _parse_tail(terms, ngens):
     return NCPoly.of(*lowest_terms({w: p * (den // q) for w, p, q in parsed if p}, den))
 
 
-def _interreduce(reducer, keys):
-    """Reduce every rule against the others until stable; drop zeros.
+def _interreduce(reducer, keys, start=0):
+    """Reduce every rule of serial >= start against the others until
+    stable; drop zeros.
 
     Each step takes the first rule, in list order, with a word that contains
     another rule's lead, and reduces its lead minus tail with its own lead
@@ -460,9 +549,10 @@ def _interreduce(reducer, keys):
     replaces it, or it is dropped if that is zero.  A rule is tested again
     only when a lead it contains has been linked since its last test
     (dropping a lead makes no rule reducible), by one search of its text().
+    The rules below start must contain no lead of the others.
     """
     rules = reducer.rules
-    heap = list(rules)
+    heap = [s for s in rules if s >= start]
     queued = set(heap)
     while heap:
         seq = heappop(heap)
@@ -486,7 +576,7 @@ def _interreduce(reducer, keys):
         reducer.age()
         lead = _text((rule.lead,))
         for s, r in rules.items():
-            if s not in queued and s != seq and lead in r.text():
+            if s >= start and s not in queued and s != seq and lead in r.text():
                 heappush(heap, s)
                 queued.add(s)
 
@@ -495,11 +585,10 @@ def complete_truncated(relations, order, degree_bound):
     """Truncated two-sided completion of the given relation polynomials.
 
     Returns a RewriteSystem whose overlaps of weight <= degree_bound all
-    resolve to zero.  Each nonzero normal form of a relation, or of the
-    S-polynomial of an overlap of the rules a round starts with, becomes a
-    rule at once.  A round first interreduces; the first round that adds no
-    rule is the last.  The result is the interreduced, monic system of the
-    relations, order and bound, whatever the order of the work.
+    resolve to zero: the interreduced, monic system of the relations, order
+    and bound, whatever the order of the work.  Relations that are all
+    homogeneous in the order's weights are completed on demand, as far as
+    the system's queries read (see RewriteSystem); any others at once.
 
     A collapse of the algebra (1 reducible to 0) is recorded on the system,
     not raised.
@@ -507,29 +596,15 @@ def complete_truncated(relations, order, degree_bound):
     relations = [p for p in relations if not p.is_zero()]
     if not relations:
         raise NoRelations("completion needs at least one nonzero relation")
-    maxw = max(p.weight(order) for p in relations)
+    weights = [{order.weight(w) for w in p.c} for p in relations]
+    maxw = max(max(ws) for ws in weights)
     if degree_bound < maxw:
         raise ExceedsCertifiedDegree(
             f"degree_bound {degree_bound} below max relation weight {maxw}")
-
-    reducer = _Reducer([])
-    keys = _Keys(order)
-    forms = (reducer.nf(p.c, p.den) for p in relations)
-    rules = {}
-    while True:
-        for nf in forms:
-            if nf[0]:
-                reducer.append(_monic_rule(nf, keys))
-        if len(reducer.rules) == len(rules):
-            break
-        # every overlap between two of the last round's rules is resolved
-        done = set(rules.values())
-        _interreduce(reducer, keys)
-        rules = dict(reducer.rules)
-        fresh = {r for r in rules.values() if r not in done}
-        forms = (nf for _, nf in _resolve_overlaps(reducer, rules, fresh, order, degree_bound))
-
-    return RewriteSystem(order, rules.values(), degree_bound)
+    rs = RewriteSystem(order, (), degree_bound, relations)
+    if any(len(ws) > 1 for ws in weights):
+        rs._complete_to(degree_bound)
+    return rs
 
 
 def _poly_payload(p, order):

@@ -476,7 +476,7 @@ def test_run_completes_each_presentation_once(monkeypatch):
     O(SL_q(2))[z^±1], and builds the Hopf structures of C(0,0), C(1,1),
     O(SL_q(2)) and O(SL_q(2))[z^±1] once each.  hopf, nakayama, cogroupoid
     and galois read the same algebras and structures, and a second run
-    shares none of them."""
+    shares none of them.  No check reads a C(x,y) above weight 3."""
     cfg = _glq2(6)
     completed = _recording(monkeypatch, rewrite, "complete_truncated")
     built = _recording(monkeypatch, cli, "build_gabcd")
@@ -493,6 +493,11 @@ def test_run_completes_each_presentation_once(monkeypatch):
     (c00, c11, slq, slql) = [alg for (alg,), _ in structures]
     assert (c00, c11) == (algs[(0, 0)], algs[(1, 1)])
     assert (slq.kind, slql.kind) == ("SLq", "SLqLaurent")
+    # the cogroupoid's homogeneous presentations are completed only to the
+    # weight the run reads; O(SL_q(2)) and O(SL_q(2))[z^±1] are not
+    # homogeneous, so they are completed to the bound when built
+    assert [algs[xy].rs._done for xy in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [3] * 4
+    assert (slq.rs._done, slql.rs._done) == (6, 6)
     assert all(H.alg is alg for (alg,), H in structures)
     assert [hopfs[0], hopfs[1]] == [H for _, H in structures[:2]]
     # the slq check calls verify_hopf_axioms too, on O(SL_q(2))
@@ -934,6 +939,10 @@ INVALID_CONFIGS = {
                        "conjugator must be 2 x 2"),
     "no_second_object": (small_config(checks=["galois", "hopf", "cogroupoid"]),
                          r"^\['cogroupoid', 'galois'\] need \(C,D\) or a conjugator$"),
+    "GABCD_with_conjugator": (small_config(instance={
+        "kind": "GABCD", **{X: [["1", "0"], ["0", "1"]] for X in "ABCD"},
+        "conjugator": [["1", "1"], ["0", "1"]]}, checks=["hopf"]),
+        r"^give C and D or a conjugator, not both$"),
     "slq_without_q": (_gab([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]])
                       | {"checks": ["glq_iso", "hopf", "slq", "cone"]},
                       r"^\['cone', 'glq_iso', 'slq'\] require a GLq instance$"),

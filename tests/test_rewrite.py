@@ -497,6 +497,83 @@ def test_completion_matches_reference_loop(presentation):
     assert got.to_dict() == want.to_dict()
 
 
+def _within(word, order, bound):
+    """The longest prefix of word of weight <= bound."""
+    while order.weight(word) > bound:
+        word = word[:-1]
+    return word
+
+
+@st.composite
+def _homogeneous_queries(draw):
+    """2-3 letters of weights 1-2, a weight-2 letter possibly heavy, 1-3
+    relations homogeneous in those weights, of weight <= 4, a bound of at
+    most 5, and words and polynomials of weight <= bound to ask about, in
+    drawn order."""
+    ngens = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 2), min_size=ngens, max_size=ngens))
+    heavy = {weights.index(2)} if 2 in weights and draw(st.booleans()) else ()
+    order = MonomialOrder(weights, heavy=heavy)
+    word = st.lists(st.integers(0, ngens - 1), min_size=1, max_size=3).map(
+        lambda w: _within(tuple(w), order, 4))
+    term = st.tuples(word, st.integers(-3, 3).filter(bool))
+
+    def homogeneous(terms):
+        w = order.weight(terms[0][0])
+        return sum((NCPoly.term(x, c) for x, c in terms if order.weight(x) == w), NCPoly.zero())
+
+    relations = draw(st.lists(st.lists(term, min_size=1, max_size=4).map(homogeneous),
+                              min_size=1, max_size=3))
+    assume(any(not p.is_zero() for p in relations))
+    bound = draw(st.integers(max(p.weight(order) for p in relations), 5))
+    asked = st.lists(st.integers(0, ngens - 1), max_size=6).map(
+        lambda w: _within(tuple(w), order, bound))
+    query = st.one_of(asked, st.lists(st.tuples(asked, st.integers(-3, 3)), min_size=1,
+                                      max_size=3).map(
+        lambda ts: sum((NCPoly.term(w, c) for w, c in ts), NCPoly.zero())))
+    return relations, order, bound, draw(st.lists(query, min_size=1, max_size=6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_homogeneous_queries())
+def test_on_demand_completion_matches_eager(presentation):
+    """A system of homogeneous relations completes as far as each query
+    reads, in the order asked: its normal forms and normal words are those of
+    the system completed to the bound at once, a query above the bound still
+    raises, and forcing it gives the same rules."""
+    relations, order, bound, queries = presentation
+    lazy = complete_truncated(relations, order, bound)
+    eager = complete_truncated(relations, order, bound)
+    eager.rules  # completes to the bound in one window
+    for q in queries:
+        if isinstance(q, tuple):
+            assert lazy.is_normal_word(q) == eager.is_normal_word(q)
+        else:
+            assert lazy.normal_form(q) == eager.normal_form(q)
+    with pytest.raises(ExceedsCertifiedDegree):
+        lazy.enumerate_normal_words(bound + 1)
+    assert lazy.enumerate_normal_words(bound) == eager.enumerate_normal_words(bound)
+    assert lazy.to_dict() == eager.to_dict()
+
+
+def test_completion_waits_for_a_query_only_on_homogeneous_relations(glq8):
+    """GL_q(2)'s relations are homogeneous in its weights (1 for u, 2 for
+    D): its system completes to the weight a query reads.  O(SL_q(2))'s
+    ad - qbc - 1 is not, so a heavy overlap can yield a light rule, and its
+    system is complete when built."""
+    rs = complete_truncated(glq8.relations, glq8.order, 6)
+    assert rs._done == -1
+    rs.normal_form(NCPoly.term((3, 2, 1)))
+    assert rs._done == 3
+    with pytest.raises(ExceedsCertifiedDegree):
+        rs.normal_form(NCPoly.term((4, 4, 4, 4)))
+    assert rs._done == 3
+    assert _rule_set_sha(rs) == RULE_SET_PINS["glq2-d6"] and rs._done == 6
+    slq = build_slq(2, 4).rs
+    assert slq._done == 4 and slq._relations is None
+
+
 # tail coefficients over 2, 3, 5 and 7, with repeats so that terms cancel
 _SPOLY_COEFFS = st.sampled_from([Fraction(n, d) for d in (1, 2, 3, 5, 7) for n in (-2, -1, 1, 3)])
 

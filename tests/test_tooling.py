@@ -1,6 +1,7 @@
 """Tooling: the traced benchmark's targets exist, committed benchmark results
 name its metrics, a python -O run is unchanged, pinned report bodies are
-byte-identical, and the package has no unused imports or dead locals."""
+byte-identical, the package has no unused imports or dead locals, and
+only the rewrite module reads a rewrite system's reducer."""
 
 import ast
 import glob
@@ -292,3 +293,17 @@ def test_rewrite_imports_no_fractions():
                for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not any(m and m.split(".")[0] == "fractions" for m in modules)
+
+
+def test_rules_are_read_through_queries():
+    """Only rewrite.py reads a system's reducer or searches for a redex: a
+    system of homogeneous relations completes on demand, and every other
+    module reads its rules through a query that completes it first."""
+    names = {"_reducer", "find_redex"}
+    found = [f"{os.path.basename(path)}:{node.lineno}: {name}"
+             for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py")))
+             if os.path.basename(path) != "rewrite.py"
+             for node in ast.walk(_parse(path))
+             for name in [getattr(node, "attr", getattr(node, "id", None))]
+             if name in names]
+    assert not found
