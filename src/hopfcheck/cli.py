@@ -40,7 +40,7 @@ from .errors import (
     UnitCollapse,
     VersionMismatch,
 )
-from .foundation import Mat, frac, frac_str, genericity_check, matrix_invariants
+from .foundation import Mat, MonomialOrder, frac, frac_str, genericity_check, matrix_invariants
 from .hopf import (
     a_q_matrix,
     antipode_squared_sovereign,
@@ -66,18 +66,21 @@ _TOP_KEYS = {"instance", "degree_bound", "probe", "checks", "cache_dir",
 
 
 class GBCache:
-    """Content-addressed store of completed rewrite systems.
+    """Content-addressed store of rewrite systems, each as far as it was completed.
 
     An entry is one JSON object: the format version, the key it was stored
-    under, and the canonical text of the system's ``to_dict`` with its
+    under, and the canonical text of the system's ``snapshot`` with its
     sha256.  ``load`` binds the entry to the request: the stored key is the
     requested one, the text has its hash, and the parsed system has the
     requested order and certified degree, else ``CacheCorrupt``, as for a
-    file that cannot be read or written.  An entry of another format
-    version raises ``VersionMismatch``.
+    file that cannot be read or written.  A snapshot with ``done`` is of an
+    incomplete system; it must be an int in [-1, bound), the request's
+    relations homogeneous, and no rule's lead heavier than ``done``, else
+    ``CacheCorrupt``.  An entry of another format version raises
+    ``VersionMismatch``.
     """
 
-    FORMAT_VERSION = 3
+    FORMAT_VERSION = 4
 
     def __init__(self, directory):
         self.directory = directory
@@ -86,8 +89,9 @@ class GBCache:
     def _path(self, key):
         return os.path.join(self.directory, f"gb-{key}.json")
 
-    def load(self, key, order, degree_bound):
-        """The system stored under key, checked against the request; None on a miss."""
+    def load(self, key, order, degree_bound, relations=None):
+        """The system stored under key, checked against the request, an
+        incomplete one resumed with relations; None on a miss."""
         path = self._path(key)
         if not os.path.exists(path):
             return None
@@ -105,21 +109,27 @@ class GBCache:
         text = blob.get("payload")
         if not isinstance(text, str) or text_hash(text) != blob.get("hash"):
             raise CacheCorrupt(f"{path}: payload does not match its hash")
+        # the order and degree first: the rules and done are read in them
         try:
-            rs = RewriteSystem.from_dict(json.loads(text))
+            payload = json.loads(text)
+            stored = MonomialOrder.from_dict(payload["order"]).to_dict(), \
+                payload["certified_degree"]
         except (KeyError, TypeError, ValueError) as e:
             raise CacheCorrupt(f"{path}: bad payload ({e})") from e
         # repr, not ==, so that a degree of 4.0 or True is not read as 4
-        if repr((rs.order.to_dict(), rs.certified_degree)) != \
-                repr((order.to_dict(), degree_bound)):
+        if repr(stored) != repr((order.to_dict(), degree_bound)):
             raise CacheCorrupt(f"{path}: order or certified degree is not its key's")
-        return rs
+        try:
+            return RewriteSystem.from_dict(payload, relations)
+        except (KeyError, TypeError, ValueError) as e:
+            raise CacheCorrupt(f"{path}: bad payload ({e})") from e
 
     def store(self, key, rs):
         """Write the entry to a temp file beside it, then rename it into place;
-        its path.  The payload is serialized once, as canonical text, so the
-        entry's bytes are deterministic."""
-        text = canonical_json(rs.to_dict())
+        its path.  The payload, the system as far as it is completed, is
+        serialized once, as canonical text, so the entry's bytes are
+        deterministic."""
+        text = canonical_json(rs.snapshot())
         entry = {"version": self.FORMAT_VERSION, "key": key,
                  "hash": text_hash(text), "payload": text}
         path = self._path(key)
@@ -148,9 +158,9 @@ class Refill(GBCache):
         super().__init__(directory)
         self.replaced = []
 
-    def load(self, key, order, degree_bound):
+    def load(self, key, order, degree_bound, relations=None):
         try:
-            return super().load(key, order, degree_bound)
+            return super().load(key, order, degree_bound, relations)
         except (CacheCorrupt, VersionMismatch) as e:
             self.replaced.append(f"{type(e).__name__}: {e}")
             return None
@@ -680,7 +690,9 @@ def _main_gb(args):
     for err in cache.replaced:
         sys.stdout.write(f"replaced corrupt cache entry ({err})\n")
     for label, alg in algs.items():
-        sys.stdout.write(f"cached {label}: {len(alg.rs.rules)} rules\n")
+        rs = alg.rs
+        sys.stdout.write(f"cached {label}: {len(rs.completed_rules)} rules "
+                         f"to weight {rs.completed_weight}\n")
     return 0
 
 

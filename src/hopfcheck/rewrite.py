@@ -346,14 +346,16 @@ class RewriteSystem:
     normal_form, reduce, is_normal_word, enumerate_normal_words,
     nonzero_witness and collapsed complete it to the weight they read;
     rules, to_dict and verify_confluence complete it to the certified
-    degree.  Every other system is complete from the start.
+    degree; completed_weight, completed_rules and snapshot read it as far
+    as it is completed.  Every other system is complete from the start.
     """
 
     FORMAT_VERSION = 1
 
-    def __init__(self, order, rules, certified_degree, relations=None):
+    def __init__(self, order, rules, certified_degree, relations=None, done=-1):
         """The system of rules, complete to certified_degree; or, given
-        relations, a system with no rules yet that completes them."""
+        relations, the system that completes them, of which rules are the
+        rules of weight <= done."""
         self.order = order
         self.certified_degree = certified_degree
         keys = _Keys(order)
@@ -364,8 +366,9 @@ class RewriteSystem:
         # resolved
         self._relations = relations
         self._keys = None if relations is None else keys
-        self._done = certified_degree if relations is None else -1
+        self._done = certified_degree if relations is None else done
         self._ready = None  # the polynomial normal_form has just completed for
+        self._write_back = None  # (cache, key) that stores each completed window
 
     def _complete_to(self, weight):
         """Resolve every relation and overlap of weight in the window (done,
@@ -377,7 +380,8 @@ class RewriteSystem:
         that adds no rule is the last.  The rules below the window cannot
         change, since the relations are homogeneous or the window starts
         below every weight.  The queries' memo of normal forms, all of
-        weight <= done, stays valid and is set aside meanwhile.
+        weight <= done, stays valid and is set aside meanwhile.  A system
+        with a write-back (complete_with_cache) is stored after the window.
         """
         if self._relations is None:
             return
@@ -408,8 +412,25 @@ class RewriteSystem:
         if hi == self.certified_degree:
             self._rules = _by_lead(reducer.rules.values(), keys)
             self._relations = self._keys = None
+        # a window below every relation resolves nothing and is not stored
+        if self._write_back is not None and reducer.rules:
+            cache, key = self._write_back
+            cache.store(key, self)
 
     # -- queries ------------------------------------------------------------
+
+    @property
+    def completed_weight(self):
+        """The weight up to which every relation and overlap is resolved."""
+        return self._done
+
+    @property
+    def completed_rules(self):
+        """The rules completed so far, every one of weight <= completed_weight,
+        sorted by lead."""
+        if self._relations is None:
+            return self._rules
+        return _by_lead(self._reducer.rules.values(), self._keys)
 
     @property
     def rules(self):
@@ -487,29 +508,56 @@ class RewriteSystem:
 
     # -- serialization --------------------------------------------------------
 
-    def to_dict(self):
-        return {
+    def snapshot(self):
+        """The to_dict payload of the rules completed so far; while the system
+        is incomplete, with "done", its completed weight."""
+        d = {
             "version": self.FORMAT_VERSION,
             "order": self.order.to_dict(),
             "certified_degree": self.certified_degree,
-            "collapsed": self.collapsed,
+            "collapsed": bool(self._reducer.empty),
             "rules": [{"lead": list(r.lead), "tail": _poly_payload(r.tail, self.order)}
-                      for r in self.rules],
+                      for r in self.completed_rules],
         }
+        if self._relations is not None:
+            d["done"] = self._done
+        return d
+
+    def to_dict(self):
+        """The snapshot of the system completed to the certified degree."""
+        self._complete_to(self.certified_degree)
+        return self.snapshot()
 
     @classmethod
-    def from_dict(cls, d):
-        """The system of a to_dict payload; ValueError or TypeError on a
-        coefficient that is not a string "p/q" with q > 0, ValueError on a
-        letter that is not an int in range(len(order.weights)) and on a
-        "collapsed" flag that is not the bool the rules decide."""
+    def from_dict(cls, d, relations=None):
+        """The system of a snapshot; one with "done" resumes completing the
+        given relations from there.  ValueError or TypeError on a coefficient
+        that is not a string "p/q" with q > 0, ValueError on a letter that is
+        not an int in range(len(order.weights)), on a "collapsed" flag that
+        is not the bool the rules decide, and, for a snapshot with "done", on
+        a done that is not an int in [-1, certified_degree), on relations
+        that are not homogeneous in the order's weights, and on a rule whose
+        lead weighs more than done."""
         order = MonomialOrder.from_dict(d["order"])
         ngens = len(order.weights)
         rules = [RewriteRule(_parse_word(r["lead"], ngens), _parse_tail(r["tail"], ngens))
                  for r in d["rules"]]
-        rs = cls(order, rules, d["certified_degree"])
-        if d.get("collapsed") is not rs.collapsed:
-            raise ValueError(f"collapsed flag {d.get('collapsed')!r} is not {rs.collapsed}")
+        if "done" not in d:
+            rs = cls(order, rules, d["certified_degree"])
+        else:
+            done = d["done"]
+            if type(done) is not int or not -1 <= done < d["certified_degree"]:
+                raise ValueError(f"done {done!r} is not an int in [-1, certified degree)")
+            relations = [p for p in relations or () if not p.is_zero()]
+            if not relations or not _homogeneous(relations, order):
+                raise ValueError("an incomplete system needs homogeneous relations")
+            heavy = [r.lead for r in rules if order.weight(r.lead) > done]
+            if heavy:
+                raise ValueError(f"lead {list(heavy[0])} weighs more than done {done}")
+            rs = cls(order, rules, d["certified_degree"], relations, done)
+        collapsed = bool(rs._reducer.empty)
+        if d.get("collapsed") is not collapsed:
+            raise ValueError(f"collapsed flag {d.get('collapsed')!r} is not {collapsed}")
         return rs
 
 
@@ -596,15 +644,19 @@ def complete_truncated(relations, order, degree_bound):
     relations = [p for p in relations if not p.is_zero()]
     if not relations:
         raise NoRelations("completion needs at least one nonzero relation")
-    weights = [{order.weight(w) for w in p.c} for p in relations]
-    maxw = max(max(ws) for ws in weights)
+    maxw = max(p.weight(order) for p in relations)
     if degree_bound < maxw:
         raise ExceedsCertifiedDegree(
             f"degree_bound {degree_bound} below max relation weight {maxw}")
     rs = RewriteSystem(order, (), degree_bound, relations)
-    if any(len(ws) > 1 for ws in weights):
+    if not _homogeneous(relations, order):
         rs._complete_to(degree_bound)
     return rs
+
+
+def _homogeneous(relations, order):
+    """Whether every relation's words have one weight in the order's weights."""
+    return all(len({order.weight(w) for w in p.c}) == 1 for p in relations)
 
 
 def _poly_payload(p, order):
@@ -642,16 +694,23 @@ def complete_with_cache(relations, order, degree_bound, cache=None):
 
     The key, ``system_cache_key``, is computed here once per build and names
     the request: relations, order and bound.  A cache has ``load(key, order,
-    degree_bound)``, which returns a stored system or None, and ``store(key,
-    rs)``; it binds an entry to the request by the key, the hash of the
-    stored text, and the order and certified degree of the stored system,
-    and never sees the relations.
+    degree_bound, relations)``, which returns a stored system or None, and
+    ``store(key, rs)``, which stores ``rs.snapshot()``.  It binds an entry
+    to the request by the key, the hash of the stored text, and the order
+    and certified degree of the stored system.  An entry of homogeneous
+    relations holds the system as far as it was completed, and load resumes
+    it with the request's relations, which the key hashes.  A system
+    complete when built is stored at once; an incomplete one is stored
+    again after each window its queries complete, inside the query.
     """
     if cache is None:
         return complete_truncated(relations, order, degree_bound)
     key = system_cache_key(relations, order, degree_bound)
-    rs = cache.load(key, order, degree_bound)
+    rs = cache.load(key, order, degree_bound, relations)
     if rs is None:
         rs = complete_truncated(relations, order, degree_bound)
-        cache.store(key, rs)
+        if rs.completed_weight == degree_bound:
+            cache.store(key, rs)
+    if rs.completed_weight < degree_bound:
+        rs._write_back = (cache, key)
     return rs

@@ -19,8 +19,9 @@ from hopfcheck.cli import (
     validate_config,
 )
 from hopfcheck.errors import CacheCorrupt, ConfigInvalid, VersionMismatch
+from hopfcheck.foundation import NCPoly
 from hopfcheck.hopf import build_gabcd, build_glq
-from hopfcheck.rewrite import system_cache_key
+from hopfcheck.rewrite import complete_truncated, system_cache_key
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -297,8 +298,8 @@ def test_bad_cache_entry_is_a_failed_check(tmp_path):
 
 
 def test_gb_replaces_a_bad_cache_entry(tmp_path, monkeypatch, capsys):
-    """`verify gb` recomputes over a truncated or old-format entry and stores
-    a good one, which the next run reads."""
+    """`verify gb` recomputes over a truncated or old-format entry (format 0,
+    2 or 3) and stores a good one, which the next run reads."""
     cfg = small_config(degree_bound=4, checks=["invariants", "hopf"],
                        cache_dir=str(tmp_path / "cache"))
     cfg_path = tmp_path / "cfg.json"
@@ -311,10 +312,13 @@ def test_gb_replaces_a_bad_cache_entry(tmp_path, monkeypatch, capsys):
     # a version-2 entry: the parsed payload, a relations digest, no text
     v2 = {"version": 2, "key": blob["key"], "relations": "0" * 64, "hash": blob["hash"],
           "payload": json.loads(blob["payload"])}
+    # a version-3 entry: the same layout, read as a system complete to the bound
+    v3 = json.dumps(blob | {"version": 3})
     blob["version"] = 0
     for bad, error in [(good[: len(good) // 2], "CacheCorrupt"),
                        (json.dumps(blob), "VersionMismatch"),
-                       (json.dumps(v2), "VersionMismatch")]:
+                       (json.dumps(v2), "VersionMismatch"),
+                       (v3, "VersionMismatch")]:
         path.write_text(bad)
         capsys.readouterr()
         assert cli.main(["gb", str(cfg_path)]) == 0
@@ -447,6 +451,130 @@ def test_warm_build_hashes_once(tmp_path, n3, monkeypatch):
     assert warm.rs.to_dict() == n3.rs.to_dict()
 
 
+def _partial_entry(tmp_path, alg, weight):
+    """A GBCache in tmp_path holding alg's system at degree 6, completed to
+    weight; (cache, key, entry path)."""
+    cache = GBCache(str(tmp_path))
+    rs = complete_truncated(alg.relations, alg.order, 6)
+    rs.is_normal_word((0,) * weight)
+    assert rs.completed_weight == weight
+    key = system_cache_key(alg.relations, alg.order, 6)
+    return cache, key, cache.store(key, rs)
+
+
+def _payload(path):
+    with open(path) as fh:
+        return json.loads(json.load(fh)["payload"])
+
+
+@pytest.mark.parametrize("name", ["C(0,1)", "n3"])
+def test_an_entry_stored_at_any_weight_resumes_to_the_eager_system(name, galois6, n3,
+                                                                   tmp_path):
+    """glq2's C(0,1) and the n=3 G(A,B), stored at each weight 2 to 5: the
+    entry holds the rules of weight <= w and "done" w, and its system, loaded
+    and forced to the bound, is the system completed at once."""
+    alg = galois6[0] if name == "C(0,1)" else n3
+    eager = alg.rs.to_dict()
+    for w in range(2, 6):
+        cache, key, path = _partial_entry(tmp_path / str(w), alg, w)
+        payload = _payload(path)
+        assert payload["done"] == w
+        assert {alg.order.weight(r["lead"]) for r in payload["rules"]} <= set(range(w + 1))
+        loaded = cache.load(key, alg.order, 6, alg.relations)
+        assert loaded.completed_weight == w and loaded.snapshot() == payload
+        assert loaded.to_dict() == eager
+    assert "done" not in eager
+
+
+def test_a_query_past_the_stored_weight_writes_back_once(galois6, tmp_path, monkeypatch):
+    """A build that loads glq2's C(0,1) at weight 3 stores nothing; a normal
+    form of weight 5 completes the window (3, 5] and stores the entry once,
+    at 5; a query within 5 stores nothing; the rules complete it to the
+    bound and store it once more, with no "done"."""
+    alg = galois6[0]
+    cache, key, path = _partial_entry(tmp_path, alg, 3)
+    stores = _recording(monkeypatch, GBCache, "store")
+    windows = _windows(monkeypatch)
+    rs = rewrite.complete_with_cache(alg.relations, alg.order, 6, cache)
+    assert rs.completed_weight == 3 and not stores
+    rs.normal_form(NCPoly.term((0,) * 5))
+    assert len(stores) == 1 and windows == [(3, 5)] and _payload(path)["done"] == 5
+    rs.normal_form(NCPoly.term((1,) * 4))
+    assert len(stores) == 1
+    eager = complete_truncated(alg.relations, alg.order, 6)
+    assert len(rs.rules) == len(eager.rules) and len(stores) == 2
+    assert _payload(path) == eager.to_dict()
+
+
+@pytest.mark.parametrize("done", [True, False, 3.0, "3", None, -2, 6, 7])
+def test_an_entry_with_a_bad_done_is_corrupt(galois6, tmp_path, done):
+    """A done that is not an int in [-1, bound), also a bool or a float, on
+    an entry at weight 1, below the relations, so that it holds no rule for a
+    done to exceed, with the hash recomputed, is a bad payload."""
+    alg = galois6[0]
+    cache, key, path = _partial_entry(tmp_path, alg, 1)
+    assert _payload(path)["rules"] == []
+
+    def claim(payload):
+        payload["done"] = done
+    _edit_payload(path, claim)
+    with pytest.raises(CacheCorrupt, match="bad payload"):
+        cache.load(key, alg.order, 6, alg.relations)
+
+
+def test_an_entry_with_a_lead_above_done_is_corrupt(galois6, tmp_path):
+    """An entry at weight 3 that claims done 2 holds leads of weight 3: a
+    bad payload."""
+    alg = galois6[0]
+    cache, key, path = _partial_entry(tmp_path, alg, 3)
+
+    def claim(payload):
+        payload["done"] = 2
+    _edit_payload(path, claim)
+    with pytest.raises(CacheCorrupt, match="weighs more than done 2"):
+        cache.load(key, alg.order, 6, alg.relations)
+
+
+@pytest.mark.parametrize("name", ["slq", "slql"])
+def test_an_incomplete_entry_of_inhomogeneous_relations_is_corrupt(name, slq6, slql8,
+                                                                  tmp_path):
+    """O(SL_q(2)) and O(SL_q(2))[z^±1] complete at once, so an entry of
+    theirs with a "done", its rules cut to that weight, is a bad payload; so
+    is an incomplete entry loaded without relations."""
+    alg = slq6 if name == "slq" else slql8
+    bound = alg.rs.certified_degree
+    cache = GBCache(str(tmp_path))
+    key = system_cache_key(alg.relations, alg.order, bound)
+    path = cache.store(key, alg.rs)
+
+    def cut(payload):
+        payload["done"] = 2
+        payload["rules"] = [r for r in payload["rules"] if alg.order.weight(r["lead"]) <= 2]
+    _edit_payload(path, cut)
+    for relations in (alg.relations, None):
+        with pytest.raises(CacheCorrupt, match="bad payload.*homogeneous relations"):
+            cache.load(key, alg.order, bound, relations)
+
+
+def test_warm_n3_run_stores_and_completes_nothing(tmp_path, monkeypatch, capsys):
+    """The n3-warm check list after `verify gb`: gb caches G(A,B) to weight
+    3, and the run loads it, completes no window and stores nothing."""
+    cfg = _n3_warm() | {"cache_dir": str(tmp_path / "cache")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["gb", str(cfg_path)]) == 0
+    assert capsys.readouterr().out == "cached C(0,0) GAB: 39 rules to weight 3\n"
+    completed = _recording(monkeypatch, rewrite, "complete_truncated")
+    windows = _windows(monkeypatch)
+    stores = _recording(monkeypatch, GBCache, "store")
+    loads = _recording(monkeypatch, GBCache, "load")
+    rep, code = run_config(cfg)
+    assert code == 0, rep["checks"]
+    assert not completed and not windows and not stores
+    ((_, rs),) = loads
+    assert rs.completed_weight == 3
+
+
 def _glq2(degree_bound, **instance):
     with open(os.path.join(CONFIGS, "glq2.json")) as fh:
         cfg = json.load(fh)
@@ -454,6 +582,22 @@ def _glq2(degree_bound, **instance):
     cfg["probe"]["N"] = 3
     cfg["instance"].update(instance)
     return cfg
+
+
+def _windows(monkeypatch):
+    """Patch RewriteSystem._complete_to to record (from, to) of each window
+    it completes; returns the record."""
+    windows = []
+    real = rewrite.RewriteSystem._complete_to
+
+    def recorded(rs, weight):
+        before = rs.completed_weight
+        real(rs, weight)
+        if rs.completed_weight != before:
+            windows.append((before, rs.completed_weight))
+
+    monkeypatch.setattr(rewrite.RewriteSystem, "_complete_to", recorded)
+    return windows
 
 
 def _recording(monkeypatch, module, name):
@@ -496,8 +640,9 @@ def test_run_completes_each_presentation_once(monkeypatch):
     # the cogroupoid's homogeneous presentations are completed only to the
     # weight the run reads; O(SL_q(2)) and O(SL_q(2))[z^±1] are not
     # homogeneous, so they are completed to the bound when built
-    assert [algs[xy].rs._done for xy in [(0, 0), (0, 1), (1, 0), (1, 1)]] == [3] * 4
-    assert (slq.rs._done, slql.rs._done) == (6, 6)
+    assert [algs[xy].rs.completed_weight for xy in [(0, 0), (0, 1), (1, 0), (1, 1)]] \
+        == [3] * 4
+    assert (slq.rs.completed_weight, slql.rs.completed_weight) == (6, 6)
     assert all(H.alg is alg for (alg,), H in structures)
     assert [hopfs[0], hopfs[1]] == [H for _, H in structures[:2]]
     # the slq check calls verify_hopf_axioms too, on O(SL_q(2))
@@ -639,12 +784,18 @@ def _config_checks(name):
         return json.load(fh)["checks"]
 
 
-# `verify gb`'s lines on glq2 at degree 6 (probe N = 3), as printed before
-# CHECKS declared what each check reads: for every single check, then for the
-# check lists of configs/glq2.json and configs/n3seed.json
-_C00, _C01, _C10, _C11 = ("cached C(0,0) GAB: 25 rules", "cached C(0,1) GABCD: 25 rules",
-                          "cached C(1,0) GABCD: 42 rules", "cached C(1,1) GAB: 42 rules")
-_SLQ, _SLQL = "cached SLq(2),q=2: 21 rules", "cached SLq(2)[z±1],q=2: 25 rules"
+# `verify gb`'s lines on glq2 at degree 6 (probe N = 3): the presentations in
+# the order printed before CHECKS declared what each check reads, for every
+# single check, then for the check lists of configs/glq2.json and
+# configs/n3seed.json.  Each is cached as far as its build read it: the four
+# C(x,y) to weight 3 (25, 25, 42 and 42 rules at weight 6), O(SL_q(2)) and
+# O(SL_q(2))[z^±1], which are complete when built, to the bound.
+_C00, _C01, _C10, _C11 = ("cached C(0,0) GAB: 13 rules to weight 3",
+                          "cached C(0,1) GABCD: 13 rules to weight 3",
+                          "cached C(1,0) GABCD: 18 rules to weight 3",
+                          "cached C(1,1) GAB: 18 rules to weight 3")
+_SLQ, _SLQL = ("cached SLq(2),q=2: 21 rules to weight 6",
+               "cached SLq(2)[z±1],q=2: 25 rules to weight 6")
 GB_LINES = [
     (["invariants"], []),
     (["hopf"], [_C00]),
@@ -777,9 +928,10 @@ def test_gb_prints_the_frozen_lines(checks, lines, gb_cache, tmp_path, capsys):
 @pytest.mark.parametrize("checks", [checks for checks, _ in GB_LINES])
 def test_gb_prebuilds_every_presentation_a_run_reads(checks, gb_cache, tmp_path, monkeypatch,
                                                     capsys):
-    """After `verify gb`, a run of the same config completes nothing and
-    loads only entries gb loaded: gb built each presentation its checks
-    read, one `cached` line and entry each."""
+    """After `verify gb`, a run of the same config completes nothing, not
+    even a window of a loaded system, stores nothing, and loads only entries
+    gb loaded: gb built each presentation its checks read, as far as any of
+    them reads it, one `cached` line and entry each."""
     cfg, cfg_path = _gb_config(checks, tmp_path, gb_cache)
     loads = _recording(monkeypatch, GBCache, "load")
     assert cli.main(["gb", cfg_path]) == 0
@@ -789,9 +941,11 @@ def test_gb_prebuilds_every_presentation_a_run_reads(checks, gb_cache, tmp_path,
     assert len(lines) == len(prebuilt) == len(loads)
     loads.clear()
     completed = _recording(monkeypatch, rewrite, "complete_truncated")
+    windows = _windows(monkeypatch)
+    stores = _recording(monkeypatch, GBCache, "store")
     rep, code = run_config(cfg)
     assert code == 0, rep["checks"]
-    assert not completed
+    assert not completed and not windows and not stores
     assert {args[1] for args, _ in loads} <= prebuilt
 
 
@@ -804,8 +958,8 @@ def test_gb_builds_only_gab_for_the_n3_checks(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert cli.main(["gb", str(cfg_path)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("cached C(0,0) GAB: ") and out.count("\n") == 1
+    # the build reads G(A,B) to weight 3, where it has 39 of its 156 rules at degree 6
+    assert capsys.readouterr().out == "cached C(0,0) GAB: 39 rules to weight 3\n"
     assert len(os.listdir(tmp_path / "cache")) == 1
 
 

@@ -541,7 +541,8 @@ def test_on_demand_completion_matches_eager(presentation):
     """A system of homogeneous relations completes as far as each query
     reads, in the order asked: its normal forms and normal words are those of
     the system completed to the bound at once, a query above the bound still
-    raises, and forcing it gives the same rules."""
+    raises, and forcing it gives the same rules, as does forcing the system
+    resumed from its snapshot after the queries."""
     relations, order, bound, queries = presentation
     lazy = complete_truncated(relations, order, bound)
     eager = complete_truncated(relations, order, bound)
@@ -554,7 +555,9 @@ def test_on_demand_completion_matches_eager(presentation):
     with pytest.raises(ExceedsCertifiedDegree):
         lazy.enumerate_normal_words(bound + 1)
     assert lazy.enumerate_normal_words(bound) == eager.enumerate_normal_words(bound)
-    assert lazy.to_dict() == eager.to_dict()
+    resumed = RewriteSystem.from_dict(lazy.snapshot(), relations)
+    assert resumed.completed_weight == lazy.completed_weight
+    assert lazy.to_dict() == eager.to_dict() == resumed.to_dict()
 
 
 def test_completion_waits_for_a_query_only_on_homogeneous_relations(glq8):
@@ -563,15 +566,15 @@ def test_completion_waits_for_a_query_only_on_homogeneous_relations(glq8):
     ad - qbc - 1 is not, so a heavy overlap can yield a light rule, and its
     system is complete when built."""
     rs = complete_truncated(glq8.relations, glq8.order, 6)
-    assert rs._done == -1
+    assert rs.completed_weight == -1
     rs.normal_form(NCPoly.term((3, 2, 1)))
-    assert rs._done == 3
+    assert rs.completed_weight == 3 and rs.snapshot()["done"] == 3
     with pytest.raises(ExceedsCertifiedDegree):
         rs.normal_form(NCPoly.term((4, 4, 4, 4)))
-    assert rs._done == 3
-    assert _rule_set_sha(rs) == RULE_SET_PINS["glq2-d6"] and rs._done == 6
+    assert rs.completed_weight == 3
+    assert _rule_set_sha(rs) == RULE_SET_PINS["glq2-d6"] and rs.completed_weight == 6
     slq = build_slq(2, 4).rs
-    assert slq._done == 4 and slq._relations is None
+    assert slq.completed_weight == 4 and "done" not in slq.snapshot()
 
 
 # tail coefficients over 2, 3, 5 and 7, with repeats so that terms cancel

@@ -1,7 +1,8 @@
 """Tooling: the traced benchmark's targets exist, committed benchmark results
 name its metrics, a python -O run is unchanged, pinned report bodies are
 byte-identical, the package has no unused imports or dead locals, and
-only the rewrite module reads a rewrite system's reducer."""
+only the rewrite module reads a rewrite system's reducer and completion
+state."""
 
 import ast
 import glob
@@ -296,10 +297,12 @@ def test_rewrite_imports_no_fractions():
 
 
 def test_rules_are_read_through_queries():
-    """Only rewrite.py reads a system's reducer or searches for a redex: a
-    system of homogeneous relations completes on demand, and every other
-    module reads its rules through a query that completes it first."""
-    names = {"_reducer", "find_redex"}
+    """Only rewrite.py reads a system's reducer, its completion state
+    (_done, _relations) or _complete_to, or searches for a redex: a system of
+    homogeneous relations completes on demand, and every other module reads
+    its rules through a query that completes it first, and how far it is
+    completed through completed_weight and completed_rules."""
+    names = {"_reducer", "find_redex", "_done", "_relations", "_complete_to"}
     found = [f"{os.path.basename(path)}:{node.lineno}: {name}"
              for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py")))
              if os.path.basename(path) != "rewrite.py"
