@@ -386,7 +386,7 @@ class _Run:
 
     @cached_property
     def slql(self):
-        return build_slq_laurent(self.mats["q"], self.bound, cache=self.cache)
+        return build_slq_laurent(self.slq, cache=self.cache)
 
     @cached_property
     def genericity(self):
@@ -547,8 +547,8 @@ CHECKS = {
     "dual": (("C(0,0)",), lambda run: _verdict(run.dual.is_complex(), {})),
     "twist": (("C(0,0)",), _check_twist),
     "slq": (("slq",), _check_slq),
-    "cone": (("slql",), _check_cone),
-    "glq_iso": (("C(0,0)", "slql"),
+    "cone": (("slq", "slql"), _check_cone),
+    "glq_iso": (("C(0,0)", "slq", "slql"),
                 lambda run: _verdict(glq_slq_laurent_iso(run.alg, run.slql)["report"], {})),
     "probe": (("C(0,0)",), _check_probe),
     "cohomology": (("C(0,0)",), _check_cohomology),

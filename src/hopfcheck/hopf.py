@@ -733,11 +733,12 @@ def build_glq(q, degree_bound, cache=None):
     return build_gab(Aq, Aq.inverse(), degree_bound, name=f"GLq(2),q={q}", cache=cache)
 
 
-def _slq_relations(q):
-    """The relations of O(SL_q(2)) on the letters a, b, c, d = 0..3."""
+def build_slq(q, degree_bound, cache=None):
+    """O(SL_q(2)) on abar..dbar (no localization), letters a, b, c, d = 0..3."""
+    q = frac(q)
     a, b, c, d = (NCPoly.gen(i) for i in range(4))
     one = NCPoly.one()
-    return [
+    rels = [
         a * b - q * (b * a),
         a * c - q * (c * a),
         b * c - c * b,
@@ -746,23 +747,19 @@ def _slq_relations(q):
         a * d - q * (b * c) - one,
         d * a - (1 / q) * (b * c) - one,
     ]
-
-
-def build_slq(q, degree_bound, cache=None):
-    """O(SL_q(2)) on abar..dbar (no localization)."""
-    q = frac(q)
-    rels = _slq_relations(q)
     rs = complete_with_cache(rels, MonomialOrder([1, 1, 1, 1]), degree_bound, cache)
     return PresentedAlgebra(f"SLq(2),q={q}", "SLq", ["a", "b", "c", "d"], [1, 1, 1, 1],
                             rels, rs, 2, 2, mats={"q": q})
 
 
-def build_slq_laurent(q, degree_bound, cache=None):
-    """O(SL_q(2))[z^{±1}]: SL_q relations plus a central, group-like, localized z."""
-    q = frac(q)
+def build_slq_laurent(slq, cache=None):
+    """O(SL_q(2))[z^{±1}] over slq = O(SL_q(2)): its relations plus a central,
+    group-like, localized z, completed over its rewrite system."""
+    q = slq.mats["q"]
     z = NCPoly.gen(4)
-    rels = _slq_relations(q) + [z * x - x * z for x in (NCPoly.gen(i) for i in range(4))]
-    rs = complete_with_cache(rels, MonomialOrder([1, 1, 1, 1, 1], heavy={4}), degree_bound, cache)
+    rels = slq.relations + [z * x - x * z for x in (NCPoly.gen(i) for i in range(4))]
+    rs = complete_with_cache(rels, MonomialOrder([1, 1, 1, 1, 1], heavy={4}),
+                             slq.rs.certified_degree, cache, base=slq.rs)
     sigma = [NCPoly.gen(i) for i in range(5)]
     alg = PresentedAlgebra(f"SLq(2)[z±1],q={q}", "SLqLaurent", ["a", "b", "c", "d", "z"],
                            [1, 1, 1, 1, 1], rels, rs, 2, 2, loc=4, sigma_images=sigma,

@@ -352,21 +352,29 @@ class RewriteSystem:
 
     FORMAT_VERSION = 1
 
-    def __init__(self, order, rules, certified_degree, relations=None, done=-1):
-        """The system of rules, complete to certified_degree; or, given
-        relations, the system that completes them, of which rules are the
-        rules of weight <= done."""
+    def __init__(self, order, rules, certified_degree, relations=None, done=None, base=None):
+        """The system of rules of the nonzero relations (None if not known),
+        complete to certified_degree; or, given done, the system that
+        completes the relations, of which rules are the rules of weight <=
+        done.  Given a base, a system complete to certified_degree whose
+        relations are the first of relations (see complete_truncated), the
+        completion resolves only the relations after the base's, and seeds
+        the base's rules, window by window, as resolved with each other."""
         self.order = order
         self.certified_degree = certified_degree
+        self.relations = relations
         keys = _Keys(order)
         self._rules = _by_lead(rules, keys)
         self._reducer = _Reducer(self._rules)
         # the relations still to complete and the keys of their words, None
         # once complete; every relation and overlap of weight <= _done is
         # resolved
-        self._relations = relations
-        self._keys = None if relations is None else keys
-        self._done = certified_degree if relations is None else done
+        added = relations[len(base.relations):] if base is not None else relations
+        self._relations = None if done is None else added
+        self._keys = None if done is None else keys
+        self._done = certified_degree if done is None else done
+        # the base's rules, each seeded in the window of its weight
+        self._base = base.completed_rules if base is not None else ()
         self._ready = None  # the polynomial normal_form has just completed for
         self._write_back = None  # (cache, key) that stores each completed window
 
@@ -374,14 +382,16 @@ class RewriteSystem:
         """Resolve every relation and overlap of weight in the window (done,
         weight], weight capped at the certified degree.
 
-        Each nonzero normal form of a relation, or of the S-polynomial of an
-        overlap of the rules a round starts with, becomes a rule at once.  A
-        round first interreduces the rules of this window; the first round
-        that adds no rule is the last.  The rules below the window cannot
-        change, since the relations are homogeneous or the window starts
-        below every weight.  The queries' memo of normal forms, all of
-        weight <= done, stays valid and is set aside meanwhile.  A system
-        with a write-back (complete_with_cache) is stored after the window.
+        The base's rules of the window are appended first, as resolved with
+        each other.  Each nonzero normal form of a relation, or of the
+        S-polynomial of an overlap of the rules a round starts with, becomes
+        a rule at once.  A round first interreduces the rules of this
+        window; the first round that adds no rule is the last.  The rules
+        below the window cannot change, since the relations are homogeneous
+        or the window starts below every weight.  The queries' memo of
+        normal forms, all of weight <= done, stays valid and is set aside
+        meanwhile.  A system with a write-back (complete_with_cache) is
+        stored after the window.
         """
         if self._relations is None:
             return
@@ -392,6 +402,10 @@ class RewriteSystem:
         memo = reducer.cache
         reducer.cache, reducer.stale = {}, {}
         start = reducer._next  # the serials of this window's rules
+        base = set(self._base)
+        for r in self._base:
+            if lo < order.weight(r.lead) <= hi:
+                reducer.append(r)
         forms = (reducer.nf(p.c, p.den) for p in self._relations if lo < p.weight(order) <= hi)
         rules = {}
         while True:
@@ -400,8 +414,9 @@ class RewriteSystem:
                     reducer.append(_monic_rule(nf, keys))
             if len(reducer.rules) == len(rules):
                 break
-            # every overlap between two of the last round's rules is resolved
-            done = set(rules.values())
+            # every overlap between two of the last round's rules, or two of
+            # the base's, is resolved
+            done = base.union(rules.values())
             _interreduce(reducer, keys, start)
             rules = dict(reducer.rules)
             fresh = {r for r in rules.values() if r not in done}
@@ -412,6 +427,7 @@ class RewriteSystem:
         if hi == self.certified_degree:
             self._rules = _by_lead(reducer.rules.values(), keys)
             self._relations = self._keys = None
+            self._base = ()
         # a window below every relation resolves nothing and is not stored
         if self._write_back is not None and reducer.rules:
             cache, key = self._write_back
@@ -530,25 +546,26 @@ class RewriteSystem:
 
     @classmethod
     def from_dict(cls, d, relations=None):
-        """The system of a snapshot; one with "done" resumes completing the
-        given relations from there.  ValueError or TypeError on a coefficient
-        that is not a string "p/q" with q > 0, ValueError on a letter that is
-        not an int in range(len(order.weights)), on a "collapsed" flag that
-        is not the bool the rules decide, and, for a snapshot with "done", on
-        a done that is not an int in [-1, certified_degree), on relations
-        that are not homogeneous in the order's weights, and on a rule whose
-        lead weighs more than done."""
+        """The system of a snapshot, of the given relations; one with "done"
+        resumes completing them from there.  ValueError or TypeError on a
+        coefficient that is not a string "p/q" with q > 0, ValueError on a
+        letter that is not an int in range(len(order.weights)), on a
+        "collapsed" flag that is not the bool the rules decide, and, for a
+        snapshot with "done", on a done that is not an int in [-1,
+        certified_degree), on relations that are not homogeneous in the
+        order's weights, and on a rule whose lead weighs more than done."""
         order = MonomialOrder.from_dict(d["order"])
         ngens = len(order.weights)
         rules = [RewriteRule(_parse_word(r["lead"], ngens), _parse_tail(r["tail"], ngens))
                  for r in d["rules"]]
+        if relations is not None:
+            relations = [p for p in relations if not p.is_zero()]
         if "done" not in d:
-            rs = cls(order, rules, d["certified_degree"])
+            rs = cls(order, rules, d["certified_degree"], relations)
         else:
             done = d["done"]
             if type(done) is not int or not -1 <= done < d["certified_degree"]:
                 raise ValueError(f"done {done!r} is not an int in [-1, certified degree)")
-            relations = [p for p in relations or () if not p.is_zero()]
             if not relations or not _homogeneous(relations, order):
                 raise ValueError("an incomplete system needs homogeneous relations")
             heavy = [r.lead for r in rules if order.weight(r.lead) > done]
@@ -629,7 +646,7 @@ def _interreduce(reducer, keys, start=0):
                 queued.add(s)
 
 
-def complete_truncated(relations, order, degree_bound):
+def complete_truncated(relations, order, degree_bound, base=None):
     """Truncated two-sided completion of the given relation polynomials.
 
     Returns a RewriteSystem whose overlaps of weight <= degree_bound all
@@ -637,6 +654,14 @@ def complete_truncated(relations, order, degree_bound):
     and bound, whatever the order of the work.  Relations that are all
     homogeneous in the order's weights are completed on demand, as far as
     the system's queries read (see RewriteSystem); any others at once.
+
+    A base is a system of the first relations, complete to degree_bound,
+    on the first letters of the order (see _check_base).  Its rules are
+    seeded as resolved with each other, so completion resolves only the
+    relations after the base's and the overlaps of a new rule.  Adding
+    letters and relations leaves an overlap of the base resolved, as the
+    order agrees with the base's on its words (Bergman 1978), so the system
+    is the one completed from scratch.
 
     A collapse of the algebra (1 reducible to 0) is recorded on the system,
     not raised.
@@ -648,10 +673,34 @@ def complete_truncated(relations, order, degree_bound):
     if degree_bound < maxw:
         raise ExceedsCertifiedDegree(
             f"degree_bound {degree_bound} below max relation weight {maxw}")
-    rs = RewriteSystem(order, (), degree_bound, relations)
+    if base is not None:
+        _check_base(base, relations, order, degree_bound)
+    rs = RewriteSystem(order, (), degree_bound, relations, -1, base)
     if not _homogeneous(relations, order):
         rs._complete_to(degree_bound)
     return rs
+
+
+def _check_base(base, relations, order, degree_bound):
+    """ValueError unless base is complete to degree_bound, its letters are
+    the first letters of order, order agrees with base's order on them
+    (weights, relative precedence, heavy letters), and base's relations are
+    the first nonzero ones of relations: then base's words are ordered alike
+    in both orders, and its rules are rules of relations."""
+    if (base.certified_degree, base.completed_weight) != (degree_bound, degree_bound):
+        raise ValueError(f"base is complete to weight {base.completed_weight} of "
+                         f"{base.certified_degree}, not to {degree_bound}")
+    k = len(base.order.weights)
+    if k > len(order.weights):
+        raise ValueError(f"base letters 0..{k - 1} are not among the order's "
+                         f"{len(order.weights)} letters")
+    if (order.weights[:k] != base.order.weights
+            or [g for g in order.precedence if g < k] != list(base.order.precedence)
+            or {g for g in order.heavy if g < k} != base.order.heavy):
+        raise ValueError("the order disagrees with the base's order on the base's letters")
+    relations = [p for p in relations if not p.is_zero()]
+    if base.relations is None or relations[:len(base.relations)] != base.relations:
+        raise ValueError("the base's relations are not the first of the relations")
 
 
 def _homogeneous(relations, order):
@@ -689,28 +738,36 @@ def system_cache_key(relations, order, degree_bound):
     })
 
 
-def complete_with_cache(relations, order, degree_bound, cache=None):
-    """complete_truncated behind an optional cache (see cli.GBCache and cli.Refill).
+def complete_with_cache(relations, order, degree_bound, cache=None, base=None):
+    """complete_truncated, over an optional base, behind an optional cache
+    (see cli.GBCache and cli.Refill).
 
     The key, ``system_cache_key``, is computed here once per build and names
-    the request: relations, order and bound.  A cache has ``load(key, order,
-    degree_bound, relations)``, which returns a stored system or None, and
-    ``store(key, rs)``, which stores ``rs.snapshot()``.  It binds an entry
-    to the request by the key, the hash of the stored text, and the order
-    and certified degree of the stored system.  An entry of homogeneous
-    relations holds the system as far as it was completed, and load resumes
-    it with the request's relations, which the key hashes.  A system
-    complete when built is stored at once; an incomplete one is stored
-    again after each window its queries complete, inside the query.
+    the request: relations, order and bound, whatever the base.  A cache has
+    ``load(key, order, degree_bound, relations)``, which returns a stored
+    system or None, and ``store(key, rs)``, which stores ``rs.snapshot()``.
+    It binds an entry to the request by the key, the hash of the stored
+    text, and the order and certified degree of the stored system.  An
+    entry of homogeneous relations holds the system as far as it was
+    completed, and load resumes it with the request's relations, which the
+    key hashes, without the base.  A build reads every relation, so the
+    system is completed at once to its heaviest relation, in one window.  A
+    system complete then is stored at once; an incomplete one is stored
+    after that window, and again after each window its queries complete,
+    inside the query.
     """
     if cache is None:
-        return complete_truncated(relations, order, degree_bound)
-    key = system_cache_key(relations, order, degree_bound)
-    rs = cache.load(key, order, degree_bound, relations)
-    if rs is None:
-        rs = complete_truncated(relations, order, degree_bound)
-        if rs.completed_weight == degree_bound:
-            cache.store(key, rs)
-    if rs.completed_weight < degree_bound:
-        rs._write_back = (cache, key)
+        rs = complete_truncated(relations, order, degree_bound, base)
+    else:
+        if base is not None:
+            _check_base(base, relations, order, degree_bound)
+        key = system_cache_key(relations, order, degree_bound)
+        rs = cache.load(key, order, degree_bound, relations)
+        if rs is None:
+            rs = complete_truncated(relations, order, degree_bound, base)
+            if rs.completed_weight == degree_bound:
+                cache.store(key, rs)
+        if rs.completed_weight < degree_bound:
+            rs._write_back = (cache, key)
+    rs._complete_to(max(p.weight(order) for p in relations))
     return rs

@@ -34,7 +34,7 @@ def slq6():
 
 @pytest.fixture(scope="session")
 def slql8():
-    return build_slq_laurent(2, 8)
+    return build_slq_laurent(build_slq(2, 8))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import shutil
@@ -643,6 +644,9 @@ def test_run_completes_each_presentation_once(monkeypatch):
     assert [algs[xy].rs.completed_weight for xy in [(0, 0), (0, 1), (1, 0), (1, 1)]] \
         == [3] * 4
     assert (slq.rs.completed_weight, slql.rs.completed_weight) == (6, 6)
+    # O(SL_q(2))[z^±1] is completed over O(SL_q(2))'s system, the run's
+    (relations, _, _, base), _ = completed[-1]
+    assert base is slq.rs and relations[:7] == slq.relations
     assert all(H.alg is alg for (alg,), H in structures)
     assert [hopfs[0], hopfs[1]] == [H for _, H in structures[:2]]
     # the slq check calls verify_hopf_axioms too, on O(SL_q(2))
@@ -789,7 +793,8 @@ def _config_checks(name):
 # single check, then for the check lists of configs/glq2.json and
 # configs/n3seed.json.  Each is cached as far as its build read it: the four
 # C(x,y) to weight 3 (25, 25, 42 and 42 rules at weight 6), O(SL_q(2)) and
-# O(SL_q(2))[z^±1], which are complete when built, to the bound.
+# O(SL_q(2))[z^±1], which are complete when built, to the bound.  cone and
+# glq_iso read O(SL_q(2)) too, as O(SL_q(2))[z^±1] is completed over it.
 _C00, _C01, _C10, _C11 = ("cached C(0,0) GAB: 13 rules to weight 3",
                           "cached C(0,1) GABCD: 13 rules to weight 3",
                           "cached C(1,0) GABCD: 18 rules to weight 3",
@@ -807,8 +812,8 @@ GB_LINES = [
     (["dual"], [_C00]),
     (["twist"], [_C00]),
     (["slq"], [_SLQ]),
-    (["cone"], [_SLQL]),
-    (["glq_iso"], [_C00, _SLQL]),
+    (["cone"], [_SLQ, _SLQL]),
+    (["glq_iso"], [_C00, _SLQ, _SLQL]),
     (["probe"], [_C00]),
     (["cohomology"], [_C00]),
     (_config_checks("glq2.json"), [_C00, _C01, _C10, _C11, _SLQ, _SLQL]),
@@ -947,6 +952,38 @@ def test_gb_prebuilds_every_presentation_a_run_reads(checks, gb_cache, tmp_path,
     assert code == 0, rep["checks"]
     assert not completed and not windows and not stores
     assert {args[1] for args, _ in loads} <= prebuilt
+
+
+# sha256 of the bytes of the O(SL_q(2))[z^±1] entry that a cold `verify gb`
+# of glq2 at degree 6 writes, as its completion from scratch wrote it
+SLQL_ENTRY_SHA = "784d42b070e48052f3c3177065f5e9be097f600575673b48de9de46feb629fce"
+
+
+def test_cold_gb_stores_each_presentation_once(tmp_path, monkeypatch, capsys):
+    """A cold `verify gb` writes one entry per presentation, at the weight
+    its build read: a build reads every relation, so a homogeneous one is
+    completed to its heaviest relation in one window, not to weight 2 (σ on
+    the quadrics) and then to 3.  On glq2 at degree 6 the lines are
+    GB_LINES', and the O(SL_q(2))[z^±1] entry, completed over O(SL_q(2)),
+    has the bytes of its completion from scratch; configs/n3seed.json
+    writes G(A,B) once, at weight 3."""
+    stores = _recording(monkeypatch, GBCache, "store")
+    cfg, cfg_path = _gb_config(_config_checks("glq2.json"), tmp_path, str(tmp_path / "glq2"))
+    assert cli.main(["gb", cfg_path]) == 0
+    assert capsys.readouterr().out.splitlines() == GB_LINES[-2][1]
+    keys = [args[1] for args, _ in stores]
+    assert sorted(keys) == sorted(CACHE_KEY_PINS[label] for label in CACHE_KEY_PINS
+                                  if label != "n3seed G(A,B)")
+    slql = os.path.join(cfg["cache_dir"], f"gb-{CACHE_KEY_PINS['SLq(2)[z±1],q=2']}.json")
+    with open(slql, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == SLQL_ENTRY_SHA
+    stores.clear()
+    with open(os.path.join(CONFIGS, "n3seed.json")) as fh:
+        cfg = json.load(fh) | {"cache_dir": str(tmp_path / "n3")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["gb", cfg_path]) == 0
+    assert capsys.readouterr().out == "cached C(0,0) GAB: 39 rules to weight 3\n"
+    assert [args[1] for args, _ in stores] == [CACHE_KEY_PINS["n3seed G(A,B)"]]
 
 
 def test_gb_builds_only_gab_for_the_n3_checks(tmp_path, capsys):

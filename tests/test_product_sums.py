@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from hopfcheck.complexes import FreeModuleMap
 from hopfcheck.errors import ExceedsCertifiedDegree
 from hopfcheck.foundation import NCPoly
-from hopfcheck.hopf import LocalizedElement, build_gab, build_glq, build_slq_laurent, seeded_pair
+from hopfcheck.hopf import (LocalizedElement, build_gab, build_glq, build_slq, build_slq_laurent,
+                             seeded_pair)
 
 
 # -- frozen reference ----------------------------------------------------------
@@ -67,7 +68,7 @@ def _alg(name):
         return build_glq(2, 6)
     if name == "gab2":
         return build_gab(*seeded_pair(1, n=2), 6, name="G(A2,B2)")
-    return build_slq_laurent(2, 6)
+    return build_slq_laurent(build_slq(2, 6))
 
 
 ALGS = ["glq", "gab2", "slql"]

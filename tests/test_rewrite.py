@@ -16,8 +16,10 @@ from hopfcheck.hopf import (
     build_gabcd,
     build_glq,
     build_slq,
+    build_slq_laurent,
     seeded_pair,
 )
+import hopfcheck.rewrite as rewrite
 from hopfcheck.rewrite import (
     RewriteRule,
     RewriteSystem,
@@ -27,6 +29,8 @@ from hopfcheck.rewrite import (
     _Reducer,
     _spoly,
     complete_truncated,
+    complete_with_cache,
+    system_cache_key,
 )
 
 
@@ -236,6 +240,7 @@ RULE_SET_PINS = {
     "glq2-d9": "25d99701afe3651974533aeec9be73265695304b8b8366304cd88cd7bdab2eb6",
     "glq2-d10": "d7b54f0d68373c0696805fa7f05a1d2c2e3b4d2aa7325704aaaad45f12065fd7",
     "slq-d6": "15cc35c3d34633477e31d71b1cd4aa83774f321352fe3716ca3dcaf248caeac3",
+    "slql-d6": "1c37deb4d1d123e2be6583bebc3f3f074a2e6ece791970567bd6b27235dcd16a",
     "slql-d8": "27b327f740a9c0d4eadeb8bc99639c19b7ba608d373519981c759bce564a0874",
     "galois-d8": "008c3f0a9670d9fc3269bc88515e83bf5fe8ba59b899e8a8ee8211d31c0d863b",
     "galois-op-d8": "de25745f13d09ec3c45b4d51e67a5fe7797ca502b43b0bd8952a71606b317fd2",
@@ -266,6 +271,7 @@ def test_rule_sets_pinned(glq8, glq9, slq6, slql8, n3, conj_pair):
         "glq2-d9": glq9.rs,
         "glq2-d10": build_glq(2, 10).rs,
         "slq-d6": slq6.rs,
+        "slql-d6": build_slq_laurent(slq6).rs,
         "slql-d8": slql8.rs,
         "galois-d8": build_gabcd(A, B, C, D, 8).rs,
         "galois-op-d8": build_gabcd(C, D, A, B, 8).rs,
@@ -575,6 +581,168 @@ def test_completion_waits_for_a_query_only_on_homogeneous_relations(glq8):
     assert _rule_set_sha(rs) == RULE_SET_PINS["glq2-d6"] and rs.completed_weight == 6
     slq = build_slq(2, 4).rs
     assert slq.completed_weight == 4 and "done" not in slq.snapshot()
+
+
+def test_laurent_over_slq_is_the_system_from_scratch(monkeypatch):
+    """O(SL_q(2))[z^±1] completed over O(SL_q(2))'s system is, at degrees
+    4-8, the system completed from scratch.  At degree 6 it reduces 16
+    S-polynomials, the overlaps of a rule of z's, against 80 from scratch."""
+    for d in range(4, 9):
+        slql = build_slq_laurent(build_slq(2, d))
+        assert slql.rs.to_dict() == complete_truncated(slql.relations, slql.order, d).to_dict()
+    spolys = []
+    real = rewrite._spoly
+    monkeypatch.setattr(rewrite, "_spoly", lambda *args: spolys.append(1) or real(*args))
+    slq = build_slq(2, 6)
+    spolys.clear()
+    slql = build_slq_laurent(slq)
+    assert len(spolys) == 16
+    spolys.clear()
+    complete_truncated(slql.relations, slql.order, 6)
+    assert len(spolys) == 80
+
+
+class _DictCache:
+    """The cache protocol of complete_with_cache over a dict of systems."""
+
+    def __init__(self):
+        self.systems = {}
+
+    def load(self, key, order, degree_bound, relations):
+        return self.systems.get(key)
+
+    def store(self, key, rs):
+        self.systems[key] = rs
+
+
+def _laurent(slq, weights=(1, 1, 1, 1, 1), precedence=None, heavy=(4,)):
+    """O(SL_q(2))[z^±1]'s relations over the algebra slq, and an order of
+    its letters, by default its own."""
+    z = NCPoly.gen(4)
+    return (slq.relations + [z * x - x * z for x in map(NCPoly.gen, range(4))],
+            MonomialOrder(weights, precedence, heavy))
+
+
+def _refused(base, relations, order, bound, hit, match):
+    """complete_truncated over base, or on hit complete_with_cache over base
+    with the request's system in the cache, raises ValueError matching match."""
+    if hit:
+        cache = _DictCache()
+        cache.store(system_cache_key(relations, order, bound),
+                    complete_truncated(relations, order, bound))
+        with pytest.raises(ValueError, match=match):
+            complete_with_cache(relations, order, bound, cache, base)
+    else:
+        with pytest.raises(ValueError, match=match):
+            complete_truncated(relations, order, bound, base)
+
+
+_HIT = pytest.mark.parametrize("hit", [False, True], ids=["built", "cache-hit"])
+
+
+@_HIT
+def test_a_base_incomplete_to_the_bound_is_refused(hit):
+    """A base complete to another bound, or not yet completed, is refused."""
+    slq = build_slq(2, 4)
+    _refused(slq.rs, *_laurent(slq), 5, hit, "complete to weight 4 of 4, not to 5")
+    a, b = NCPoly.gen(0), NCPoly.gen(1)
+    order = MonomialOrder([1, 1])
+    lazy = complete_truncated([a * b - b * a], order, 4)
+    _refused(lazy, [a * b - b * a, a * a - b * b], order, 4, hit,
+             "complete to weight -1 of 4, not to 4")
+
+
+@_HIT
+def test_a_base_on_more_letters_is_refused(hit):
+    """A base whose letters are not the first letters of the order, because
+    it has more than the order, is refused."""
+    slq = build_slq(2, 4)
+    rels, order = _laurent(slq)
+    base = complete_truncated(slq.relations, order, 4)
+    _refused(base, slq.relations, slq.order, 4, hit, "not among the order's 4 letters")
+
+
+@_HIT
+@pytest.mark.parametrize("order", [{"weights": (2, 1, 1, 1, 1)},
+                                   {"precedence": (1, 0, 2, 3, 4)},
+                                   {"heavy": (0, 4)}],
+                         ids=["weights", "precedence", "heavy"])
+def test_a_base_whose_order_disagrees_is_refused(order, hit):
+    """An order that weighs, ranks or makes heavy a letter of the base
+    unlike the base's order is refused."""
+    slq = build_slq(2, 4)
+    _refused(slq.rs, *_laurent(slq, **order), 4, hit, "disagrees with the base's order")
+
+
+@_HIT
+def test_a_base_whose_relations_do_not_come_first_is_refused(hit):
+    """Relations that do not begin with the base's, in its order, are refused."""
+    slq = build_slq(2, 4)
+    rels, order = _laurent(slq)
+    _refused(slq.rs, [rels[1], rels[0], *rels[2:]], order, 4, hit,
+             "relations are not the first")
+    from_entry = RewriteSystem.from_dict(slq.rs.to_dict())
+    _refused(from_entry, rels, order, 4, hit, "relations are not the first")
+
+
+def _extension(rng):
+    """A base and its extension, drawn from rng, at a bound of at most 4.
+    The base has 2-3 letters of weights 1-2 under a drawn precedence, a
+    weight-2 letter possibly heavy, and 1-2 relations of weight <= 3,
+    homogeneous or not.  It is extended either by a central letter of weight
+    1-2, anywhere in the precedence and possibly heavy, or by 1-2 more
+    relations on its letters."""
+    k = rng.randint(2, 3)
+    weights = [rng.randint(1, 2) for _ in range(k)]
+    precedence = rng.sample(range(k), k)
+    heavy = {weights.index(2)} if 2 in weights and rng.random() < 0.5 else set()
+    base_order = MonomialOrder(weights, precedence, heavy)
+
+    def term(below):
+        word = tuple(rng.randrange(k) for _ in range(rng.randint(1, 3)))
+        return _within(word, base_order, below), rng.choice([-3, -2, -1, 1, 2, 3])
+
+    def relation():
+        """2-3 terms of one weight, and maybe one of a lower weight."""
+        terms = [term(3) for _ in range(rng.randint(2, 3))]
+        top = base_order.weight(terms[0][0])
+        terms = [(w, c) for w, c in terms if base_order.weight(w) == top]
+        if rng.random() < 0.5:
+            terms.append(term(top - 1))
+        return sum((NCPoly.term(w, c) for w, c in terms), NCPoly.zero())
+
+    base_rels = [relation() for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        z = NCPoly.gen(k)
+        at = rng.randint(0, k)
+        order = MonomialOrder(weights + [rng.randint(1, 2)],
+                              precedence[:at] + [k] + precedence[at:],
+                              heavy | ({k} if rng.random() < 0.5 else set()))
+        extra = [z * NCPoly.gen(g) - NCPoly.gen(g) * z for g in range(k)]
+    else:
+        order = base_order
+        extra = [relation() for _ in range(rng.randint(1, 2))]
+    relations = base_rels + extra
+    bound = rng.randint(max(p.weight(order) for p in relations), 4)
+    return base_rels, base_order, relations, order, bound
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.randoms(use_true_random=False))
+def test_completion_over_a_base_matches_scratch(rng):
+    """A system completed over a base complete to the bound has the normal
+    words, asked weight by weight, and the rules of the system completed
+    from scratch."""
+    base_rels, base_order, relations, order, bound = _extension(rng)
+    assume(any(not p.is_zero() for p in base_rels))
+    base = complete_truncated(base_rels, base_order, bound)
+    base.rules  # completes the base to the bound
+    over = complete_truncated(relations, order, bound, base)
+    scratch = complete_truncated(relations, order, bound)
+    for w in range(bound + 1):
+        assert over.enumerate_normal_words(w) == scratch.enumerate_normal_words(w)
+    assert over.to_dict() == scratch.to_dict()
 
 
 # tail coefficients over 2, 3, 5 and 7, with repeats so that terms cancel

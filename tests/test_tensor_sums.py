@@ -24,6 +24,7 @@ from hopfcheck.hopf import (
     TensorElt,
     build_gab,
     build_glq,
+    build_slq,
     build_slq_laurent,
     hopf_structure,
     seeded_pair,
@@ -130,7 +131,7 @@ def _alg(name):
         return build_glq(2, 6)
     if name == "gab2":
         return build_gab(*seeded_pair(1, n=2), 6, name="G(A2,B2)")
-    return build_slq_laurent(2, 6)
+    return build_slq_laurent(build_slq(2, 6))
 
 
 ALGS = ["glq", "gab2", "slql"]

@@ -298,11 +298,14 @@ def test_rewrite_imports_no_fractions():
 
 def test_rules_are_read_through_queries():
     """Only rewrite.py reads a system's reducer, its completion state
-    (_done, _relations) or _complete_to, or searches for a redex: a system of
-    homogeneous relations completes on demand, and every other module reads
-    its rules through a query that completes it first, and how far it is
-    completed through completed_weight and completed_rules."""
-    names = {"_reducer", "find_redex", "_done", "_relations", "_complete_to"}
+    (_done, _relations) or _complete_to, searches for a redex, or touches
+    the seeding of a base (_base, _check_base): a system of homogeneous
+    relations completes on demand, and every other module reads its rules
+    through a query that completes it first, how far it is completed
+    through completed_weight and completed_rules, and completes over a base
+    through complete_with_cache, which checks the base."""
+    names = {"_reducer", "find_redex", "_done", "_relations", "_complete_to", "_base",
+             "_check_base"}
     found = [f"{os.path.basename(path)}:{node.lineno}: {name}"
              for path in sorted(glob.glob(os.path.join(ROOT, "src", "hopfcheck", "*.py")))
              if os.path.basename(path) != "rewrite.py"
